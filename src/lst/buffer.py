@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .core import TRADING_DAYS_PER_YEAR, DomainError
 from .specialfuncs import integral_i_ab, integral_i_w
@@ -128,6 +127,8 @@ class BufferCostParams:
     def expected_redemption(self) -> float:
         """Mean redemption rate, eta / (eta + 1) under the power law."""
         if self.cdf is not None:
+            from scipy import integrate
+
             value, _ = integrate.quad(lambda x: 1.0 - self.cdf(x), 0.0, 1.0)
             return value
         return self.eta / (self.eta + 1.0)
@@ -277,6 +278,8 @@ def expected_lg_components_quadrature(params: BufferCostParams, w: float) -> Tup
         raise DomainError("cash weight must lie in [0, 1]")
     if w == 0.0:
         return 0.0, 0.0
+    from scipy import integrate
+
     pdf = params.redemption_pdf
 
     def f_cash(x: float) -> float:
@@ -347,6 +350,8 @@ def expected_lg_approx(params: BufferCostParams, w: float) -> float:
     if w == 0.0:
         return 0.0
     if params.cdf is not None:
+        from scipy import integrate
+
         pts = _cost_breakpoints(params, 0.0, w)
         head, _ = integrate.quad(lambda x: tc_asset_sqrt(x, params) * params.redemption_pdf(x),
                                  0.0, w, points=pts or None, epsabs=1e-13, limit=400)
@@ -460,6 +465,8 @@ def optimal_cash_buffer(market: BufferMarketParams, params: BufferCostParams) ->
     hi = grid[min(best + 1, len(grid) - 1)]
     if hi <= lo:
         return float(grid[best])
+    from scipy import optimize
+
     res = optimize.minimize_scalar(
         lambda w: net_buffer_cost(market, params, float(np.clip(w, 0.0, 1.0))),
         bounds=(float(lo), float(hi)),

@@ -153,12 +153,12 @@ def cmd_rcr(args) -> int:
     if args.schedule_out:
         from .liquidation import build_schedule
 
-        sched = build_schedule(portfolio, redemption)  # full unwind, not report-truncated
+        sold = build_schedule(portfolio, redemption).sold  # full unwind, not report-truncated
         cum_value = 0.0
         sched_rows = []
-        for h in range(sched.horizon):
-            cum_value += float(sched.sold[h] @ portfolio.prices)
-            sched_rows.append([h + 1] + [_fmt(v) for v in sched.sold[h]] + [_fmt(cum_value)])
+        for h, day in enumerate(sold, start=1):
+            cum_value += float(day @ portfolio.prices)
+            sched_rows.append([h] + [_fmt(v) for v in day] + [_fmt(cum_value)])
         write_csv(args.schedule_out, ["h", *portfolio.ids, "cumulative_value"], sched_rows)
     return EXIT_OK
 
@@ -416,12 +416,11 @@ def golden_tables() -> dict:
     wf_report, rows = rcr_rows(waterfall_portfolio(portfolio), 0.20, 6)
     tables["rcr_waterfall"] = (header, rows)
 
-    sched = wf_report.schedule
     cum = 0.0
     srows = []
-    for h in range(sched.horizon):
-        cum += float(sched.sold[h] @ portfolio.prices)
-        srows.append([h + 1] + [int(round(v)) for v in sched.sold[h]] + [f"{cum / 1e6:.3f}"])
+    for h, day in enumerate(wf_report.schedule.sold, start=1):
+        cum += float(day @ portfolio.prices)
+        srows.append([h] + [int(round(v)) for v in day] + [f"{cum / 1e6:.3f}"])
     tables["waterfall_schedule"] = (["h", *portfolio.ids, "cumulative_value_mn"], srows)
 
     def weight_rows(report, remaining: bool, horizon: int):

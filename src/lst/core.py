@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -54,18 +55,23 @@ class Security:
     spread: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.price > 0:
-            raise DomainError(f"security {self.id!r}: price must be positive")
+        if not (self.price > 0 and math.isfinite(self.price)):
+            raise DomainError(f"security {self.id!r}: price must be positive and finite")
         for name in ("shares", "daily_limit", "daily_volume", "volatility", "spread"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"security {self.id!r}: {name} must be non-negative")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise DomainError(f"security {self.id!r}: {name} must be non-negative and finite")
         # daily_limit may exceed daily_volume: both are data, consistency is
         # the data provider's problem.
 
 
 @dataclass(frozen=True, eq=False)
 class Portfolio:
-    """An ordered collection of securities plus an optional correlation matrix."""
+    """An ordered collection of securities plus an optional correlation matrix.
+
+    The column arrays (``shares``, ``prices``, ...) and ``ids`` are built once
+    at construction and are read-only.
+    """
 
     securities: tuple
     correlation: Optional[np.ndarray] = None
@@ -74,6 +80,15 @@ class Portfolio:
         object.__setattr__(self, "securities", tuple(self.securities))
         if len(self.securities) == 0:
             raise DomainError("portfolio is empty")
+        ids = tuple(s.id for s in self.securities)
+        if len(set(ids)) != len(ids):
+            dupes = sorted(i for i, k in Counter(ids).items() if k > 1)
+            raise DomainError(f"duplicate security ids {dupes}")
+        object.__setattr__(self, "_ids", ids)
+        for name in _PORTFOLIO_FIELDS[1:]:
+            col = np.array([getattr(s, name) for s in self.securities], dtype=float)
+            col.flags.writeable = False
+            object.__setattr__(self, "_" + name, col)
         if self.correlation is not None:
             rho = np.asarray(self.correlation, dtype=float)
             n = len(self.securities)
@@ -97,31 +112,31 @@ class Portfolio:
 
     @property
     def ids(self) -> tuple:
-        return tuple(s.id for s in self.securities)
+        return self._ids
 
     @property
     def shares(self) -> np.ndarray:
-        return np.array([s.shares for s in self.securities], dtype=float)
+        return self._shares
 
     @property
     def prices(self) -> np.ndarray:
-        return np.array([s.price for s in self.securities], dtype=float)
+        return self._price
 
     @property
     def daily_limits(self) -> np.ndarray:
-        return np.array([s.daily_limit for s in self.securities], dtype=float)
+        return self._daily_limit
 
     @property
     def daily_volumes(self) -> np.ndarray:
-        return np.array([s.daily_volume for s in self.securities], dtype=float)
+        return self._daily_volume
 
     @property
     def volatilities(self) -> np.ndarray:
-        return np.array([s.volatility for s in self.securities], dtype=float)
+        return self._volatility
 
     @property
     def spreads(self) -> np.ndarray:
-        return np.array([s.spread for s in self.securities], dtype=float)
+        return self._spread
 
     def require_correlation(self) -> np.ndarray:
         if self.correlation is None:
@@ -142,8 +157,8 @@ class RedemptionShock:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
             raise DomainError("redemption rate must lie in [0, 1]")
-        if self.amount < 0:
-            raise DomainError("redemption amount must be non-negative")
+        if not (self.amount >= 0 and math.isfinite(self.amount)):
+            raise DomainError("redemption amount must be non-negative and finite")
 
     @classmethod
     def from_rate(cls, portfolio: Portfolio, rate: float) -> "RedemptionShock":
@@ -160,7 +175,7 @@ class RedemptionPortfolio:
         q = np.asarray(self.quantities, dtype=float).copy()
         if q.ndim != 1:
             raise DomainError("redemption quantities must be a 1-d vector")
-        if np.any(q < 0):
+        if not np.all(q >= 0):
             raise DomainError("redemption quantities must be non-negative")
         q.flags.writeable = False
         object.__setattr__(self, "quantities", q)

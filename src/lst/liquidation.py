@@ -1,12 +1,17 @@
 """
-Day-by-day liquidation scheduling under daily trading limits, and the
-analytics derived from a schedule: liquidation ratio, liquidation time,
-the daily liquidation profile and the illiquid-asset measure.
+Liquidation scheduling under daily trading limits, and the analytics derived
+from a schedule: liquidation ratio, liquidation time, the daily liquidation
+profile and the illiquid-asset measure.
+
+Greedy selling at the daily limits has the closed form
+cum_i(h) = min(h * cap_i, q_i); every analytic here evaluates it directly
+(``cumulative_value``) instead of stepping through days.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -36,40 +41,108 @@ class Unreachable:
 UNREACHABLE = Unreachable()
 
 
+#: Unsold shares (summed over securities) at which a schedule counts as done.
+DONE_TOL = 1e-9
+
+
+def cumulative_value(sellable: np.ndarray, cap: np.ndarray, prices: np.ndarray,
+                     days) -> np.ndarray:
+    """Value raised by greedy selling, sum_i prices_i * min(h * cap_i, sellable_i), per h in ``days``.
+
+    Position i finishes after t_i = sellable_i / cap_i days (never when
+    cap_i = 0, which sells nothing). With the t_i sorted once, the value
+    after h days is the full value of the finished positions plus h times the
+    daily value of the others, read off prefix and suffix sums at
+    ``searchsorted(t, h)``. Cost O(n log n + len(days)); no day-by-security
+    array is formed.
+    """
+    live = cap > 0
+    t = sellable[live] / cap[live]
+    order = np.argsort(t, kind="stable")
+    full = np.concatenate(([0.0], np.cumsum((prices[live] * sellable[live])[order])))
+    rate = (prices[live] * cap[live])[order]
+    rest = np.concatenate((np.cumsum(rate[::-1])[::-1], [0.0]))  # rest[k] = sum(rate[k:])
+    days = np.asarray(days, dtype=float)
+    k = np.searchsorted(t[order], days, side="right")  # positions finished by day h
+    return full[k] + days * rest[k]
+
+
 @dataclass(frozen=True, eq=False)
 class LiquidationSchedule:
-    """Shares sold per security per trading day.
+    """Greedy liquidation at the daily limits, held in closed form.
 
-    ``sold[h-1, i]`` is the quantity of security i sold on day h. The schedule
-    stops at full liquidation or at ``max_days``, whichever comes first.
-    ``stuck`` flags securities that can never finish (zero daily limit with a
-    positive target).
+    Selling min(remaining, cap_i) of security i every day leaves
+    ``min(h * cap_i, sellable_i)`` sold after h days, so the schedule is the
+    triple ``(sellable, cap, horizon)``: O(n) memory whatever the horizon.
+    ``sellable`` is the target with stuck positions zeroed. The schedule stops
+    at full liquidation (at most ``DONE_TOL`` shares unsold) or at
+    ``max_days``, whichever comes first. ``stuck`` flags securities that can
+    never finish (zero daily limit with a positive target).
+
+    ``sold`` (shares sold per day and security) is rebuilt on every access
+    and never stored; read it once when iterating over days.
     """
 
     portfolio: Portfolio
     target: RedemptionPortfolio
-    sold: np.ndarray
+    sellable: np.ndarray
+    cap: np.ndarray
+    horizon: int
     max_days: int
     exhausted: bool
     stuck: tuple
 
     @property
-    def horizon(self) -> int:
-        """Number of scheduled trading days."""
-        return self.sold.shape[0]
+    def sold(self) -> np.ndarray:
+        """``sold[h-1, i]``: shares of security i sold on day h, shape (horizon, n).
+
+        Day h sells what is left after h-1 days, clipped to the daily cap:
+        the first difference of ``cumulative``, with every full day exactly
+        ``cap``.
+        """
+        before = np.arange(self.horizon).reshape(-1, 1) * self.cap
+        return np.clip(self.sellable - before, 0.0, self.cap)
 
     def cumulative(self, h: Optional[int] = None) -> np.ndarray:
-        """Total shares sold per security up to and including day h."""
-        if self.horizon == 0:
-            return np.zeros(self.portfolio.n)
+        """Total shares sold per security up to and including day h: min(h * cap, sellable)."""
         h = self.horizon if h is None else min(h, self.horizon)
-        if h <= 0:
-            return np.zeros(self.portfolio.n)
-        return self.sold[:h].sum(axis=0)
+        return np.minimum(max(h, 0) * self.cap, self.sellable)
 
     def amount(self, h: int) -> float:
         """Cash raised after h trading days (prices frozen)."""
         return float(self.cumulative(h) @ self.portfolio.prices)
+
+    def amounts(self, days: int) -> np.ndarray:
+        """Cash raised after each of days 1..days; flat once the schedule ends."""
+        h = np.minimum(np.arange(1, days + 1), self.horizon)
+        return cumulative_value(self.sellable, self.cap, self.portfolio.prices, h)
+
+
+def validated_limits(
+    portfolio: Portfolio,
+    redemption: RedemptionPortfolio,
+    max_days: int,
+    limits: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The daily limits a liquidation of ``redemption`` over ``max_days`` days sells at.
+
+    Raises:
+        DomainError: if the target exceeds the holdings, max_days < 1, or a
+            daily limit is negative or not finite.
+    """
+    if not max_days >= 1:
+        raise DomainError("max_days must be at least 1")
+    q = redemption.quantities
+    if len(q) != portfolio.n:
+        raise DomainError("redemption portfolio does not match portfolio size")
+    if np.any(q > portfolio.shares * (1 + 1e-12) + 1e-9):
+        raise DomainError("cannot liquidate more shares than held")
+    cap = portfolio.daily_limits if limits is None else np.array(limits, dtype=float)
+    if cap.shape != q.shape:
+        raise DomainError("limits must give one daily limit per security")
+    if not np.all(np.isfinite(cap) & (cap >= 0)):
+        raise DomainError("daily limits must be non-negative and finite")
+    return cap
 
 
 def build_schedule(
@@ -80,6 +153,13 @@ def build_schedule(
 ) -> LiquidationSchedule:
     """Greedy liquidation: each day sell min(remaining, daily limit) of each security.
 
+    Evaluated in closed form, with no day loop: cumulative sales after h days
+    are min(h * cap, target). The horizon is the first day h with
+    sum_i max(target_i - h * cap_i, 0) <= ``DONE_TOL``, capped at ``max_days``;
+    that sum is non-increasing in h, so it is found by bisection over days in
+    O(n log max_days). The schedule stores no day-by-security matrix;
+    ``sold`` is built on demand.
+
     Args:
         portfolio: Fund holdings with daily limits.
         redemption: Target quantities, must not exceed the holdings.
@@ -88,34 +168,24 @@ def build_schedule(
             (used by stressed-volume scenarios).
 
     Raises:
-        DomainError: if the target exceeds the holdings or max_days < 1.
+        DomainError: as ``validated_limits``.
     """
-    if max_days < 1:
-        raise DomainError("max_days must be at least 1")
+    cap = validated_limits(portfolio, redemption, max_days, limits)
     q = redemption.quantities
-    if len(q) != portfolio.n:
-        raise DomainError("redemption portfolio does not match portfolio size")
-    if np.any(q > portfolio.shares * (1 + 1e-12) + 1e-9):
-        raise DomainError("cannot liquidate more shares than held")
-    cap = portfolio.daily_limits if limits is None else np.asarray(limits, dtype=float)
-    if np.any(cap < 0):
-        raise DomainError("daily limits must be non-negative")
+    stuck = tuple(portfolio.ids[i] for i in np.flatnonzero((q > 0) & (cap == 0)))
+    sellable = np.where(cap > 0, q, 0.0)
+    sellable.flags.writeable = cap.flags.writeable = False
 
-    stuck = tuple(portfolio.ids[i] for i in range(portfolio.n) if q[i] > 0 and cap[i] == 0)
-    sellable = q.copy()
-    sellable[cap == 0] = 0.0
+    def unsold(h: int) -> float:
+        return float(np.maximum(sellable - h * cap, 0.0).sum())
 
-    rows = []
-    remaining = sellable.copy()
-    while remaining.sum() > 1e-9 and len(rows) < max_days:
-        today = np.minimum(remaining, cap)
-        rows.append(today)
-        remaining = remaining - today
-    sold = np.array(rows) if rows else np.zeros((0, portfolio.n))
-    exhausted = bool(remaining.sum() <= 1e-9) and not stuck
+    # first h in 0..max_days with unsold(h) <= DONE_TOL (max_days + 1 if none)
+    horizon = min(bisect_left(range(max_days + 1), True, key=lambda h: unsold(h) <= DONE_TOL),
+                  max_days)
+    exhausted = unsold(horizon) <= DONE_TOL and not stuck
     return LiquidationSchedule(
-        portfolio=portfolio, target=redemption, sold=sold,
-        max_days=max_days, exhausted=exhausted, stuck=stuck,
+        portfolio=portfolio, target=redemption, sellable=sellable, cap=cap,
+        horizon=horizon, max_days=max_days, exhausted=exhausted, stuck=stuck,
     )
 
 
@@ -134,18 +204,12 @@ def liquidation_time(schedule: LiquidationSchedule, p: float):
     total = schedule.target.value(schedule.portfolio)
     if total <= 0:
         raise DomainError("liquidation time undefined for a zero-value redemption")
-    target = p * total
-    cum = 0.0
-    for h in range(schedule.horizon):
-        cum += float(schedule.sold[h] @ schedule.portfolio.prices)
-        if cum >= target * (1 - 1e-12):
-            return h + 1
-    return UNREACHABLE
+    hit = np.flatnonzero(schedule.amounts(schedule.horizon) >= p * total * (1 - 1e-12))
+    return int(hit[0]) + 1 if hit.size else UNREACHABLE
 
 
 def _per_day_weight(portfolio: Portfolio) -> Tuple[np.ndarray, np.ndarray]:
     """psi_i = weight sellable per day; tau_i = days to unwind the position."""
-    w = weights(portfolio)
     cap = portfolio.daily_limits
     psi = cap * portfolio.prices / tna(portfolio)
     with np.errstate(divide="ignore"):
@@ -157,7 +221,8 @@ def daily_liquidation_profile(portfolio: Portfolio, max_days: int = MAX_DAYS_DEF
     """Daily liquidation weights W(h) for a full waterfall-style unwind.
 
     Computed in closed form from the per-day sellable weight of each asset:
-    W(h) = sum_i [min(h * psi_i, w_i) - min((h-1) * psi_i, w_i)].
+    W(h) = sum_i [min(h * psi_i, w_i) - min((h-1) * psi_i, w_i)], in
+    O(n log n + horizon) through ``cumulative_value``.
 
     Returns:
         (W, residual): W is indexed by day (W[0] is day 1) and sums to
@@ -168,12 +233,9 @@ def daily_liquidation_profile(portfolio: Portfolio, max_days: int = MAX_DAYS_DEF
     psi, tau = _per_day_weight(portfolio)
     liquid = psi > 0
     residual = float(w[~liquid].sum())
-    finite_tau = tau[liquid]
-    horizon = int(min(max_days, math.ceil(finite_tau.max()))) if finite_tau.size else 0
-    h = np.arange(0, horizon + 1).reshape(-1, 1)
-    cum = np.minimum(h * psi[liquid], w[liquid]).sum(axis=1)
-    profile = np.diff(cum)
-    return profile, residual
+    horizon = int(min(max_days, math.ceil(tau[liquid].max()))) if liquid.any() else 0
+    cum = cumulative_value(w, psi, np.ones_like(w), np.arange(horizon + 1))
+    return np.diff(cum), residual
 
 
 def illiquid_assets(portfolio: Portfolio, w_star: float,
@@ -183,21 +245,18 @@ def illiquid_assets(portfolio: Portfolio, w_star: float,
     Returns (h_star, illiquid_fraction) where h_star is the first day with
     W(h) <= w_star and the fraction is 1 - sum_i min((h_star - 1) * psi_i, w_i).
     The default horizon is generous: the daily profile is non-increasing, so
-    the threshold day always exists once every unwind time is covered.
+    the threshold day always exists once every unwind time is covered. The
+    profile is evaluated in closed form, so the horizon costs O(max_days)
+    memory, not O(max_days * n).
     """
     if not 0.0 < w_star < 1.0:
         raise DomainError("w_star must lie in (0, 1)")
     w = weights(portfolio)
     psi, _ = _per_day_weight(portfolio)
-    profile, residual = daily_liquidation_profile(portfolio, max_days=max_days)
-    h_star = None
-    for h in range(1, len(profile) + 1):
-        if profile[h - 1] <= w_star + 1e-15:
-            h_star = h
-            break
-    if h_star is None:
-        # beyond the computed profile the daily liquidation is 0 (or the
-        # residual of stuck assets), so the threshold is met right after it
-        h_star = len(profile) + 1
+    profile, _ = daily_liquidation_profile(portfolio, max_days=max_days)
+    below = np.flatnonzero(profile <= w_star + 1e-15)
+    # beyond the computed profile the daily liquidation is 0 (or the residual
+    # of stuck assets), so the threshold is met right after it
+    h_star = int(below[0]) + 1 if below.size else len(profile) + 1
     unsold = 1.0 - float(np.minimum((h_star - 1) * psi, w).sum())
     return h_star, unsold

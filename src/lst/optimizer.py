@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     TRADING_DAYS_PER_YEAR,
@@ -355,6 +354,7 @@ def optimize_policy(
         constraints.append(
             {"type": "ineq", "fun": lambda q: ls_max - ls_of(np.clip(q, 0.0, shares))})
     bounds = [(0.0, float(s)) for s in shares]
+    from scipy import optimize
 
     best_q = None
     best_tc = math.inf

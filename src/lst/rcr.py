@@ -57,7 +57,8 @@ def rcr_report(
     """Build the day-by-day RCR/LS table for a redemption portfolio.
 
     When the redemption portfolio's value equals the shock amount, RCR(h)
-    coincides with the liquidation ratio.
+    coincides with the liquidation ratio. The cash raised on every day comes
+    from the closed-form schedule in O(n log n + horizon).
     """
     if shock.amount <= 0:
         raise DomainError("redemption shock must be positive")
@@ -65,13 +66,7 @@ def rcr_report(
     value = redemption.value(portfolio)
     if value <= 0:
         raise DomainError("redemption portfolio has no value to liquidate")
-    days = horizon  # rows stay flat once the schedule is exhausted
-    cum_value = np.zeros(days)
-    running = 0.0
-    for h in range(days):
-        if h < schedule.horizon:
-            running += float(schedule.sold[h] @ portfolio.prices)
-        cum_value[h] = running
+    cum_value = schedule.amounts(horizon)  # flat once the schedule is exhausted
     lr = cum_value / value
     rcr = cum_value / shock.amount
     ls = shock.rate * np.maximum(0.0, 1.0 - rcr)
@@ -131,9 +126,7 @@ def time_to_liquidity(report: RcrReport, p: float):
     Once the schedule is exhausted the coverage ratio is flat, so a threshold
     above the terminal RCR is unreachable at any horizon.
     """
-    if p <= 0:
+    if not p > 0:
         raise DomainError("threshold p must be positive")
-    for h in range(report.horizon):
-        if report.rcr[h] >= p * (1 - 1e-12):
-            return h + 1
-    return UNREACHABLE
+    hit = np.flatnonzero(report.rcr >= p * (1 - 1e-12))
+    return int(hit[0]) + 1 if hit.size else UNREACHABLE

@@ -5,6 +5,7 @@ multiplier below which, the redemption coverage ratio breaches its floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -12,7 +13,7 @@ from typing import Union
 import numpy as np
 
 from .core import DomainError, Portfolio, RedemptionPortfolio, tna, weights
-from .liquidation import build_schedule
+from .liquidation import build_schedule, validated_limits
 from .rcr import pro_rata_portfolio
 
 BISECTION_TOL = 1e-6
@@ -54,10 +55,20 @@ def stressed_rcr(
     tau_h: int,
     volume_multiplier: float = 1.0,
 ) -> float:
-    """RCR(tau_h) with every daily limit scaled by the volume multiplier."""
-    limits = volume_multiplier * portfolio.daily_limits
-    schedule = build_schedule(portfolio, redemption, max_days=tau_h, limits=limits)
-    return schedule.amount(tau_h) / shock_amount
+    """RCR(tau_h) with every daily limit scaled by the volume multiplier.
+
+    Greedy selling raises sum_i P_i * min(tau_h * m * cap_i, q_i) by day
+    tau_h; this is evaluated directly, with no schedule built.
+    """
+    limits = validated_limits(portfolio, redemption, tau_h,
+                              volume_multiplier * portfolio.daily_limits)
+    raised = np.minimum(tau_h * limits, redemption.quantities) @ portfolio.prices
+    return float(raised) / shock_amount
+
+
+def _check_floor(rcr_floor: float) -> None:
+    if not (rcr_floor > 0 and math.isfinite(rcr_floor)):
+        raise DomainError("RCR floor must be positive and finite")
 
 
 def liability_rst(
@@ -74,14 +85,13 @@ def liability_rst(
     (no redemption rate <= 1 breaches the floor, which happens whenever the
     floor is below the stressed saleable weight of the fund).
     """
-    if rcr_floor <= 0:
-        raise DomainError("RCR floor must be positive")
+    _check_floor(rcr_floor)
     if tau_h < 1:
         raise DomainError("tau_h must be at least 1")
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (portfolio.n,):
         raise DomainError("alpha must give one proportion per security")
-    if np.any(alpha < 0) or np.any(alpha > 1):
+    if not np.all((alpha >= 0) & (alpha <= 1)):
         raise DomainError("alpha proportions must lie in [0, 1]")
     redemption = RedemptionPortfolio(quantities=alpha * portfolio.shares)
     schedule = build_schedule(portfolio, redemption, max_days=tau_h)
@@ -98,6 +108,7 @@ def liability_rst_feasible(portfolio: Portfolio, alpha: np.ndarray, rcr_floor: f
     Holds exactly when the floor is at least the stressed saleable weight
     sum(alpha_i * w_i).
     """
+    _check_floor(rcr_floor)
     alpha = np.asarray(alpha, dtype=float)
     return rcr_floor >= float(alpha @ weights(portfolio)) - 1e-12
 
@@ -114,7 +125,14 @@ def asset_rst(
     The liquidation portfolio is the pro-rata slice at ``standard_rate`` and
     every daily limit scales with the multiplier. Coverage is non-decreasing
     in the multiplier, so the threshold is found by bisection; daily limits
-    stay real-valued (no share rounding).
+    stay real-valued (no share rounding). Each step evaluates the closed
+    form ``stressed_rcr`` in O(n).
+
+    Coverage is piecewise linear in the multiplier, so its root could be
+    solved exactly; the bisection (its midpoints, its ``<=`` test and its
+    stop at ``tol``) is kept on purpose, because the published 6-digit
+    multipliers are those of this sequence and the exact root prints
+    differently in some cells.
 
     Returns:
         The multiplier in (0, 1), or a typed no-solution outcome when the
@@ -123,8 +141,7 @@ def asset_rst(
     """
     if not 0.0 < standard_rate <= 1.0:
         raise DomainError("standard redemption rate must lie in (0, 1]")
-    if rcr_floor <= 0:
-        raise DomainError("RCR floor must be positive")
+    _check_floor(rcr_floor)
     if tau_h < 1:
         raise DomainError("tau_h must be at least 1")
     redemption = pro_rata_portfolio(portfolio, standard_rate)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import integrate
-
 from .core import DomainError
 
 _QUAD_ABS_TOL = 1e-12
@@ -33,6 +31,7 @@ def hyp2f1_family(eta: float, z: float) -> float:
     z = min(z, 0.0)
     if z == 0.0:
         return 1.0
+    from scipy import integrate
 
     def integrand(y: float) -> float:
         return y**1.5 * (1.0 - z * y) ** (eta - 1.0)
@@ -60,6 +59,8 @@ def integral_i_w(w: float, eta: float) -> float:
 
 
 def _i_ab_quadrature(a: float, b: float, eta: float) -> float:
+    from scipy import integrate
+
     def integrand(x: float) -> float:
         return (x - a) ** 1.5 * x ** (eta - 1.0)
 

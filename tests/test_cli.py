@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import lst
 from lst.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main, parse_days, parse_rate
 
 DATA = resources.files("lst") / "data"
@@ -11,6 +16,7 @@ FUND = str(DATA / "example_fund.csv")
 CORR = str(DATA / "example_fund_corr.csv")
 BUCKETS = str(DATA / "example_buckets.json")
 GATES = str(DATA / "example_gates.csv")
+PINNED = Path(__file__).parent / "data"
 
 
 def read_rows(path):
@@ -122,6 +128,17 @@ class TestRstCommand:
                      "--rate-star", "0.10", "--floor", "0.5", "--tau", "2"])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("rate", ["0.05", "0.10", "0.20"])
+    def test_asset_mode_stdout_pinned(self, rate, capsys):
+        # recorded from the bisection as published; an exact piecewise-linear
+        # root prints differently in some cells (e.g. 0.078259 vs 0.0782592)
+        with open(PINNED / "rst_asset_stdout.json") as fh:
+            want = json.load(fh)[rate]
+        code = main(["rst", "--portfolio", FUND, "--mode", "asset", "--rate-star", rate,
+                     "--floor", "0.5,0.9", "--tau", "1..5"])
+        assert code == want["exit"]
+        assert capsys.readouterr().out == want["stdout"]
+
 
 class TestOptimizeCommand:
     def test_constrained_policy(self, tmp_path):
@@ -198,3 +215,17 @@ class TestGoldens:
         golden_dir = resources.files("lst") / "goldens"
         for fresh in sorted((tmp_path / "fresh").glob("*.csv")):
             assert fresh.read_bytes() == (golden_dir / fresh.name).read_bytes()
+
+
+class TestImportCost:
+    def test_rcr_does_not_load_scipy(self):
+        # measurement subcommands run without the scipy import
+        code = ("import sys; from lst.cli import main; "
+                f"rc = main(['rcr', '--portfolio', {FUND!r}, '--shock', '0.2']); "
+                "print(rc, 'scipy' in sys.modules)")
+        src = str(Path(lst.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.splitlines()[-1] == "0 False"

@@ -135,6 +135,10 @@ class TestShockAndRedemption:
         with pytest.raises(DomainError):
             RedemptionShock(rate=-0.1, amount=1.0)
 
+    def test_nan_amount_rejected(self):
+        with pytest.raises(DomainError):
+            RedemptionShock(rate=0.1, amount=float("nan"))
+
     def test_negative_quantities_rejected(self):
         with pytest.raises(DomainError):
             RedemptionPortfolio(quantities=np.array([1.0, -2.0]))
@@ -152,6 +156,30 @@ class TestValidation:
     def test_negative_field(self):
         with pytest.raises(DomainError):
             Security("X", -1, 10.0)
+
+    def test_nan_shares_rejected(self):
+        with pytest.raises(DomainError):
+            Security("X", float("nan"), 10.0)
+
+    def test_non_finite_fields_rejected(self):
+        with pytest.raises(DomainError):
+            Security("X", 10, float("inf"))
+        with pytest.raises(DomainError):
+            Security("X", 10, 10.0, daily_limit=float("inf"))
+
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(DomainError, match="duplicate"):
+            Portfolio(securities=(Security("a", 1, 1.0), Security("a", 2, 1.0)))
+
+    def test_nan_redemption_quantities_rejected(self):
+        with pytest.raises(DomainError):
+            RedemptionPortfolio(quantities=np.array([1.0, np.nan]))
+
+    def test_columns_built_once_and_read_only(self, fund):
+        assert fund.shares is fund.shares
+        assert fund.ids is fund.ids
+        with pytest.raises(ValueError):
+            fund.daily_limits[0] = 0.0
 
     def test_correlation_must_match_size(self, fund):
         with pytest.raises(DomainError):

@@ -1,18 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lst import (
     UNREACHABLE,
     DomainError,
     Portfolio,
     RedemptionPortfolio,
+    RedemptionShock,
     Security,
+    asset_rst,
     build_schedule,
     daily_liquidation_profile,
     illiquid_assets,
     liquidation_ratio,
     liquidation_time,
+    rcr_report,
+    stressed_rcr,
+    time_to_liquidity,
+    tna,
 )
+from lst.reverse import BISECTION_TOL
 from conftest import random_portfolio
 
 # Day-by-day share sales for the naive 20% pro-rata scenario on the demo fund.
@@ -198,3 +207,168 @@ class TestIlliquidAssets:
         for bad in (0.0, 1.0):
             with pytest.raises(DomainError):
                 illiquid_assets(fund, bad)
+
+
+class TestValidation:
+    def test_nan_limits_rejected(self, fund):
+        limits = fund.daily_limits.copy()
+        limits[2] = np.nan
+        with pytest.raises(DomainError):
+            build_schedule(fund, pro_rata_20(fund), limits=limits)
+
+
+# =============================================================================
+# Closed form against the day loop
+# =============================================================================
+
+def loop_schedule(q, cap, max_days):
+    """Reference greedy day loop: sell min(remaining, cap) of each security per day.
+
+    Returns (sold, exhausted) with sold of shape (days, n).
+    """
+    remaining = np.where(cap > 0, q, 0.0)
+    rows = []
+    while remaining.sum() > 1e-9 and len(rows) < max_days:
+        today = np.minimum(remaining, cap)
+        rows.append(today)
+        remaining = remaining - today
+    sold = np.array(rows).reshape(-1, len(q))
+    exhausted = bool(remaining.sum() <= 1e-9) and not np.any((q > 0) & (cap == 0))
+    return sold, exhausted
+
+
+def loop_amounts(sold, prices, days):
+    """Cash raised after each of days 1..days, flat once the loop stopped."""
+    running, out = 0.0, np.zeros(days)
+    for h in range(days):
+        if h < len(sold):
+            running += float(sold[h] @ prices)
+        out[h] = running
+    return out
+
+
+def first_day(series, p):
+    hit = np.flatnonzero(series >= p * (1 - 1e-12))
+    return int(hit[0]) + 1 if hit.size else UNREACHABLE
+
+
+def clear_of(series, p):
+    """No value sits on the rounding edge of the first-crossing test."""
+    edge = p * (1 - 1e-12)
+    return not np.any(np.abs(series - edge) <= 1e-14 * edge)
+
+
+@st.composite
+def integral_cases(draw):
+    """Integer shares, limits and targets: the day loop is exact on these.
+
+    Targets mix arbitrary amounts, whole positions and exact multiples of the
+    daily limit; limits include zeros (stuck names) and max_days may truncate.
+    """
+    n = draw(st.integers(1, 6))
+    shares = [draw(st.integers(0, 200_000)) for _ in range(n)]
+    shares[0] = max(shares[0], 1)
+    caps = [draw(st.sampled_from([0, 1, 7, 1_000, 20_000]) | st.integers(0, 50_000)) for _ in range(n)]
+    prices = [draw(st.floats(0.5, 2_000)) for _ in range(n)]
+    q = []
+    for s, c in zip(shares, caps):
+        kind = draw(st.sampled_from(["any", "all", "multiple", "none"]))
+        if kind == "any":
+            q.append(draw(st.integers(0, s)))
+        elif kind == "all":
+            q.append(s)
+        elif kind == "multiple":
+            q.append(min(c * draw(st.integers(0, 40)), s))
+        else:
+            q.append(0)
+    fund = Portfolio(securities=tuple(
+        Security(f"S{i}", float(s), p, daily_limit=float(c))
+        for i, (s, p, c) in enumerate(zip(shares, prices, caps))))
+    return fund, np.array(q, dtype=float), draw(st.integers(1, 60))
+
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+class TestClosedFormMatchesDayLoop:
+    @PROPERTY
+    @given(integral_cases())
+    def test_schedule_fields(self, case):
+        fund, q, max_days = case
+        schedule = build_schedule(fund, RedemptionPortfolio(quantities=q), max_days=max_days)
+        sold, exhausted = loop_schedule(q, fund.daily_limits, max_days)
+        assert schedule.horizon == len(sold)
+        assert schedule.exhausted == exhausted
+        assert schedule.stuck == tuple(
+            fund.ids[i] for i in range(fund.n) if q[i] > 0 and fund.daily_limits[i] == 0)
+        np.testing.assert_array_equal(schedule.sold, sold)
+        for h in range(0, max_days + 2):
+            np.testing.assert_array_equal(schedule.cumulative(h), sold[:h].sum(axis=0))
+
+    @PROPERTY
+    @given(integral_cases(), st.floats(0.01, 1.2), st.floats(0.01, 1.0))
+    def test_rcr_and_first_crossing_days(self, case, p_rcr, p_lr):
+        fund, q, horizon = case
+        redemption = RedemptionPortfolio(quantities=q)
+        value = float(q @ fund.prices)
+        assume(value > 0)
+        shock = RedemptionShock(rate=0.5, amount=0.5 * tna(fund))
+        report = rcr_report(fund, shock, redemption, horizon=horizon)
+        sold, _ = loop_schedule(q, fund.daily_limits, horizon)
+        amounts = loop_amounts(sold, fund.prices, horizon)
+        np.testing.assert_allclose(report.amount, amounts, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(report.rcr, amounts / shock.amount, rtol=1e-12, atol=1e-15)
+
+        rcr = amounts / shock.amount
+        assume(clear_of(rcr, p_rcr))
+        assert time_to_liquidity(report, p_rcr) == first_day(rcr, p_rcr)
+
+        lr = amounts[:len(sold)] / value
+        assume(clear_of(lr, p_lr))
+        assert liquidation_time(report.schedule, p_lr) == first_day(lr, p_lr)
+
+    @PROPERTY
+    @given(integral_cases())
+    def test_rcr_non_decreasing_in_h_and_multiplier(self, case):
+        fund, q, horizon = case
+        assume(float(q @ fund.prices) > 0)
+        shock = RedemptionShock(rate=0.5, amount=0.5 * tna(fund))
+        report = rcr_report(fund, shock, RedemptionPortfolio(quantities=q), horizon=horizon)
+        assert np.all(np.diff(report.rcr) >= -1e-12)
+        multipliers = np.linspace(0.0, 1.0, 41)
+        rcr_m = [stressed_rcr(fund, RedemptionPortfolio(quantities=q), shock.amount, horizon, m)
+                 for m in multipliers]
+        assert np.all(np.diff(rcr_m) >= 0.0)
+
+    @PROPERTY
+    @given(integral_cases())
+    def test_profile_is_waterfall_sold_value(self, case):
+        fund, _, _ = case
+        profile, residual = daily_liquidation_profile(fund, max_days=10_000)
+        sold, _ = loop_schedule(fund.shares, fund.daily_limits, 10_000)
+        np.testing.assert_allclose(profile, sold @ fund.prices / tna(fund), rtol=0, atol=1e-12)
+        assert profile.sum() + residual <= 1.0 + 1e-12  # below 1 only when truncated
+
+
+def exact_asset_root(fund, rate, floor, tau):
+    """Smallest m with sum_i P_i min(tau m cap_i, q_i) = floor * R, from the sorted breakpoints."""
+    q, cap, price = rate * fund.shares, fund.daily_limits, fund.prices
+    target = floor * rate * tna(fund)
+    live = (cap > 0) & (q > 0)
+    b = q[live] / (tau * cap[live])
+    order = np.argsort(b)
+    b, full, slope = b[order], (price * q)[live][order], (tau * price * cap)[live][order]
+    done = np.concatenate(([0.0], np.cumsum(full)))
+    rest = slope.sum() - np.concatenate(([0.0], np.cumsum(slope)))
+    k = int(np.searchsorted(done[1:] + b * rest[1:], target))
+    return (target - done[k]) / rest[k]
+
+
+class TestAssetRstRoot:
+    @PROPERTY
+    @given(integral_cases(), st.floats(0.01, 1.0), st.floats(0.05, 1.5), st.integers(1, 5))
+    def test_within_tol_of_exact_root(self, case, rate, floor, tau):
+        fund = case[0]
+        res = asset_rst(fund, rate, floor, tau)
+        assume(isinstance(res, float))
+        assert abs(res - exact_asset_root(fund, rate, floor, tau)) <= BISECTION_TOL

@@ -74,6 +74,14 @@ class TestLiabilityRst:
             liability_rst(fund, ALPHA, 0.0, 1)
         with pytest.raises(DomainError):
             liability_rst(fund, np.array([2.0] * fund.n), 0.25, 1)
+        with pytest.raises(DomainError):
+            liability_rst(fund, np.array([np.nan] * fund.n), 0.25, 1)
+
+    def test_nan_floor_rejected(self, fund):
+        with pytest.raises(DomainError):
+            liability_rst(fund, ALPHA, float("nan"), 1)
+        with pytest.raises(DomainError):
+            liability_rst_feasible(fund, ALPHA, float("nan"))
 
 
 class TestAssetRst:
@@ -155,3 +163,17 @@ class TestAssetRst:
             asset_rst(fund, 0.0, 0.5, 1)
         with pytest.raises(DomainError):
             asset_rst(fund, 1.5, 0.5, 1)
+
+    def test_nan_floor_rejected(self, fund):
+        with pytest.raises(DomainError):
+            asset_rst(fund, 0.1, float("nan"), 2)
+
+    def test_stressed_rcr_rejects_bad_multiplier(self, fund):
+        q = pro_rata_portfolio(fund, 0.1)
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(DomainError):
+                stressed_rcr(fund, q, 1e6, 2, bad)
+
+    def test_nan_standard_rate_rejected(self, fund):
+        with pytest.raises(DomainError):
+            asset_rst(fund, float("nan"), 0.5, 2)
