@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import TRADING_DAYS_PER_YEAR, DomainError
+from .core import TRADING_DAYS_PER_YEAR, DomainError, daily_volatility
 from .specialfuncs import integral_i_ab, integral_i_w
 
 _GRID_STEP = 1e-3  # coarse scan resolution of the buffer optimizer
@@ -28,6 +28,15 @@ _GRID_STEP = 1e-3  # coarse scan resolution of the buffer optimizer
 # =============================================================================
 # PARAMETERS
 # =============================================================================
+
+def _check_finite(params, names: Tuple[str, ...], nonnegative: bool = False) -> None:
+    """Reject, by name, a field that is NaN, infinite or (if asked) negative."""
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value) or (nonnegative and value < 0):
+            kind = "finite and non-negative" if nonnegative else "finite"
+            raise DomainError(f"{name} must be {kind}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class BufferMarketParams:
@@ -48,12 +57,10 @@ class BufferMarketParams:
     te_aversion: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma_asset < 0 or self.sigma_cash < 0:
-            raise DomainError("volatilities must be non-negative")
+        _check_finite(self, ("mu_asset", "mu_cash"))
+        _check_finite(self, ("sigma_asset", "sigma_cash", "te_aversion"), nonnegative=True)
         if not -1.0 <= self.rho <= 1.0:
             raise DomainError("correlation must lie in [-1, 1]")
-        if self.te_aversion < 0:
-            raise DomainError("tracking-error aversion must be non-negative")
 
     @property
     def te_variance_unit(self) -> float:
@@ -93,18 +100,17 @@ class BufferCostParams:
     pdf: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
-        if self.spread < 0 or self.cash_cost < 0 or self.beta_impact < 0 or self.sigma < 0:
-            raise DomainError("cost parameters must be non-negative")
+        _check_finite(self, ("spread", "cash_cost", "beta_impact", "sigma"), nonnegative=True)
         if not self.x_plus > 0:
             raise DomainError("trading limit must be positive")
-        if self.eta <= 0:
-            raise DomainError("redemption-law exponent must be positive")
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise DomainError(f"redemption-law exponent eta must be positive and finite, got {self.eta!r}")
         if (self.cdf is None) != (self.pdf is None):
             raise DomainError("custom redemption law needs both cdf and pdf")
 
     @property
     def sigma_daily(self) -> float:
-        return self.sigma / math.sqrt(self.trading_days)
+        return daily_volatility(self.sigma, self.trading_days)
 
     @property
     def unlimited(self) -> bool:
@@ -196,44 +202,68 @@ def buffer_analytics(market: BufferMarketParams, w: float) -> BufferAnalytics:
 # TRANSACTION COSTS
 # =============================================================================
 
-def _kappa(x: float, x_plus: float) -> int:
-    """Full trading days needed before the residual sale of a fraction x."""
-    if x <= 0:
-        return 0
-    k = int(math.floor(x / x_plus))
-    if k > 0 and x - k * x_plus <= 0.0:
-        k -= 1  # exact multiples finish on day k, not k + 1
-    return k
+def _sqrt(x):
+    # math.sqrt for floats (Python's x ** 0.5 calls pow(), which misrounds
+    # about one root in a thousand), np.sqrt for arrays: both correctly rounded
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
-def tc_asset_sqrt(x: float, params: BufferCostParams) -> float:
+class _SqrtCost(NamedTuple):
+    days: Callable
+    cost: Callable
+    slope: Callable
+
+
+def _sqrt_cost(params: BufferCostParams) -> _SqrtCost:
+    """The square-root cost model of ``params``, bound once.
+
+    ``days(x)`` splits a sale of x >= 0 into k full days at the limit and a
+    residual r (an exact multiple of the limit finishes on day k);
+    ``cost(x)`` is the cost of selling x and ``slope(x)`` its right
+    derivative; a negative x sells nothing. They use arithmetic operators
+    only (``// 1.0`` is the floor), so the same expression serves a float in
+    a quad integrand and an array in the Monte-Carlo and error grids, with
+    bit-identical values.
+    """
+    s, beta, sig, xp = params.spread, params.beta_impact, params.sigma_daily, params.x_plus
+    full_day = xp**1.5
+    unlimited = params.unlimited
+
+    def days(x):
+        k = (x / xp) // 1.0
+        k = k - ((x - k * xp <= 0.0) & (k > 0.0))
+        return k, x - k * xp
+
+    def cost(x):
+        x = (x + abs(x)) * 0.5  # max(x, 0): doubling and halving are exact
+        if unlimited:
+            return x * (s + beta * sig * _sqrt(x))
+        k, r = days(x)
+        return x * s + k * beta * sig * full_day + beta * sig * r * _sqrt(r)
+
+    def slope(x):
+        x = (x + abs(x)) * 0.5
+        r = x if unlimited else days(x)[1]
+        return s + 1.5 * beta * sig * _sqrt(r)
+
+    return _SqrtCost(days, cost, slope)
+
+
+def tc_asset_sqrt(x, params: BufferCostParams):
     """Cost of liquidating a fraction x of net assets under the square-root model.
 
     Without a binding limit this is x * (s + beta * sigma_d * sqrt(x)); with a
     daily limit the sale splits into kappa full days at the limit plus a
-    residual day, the spread part staying linear.
+    residual day, the spread part staying linear. x may be a float or an array.
     """
-    if x <= 0.0:
-        return 0.0
-    if x > 1.0 + 1e-12:
+    if np.any(x > 1.0 + 1e-12):
         raise DomainError("cannot liquidate more than the whole fund")
-    s, beta, sig = params.spread, params.beta_impact, params.sigma_daily
-    if params.unlimited:
-        return x * (s + beta * sig * math.sqrt(x))
-    k = _kappa(x, params.x_plus)
-    r = x - k * params.x_plus
-    return x * s + k * beta * sig * params.x_plus**1.5 + beta * sig * r * math.sqrt(max(r, 0.0))
+    return _sqrt_cost(params).cost(x)
 
 
-def tc_asset_derivative(x: float, params: BufferCostParams) -> float:
+def tc_asset_derivative(x, params: BufferCostParams):
     """Marginal cost d/dx of ``tc_asset_sqrt`` (right derivative at kinks)."""
-    s, beta, sig = params.spread, params.beta_impact, params.sigma_daily
-    if x <= 0.0:
-        return s
-    if params.unlimited:
-        return s + 1.5 * beta * sig * math.sqrt(x)
-    r = x - _kappa(x, params.x_plus) * params.x_plus
-    return s + 1.5 * beta * sig * math.sqrt(max(r, 0.0))
+    return _sqrt_cost(params).slope(x)
 
 
 def tc_cash(x: float, params: BufferCostParams) -> float:
@@ -281,12 +311,13 @@ def expected_lg_components_quadrature(params: BufferCostParams, w: float) -> Tup
     from scipy import integrate
 
     pdf = params.redemption_pdf
+    tc = _sqrt_cost(params).cost
 
     def f_cash(x: float) -> float:
-        return (tc_asset_sqrt(x, params) - tc_cash(x, params)) * pdf(x)
+        return (tc(x) - tc_cash(x, params)) * pdf(x)
 
     def f_asset(x: float) -> float:
-        return (tc_asset_sqrt(x, params) - tc_asset_sqrt(x - w, params)) * pdf(x)
+        return (tc(x) - tc(x - w)) * pdf(x)
 
     pts1 = _cost_breakpoints(params, 0.0, w)
     cash_part, _ = integrate.quad(f_cash, 0.0, w, points=pts1 or None,
@@ -349,13 +380,14 @@ def expected_lg_approx(params: BufferCostParams, w: float) -> float:
         raise DomainError("cash weight must lie in [0, 1]")
     if w == 0.0:
         return 0.0
+    kernel = _sqrt_cost(params)
     if params.cdf is not None:
         from scipy import integrate
 
         pts = _cost_breakpoints(params, 0.0, w)
-        head, _ = integrate.quad(lambda x: tc_asset_sqrt(x, params) * params.redemption_pdf(x),
+        head, _ = integrate.quad(lambda x: kernel.cost(x) * params.redemption_pdf(x),
                                  0.0, w, points=pts or None, epsabs=1e-13, limit=400)
-        return head + tc_asset_sqrt(w, params) * (1.0 - params.redemption_cdf(w))
+        return head + kernel.cost(w) * (1.0 - params.redemption_cdf(w))
 
     eta = params.eta
     s = params.spread
@@ -366,7 +398,7 @@ def expected_lg_approx(params: BufferCostParams, w: float) -> float:
         if params.unlimited:
             head += eta * impact * w ** (eta + 1.5) / (eta + 1.5)
         else:
-            k_cash = _kappa(w, x_plus)
+            k_cash = int(kernel.days(w)[0])
             staircase = sum(
                 (k - 1) * ((k * x_plus) ** eta - ((k - 1) * x_plus) ** eta)
                 for k in range(1, k_cash + 1)
@@ -379,7 +411,7 @@ def expected_lg_approx(params: BufferCostParams, w: float) -> float:
             if w > k_cash * x_plus:
                 segments += integral_i_ab(k_cash * x_plus, w, eta)
             head += eta * impact * segments
-    tail = tc_asset_sqrt(w, params) * (1.0 - w**eta)
+    tail = kernel.cost(w) * (1.0 - w**eta)
     return head + tail
 
 
@@ -412,24 +444,8 @@ def simulate_lg(params: BufferCostParams, w: float, n: int = 1_000_000, seed: in
         raise DomainError("the Monte-Carlo validator supports the power law only")
     rng = np.random.default_rng(seed)
     shocks = rng.random(n) ** (1.0 / params.eta)
-    s, beta, sig = params.spread, params.beta_impact, params.sigma_daily
-
-    def tc_vec(x: np.ndarray) -> np.ndarray:
-        x = np.maximum(x, 0.0)
-        if params.unlimited:
-            return x * (s + beta * sig * np.sqrt(x))
-        k = np.floor(x / params.x_plus)
-        r = x - k * params.x_plus
-        exact = (r <= 0.0) & (k > 0)
-        k = np.where(exact, k - 1, k)
-        r = x - k * params.x_plus
-        return x * s + k * beta * sig * params.x_plus**1.5 + beta * sig * r * np.sqrt(r)
-
-    gains = tc_vec(shocks) - np.where(
-        shocks <= w,
-        shocks * params.cash_cost,
-        tc_vec(shocks - w),
-    )
+    tc = _sqrt_cost(params).cost
+    gains = tc(shocks) - np.where(shocks <= w, shocks * params.cash_cost, tc(shocks - w))
     mean = float(gains.mean())
     stderr = float(gains.std(ddof=1) / math.sqrt(n))
     return mean, stderr
@@ -502,6 +518,18 @@ def break_even_premium(
 # APPROXIMATION-ERROR DIAGNOSTICS
 # =============================================================================
 
+def _worst_additive_error(params: BufferCostParams, w: np.ndarray, n_grid: int) -> float:
+    """max |(TC(w + u) - TC(w)) - TC(u)| over the levels w and, for each, an
+    n_grid-point grid of offsets u in [0, min(x_plus, 1 - w)]."""
+    span = np.minimum(params.x_plus, 1.0 - w)
+    keep = span > 0  # a zero span would change linspace's rounding for every row
+    if not keep.any():
+        return 0.0
+    tc = _sqrt_cost(params).cost
+    w, u = w[keep, None], np.linspace(0.0, span[keep], n_grid, axis=1)
+    return float(np.abs((tc(w + u) - tc(w)) - tc(u)).max())
+
+
 def approximation_error(params: BufferCostParams, w: float, n_grid: int = 2001) -> float:
     """Worst additive-cost error sup_{R in [w, 1]} |(TC(R) - TC(w)) - TC(R - w)|.
 
@@ -512,27 +540,9 @@ def approximation_error(params: BufferCostParams, w: float, n_grid: int = 2001) 
     """
     if not 0.0 <= w <= 1.0:
         raise DomainError("cash weight must lie in [0, 1]")
-    span = min(params.x_plus, 1.0 - w)
-    if span <= 0:
-        return 0.0
-    offsets = np.linspace(0.0, span, n_grid)
-    worst = 0.0
-    for u in offsets:
-        err = abs(
-            (tc_asset_sqrt(w + u, params) - tc_asset_sqrt(w, params))
-            - tc_asset_sqrt(u, params)
-        )
-        if err > worst:
-            worst = err
-    return worst
+    return _worst_additive_error(params, np.array([float(w)]), n_grid)
 
 
 def max_approximation_error(params: BufferCostParams, n_w: int = 201, n_grid: int = 2001) -> float:
     """sup over buffer levels of the additive-cost error (periodic in w too)."""
-    top = min(params.x_plus, 1.0)
-    worst = 0.0
-    for w in np.linspace(0.0, top, n_w):
-        err = approximation_error(params, float(w), n_grid=n_grid)
-        if err > worst:
-            worst = err
-    return worst
+    return _worst_additive_error(params, np.linspace(0.0, min(params.x_plus, 1.0), n_w), n_grid)

@@ -111,7 +111,9 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         cfg = json.load(fh)
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
+        if attr in ("func", "command") or not hasattr(args, attr):
+            raise ValueError(f"unknown config key {key!r} for lst {args.command}")
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
 
 

@@ -322,6 +322,7 @@ def load_portfolio_json(path) -> Portfolio:
         return portfolio_from_dict(json.load(fh))
 
 
-def daily_volatility(annual_vol: float, trading_days: int = TRADING_DAYS_PER_YEAR) -> float:
-    """Convert an annualized volatility to a daily one by the sqrt-of-time rule."""
+def daily_volatility(annual_vol, trading_days: int = TRADING_DAYS_PER_YEAR):
+    """Convert annualized volatilities (a float or an array) to daily ones by
+    the sqrt-of-time rule."""
     return annual_vol / math.sqrt(trading_days)

@@ -19,6 +19,7 @@ from .core import (
     Portfolio,
     RedemptionPortfolio,
     RedemptionShock,
+    daily_volatility,
     tna,
     weight_distortion,
 )
@@ -74,7 +75,7 @@ class CostModel:
 
     def unit_cost(self, x: np.ndarray, spread: np.ndarray, annual_vol: np.ndarray) -> np.ndarray:
         """Unit cost c(x) for given spreads and annualized volatilities."""
-        daily_vol = np.asarray(annual_vol, dtype=float) / math.sqrt(self.trading_days)
+        daily_vol = daily_volatility(np.asarray(annual_vol, dtype=float), self.trading_days)
         return np.asarray(spread, dtype=float) + self.beta_impact * daily_vol * self.impact_shape(x)
 
 
@@ -106,6 +107,7 @@ def transaction_cost(
     spread_cost = 0.0
     impact_cost = 0.0
     cap = cost_model.participation_cap
+    daily_vol = daily_volatility(portfolio.volatilities, cost_model.trading_days)
     for day in schedule.sold:
         active = day > 0
         if not active.any():
@@ -119,7 +121,6 @@ def transaction_cost(
             raise DomainError(f"participation above the one-day cap for {bad}")
         notional = day * portfolio.prices
         spread_cost += float((notional * portfolio.spreads)[active].sum())
-        daily_vol = portfolio.volatilities / math.sqrt(cost_model.trading_days)
         impact = cost_model.beta_impact * daily_vol * cost_model.impact_shape(x)
         impact_cost += float((notional * impact)[active].sum())
     return TransactionCost(

@@ -5,6 +5,7 @@ anti-dilution levies and the redemption-gate queue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
@@ -270,8 +271,8 @@ class GateRequest:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise DomainError("redemption rate must be non-negative")
+        if not (self.rate >= 0 and math.isfinite(self.rate)):
+            raise DomainError(f"redemption rate must be finite and non-negative, got {self.rate!r}")
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,8 @@ def gate_schedule(requests: Sequence[GateRequest], policy: GatePolicy) -> List[G
             capacity -= executed
             if entry[1] <= 1e-15:
                 queue.pop(0)
-        day += 1
+        # an empty queue waits for the next arrival, not through idle days
+        day = pending[idx][1].day if not queue and idx < len(pending) else day + 1
     return fills
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lst import (
     BufferCostParams,
@@ -78,6 +80,86 @@ class TestBufferAnalytics:
     def test_weight_domain(self):
         with pytest.raises(DomainError):
             buffer_analytics(self.MARKET, 1.2)
+
+
+@st.composite
+def cost_params(draw):
+    x_plus = draw(st.sampled_from([0.05, 0.1, 0.16, 0.3, 1.0, 1.5]) | st.floats(0.01, 2.0))
+    return BufferCostParams(spread=draw(st.floats(0.0, 0.01)), cash_cost=1e-4,
+                            beta_impact=draw(st.floats(0.0, 1.0)), sigma=draw(st.floats(0.0, 1.0)),
+                            x_plus=x_plus, eta=1.0)
+
+
+@st.composite
+def params_and_sales(draw):
+    params = draw(cost_params())
+    multiples = st.integers(0, int(1.0 / params.x_plus)).map(lambda k: k * params.x_plus)
+    sales = draw(st.lists(st.floats(0.0, 1.0) | multiples | st.floats(-0.5, 0.0) | st.just(1.0),
+                          min_size=1, max_size=40))
+    return params, sales
+
+
+def approximation_error_loop(params, w, n_grid):
+    """Reference: one float call per offset, the maximum taken in Python."""
+    span = min(params.x_plus, 1.0 - w)
+    if span <= 0:
+        return 0.0
+    base = tc_asset_sqrt(w, params)
+    return max(abs((tc_asset_sqrt(w + u, params) - base) - tc_asset_sqrt(u, params))
+               for u in np.linspace(0.0, span, n_grid).tolist())
+
+
+class TestCostKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(params_and_sales())
+    def test_array_call_equals_float_calls(self, case):
+        params, sales = case
+        for f in (tc_asset_sqrt, tc_asset_derivative):
+            vector = f(np.array(sales), params)
+            assert vector.tolist() == [f(x, params) for x in sales], f.__name__
+
+    def test_dense_sample_array_equals_float_calls(self):
+        # dense enough to meet the roots that pow(x, 0.5) misrounds
+        sales = np.random.default_rng(74).random(20_000)
+        for params in (BASE, LIMITED):
+            for f in (tc_asset_sqrt, tc_asset_derivative):
+                assert f(sales, params).tolist() == [f(x, params) for x in sales.tolist()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(cost_params(), st.floats(0.0, 1.0))
+    def test_approximation_error_equals_loop(self, params, w):
+        assert approximation_error(params, w, n_grid=41) == approximation_error_loop(params, w, 41)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cost_params())
+    def test_max_approximation_error_equals_loop(self, params):
+        levels = np.linspace(0.0, min(params.x_plus, 1.0), 9).tolist()
+        expected = max(approximation_error_loop(params, w, 21) for w in levels)
+        assert max_approximation_error(params, n_w=9, n_grid=21) == expected
+
+    def test_published_maximum_errors(self):
+        expected = {0.10: 4.595286886550145e-05, 0.16: 9.300206760577408e-05,
+                    0.17: 0.0001018558580995391, 0.30: 0.00023877811088579516,
+                    0.90: 0.0012405206633345827}
+        for x_plus, value in expected.items():
+            params = BufferCostParams(spread=0.002, beta_impact=0.4, sigma=0.2,
+                                      x_plus=x_plus, eta=2.0)
+            assert max_approximation_error(params) == value, x_plus
+
+
+class TestParameterDomain:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["spread", "cash_cost", "beta_impact", "sigma", "eta"])
+    def test_cost_params_reject_non_finite(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            BufferCostParams(**{"spread": 20e-4, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mu_asset", "mu_cash", "sigma_asset", "sigma_cash",
+                                       "te_aversion"])
+    def test_market_params_reject_non_finite(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            BufferMarketParams(**{"mu_asset": 0.01, field: value})
 
 
 class TestTcAsset:

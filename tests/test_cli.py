@@ -88,6 +88,15 @@ class TestRcrCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[1].startswith("1,52.53")
 
+    def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"portfolio": FUND, "shoc": "0.5"}))
+        code = main(["rcr", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "config"
+        assert "'shoc'" in report["detail"]
+
 
 class TestHqlaCommand:
     def test_bucket_table(self, tmp_path, capsys):
@@ -174,6 +183,12 @@ class TestBufferCommand:
         assert float(w_line.split(",")[1]) == pytest.approx(0.9667, abs=0.001)
         assert (out_dir / "nbc_curve.csv").exists()
         assert (out_dir / "break_even_curve.csv").exists()
+
+    def test_non_finite_parameter_names_the_field(self, capsys):
+        assert main(["buffer", "--spread", "nan"]) == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation"
+        assert report["detail"].startswith("spread ")
 
 
 class TestSwingCommand:

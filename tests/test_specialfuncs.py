@@ -15,6 +15,14 @@ def i_w_direct(w, eta):
     return value
 
 
+def hyp2f1_euler(eta, z):
+    # Euler integral 2F1(1 - eta, 5/2; 7/2; z) = (5/2) integral_0^1 y^(3/2) (1 - z y)^(eta - 1) dy,
+    # valid for every z <= 0, |z| >= 1 included
+    value, _ = integrate.quad(lambda y: y**1.5 * (1.0 - z * y) ** (eta - 1.0), 0.0, 1.0,
+                              epsabs=1e-12, epsrel=1e-12, limit=200)
+    return 2.5 * value
+
+
 def i_w_half_log(w):
     # logarithmic closed form of the eta = 1/2 tail integral
     return ((4 - 10 * w) * math.sqrt(1 - w)
@@ -42,7 +50,15 @@ class TestHyp2f1Family:
                 expected = float(special.hyp2f1(1 - eta, 2.5, 3.5, z))
                 assert hyp2f1_family(eta, z) == pytest.approx(expected, rel=1e-9)
 
+    def test_against_euler_integral(self):
+        # independent oracle at non-integer exponents, where no polynomial exists
+        for eta in (0.5, 0.7, 1.7, 2.5, 4.2):
+            for z in Z_GRID:
+                assert hyp2f1_family(eta, z) == pytest.approx(hyp2f1_euler(eta, z), rel=1e-9)
+
     def test_domain(self):
+        with pytest.raises(DomainError):
+            hyp2f1_family(math.nan, -1.0)
         with pytest.raises(DomainError):
             hyp2f1_family(0.0, -1.0)
         with pytest.raises(DomainError):
@@ -104,6 +120,19 @@ class TestIntegralIAB:
                 closed = integral_i_ab(a, b, eta)
                 direct = integral_i_ab(a, b, eta, method="quadrature")
                 assert closed == pytest.approx(direct, rel=1e-8, abs=1e-14), (a, b, eta)
+
+    @pytest.mark.parametrize("eta", [0.7, 1.7, 4.2])
+    def test_closed_form_vs_quadrature_at_non_integer_exponents(self, eta):
+        rng = np.random.default_rng(73)
+        pairs = [(0.0, float(rng.uniform(0.05, 1.0)))] + [
+            tuple(sorted(rng.uniform(0.0, 1.0, size=2))) for _ in range(49)
+        ]
+        for a, b in pairs:
+            if b - a < 1e-6:
+                continue
+            closed = integral_i_ab(a, b, eta)
+            direct = integral_i_ab(a, b, eta, method="quadrature")
+            assert closed == pytest.approx(direct, rel=1e-8, abs=1e-14), (a, b, eta)
 
     def test_reference_shapes(self):
         a, b = 0.2, 0.7

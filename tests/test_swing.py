@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,19 @@ class TestGate:
             GatePolicy(daily_cap=0.02),
         )
         assert [(f.day, f.investor) for f in fills] == [(0, "A"), (5, "B")]
+
+    def test_idle_gap_is_skipped(self):
+        fills = gate_schedule(
+            [GateRequest(day=0, investor="A", rate=0.01),
+             GateRequest(day=10**6, investor="B", rate=0.01)],
+            GatePolicy(daily_cap=0.02),
+        )
+        assert [(f.day, f.investor) for f in fills] == [(0, "A"), (10**6, "B")]
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(DomainError):
+            GateRequest(day=0, investor="A", rate=rate)
 
     def test_cap_domain(self):
         with pytest.raises(DomainError):
