@@ -19,23 +19,21 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import TRADING_DAYS_PER_YEAR, DomainError, daily_volatility
+from .core import TRADING_DAYS_PER_YEAR, DomainError, check_finite, daily_volatility
 from .specialfuncs import integral_i_ab, integral_i_w
 
 _GRID_STEP = 1e-3  # coarse scan resolution of the buffer optimizer
+_ERROR_BLOCK = 1 << 15  # (w, u) points per block of the approximation-error scan
 
 
 # =============================================================================
 # PARAMETERS
 # =============================================================================
 
-def _check_finite(params, names: Tuple[str, ...], nonnegative: bool = False) -> None:
-    """Reject, by name, a field that is NaN, infinite or (if asked) negative."""
-    for name in names:
-        value = getattr(params, name)
-        if not math.isfinite(value) or (nonnegative and value < 0):
-            kind = "finite and non-negative" if nonnegative else "finite"
-            raise DomainError(f"{name} must be {kind}, got {value!r}")
+def _check_weight(w) -> None:
+    """Reject a cash weight (a float or an array) outside [0, 1], NaN included."""
+    if not np.all((w >= 0.0) & (w <= 1.0)):
+        raise DomainError("cash weight must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,8 @@ class BufferMarketParams:
     te_aversion: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("mu_asset", "mu_cash"))
-        _check_finite(self, ("sigma_asset", "sigma_cash", "te_aversion"), nonnegative=True)
+        check_finite(self, ("mu_asset", "mu_cash"))
+        check_finite(self, ("sigma_asset", "sigma_cash", "te_aversion"), "non-negative")
         if not -1.0 <= self.rho <= 1.0:
             raise DomainError("correlation must lie in [-1, 1]")
 
@@ -100,11 +98,10 @@ class BufferCostParams:
     pdf: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("spread", "cash_cost", "beta_impact", "sigma"), nonnegative=True)
+        check_finite(self, ("spread", "cash_cost", "beta_impact", "sigma"), "non-negative")
         if not self.x_plus > 0:
             raise DomainError("trading limit must be positive")
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise DomainError(f"redemption-law exponent eta must be positive and finite, got {self.eta!r}")
+        check_finite(self, ("eta",), "positive")
         if (self.cdf is None) != (self.pdf is None):
             raise DomainError("custom redemption law needs both cdf and pdf")
 
@@ -165,8 +162,7 @@ class BufferAnalytics:
 def buffer_analytics(market: BufferMarketParams, w: float) -> BufferAnalytics:
     """Mean/variance, tracking-error, beta, Sharpe and information ratios
     of the blended fund at cash weight w (exact bilinear formulas)."""
-    if not 0.0 <= w <= 1.0:
-        raise DomainError("cash weight must lie in [0, 1]")
+    _check_weight(w)
     m = market
     premium = m.mu_asset - m.mu_cash
     exp_ret = m.mu_asset - w * premium
@@ -304,8 +300,7 @@ def expected_lg_quadrature(params: BufferCostParams, w: float) -> float:
 
 def expected_lg_components_quadrature(params: BufferCostParams, w: float) -> Tuple[float, float]:
     """(cash-substitution gain, reduced-asset-sale gain) by adaptive quadrature."""
-    if not 0.0 <= w <= 1.0:
-        raise DomainError("cash weight must lie in [0, 1]")
+    _check_weight(w)
     if w == 0.0:
         return 0.0, 0.0
     from scipy import integrate
@@ -330,21 +325,21 @@ def expected_lg_components_quadrature(params: BufferCostParams, w: float) -> Tup
     return cash_part, asset_part
 
 
-def expected_lg_components_closed(params: BufferCostParams, w: float) -> Tuple[float, float]:
+def expected_lg_components_closed(params: BufferCostParams, w) -> Tuple[float, float]:
     """Closed-form gain components for the unlimited case (x_plus >= 1).
 
     Note: this is the reference closed form the optimum fixtures come from;
     its asset leg carries
     eta * s * w * (1 - w) where the defining integral gives s * w * (1 - w^eta),
     so the two expressions only coincide at eta = 1. The defining-integral
-    value is always available through ``expected_lg_quadrature``.
+    value is always available through ``expected_lg_quadrature``. w may be a
+    float or an array.
     """
     if not params.unlimited:
         raise DomainError("closed form requires x_plus >= 1")
     if params.cdf is not None:
         raise DomainError("closed form requires the power-law redemption model")
-    if not 0.0 <= w <= 1.0:
-        raise DomainError("cash weight must lie in [0, 1]")
+    _check_weight(w)
     eta = params.eta
     s, c = params.spread, params.cash_cost
     impact = params.beta_impact * params.sigma_daily
@@ -356,16 +351,76 @@ def expected_lg_components_closed(params: BufferCostParams, w: float) -> Tuple[f
     return cash_part, asset_part
 
 
-def expected_lg_exact(params: BufferCostParams, w: float) -> float:
-    """Exact expected liquidation gain.
+def _impact_integral(params: BufferCostParams, lo, hi):
+    """integral_lo^hi of the impact part of TC_asset(x - lo) dF(x) under the
+    power law, for lo <= hi (floats or arrays; returns an array).
 
-    Closed form when no trading limit binds, adaptive quadrature of the
-    defining integral otherwise.
+    On its k-th trading-limit segment (a_k, b_k] = (lo + (k-1) x_plus,
+    lo + k x_plus], clipped to hi, the sale x - lo takes k - 1 full days and
+    a residual x - a_k, so the segment adds
+    beta sigma_d ((k-1) x_plus^1.5 (F(b_k) - F(a_k)) + eta I(a_k, b_k)).
+    The loop runs over segments and keeps one accumulator the size of lo,
+    so memory does not grow as x_plus shrinks.
     """
-    if params.unlimited and params.cdf is None:
+    impact = params.beta_impact * params.sigma_daily
+    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), np.atleast_1d(hi))
+    total = np.zeros(lo.shape)
+    if impact == 0.0:
+        return total
+    eta, xp = params.eta, params.x_plus
+    full_day = xp**1.5
+    k = 1
+    while True:
+        a = np.minimum(lo + (k - 1) * xp, hi)
+        b = np.minimum(lo + k * xp, hi)
+        on = a < b
+        if not on.any():
+            return impact * total
+        a, b = a[on], b[on]
+        total[on] += (k - 1) * full_day * (b**eta - a**eta) + eta * integral_i_ab(a, b, eta)
+        k += 1
+
+
+def _head(params: BufferCostParams, y):
+    """H(y) = integral_0^y TC_asset dF under the power law (returns an array)."""
+    eta = params.eta
+    return eta * params.spread * y ** (eta + 1.0) / (eta + 1.0) + _impact_integral(params, 0.0, y)
+
+
+def _power_law_gain(params: BufferCostParams, w):
+    """Exact E[LG(w)] under the power law at any trading limit.
+
+    E[LG(w)] = H(1) - integral_0^w TC_cash dF - integral_w^1 TC_asset(x - w) dF,
+    where the shifted sale's spread leg is
+    s (eta / (eta + 1) (1 - w^(eta+1)) - w (1 - w^eta)) and its impact leg
+    has the same staircase and I terms on the segments starting at w. w may be
+    a float or an array; the value is exactly 0 at w = 0, where the
+    difference would leave a rounding residue.
+    """
+    x = np.atleast_1d(np.asarray(w, dtype=float))
+    eta, s, c = params.eta, params.spread, params.cash_cost
+    mean = eta / (eta + 1.0)
+    power = x ** (eta + 1.0)
+    shifted = s * (mean * (1.0 - power) - x * (1.0 - x**eta)) + _impact_integral(params, x, 1.0)
+    gain = np.where(x > 0.0, _head(params, 1.0) - c * mean * power - shifted, 0.0)
+    return gain if np.ndim(w) else float(gain[0])
+
+
+def expected_lg_exact(params: BufferCostParams, w):
+    """Exact expected liquidation gain at a cash weight w (a float or an array).
+
+    Under the power law: the reference closed form when no trading limit
+    binds, the sum over trading-limit segments otherwise. A custom
+    redemption law takes the adaptive quadrature of the defining integral
+    (float w only).
+    """
+    if params.cdf is not None:
+        return expected_lg_quadrature(params, w)
+    _check_weight(w)
+    if params.unlimited:
         cash_part, asset_part = expected_lg_components_closed(params, w)
         return cash_part + asset_part
-    return expected_lg_quadrature(params, w)
+    return _power_law_gain(params, w)
 
 
 def expected_lg_approx(params: BufferCostParams, w: float) -> float:
@@ -376,8 +431,7 @@ def expected_lg_approx(params: BufferCostParams, w: float) -> float:
     the power law (piecewise over trading-limit segments); quadrature for a
     custom redemption law.
     """
-    if not 0.0 <= w <= 1.0:
-        raise DomainError("cash weight must lie in [0, 1]")
+    _check_weight(w)
     if w == 0.0:
         return 0.0
     kernel = _sqrt_cost(params)
@@ -387,32 +441,9 @@ def expected_lg_approx(params: BufferCostParams, w: float) -> float:
         pts = _cost_breakpoints(params, 0.0, w)
         head, _ = integrate.quad(lambda x: kernel.cost(x) * params.redemption_pdf(x),
                                  0.0, w, points=pts or None, epsabs=1e-13, limit=400)
-        return head + kernel.cost(w) * (1.0 - params.redemption_cdf(w))
-
-    eta = params.eta
-    s = params.spread
-    impact = params.beta_impact * params.sigma_daily
-    x_plus = params.x_plus
-    head = eta * s * w ** (eta + 1.0) / (eta + 1.0)
-    if impact > 0:
-        if params.unlimited:
-            head += eta * impact * w ** (eta + 1.5) / (eta + 1.5)
-        else:
-            k_cash = int(kernel.days(w)[0])
-            staircase = sum(
-                (k - 1) * ((k * x_plus) ** eta - ((k - 1) * x_plus) ** eta)
-                for k in range(1, k_cash + 1)
-            ) + k_cash * (w**eta - (k_cash * x_plus) ** eta)
-            head += impact * x_plus**1.5 * staircase
-            segments = sum(
-                integral_i_ab((k - 1) * x_plus, k * x_plus, eta)
-                for k in range(1, k_cash + 1)
-            )
-            if w > k_cash * x_plus:
-                segments += integral_i_ab(k_cash * x_plus, w, eta)
-            head += eta * impact * segments
-    tail = kernel.cost(w) * (1.0 - w**eta)
-    return head + tail
+    else:
+        head = float(_head(params, w)[0])
+    return head + kernel.cost(w) * (1.0 - params.redemption_cdf(w))
 
 
 def expected_lg_derivative(params: BufferCostParams, w: float, method: str = "auto") -> float:
@@ -455,13 +486,13 @@ def simulate_lg(params: BufferCostParams, w: float, n: int = 1_000_000, seed: in
 # NET BUFFER COST AND ITS OPTIMUM
 # =============================================================================
 
-def net_buffer_cost(market: BufferMarketParams, params: BufferCostParams, w: float) -> float:
+def net_buffer_cost(market: BufferMarketParams, params: BufferCostParams, w):
     """Risk-premium drag plus tracking-error penalty minus expected gain.
 
-    NBC(w) = w * premium + (lambda / 2) * w^2 * te_variance - E[LG(w)].
+    NBC(w) = w * premium + (lambda / 2) * w^2 * te_variance - E[LG(w)], for
+    a float or (under the power law) an array w.
     """
-    if not 0.0 <= w <= 1.0:
-        raise DomainError("cash weight must lie in [0, 1]")
+    _check_weight(w)
     premium = market.mu_asset - market.mu_cash
     penalty = 0.5 * market.te_aversion * w * w * market.te_variance_unit
     return w * premium + penalty - expected_lg_exact(params, w)
@@ -470,12 +501,15 @@ def net_buffer_cost(market: BufferMarketParams, params: BufferCostParams, w: flo
 def optimal_cash_buffer(market: BufferMarketParams, params: BufferCostParams) -> float:
     """Cash weight minimizing the net buffer cost over [0, 1].
 
-    Scans a 1e-3 grid (the exact gain can be bimodal near w = 1) and refines
-    the best bracket by bounded golden-section search; exact ties resolve to
-    the smaller weight.
+    Scans a 1e-3 grid (the exact gain can be bimodal near w = 1), in one
+    array call under the power law, and refines the best bracket by bounded
+    golden-section search; exact ties resolve to the smaller weight.
     """
     grid = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
-    values = np.array([net_buffer_cost(market, params, float(w)) for w in grid])
+    if params.cdf is None:
+        values = net_buffer_cost(market, params, grid)
+    else:  # a custom law is integrated one weight at a time
+        values = np.array([net_buffer_cost(market, params, w) for w in grid.tolist()])
     best = int(np.argmin(values))  # first index wins ties, i.e. smaller w
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
@@ -508,8 +542,7 @@ def break_even_premium(
     at all iff the actual premium is below rho(0), which is independent of the
     tracking-error aversion.
     """
-    if not 0.0 <= w <= 1.0:
-        raise DomainError("cash weight must lie in [0, 1]")
+    _check_weight(w)
     gain_slope = expected_lg_derivative(params, w, method=method)
     return gain_slope - market.te_aversion * w * market.te_variance_unit
 
@@ -520,14 +553,19 @@ def break_even_premium(
 
 def _worst_additive_error(params: BufferCostParams, w: np.ndarray, n_grid: int) -> float:
     """max |(TC(w + u) - TC(w)) - TC(u)| over the levels w and, for each, an
-    n_grid-point grid of offsets u in [0, min(x_plus, 1 - w)]."""
+    n_grid-point grid of offsets u in [0, min(x_plus, 1 - w)], evaluated in
+    blocks of levels so memory stays bounded."""
     span = np.minimum(params.x_plus, 1.0 - w)
-    keep = span > 0  # a zero span would change linspace's rounding for every row
-    if not keep.any():
-        return 0.0
+    keep = span > 0  # a zero span would change linspace's rounding for its block
+    w, span = w[keep], span[keep]
     tc = _sqrt_cost(params).cost
-    w, u = w[keep, None], np.linspace(0.0, span[keep], n_grid, axis=1)
-    return float(np.abs((tc(w + u) - tc(w)) - tc(u)).max())
+    rows = max(1, _ERROR_BLOCK // n_grid)
+    worst = 0.0
+    for i in range(0, len(w), rows):
+        level = w[i:i + rows, None]
+        u = np.linspace(0.0, span[i:i + rows], n_grid, axis=1)
+        worst = max(worst, float(np.abs((tc(level + u) - tc(level)) - tc(u)).max()))
+    return worst
 
 
 def approximation_error(params: BufferCostParams, w: float, n_grid: int = 2001) -> float:
@@ -538,8 +576,7 @@ def approximation_error(params: BufferCostParams, w: float, n_grid: int = 2001) 
     impact leg is periodic in R - w with period x_plus, so the scan covers one
     period of the offset.
     """
-    if not 0.0 <= w <= 1.0:
-        raise DomainError("cash weight must lie in [0, 1]")
+    _check_weight(w)
     return _worst_additive_error(params, np.array([float(w)]), n_grid)
 
 

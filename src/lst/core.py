@@ -28,6 +28,20 @@ class DomainError(ValueError):
     """An operation was called outside its mathematical domain."""
 
 
+_BOUNDS = {"": lambda v: True, "non-negative": lambda v: v >= 0, "positive": lambda v: v > 0}
+
+
+def check_finite(obj, names, bound: str = "") -> None:
+    """Reject, by name, a field of ``obj`` that is NaN or infinite, or that
+    breaks ``bound`` ("non-negative" or "positive")."""
+    holds = _BOUNDS[bound]
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and holds(value)):
+            kind = f"finite and {bound}" if bound else "finite"
+            raise DomainError(f"{name} must be {kind}, got {value!r}")
+
+
 # =============================================================================
 # VALUE TYPES
 # =============================================================================

@@ -19,6 +19,7 @@ from .core import (
     Portfolio,
     RedemptionPortfolio,
     RedemptionShock,
+    check_finite,
     daily_volatility,
     tna,
     weight_distortion,
@@ -55,8 +56,8 @@ class CostModel:
     custom_impact: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
-        if self.beta_impact < 0:
-            raise DomainError("impact coefficient must be non-negative")
+        check_finite(self, ("beta_impact",), "non-negative")
+        check_finite(self, ("knee", "participation_cap"))
         if not 0.0 < self.knee <= self.participation_cap <= 1.0:
             raise DomainError("need 0 < knee <= participation_cap <= 1")
         if self.regime not in ("sqrt", "sqrt_linear"):

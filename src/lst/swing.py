@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
 
-from .core import DomainError
+from .core import DomainError, check_finite
 
 
 # =============================================================================
@@ -25,10 +25,7 @@ class FundState:
     units: float
 
     def __post_init__(self) -> None:
-        if self.units <= 0:
-            raise DomainError("unit count must be positive")
-        if self.nav <= 0:
-            raise DomainError("NAV must be positive")
+        check_finite(self, ("nav", "units"), "positive")
 
     @property
     def tna(self) -> float:
@@ -46,10 +43,8 @@ class FlowEvent:
     tc: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.subscribed < 0 or self.redeemed < 0:
-            raise DomainError("unit flows must be non-negative")
-        if self.tc < 0:
-            raise DomainError("transaction cost must be non-negative")
+        check_finite(self, ("subscribed", "redeemed", "tc"), "non-negative")
+        check_finite(self, ("asset_return",))
 
     @property
     def net_units(self) -> float:
@@ -111,8 +106,7 @@ class SwingConfig:
     penalty: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.threshold < 0 or self.factor < 0 or self.product < 0:
-            raise DomainError("swing parameters must be non-negative")
+        check_finite(self, ("threshold", "factor", "product", "penalty"), "non-negative")
         if self.penalty < 1.0:
             raise DomainError("redemption penalty must be at least 1")
 
@@ -224,8 +218,8 @@ def adl_fees(subscribed: float, redeemed: float, tc: float, rule: AdlRule) -> Ad
     TC / N+ (or TC / N-) to the majority side; pro-rata charges
     TC / (N+ + N-) to both sides.
     """
-    if subscribed < 0 or redeemed < 0 or tc < 0:
-        raise DomainError("flows and costs must be non-negative")
+    if not all(v >= 0 and math.isfinite(v) for v in (subscribed, redeemed, tc)):
+        raise DomainError("flows and costs must be finite and non-negative")
     if subscribed + redeemed == 0:
         raise DomainError("no flows to levy")
     rule = AdlRule(rule)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -269,6 +270,94 @@ class TestExpectedGain:
                 expected_lg_quadrature(power2, w), rel=1e-9)
             assert expected_lg_approx(custom, w) == pytest.approx(
                 expected_lg_approx(power2, w), rel=1e-7)
+
+
+@st.composite
+def limited_gain_cases(draw):
+    x_plus = draw(st.floats(0.02, 0.99))
+    params = BufferCostParams(spread=draw(st.floats(0.0, 0.01)), cash_cost=draw(st.floats(0.0, 1e-3)),
+                              beta_impact=draw(st.floats(0.0, 1.0)), sigma=draw(st.floats(0.0, 1.0)),
+                              x_plus=x_plus, eta=draw(st.floats(0.3, 4.0)))
+    k = st.integers(0, int(1.0 / x_plus))
+    kinks = k.map(lambda k: k * x_plus) | k.map(lambda k: 1.0 - k * x_plus)
+    weights = st.floats(0.0, 1.0) | kinks.map(lambda w: min(max(w, 0.0), 1.0))
+    return params, draw(st.lists(weights, min_size=1, max_size=4))
+
+
+def optimal_buffer_by_quadrature(market, params):
+    """Reference: the optimizer's scan, refine and tie rule on the quadrature gain."""
+    from scipy import optimize
+
+    premium = market.mu_asset - market.mu_cash
+
+    def nbc(w):
+        return (w * premium + 0.5 * market.te_aversion * w * w * market.te_variance_unit
+                - expected_lg_quadrature(params, w))
+
+    grid = np.arange(0.0, 1.0005, 1e-3).tolist()
+    values = [nbc(w) for w in grid]
+    best = int(np.argmin(values))
+    res = optimize.minimize_scalar(lambda w: nbc(float(np.clip(w, 0.0, 1.0))),
+                                   bounds=(grid[max(best - 1, 0)], grid[min(best + 1, 1000)]),
+                                   method="bounded", options={"xatol": 1e-9})
+    candidates = [(values[best], grid[best]), (res.fun, res.x), (nbc(0.0), 0.0), (nbc(1.0), 1.0)]
+    lowest = min(v for v, _ in candidates)
+    return min(w for v, w in candidates if v <= lowest + 1e-15)
+
+
+class TestClosedFormGain:
+    @settings(max_examples=100, deadline=None)
+    @given(limited_gain_cases())
+    def test_equals_quadrature(self, case):
+        # abs: the quadrature oracle is asked for 1e-13 absolute accuracy only
+        params, weights = case
+        values = expected_lg_exact(params, np.array(weights))
+        assert values.tolist() == [expected_lg_exact(params, w) for w in weights]
+        for w, value in zip(weights, values.tolist()):
+            assert value == pytest.approx(expected_lg_quadrature(params, w), rel=1e-9, abs=1e-13), w
+
+    @pytest.mark.parametrize("x_plus", [0.9, 0.3, 0.1, 0.03])
+    @pytest.mark.parametrize("eta", [0.5, 0.7, 2.0, 3.0])
+    @pytest.mark.parametrize("spread", [20e-4, 50e-4])
+    def test_zero_buffer_gains_exactly_nothing(self, x_plus, eta, spread):
+        # without the w = 0 guard some of these leave a residue of about 1e-19
+        params = with_eta(BufferCostParams(spread=spread, cash_cost=1e-4, beta_impact=0.4,
+                                           sigma=0.20, x_plus=x_plus), eta)
+        assert expected_lg_exact(params, 0.0) == 0.0
+        assert expected_lg_exact(params, np.array([0.0, 0.5]))[0] == 0.0
+        market = BufferMarketParams(mu_asset=0.01, sigma_asset=0.2, te_aversion=1.0)
+        assert net_buffer_cost(market, params, np.array([0.0]))[0] == 0.0
+
+    @pytest.mark.parametrize("x_plus", [0.1, 1.0])
+    @pytest.mark.parametrize("eta", [0.3, 1.0, 4.0])
+    def test_subnormal_buffer_gains_nothing(self, x_plus, eta):
+        params = with_eta(BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4,
+                                           sigma=0.20, x_plus=x_plus), eta)
+        for w in (5e-324, 1e-300):
+            assert expected_lg_exact(params, w) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("market, params", [
+        (BufferMarketParams(mu_asset=0.0, sigma_asset=0.20),
+         with_eta(BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4,
+                                   sigma=0.20, x_plus=0.9), 2.0)),
+        (BufferMarketParams(mu_asset=0.002, sigma_asset=0.20, te_aversion=0.5),
+         with_eta(BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4,
+                                   sigma=0.20, x_plus=0.5), 0.7)),
+    ])
+    def test_optimum_equals_quadrature_scan(self, market, params):
+        # agreement to the six digits lst buffer prints
+        assert optimal_cash_buffer(market, params) == pytest.approx(
+            optimal_buffer_by_quadrature(market, params), abs=1e-6)
+
+    def test_tiny_trading_limit_finishes_in_bounded_time(self):
+        params = with_eta(BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4,
+                                           sigma=0.20, x_plus=1e-3), 2.0)
+        market = BufferMarketParams(mu_asset=0.0)
+        start = time.perf_counter()
+        w = optimal_cash_buffer(market, params)
+        assert time.perf_counter() - start < 30.0
+        grid = np.linspace(0.0, 1.0, 101)
+        assert net_buffer_cost(market, params, w) <= net_buffer_cost(market, params, grid).min()
 
 
 class TestNetBufferCost:

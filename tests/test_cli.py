@@ -169,6 +169,13 @@ class TestOptimizeCommand:
         assert report["error"] == "infeasible-policy"
         assert report["binding"] == "shortfall"
 
+    def test_non_finite_impact_is_a_validation_error(self, capsys):
+        code = main(["optimize", "--portfolio", FUND, "--impact", "nan"])
+        assert code == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation"
+        assert report["detail"].startswith("beta_impact ")
+
 
 class TestBufferCommand:
     def test_prints_optimum_and_writes_curves(self, tmp_path, capsys):
@@ -210,6 +217,20 @@ class TestSwingCommand:
         assert "adl_entry,3" in out
 
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--flow", "-2", "--tc", "nan"], "tc"),
+        (["--flow", "1", "--tc", "inf"], "tc"),
+        (["--flow", "1", "--nav", "nan"], "nav"),
+        (["--flow", "1", "--return", "nan"], "asset_return"),
+        (["--flow", "1", "--threshold", "inf", "--mode", "partial"], "threshold"),
+    ])
+    def test_non_finite_input_is_a_validation_error(self, argv, field, capsys):
+        assert main(["swing", *argv]) == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation"
+        assert report["detail"].startswith(field + " ")
+
+
 class TestGateCommand:
     def test_published_schedule(self, capsys):
         code = main(["gate", "--requests", GATES, "--cap", "0.02"])
@@ -232,15 +253,26 @@ class TestGoldens:
             assert fresh.read_bytes() == (golden_dir / fresh.name).read_bytes()
 
 
+def run_and_list_modules(argv, module):
+    """Exit code of ``lst argv`` in a fresh interpreter and whether it loaded module."""
+    code = ("import sys; from lst.cli import main; "
+            f"rc = main({argv!r}); print(rc, {module!r} in sys.modules)")
+    src = str(Path(lst.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    return out.splitlines()[-1]
+
+
 class TestImportCost:
     def test_rcr_does_not_load_scipy(self):
         # measurement subcommands run without the scipy import
-        code = ("import sys; from lst.cli import main; "
-                f"rc = main(['rcr', '--portfolio', {FUND!r}, '--shock', '0.2']); "
-                "print(rc, 'scipy' in sys.modules)")
-        src = str(Path(lst.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True).stdout
-        assert out.splitlines()[-1] == "0 False"
+        assert run_and_list_modules(["rcr", "--portfolio", FUND, "--shock", "0.2"],
+                                    "scipy") == "0 False"
+
+    def test_limited_buffer_does_not_integrate(self, tmp_path):
+        # the gain under a trading limit is closed form: no quadrature module
+        argv = ["buffer", "--mu-asset", "0", "--eta", "2", "--xplus", "0.9",
+                "--out-dir", str(tmp_path)]
+        assert run_and_list_modules(argv, "scipy.integrate") == "0 False"

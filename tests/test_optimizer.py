@@ -36,6 +36,12 @@ class TestCostModel:
         with pytest.raises(DomainError):
             CostModel(beta_impact=-0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["beta_impact", "knee", "participation_cap"])
+    def test_non_finite_fields_rejected_by_name(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            CostModel(**{field: value})
+
     def test_regimes_join_continuously_at_the_knee(self):
         cm = CostModel()
         below = cm.impact_shape(np.array([cm.knee - 1e-12]))[0]

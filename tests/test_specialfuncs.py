@@ -56,6 +56,12 @@ class TestHyp2f1Family:
             for z in Z_GRID:
                 assert hyp2f1_family(eta, z) == pytest.approx(hyp2f1_euler(eta, z), rel=1e-9)
 
+    @pytest.mark.parametrize("eta", [2 - 4e-16, 3 + 5e-14, 1 + 1e-15, 4 - 9e-14])
+    def test_exponent_next_to_an_integer(self, eta):
+        # scipy returns +-inf here unless the first parameter is an integer
+        for z in Z_GRID:
+            assert hyp2f1_family(eta, z) == pytest.approx(hyp2f1_euler(eta, z), rel=1e-9)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             hyp2f1_family(math.nan, -1.0)
@@ -170,6 +176,27 @@ class TestIntegralIAB:
                 assert integral_i_ab(w, 1.0, eta) == pytest.approx(
                     integral_i_w(w, eta), rel=1e-9)
 
+    @pytest.mark.parametrize("eta", [0.3, 1.0, 1.7, 4.0])
+    def test_array_call_equals_float_calls(self, eta):
+        # array powers may round a last bit differently from float powers
+        rng = np.random.default_rng(75)
+        a = np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 0.9, size=60)])
+        b = a + rng.uniform(1e-3, 0.1, size=a.size)
+        expected = [integral_i_ab(x, y, eta) for x, y in zip(a.tolist(), b.tolist())]
+        assert integral_i_ab(a, b, eta) == pytest.approx(expected, rel=1e-14)
+        w = np.concatenate([[0.0, 1.0], a])
+        assert integral_i_w(w, eta) == pytest.approx([integral_i_w(x, eta) for x in w.tolist()],
+                                                     rel=1e-14)
+        z = -rng.uniform(0.0, 50.0, size=40)
+        assert hyp2f1_family(eta, z).tolist() == [hyp2f1_family(eta, x) for x in z.tolist()]
+
+    @pytest.mark.parametrize("eta", [0.3, 1.0, 4.0])
+    def test_negligible_lower_bound(self, eta):
+        # a^(eta-1) and (a - b)/a overflow here; the a = 0 value is exact to rounding
+        for a in (5e-324, 1e-300, 1e-20):
+            assert integral_i_ab(a, 0.5, eta) == pytest.approx(integral_i_ab(0.0, 0.5, eta),
+                                                               rel=1e-15)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             integral_i_ab(0.5, 0.5, 1.0)
@@ -177,3 +204,5 @@ class TestIntegralIAB:
             integral_i_ab(-0.1, 0.5, 1.0)
         with pytest.raises(DomainError):
             integral_i_ab(0.1, 0.5, 0.0)
+        with pytest.raises(DomainError):
+            integral_i_ab(np.array([0.1, 0.5]), np.array([0.2, 0.5]), 1.0)

@@ -154,6 +154,27 @@ class TestSwingNav:
             swing_nav(state, FlowEvent(redeemed=4.0, tc=0.0), dynamic)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, field", [
+        (FundState, "nav"), (FundState, "units"),
+        (FlowEvent, "subscribed"), (FlowEvent, "redeemed"), (FlowEvent, "tc"),
+        (FlowEvent, "asset_return"),
+        (SwingConfig, "threshold"), (SwingConfig, "factor"), (SwingConfig, "product"),
+        (SwingConfig, "penalty"),
+    ])
+    def test_rejected_by_field_name(self, make, field, value):
+        defaults = {"nav": 100.0, "units": 10.0} if make is FundState else {}
+        with pytest.raises(DomainError, match=field):
+            make(**{**defaults, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_adl_fees_reject_non_finite(self, value):
+        for args in ((value, 5, 30), (10, value, 30), (10, 5, value)):
+            with pytest.raises(DomainError):
+                adl_fees(*args, AdlRule.GROSS)
+
+
 class TestAdlFees:
     def test_gross_rule_charges_majority_side(self):
         fees = adl_fees(10, 5, 30, AdlRule.GROSS)
