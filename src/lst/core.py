@@ -46,6 +46,33 @@ def check_finite(obj, names, bound: str = "") -> None:
 # VALUE TYPES
 # =============================================================================
 
+_NUMERIC_FIELDS = ("shares", "price", "daily_limit", "daily_volume", "volatility", "spread")
+_PORTFOLIO_FIELDS = ("id",) + _NUMERIC_FIELDS
+#: The bound each numeric holding field must meet besides being finite, in
+#: the order the fields of one row are checked (price first).
+_HOLDING_BOUNDS = {"price": "positive", "shares": "non-negative", "daily_limit": "non-negative",
+                   "daily_volume": "non-negative", "volatility": "non-negative",
+                   "spread": "non-negative"}
+
+
+def _check_holdings(ids, columns) -> None:
+    """Reject the first holding, in row order, with a numeric field that is
+    not finite or breaks its bound (fields in ``_HOLDING_BOUNDS`` order).
+
+    ``columns`` maps each field to one value per id: an array, or a number
+    for a single holding. It works on both, so this is the one rule for a
+    valid holding, whether it comes from a ``Security``, a file or a dict.
+    """
+    ok = np.array([_BOUNDS[bound](columns[name]) & (columns[name] < math.inf)
+                   for name, bound in _HOLDING_BOUNDS.items()])
+    if np.count_nonzero(ok) == ok.size:
+        return
+    ok = ok.reshape(len(_HOLDING_BOUNDS), -1)
+    row = int(ok.all(axis=0).argmin())
+    name = list(_HOLDING_BOUNDS)[int(ok[:, row].argmin())]
+    raise DomainError(f"security {ids[row]!r}: {name} must be {_HOLDING_BOUNDS[name]} and finite")
+
+
 @dataclass(frozen=True)
 class Security:
     """A single fund holding with its liquidation policy data.
@@ -69,60 +96,70 @@ class Security:
     spread: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.price > 0 and math.isfinite(self.price)):
-            raise DomainError(f"security {self.id!r}: price must be positive and finite")
-        for name in ("shares", "daily_limit", "daily_volume", "volatility", "spread"):
-            value = getattr(self, name)
-            if not (value >= 0 and math.isfinite(value)):
-                raise DomainError(f"security {self.id!r}: {name} must be non-negative and finite")
         # daily_limit may exceed daily_volume: both are data, consistency is
         # the data provider's problem.
+        _check_holdings((self.id,), vars(self))
 
 
-@dataclass(frozen=True, eq=False)
 class Portfolio:
-    """An ordered collection of securities plus an optional correlation matrix.
+    """An ordered collection of holdings plus an optional correlation matrix.
 
-    The column arrays (``shares``, ``prices``, ...) and ``ids`` are built once
-    at construction and are read-only.
+    Holdings are stored by column: ``ids`` and the read-only arrays
+    (``shares``, ``prices``, ...) are validated and fixed at construction.
+    ``Portfolio(securities)`` and ``Portfolio.from_columns`` share that one
+    path; ``securities`` is built from the columns on first access.
     """
 
-    securities: tuple
-    correlation: Optional[np.ndarray] = None
+    __slots__ = ("_ids", "_columns", "_correlation", "_securities")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "securities", tuple(self.securities))
-        if len(self.securities) == 0:
+    def __init__(self, securities, correlation=None) -> None:
+        securities = tuple(securities)
+        columns = {name: [getattr(s, name) for s in securities] for name in _NUMERIC_FIELDS}
+        self._init(tuple(s.id for s in securities), columns, correlation)
+        self._securities = securities
+
+    @classmethod
+    def from_columns(cls, ids, columns, correlation=None) -> Portfolio:
+        """Build a portfolio from ``ids`` and a mapping of each numeric
+        ``Security`` field to one value per id (copied and validated as
+        columns), with no ``Security`` objects."""
+        portfolio = cls.__new__(cls)
+        portfolio._init(tuple(ids), columns, correlation)
+        portfolio._securities = None
+        return portfolio
+
+    def _init(self, ids: tuple, columns, correlation) -> None:
+        n = len(ids)
+        if n == 0:
             raise DomainError("portfolio is empty")
-        ids = tuple(s.id for s in self.securities)
-        if len(set(ids)) != len(ids):
+        if len(set(ids)) != n:
             dupes = sorted(i for i, k in Counter(ids).items() if k > 1)
             raise DomainError(f"duplicate security ids {dupes}")
-        object.__setattr__(self, "_ids", ids)
-        for name in _PORTFOLIO_FIELDS[1:]:
-            col = np.array([getattr(s, name) for s in self.securities], dtype=float)
+        cols = {}
+        for name in _NUMERIC_FIELDS:
+            col = np.array(columns[name], dtype=float)
+            if col.shape != (n,):
+                raise DomainError(f"column {name} has shape {col.shape}, expected ({n},)")
             col.flags.writeable = False
-            object.__setattr__(self, "_" + name, col)
-        if self.correlation is not None:
-            rho = np.asarray(self.correlation, dtype=float)
-            n = len(self.securities)
-            if rho.shape != (n, n):
-                raise DomainError(f"correlation matrix shape {rho.shape} does not match {n} securities")
-            if not np.allclose(rho, rho.T, atol=1e-10):
-                raise DomainError("correlation matrix is not symmetric")
-            if not np.allclose(np.diag(rho), 1.0, atol=1e-10):
-                raise DomainError("correlation matrix diagonal must be 1")
-            if np.any(np.abs(rho) > 1 + 1e-12):
-                raise DomainError("correlation entries must lie in [-1, 1]")
-            if np.linalg.eigvalsh(rho).min() < -1e-8:
-                raise DomainError("correlation matrix is not positive semi-definite")
-            rho = rho.copy()
-            rho.flags.writeable = False
-            object.__setattr__(self, "correlation", rho)
+            cols[name] = col
+        _check_holdings(ids, cols)
+        self._ids, self._columns = ids, cols
+        self._correlation = None if correlation is None else _checked_correlation(correlation, n)
+
+    @property
+    def securities(self) -> tuple:
+        if self._securities is None:
+            rows = zip(self._ids, *(self._columns[name].tolist() for name in _NUMERIC_FIELDS))
+            self._securities = tuple(Security(*row) for row in rows)
+        return self._securities
+
+    @property
+    def correlation(self) -> Optional[np.ndarray]:
+        return self._correlation
 
     @property
     def n(self) -> int:
-        return len(self.securities)
+        return len(self._ids)
 
     @property
     def ids(self) -> tuple:
@@ -130,35 +167,52 @@ class Portfolio:
 
     @property
     def shares(self) -> np.ndarray:
-        return self._shares
+        return self._columns["shares"]
 
     @property
     def prices(self) -> np.ndarray:
-        return self._price
+        return self._columns["price"]
 
     @property
     def daily_limits(self) -> np.ndarray:
-        return self._daily_limit
+        return self._columns["daily_limit"]
 
     @property
     def daily_volumes(self) -> np.ndarray:
-        return self._daily_volume
+        return self._columns["daily_volume"]
 
     @property
     def volatilities(self) -> np.ndarray:
-        return self._volatility
+        return self._columns["volatility"]
 
     @property
     def spreads(self) -> np.ndarray:
-        return self._spread
+        return self._columns["spread"]
 
     def require_correlation(self) -> np.ndarray:
-        if self.correlation is None:
+        if self._correlation is None:
             raise DomainError(
                 "this operation needs a correlation matrix; load one alongside "
                 "the portfolio (identity is not assumed)"
             )
-        return self.correlation
+        return self._correlation
+
+
+def _checked_correlation(correlation, n: int) -> np.ndarray:
+    """A read-only copy of an n x n correlation matrix, after checking it."""
+    rho = np.array(correlation, dtype=float)
+    if rho.shape != (n, n):
+        raise DomainError(f"correlation matrix shape {rho.shape} does not match {n} securities")
+    if not np.allclose(rho, rho.T, atol=1e-10):
+        raise DomainError("correlation matrix is not symmetric")
+    if not np.allclose(np.diag(rho), 1.0, atol=1e-10):
+        raise DomainError("correlation matrix diagonal must be 1")
+    if np.any(np.abs(rho) > 1 + 1e-12):
+        raise DomainError("correlation entries must lie in [-1, 1]")
+    if np.linalg.eigvalsh(rho).min() < -1e-8:
+        raise DomainError("correlation matrix is not positive semi-definite")
+    rho.flags.writeable = False
+    return rho
 
 
 @dataclass(frozen=True)
@@ -262,73 +316,89 @@ def round_shares(x) -> np.ndarray:
 # FILE FORMATS
 # =============================================================================
 
-_PORTFOLIO_FIELDS = ("id", "shares", "price", "daily_limit", "daily_volume", "volatility", "spread")
+def _csv_rows(path) -> list:
+    """The non-blank rows of a CSV file, read in one ``csv.reader`` pass."""
+    with open(path, newline="") as fh:
+        return list(filter(None, csv.reader(fh)))
+
+
+def _line_number(path, index: int) -> int:
+    """File line on which non-blank row ``index`` ends (error path only)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for k, _ in enumerate(filter(None, reader)):
+            if k == index:
+                return reader.line_num
+
+
+def _check_widths(path, rows, kind: str, first: str) -> None:
+    """Reject the first row whose field count differs from that of ``rows[0]``."""
+    width = len(rows[0])
+    k = next((k for k, row in enumerate(rows) if len(row) != width), None)
+    if k is not None:
+        raise DomainError(f"{kind} file {path}, line {_line_number(path, k)}: "
+                          f"{len(rows[k])} fields where the {first} has {width}")
 
 
 def load_portfolio(path, correlation_path=None) -> Portfolio:
     """Read a portfolio CSV (header: id,shares,price,daily_limit,daily_volume,volatility,spread).
 
+    Columns may come in any order; blank lines are skipped, and every other
+    row must have as many fields as the header. Each numeric column is
+    parsed in one call with Python ``float()`` syntax and the holdings are
+    validated as columns, so no ``Security`` object is built.
+
     The correlation matrix, when used, lives in a sidecar CSV (n x n,
     row-major, no header).
     """
-    securities = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [f for f in _PORTFOLIO_FIELDS if f not in (reader.fieldnames or [])]
-        if missing:
-            raise DomainError(f"portfolio file {path}: missing columns {missing}")
-        for row in reader:
-            securities.append(
-                Security(
-                    id=row["id"],
-                    shares=float(row["shares"]),
-                    price=float(row["price"]),
-                    daily_limit=float(row["daily_limit"]),
-                    daily_volume=float(row["daily_volume"]),
-                    volatility=float(row["volatility"]),
-                    spread=float(row["spread"]),
-                )
-            )
+    rows = _csv_rows(path)
+    missing = [f for f in _PORTFOLIO_FIELDS if f not in (rows[0] if rows else [])]
+    if missing:
+        raise DomainError(f"portfolio file {path}: missing columns {missing}")
+    _check_widths(path, rows, "portfolio", "header")
+    cells = {col[0]: col[1:] for col in zip(*rows)}
+    try:
+        columns = {name: np.array(cells[name], dtype=float) for name in _NUMERIC_FIELDS}
+    except ValueError:
+        for k in range(len(rows) - 1):
+            for name in _NUMERIC_FIELDS:
+                try:
+                    float(cells[name][k])
+                except ValueError:
+                    raise DomainError(f"portfolio file {path}, line {_line_number(path, k + 1)}: "
+                                      f"{name} {cells[name][k]!r} is not a number") from None
+        raise
     correlation = load_correlation(correlation_path) if correlation_path else None
-    return Portfolio(securities=tuple(securities), correlation=correlation)
+    return Portfolio.from_columns(cells["id"], columns, correlation)
 
 
 def save_portfolio(portfolio: Portfolio, path) -> None:
     """Write a portfolio CSV; floats use shortest round-trip representation."""
+    columns = [portfolio._columns[name].tolist() for name in _NUMERIC_FIELDS]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_PORTFOLIO_FIELDS)
-        for s in portfolio.securities:
-            writer.writerow([s.id, repr(s.shares), repr(s.price), repr(s.daily_limit),
-                             repr(s.daily_volume), repr(s.volatility), repr(s.spread)])
+        writer.writerows([sid, *map(repr, values)] for sid, *values in zip(portfolio.ids, *columns))
 
 
 def load_correlation(path) -> np.ndarray:
-    """Read an n x n correlation matrix from a headerless CSV."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(x) for x in row])
+    """Read an n x n correlation matrix from a headerless CSV (blank lines skipped)."""
+    rows = _csv_rows(path)
+    if rows:
+        _check_widths(path, rows, "correlation", "first row")
     return np.array(rows, dtype=float)
 
 
 def portfolio_from_dict(data: dict) -> Portfolio:
-    """Build a portfolio from the JSON equivalent of the CSV format."""
-    securities = tuple(
-        Security(
-            id=str(rec["id"]),
-            shares=float(rec["shares"]),
-            price=float(rec["price"]),
-            daily_limit=float(rec.get("daily_limit", 0.0)),
-            daily_volume=float(rec.get("daily_volume", 0.0)),
-            volatility=float(rec.get("volatility", 0.0)),
-            spread=float(rec.get("spread", 0.0)),
-        )
-        for rec in data["securities"]
-    )
+    """Build a portfolio from the JSON equivalent of the CSV format; shares and
+    price are required, the other numeric fields default to 0."""
+    records = data["securities"]
+    columns = {
+        name: [float(rec[name] if name in ("shares", "price") else rec.get(name, 0.0)) for rec in records]
+        for name in _NUMERIC_FIELDS
+    }
     correlation = np.array(data["correlation"], dtype=float) if data.get("correlation") else None
-    return Portfolio(securities=securities, correlation=correlation)
+    return Portfolio.from_columns([str(rec["id"]) for rec in records], columns, correlation)
 
 
 def load_portfolio_json(path) -> Portfolio:

@@ -253,6 +253,31 @@ class TestGoldens:
             assert fresh.read_bytes() == (golden_dir / fresh.name).read_bytes()
 
 
+class TestPortfolioFileErrors:
+    HEADER = "id,shares,price,daily_limit,daily_volume,volatility,spread\n"
+
+    def run_rcr(self, tmp_path, body, capsys):
+        path = tmp_path / "fund.csv"
+        path.write_text(self.HEADER + "A,1,2,3,4,0.1,0.01\n" + body)
+        code = main(["rcr", "--portfolio", str(path)])
+        return code, json.loads(capsys.readouterr().err)
+
+    def test_short_row_is_a_validation_error(self, tmp_path, capsys):
+        code, report = self.run_rcr(tmp_path, "B,1,2,3,4,0.1\n", capsys)
+        assert code == EXIT_CONFIG and report["error"] == "validation"
+        assert "line 3: 6 fields where the header has 7" in report["detail"]
+
+    def test_long_row_is_a_validation_error(self, tmp_path, capsys):
+        code, report = self.run_rcr(tmp_path, "B,1,2,3,4,0.1,0.01,extra\n", capsys)
+        assert code == EXIT_CONFIG and report["error"] == "validation"
+        assert "line 3: 8 fields where the header has 7" in report["detail"]
+
+    def test_non_numeric_cell_names_the_column(self, tmp_path, capsys):
+        code, report = self.run_rcr(tmp_path, "B,1,abc,3,4,0.1,0.01\n", capsys)
+        assert code == EXIT_CONFIG and report["error"] == "validation"
+        assert report["detail"].endswith("line 3: price 'abc' is not a number")
+
+
 def run_and_list_modules(argv, module):
     """Exit code of ``lst argv`` in a fresh interpreter and whether it loaded module."""
     code = ("import sys; from lst.cli import main; "

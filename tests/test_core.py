@@ -1,7 +1,14 @@
+import csv
+import math
+import tempfile
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lst import (
     DomainError,
@@ -244,3 +251,210 @@ class TestFileFormats:
         loaded = portfolio_from_dict(data)
         np.testing.assert_array_equal(loaded.shares, fund.shares)
         np.testing.assert_allclose(loaded.correlation, fund.correlation)
+
+
+# =============================================================================
+# COLUMN-NATIVE LOADING
+# =============================================================================
+
+HEADER = "id,shares,price,daily_limit,daily_volume,volatility,spread\n"
+NUMERIC = ("shares", "price", "daily_limit", "daily_volume", "volatility", "spread")
+PACKAGED_FUND = resources.files("lst") / "data" / "example_fund.csv"
+
+
+def reference_rows(path):
+    """The per-row loader the columnar one replaced: ``csv.DictReader``, one
+    ``float()`` per cell and the per-``Security`` checks written out, row by
+    row (price first). Returns ``[(id, {field: value})]``."""
+    out = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            rec = {name: float(row[name]) for name in NUMERIC}
+            if not (rec["price"] > 0 and math.isfinite(rec["price"])):
+                raise DomainError(f"security {row['id']!r}: price must be positive and finite")
+            for name in ("shares", "daily_limit", "daily_volume", "volatility", "spread"):
+                if not (rec[name] >= 0 and math.isfinite(rec[name])):
+                    raise DomainError(f"security {row['id']!r}: {name} must be non-negative and finite")
+            out.append((row["id"], rec))
+    return out
+
+
+def assert_matches_reference(p, path):
+    rows = reference_rows(path)
+    assert p.ids == tuple(sid for sid, _ in rows)
+    for name, col in zip(NUMERIC, (p.shares, p.prices, p.daily_limits, p.daily_volumes,
+                                   p.volatilities, p.spreads)):
+        assert col.tobytes() == np.array([rec[name] for _, rec in rows]).tobytes()
+
+
+def write_generated_fund(path, n, seed):
+    """A random fund whose cells use several spellings float() accepts."""
+    rng = np.random.default_rng(seed)
+    spellings = (repr, lambda x: f"{x:.17g}", lambda x: f"{x:.4e}", lambda x: f" {x:.6f} ",
+                 lambda x: str(int(x)) if x == int(x) else repr(x))
+    cols = [rng.integers(0, 10**6, n).astype(float), rng.lognormal(4, 1, n),
+            np.round(rng.uniform(0, 5e4, n)), rng.uniform(0, 5e5, n),
+            rng.uniform(0, 0.6, n), rng.uniform(0, 3e-3, n)]
+    pick = rng.integers(0, len(spellings), size=(n, 6))
+    lines = [HEADER]
+    for i in range(n):
+        cells = [spellings[pick[i, j]](float(cols[j][i])) for j in range(6)]
+        lines.append(f"S{i}," + ",".join(cells) + "\n")
+    path.write_text("".join(lines))
+
+
+class TestColumnarLoading:
+    def test_packaged_fund_equals_per_row_reference(self):
+        with resources.as_file(PACKAGED_FUND) as path:
+            assert_matches_reference(load_portfolio(path), path)
+
+    def test_generated_large_fund_equals_per_row_reference(self, tmp_path):
+        path = tmp_path / "big.csv"
+        write_generated_fund(path, 10_000, seed=3)
+        assert_matches_reference(load_portfolio(path), path)
+
+    def test_quoting_blank_lines_and_column_order(self, tmp_path):
+        path = tmp_path / "odd.csv"
+        path.write_text('spread,price,id,volatility,extra,daily_volume,daily_limit,shares\n'
+                        '\n'
+                        '0.001,10,"a,""b""",0.2,x,100,5,7\n'
+                        '\n\n'
+                        '0.002, 1_000 ,"multi\nline",0.1,y,1e3,0,3\n')
+        p = load_portfolio(path)
+        assert p.ids == ('a,"b"', "multi\nline")
+        np.testing.assert_array_equal(p.prices, [10.0, 1000.0])
+        assert_matches_reference(p, path)
+        path.write_text("\n\n" + HEADER + "A,1,2,3,4,0.1,0.01\n")
+        assert load_portfolio(path).ids == ("A",)
+
+    @pytest.mark.parametrize("row, fields", [("X,1,2,3,4,0.1\n", 6), ("X,1,2,3,4,0.1,0.01,9\n", 8)])
+    def test_ragged_row_rejected(self, tmp_path, row, fields):
+        path = tmp_path / "ragged.csv"
+        path.write_text(HEADER + "A,1,2,3,4,0.1,0.01\n\n" + row)
+        with pytest.raises(DomainError) as err:
+            load_portfolio(path)
+        message = str(err.value)
+        assert str(path) in message and "line 4" in message
+        assert f"{fields} fields" in message and "header has 7" in message
+
+    def test_non_numeric_cell_names_column_and_line(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text(HEADER + "A,1,2,3,4,0.1,0.01\nB,1,abc,3,4,0.1,0.01\nC,x,2,3,4,0.1,0.01\n")
+        with pytest.raises(DomainError, match=r"line 3: price 'abc' is not a number"):
+            load_portfolio(path)
+
+    def test_first_bad_row_and_field_match_per_row_reference(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER
+                        + "A,1,2,3,4,0.1,0.01\n"
+                        + "B,1,2,3,4,nan,-0.01\n"       # volatility before spread
+                        + "C,-1,0,3,4,0.1,0.01\n"       # price before shares
+                        + "D,1,2,-3,4,0.1,0.01\n")
+        with pytest.raises(DomainError) as ours:
+            load_portfolio(path)
+        with pytest.raises(DomainError) as theirs:
+            reference_rows(path)
+        assert str(ours.value) == str(theirs.value) == \
+            "security 'B': volatility must be non-negative and finite"
+
+    def test_random_bad_cells_match_per_row_reference(self, tmp_path):
+        rng = np.random.default_rng(17)
+        bad_values = ("-1", "nan", "inf", "-inf", "-0.5")
+        for case in range(60):
+            cells = np.full((6, 6), "1.5", dtype=object)
+            for _ in range(int(rng.integers(1, 5))):
+                cells[rng.integers(0, 6), rng.integers(0, 6)] = rng.choice(bad_values)
+            if rng.random() < 0.3:
+                cells[rng.integers(0, 6), 1] = "0"  # zero price: bad; zero elsewhere is fine
+            path = tmp_path / f"case{case}.csv"
+            path.write_text(HEADER + "".join(f"S{i}," + ",".join(row) + "\n"
+                                             for i, row in enumerate(cells)))
+            records = {"securities": [dict(id=f"S{i}", **{n: float(v) for n, v in zip(NUMERIC, row)})
+                                      for i, row in enumerate(cells)]}
+            with pytest.raises(DomainError) as theirs:
+                reference_rows(path)
+            with pytest.raises(DomainError) as from_file:
+                load_portfolio(path)
+            with pytest.raises(DomainError) as from_dict:
+                portfolio_from_dict(records)
+            with pytest.raises(DomainError) as from_securities:
+                Portfolio(securities=tuple(Security(**rec) for rec in records["securities"]))
+            assert str(from_file.value) == str(from_dict.value) == str(theirs.value)
+            assert str(from_securities.value) == str(theirs.value)
+
+    def test_empty_and_duplicate_errors_unchanged(self, tmp_path):
+        empty, dupes = tmp_path / "empty.csv", tmp_path / "dupes.csv"
+        empty.write_text(HEADER)
+        dupes.write_text(HEADER + "A,1,2,3,4,0.1,0.01\nA,1,2,3,4,0.1,0.01\n")
+        with pytest.raises(DomainError, match="portfolio is empty"):
+            load_portfolio(empty)
+        with pytest.raises(DomainError, match=r"duplicate security ids \['A'\]"):
+            load_portfolio(dupes)
+
+    def test_loading_builds_no_security(self, monkeypatch, tmp_path):
+        path = tmp_path / "big.csv"
+        write_generated_fund(path, 2_000, seed=5)
+        calls = []
+        original = Security.__post_init__
+        monkeypatch.setattr(Security, "__post_init__", lambda s: calls.append(1) or original(s))
+        p = load_portfolio(path)
+        assert calls == []
+        expected = tuple(Security(sid, **rec) for sid, rec in reference_rows(path))
+        calls.clear()
+        assert p.securities == expected
+        assert len(calls) == p.n and p.securities is p.securities
+
+    def test_from_columns_copies_and_checks_shape(self):
+        shares = np.array([1.0, 2.0])
+        cols = dict(shares=shares, price=[1.0, 2.0], daily_limit=[0, 0], daily_volume=[0, 0],
+                    volatility=[0, 0], spread=[0, 0])
+        p = Portfolio.from_columns(("a", "b"), cols)
+        assert shares.flags.writeable and p.shares is not shares
+        with pytest.raises(DomainError, match="column price"):
+            Portfolio.from_columns(("a", "b"), {**cols, "price": [1.0]})
+
+
+@st.composite
+def column_portfolios(draw):
+    n = draw(st.integers(1, 8))
+    # ASCII ids, with the characters CSV must quote drawn often
+    chars = st.sampled_from(',"\n\r ') | st.characters(min_codepoint=1, max_codepoint=127)
+    ids = draw(st.lists(st.text(chars, max_size=6), min_size=n, max_size=n, unique=True))
+    amount = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    price = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+    columns = {name: draw(st.lists(price if name == "price" else amount, min_size=n, max_size=n))
+               for name in NUMERIC}
+    return Portfolio.from_columns(ids, columns)
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(column_portfolios())
+    def test_save_then_load_is_bit_identical(self, p):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fund.csv"
+            save_portfolio(p, path)
+            loaded = load_portfolio(path)
+        assert loaded.ids == p.ids
+        for name in ("shares", "prices", "daily_limits", "daily_volumes", "volatilities", "spreads"):
+            assert getattr(loaded, name).tobytes() == getattr(p, name).tobytes()
+
+    def test_writes_repr_of_each_value(self, fund, tmp_path):
+        path = tmp_path / "fund.csv"
+        save_portfolio(fund, path)
+        rows = path.read_text().splitlines()
+        assert rows[0] == HEADER.strip()
+        assert rows[1] == "A1,435100.0,89.0,20000.0,200000.0,0.2,0.0005"
+
+
+class TestCorrelationFile:
+    def test_ragged_row_rejected(self, tmp_path):
+        path = tmp_path / "rho.csv"
+        path.write_text("1,0.5\n\n0.5\n")
+        with pytest.raises(DomainError, match=r"line 3: 1 fields where the first row has 2"):
+            load_correlation(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "rho.csv"
+        path.write_text("1,0.5\n\n0.5,1\n\n")
+        np.testing.assert_array_equal(load_correlation(path), [[1.0, 0.5], [0.5, 1.0]])
