@@ -498,12 +498,82 @@ def net_buffer_cost(market: BufferMarketParams, params: BufferCostParams, w):
     return w * premium + penalty - expected_lg_exact(params, w)
 
 
+def _fminbound(func, lo: float, hi: float, xatol: float):
+    """Minimize func over [lo, hi] by Brent's bounded method (fminbound).
+
+    Golden-section steps with parabolic interpolation, step for step the
+    ``bounded`` method of ``scipy.optimize.minimize_scalar`` (same iterates,
+    same result, same evaluation count), so the refine needs no scipy.
+    Returns (x, func(x), number of evaluations); it stops at scipy's 500
+    evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx, num
+
+
 def optimal_cash_buffer(market: BufferMarketParams, params: BufferCostParams) -> float:
     """Cash weight minimizing the net buffer cost over [0, 1].
 
     Scans a 1e-3 grid (the exact gain can be bimodal near w = 1), in one
-    array call under the power law, and refines the best bracket by bounded
-    golden-section search; exact ties resolve to the smaller weight.
+    array call under the power law, and refines the best bracket by Brent's
+    bounded method; exact ties resolve to the smaller weight.
     """
     grid = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
     if params.cdf is None:
@@ -515,15 +585,9 @@ def optimal_cash_buffer(market: BufferMarketParams, params: BufferCostParams) ->
     hi = grid[min(best + 1, len(grid) - 1)]
     if hi <= lo:
         return float(grid[best])
-    from scipy import optimize
-
-    res = optimize.minimize_scalar(
-        lambda w: net_buffer_cost(market, params, float(np.clip(w, 0.0, 1.0))),
-        bounds=(float(lo), float(hi)),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    candidates = [(values[best], float(grid[best])), (float(res.fun), float(res.x))]
+    x, fx, _ = _fminbound(lambda w: net_buffer_cost(market, params, min(max(w, 0.0), 1.0)),
+                          float(lo), float(hi), xatol=1e-9)
+    candidates = [(values[best], float(grid[best])), (fx, x)]
     for boundary in (0.0, 1.0):
         candidates.append((net_buffer_cost(market, params, boundary), boundary))
     best_value = min(v for v, _ in candidates)

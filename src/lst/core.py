@@ -331,6 +331,17 @@ def _line_number(path, index: int) -> int:
                 return reader.line_num
 
 
+def _reject_first_non_number(path, kind: str, cells) -> None:
+    """Raise a DomainError naming the first of ``cells`` ((row index, label,
+    text) in file order) that ``float()`` rejects (error path only)."""
+    for k, label, text in cells:
+        try:
+            float(text)
+        except ValueError:
+            raise DomainError(f"{kind} file {path}, line {_line_number(path, k)}: "
+                              f"{label} {text!r} is not a number") from None
+
+
 def _check_widths(path, rows, kind: str, first: str) -> None:
     """Reject the first row whose field count differs from that of ``rows[0]``."""
     width = len(rows[0])
@@ -343,30 +354,30 @@ def _check_widths(path, rows, kind: str, first: str) -> None:
 def load_portfolio(path, correlation_path=None) -> Portfolio:
     """Read a portfolio CSV (header: id,shares,price,daily_limit,daily_volume,volatility,spread).
 
-    Columns may come in any order; blank lines are skipped, and every other
-    row must have as many fields as the header. Each numeric column is
-    parsed in one call with Python ``float()`` syntax and the holdings are
-    validated as columns, so no ``Security`` object is built.
+    Columns may come in any order, each read column named once; blank lines
+    are skipped, and every other row must have as many fields as the
+    header. Each numeric column is parsed in one call with Python
+    ``float()`` syntax and the holdings are validated as columns, so no
+    ``Security`` object is built.
 
     The correlation matrix, when used, lives in a sidecar CSV (n x n,
     row-major, no header).
     """
     rows = _csv_rows(path)
-    missing = [f for f in _PORTFOLIO_FIELDS if f not in (rows[0] if rows else [])]
+    header = rows[0] if rows else []
+    missing = [f for f in _PORTFOLIO_FIELDS if f not in header]
     if missing:
         raise DomainError(f"portfolio file {path}: missing columns {missing}")
+    repeated = [f for f in _PORTFOLIO_FIELDS if header.count(f) > 1]
+    if repeated:
+        raise DomainError(f"portfolio file {path}: repeated columns {repeated}")
     _check_widths(path, rows, "portfolio", "header")
     cells = {col[0]: col[1:] for col in zip(*rows)}
     try:
         columns = {name: np.array(cells[name], dtype=float) for name in _NUMERIC_FIELDS}
     except ValueError:
-        for k in range(len(rows) - 1):
-            for name in _NUMERIC_FIELDS:
-                try:
-                    float(cells[name][k])
-                except ValueError:
-                    raise DomainError(f"portfolio file {path}, line {_line_number(path, k + 1)}: "
-                                      f"{name} {cells[name][k]!r} is not a number") from None
+        _reject_first_non_number(path, "portfolio", (
+            (k + 1, name, cells[name][k]) for k in range(len(rows) - 1) for name in _NUMERIC_FIELDS))
         raise
     correlation = load_correlation(correlation_path) if correlation_path else None
     return Portfolio.from_columns(cells["id"], columns, correlation)
@@ -386,7 +397,12 @@ def load_correlation(path) -> np.ndarray:
     rows = _csv_rows(path)
     if rows:
         _check_widths(path, rows, "correlation", "first row")
-    return np.array(rows, dtype=float)
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        _reject_first_non_number(path, "correlation", (
+            (k, f"column {j + 1}", text) for k, row in enumerate(rows) for j, text in enumerate(row)))
+        raise
 
 
 def portfolio_from_dict(data: dict) -> Portfolio:

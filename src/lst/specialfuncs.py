@@ -3,35 +3,122 @@ Closed forms of the power-kernel integrals behind the cash-buffer gains.
 
 I(a, b; eta) = integral_a^b (x - a)^(3/2) x^(eta-1) dx is, for every eta > 0,
 a Gauss hypergeometric function of the (1 - eta, 5/2; 7/2) family at the
-argument z = (a - b)/a <= 0. Its values come from ``scipy.special.hyp2f1``,
-which continues the function past z = -1, where the power series diverges
-(the tail integral sends z to -infinity as its lower bound goes to 0).
+argument z = (a - b)/a <= 0 (the tail integral sends z to -infinity as its
+lower bound goes to 0). ``hyp2f1_family`` sums it with numpy: a Pfaff series
+on [-2, 0] and, past z = -2, a split of its Euler integral into a rescaled
+value at -2 and a binomial series of ratio at most 1/2.
 
-Every function takes floats or arrays; an array argument costs one
-``hyp2f1`` call for all its elements.
+Every function takes floats or arrays; a float goes through the same array
+code, and each finite element's value does not depend on the other
+elements.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .core import DomainError
-
-# scipy's hyp2f1 takes a first parameter this close to a non-positive integer
-# for that integer, and then returns +-inf for z < -2 when it is not exactly
-# one; rounding it there first moves the value by at most about 1e-12
-# relative
-_NEAR_INTEGER = 1e-13
 
 # Below this ratio a / b, I(a, b) equals I(0, b) to double precision (the
 # relative gap is at most 4.5 a / b), while a^(eta-1) and z = (a - b)/a can
 # overflow
 _NEGLIGIBLE_LOWER = 2.0**-60
 
+# Series terms are generated this many at a time; a series stops after the
+# first block whose last term is below a quarter of an ulp of the sum
+_BLOCK = 64
+_QUARTER_ULP = np.finfo(float).eps / 4.0
+
 
 def _check_eta(eta: float) -> None:
-    if not eta > 0:
-        raise DomainError("eta must be positive")
+    if not 0.0 < eta < np.inf:
+        raise DomainError("eta must be positive and finite")
+
+
+def _sum_series(total, block, n_min: float = 0.0):
+    """total plus the terms block(0), block(_BLOCK), ... ((size, _BLOCK)
+    arrays), added one at a time in order.
+
+    Summing stops after a block, at or past term n_min, whose last term is
+    below a quarter of an ulp of every finite sum. From there on the terms
+    of the series shrink, so no later term moves a sum: an element's value
+    does not depend on how many blocks the other elements need.
+    """
+    n = 0
+    while True:
+        terms = block(n)
+        last = terms[:, -1]
+        terms[:, 0] += total
+        total = np.add.accumulate(terms, axis=1)[:, -1]
+        n += _BLOCK
+        pending = np.abs(last) > _QUARTER_ULP * np.abs(total)
+        if not pending.any() and (n >= n_min or not np.isfinite(total).any()):
+            return total
+
+
+def _pfaff(eta: float, z):
+    """2F1(1 - eta, 5/2; 7/2; z) for z in [-2, 0], as
+    (1 - z)^(eta-1) sum_n (1 - eta)_n / (7/2)_n zeta^n with zeta = z/(z - 1) <= 2/3.
+
+    Past its largest term the terms shrink, and an integer eta ends the
+    series at n = eta - 1.
+    """
+    zeta = (z / (z - 1.0))[:, None]
+    last = 1.0
+
+    def block(n):
+        nonlocal last
+        m = np.arange(n + 1, n + 1 + _BLOCK)  # term m is term m - 1 times (m - eta)/(m + 5/2) zeta
+        terms = last * np.cumprod((m - eta) / (m + 2.5) * zeta, axis=1)
+        last = terms[:, -1:]
+        return terms
+
+    return (1.0 - z) ** (eta - 1.0) * _sum_series(np.ones(z.size), block)
+
+
+@lru_cache(maxsize=256)
+def _at_minus_two(eta: float) -> float:
+    """2F1(1 - eta, 5/2; 7/2; -2), the head of every z < -2."""
+    return float(_pfaff(eta, np.array([-2.0]))[0])
+
+
+def _exprel(x):
+    """(e^x - 1) / x, 1 at x = 0."""
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _split_euler(eta: float, z):
+    """2F1(1 - eta, 5/2; 7/2; z) for z < -2 from the Euler integral
+    (5/2) integral_0^1 t^(3/2) (1 + y t)^(eta-1) dt, y = -z, split at t = 2/y.
+
+    The head is (2/y)^(5/2) 2F1(.., -2). On the tail y t >= 2, so
+    (1 + y t)^(eta-1) expands in binomial terms of ratio at most 1/2, and
+    term k integrates to C(eta-1, k) y^(-5/2) (y^s - 2^s)/s with
+    s = eta + 3/2 - k. Written as ln(y/2) exprel(-|s| ln(y/2)) max(y, 2)^s,
+    the ratio needs no case at s = 0 (the log term) and loses no accuracy
+    for large s ln(y/2).
+    """
+    y = -z
+    log_half = np.log(y / 2.0)[:, None]
+    y_eta = (y**eta)[:, None]
+    binomial = 1.0  # C(eta - 1, k - 1) at the start of each block
+
+    def block(k):
+        nonlocal binomial
+        j = np.arange(k, k + _BLOCK)
+        binomials = binomial * np.cumprod(np.where(j > 0, (eta - j) / np.maximum(j, 1), 1.0))
+        binomial = binomials[-1]
+        s = eta + 1.5 - j
+        # y^s as y^eta y^(3/2 - j): a rounded s would cost ln(y) ulps
+        peak = np.where(s > 0.0, y_eta * y[:, None] ** (1.5 - j), 2.0**s)
+        return binomials * log_half * _exprel(-np.abs(s) * log_half) * peak
+
+    # from term eta/3 on, C(eta-1, k+1)/C(eta-1, k) is at most 2 in size and
+    # the integral's ratio at most 1/2, so no term exceeds the one before
+    tail = _sum_series(np.zeros(z.size), block, n_min=eta / 3.0)
+    return (2.0**2.5 * _at_minus_two(eta) + 2.5 * tail) * y**-2.5
 
 
 def hyp2f1_family(eta: float, z):
@@ -39,13 +126,14 @@ def hyp2f1_family(eta: float, z):
     _check_eta(eta)
     if np.any(z > 1e-12):
         raise DomainError("argument z must be non-positive for this family")
-    from scipy.special import hyp2f1
-
-    first = 1.0 - eta
-    if first <= 0.0 and abs(first - round(first)) < _NEAR_INTEGER:
-        first = float(round(first))
-    value = hyp2f1(first, 2.5, 3.5, np.minimum(z, 0.0))
-    return value if np.ndim(value) else float(value)
+    z = np.minimum(z, 0.0)
+    flat = np.reshape(z, -1)
+    far = flat < -2.0
+    value = np.empty(flat.shape)
+    for part, series in ((~far, _pfaff), (far, _split_euler)):  # NaN: Pfaff keeps it
+        if part.any():
+            value[part] = series(eta, flat[part])
+    return value.reshape(np.shape(z)) if np.ndim(z) else float(value[0])
 
 
 def integral_i_w(w, eta: float):

@@ -26,6 +26,7 @@ from lst import (
     tc_asset_derivative,
     tc_asset_sqrt,
 )
+from lst.buffer import _fminbound
 
 # Example cash-buffer cost set: 20bp spread, 1bp cash cost, 0.4 impact on a
 # 20% annual volatility, no binding trading limit, uniform redemption law.
@@ -476,3 +477,44 @@ class TestApproximationError:
                     shifted = approximation_error(params, w + k * x_plus)
                     assert abs(shifted - base) <= 1e-12
                     k += 1
+
+
+def scipy_bounded(func, lo, hi):
+    from scipy import optimize
+
+    res = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": 1e-9})
+    return float(res.x), float(res.fun), res.nfev
+
+
+SHAPES = {
+    "smooth": lambda c: lambda x: (x - c) ** 2 + math.sin(3.0 * x),
+    "flat": lambda c: lambda x: c,
+    "kinked": lambda c: lambda x: abs(x - c) + 0.1 * math.floor(8.0 * x),
+    "boundary": lambda c: lambda x: c * x,
+}
+
+
+class TestBoundedBrent:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(SHAPES)), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
+           st.floats(1e-9, 2.0))
+    def test_reproduces_scipy_bounded(self, shape, c, lo, width):
+        func = SHAPES[shape](c)
+        assert _fminbound(func, lo, lo + width, xatol=1e-9) == scipy_bounded(func, lo, lo + width)
+
+    @pytest.mark.parametrize("eta, mu, x_plus", [
+        (eta, mu, 1.0) for eta in (0.5, 1.0, 2.0, 3.0) for mu in (0.0, 1e-4)] + [(2.0, 0.0, 0.9)])
+    def test_reproduces_scipy_on_the_net_buffer_cost(self, eta, mu, x_plus):
+        # the bracket optimal_cash_buffer refines for the CLI's buffer defaults
+        market = BufferMarketParams(mu_asset=mu, sigma_asset=0.20)
+        params = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
+                                  x_plus=x_plus, eta=eta)
+        grid = np.arange(0.0, 1.0005, 1e-3)
+        best = int(np.argmin(net_buffer_cost(market, params, grid)))
+        lo, hi = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, 1000)])
+        assert lo < hi
+
+        def nbc(w):
+            return net_buffer_cost(market, params, float(np.clip(w, 0.0, 1.0)))
+
+        assert _fminbound(nbc, lo, hi, xatol=1e-9) == scipy_bounded(nbc, lo, hi)

@@ -301,3 +301,49 @@ class TestImportCost:
         argv = ["buffer", "--mu-asset", "0", "--eta", "2", "--xplus", "0.9",
                 "--out-dir", str(tmp_path)]
         assert run_and_list_modules(argv, "scipy.integrate") == "0 False"
+
+
+SCIPY_FREE = {
+    "buffer": ["buffer", "--mu-asset", "0", "--eta", "0.5", "--xplus", "1.0", "--out-dir"],
+    "buffer-limited": ["buffer", "--mu-asset", "0", "--eta", "2", "--xplus", "0.9", "--out-dir"],
+    "goldens": ["goldens"],
+    "rcr": ["rcr", "--portfolio", FUND, "--policy", "waterfall"],
+    "rst": ["rst", "--portfolio", FUND, "--mode", "asset", "--rate-star", "0.1",
+            "--floor", "0.5", "--tau", "1..5"],
+    "hqla": ["hqla", "--buckets", BUCKETS, "--weights", "0.6,0.3,0.1"],
+    "swing": ["swing", "--flow", "-2", "--mode", "full", "--tc", "30"],
+    "gate": ["gate", "--requests", GATES, "--cap", "0.02"],
+}
+
+
+class TestScipyFreeSubcommands:
+    @pytest.mark.parametrize("name", sorted(SCIPY_FREE))
+    def test_loads_no_scipy_module(self, name, tmp_path):
+        argv = SCIPY_FREE[name] + ([str(tmp_path)] if SCIPY_FREE[name][-1] == "--out-dir" else [])
+        assert run_and_list_modules(argv, "scipy") == "0 False"
+
+    def test_optimize_still_loads_scipy(self):
+        # SLSQP is scipy's; this also shows the check above can see a loaded scipy
+        argv = ["optimize", "--portfolio", FUND, "--corr", CORR, "--shock", "0.1"]
+        assert run_and_list_modules(argv, "scipy") == "0 True"
+
+
+class TestInputFileErrors:
+    HEADER = "id,shares,price,daily_limit,daily_volume,volatility,spread"
+
+    def test_repeated_column_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "fund.csv"
+        path.write_text(self.HEADER + ",price\nA,1,2,3,4,0.1,0.01,-5\n")
+        code = main(["rcr", "--portfolio", str(path)])
+        report = json.loads(capsys.readouterr().err)
+        assert code == EXIT_CONFIG and report["error"] == "validation"
+        assert "repeated columns ['price']" in report["detail"]
+
+    def test_non_numeric_correlation_cell_is_a_validation_error(self, tmp_path, capsys):
+        corr = tmp_path / "rho.csv"
+        corr.write_text("\n".join(",".join("1" if i == j else "0" for j in range(7))
+                                  for i in range(7)).replace("0", "x", 1) + "\n")
+        code = main(["optimize", "--portfolio", FUND, "--corr", str(corr), "--shock", "0.1"])
+        report = json.loads(capsys.readouterr().err)
+        assert code == EXIT_CONFIG and report["error"] == "validation"
+        assert report["detail"] == f"correlation file {corr}, line 1: column 2 'x' is not a number"

@@ -458,3 +458,29 @@ class TestCorrelationFile:
         path = tmp_path / "rho.csv"
         path.write_text("1,0.5\n\n0.5,1\n\n")
         np.testing.assert_array_equal(load_correlation(path), [[1.0, 0.5], [0.5, 1.0]])
+
+    @pytest.mark.parametrize("text, where", [
+        ("1,x\nx,1\n", "line 1: column 2 'x'"),
+        ("1,0.5\n\n0.5,1e\n", "line 3: column 2 '1e'"),
+        ("one,0.5\n0.5,1\n", "line 1: column 1 'one'"),
+    ])
+    def test_non_numeric_cell_names_line_and_column(self, tmp_path, text, where):
+        path = tmp_path / "rho.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError) as err:
+            load_correlation(path)
+        assert str(err.value) == f"correlation file {path}, {where} is not a number"
+
+
+class TestRepeatedColumns:
+    @pytest.mark.parametrize("extra", ["price", "spread", "id"])
+    def test_column_named_twice_is_rejected(self, tmp_path, extra):
+        path = tmp_path / "fund.csv"
+        path.write_text(HEADER.strip() + f",{extra}\nA,1,2,3,4,0.1,0.01,5\n")
+        with pytest.raises(DomainError, match=rf"portfolio file .*: repeated columns \['{extra}'\]"):
+            load_portfolio(path)
+
+    def test_repeated_unread_column_is_ignored(self, tmp_path):
+        path = tmp_path / "fund.csv"
+        path.write_text(HEADER.strip() + ",note,note\nA,1,2,3,4,0.1,0.01,a,b\n")
+        assert load_portfolio(path).ids == ("A",)

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from lst import DomainError, hyp2f1_family, integral_i_ab, integral_i_w
@@ -206,3 +209,61 @@ class TestIntegralIAB:
             integral_i_ab(0.1, 0.5, 0.0)
         with pytest.raises(DomainError):
             integral_i_ab(np.array([0.1, 0.5]), np.array([0.2, 0.5]), 1.0)
+
+
+def hyp2f1_mpmath(eta, z):
+    with mpmath.workdps(40):
+        return float(mpmath.hyp2f1(1 - mpmath.mpf(eta), 2.5, 3.5, mpmath.mpf(z)))
+
+
+class TestSeriesAgainstMpmath:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.05, 12.0) | st.integers(1, 12).map(float) | st.integers(1, 23).map(lambda k: k / 2),
+           st.floats(-1e12, 0.0) | st.floats(-4.0, 0.0) | st.floats(-12.0, 12.0).map(lambda e: -10.0**e))
+    def test_family_matches_mpmath(self, eta, z):
+        assert hyp2f1_family(eta, z) == pytest.approx(hyp2f1_mpmath(eta, z), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("a, eta, expected", [
+        # mpmath, 50 digits, of 0.4 (1 - a)^2.5 a^(eta-1) 2F1(1 - eta, 5/2; 7/2; (a - 1)/a);
+        # scipy's hyp2f1 is off by 1.5e-4 to 2.7e-4 (a = 1e-12) and about 2e-7 (a = 1e-9) here
+        (1e-12, 5.5, 0.14285714285689285714),
+        (1e-12, 7.5, 0.11111111111092361111),
+        (1e-12, 10.5, 0.083333333333196969697),
+        (1e-9, 5.5, 0.14285714260714285722),
+        (1e-9, 7.5, 0.11111111092361111116),
+        (1e-9, 10.5, 0.083333333196969697007),
+    ])
+    def test_half_integer_exponent_far_from_the_origin(self, a, eta, expected):
+        assert integral_i_ab(a, 1.0, eta) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("eta", [0.05, 0.5, 1.0, 2.5, 3.0, 4.2, 7.5, 11.3])
+    def test_array_elements_do_not_depend_on_each_other(self, eta):
+        # both branches, the -2 seam, subnormal and huge |z| and NaN, in one array and
+        # in sub-arrays that need fewer series terms
+        rng = np.random.default_rng(76)
+        z = np.concatenate([-rng.uniform(0.0, 3.0, 40), -10.0 ** rng.uniform(-15.0, 15.0, 40),
+                            [0.0, -5e-324, -2.0, np.nextafter(-2.0, -3.0), np.nan]])
+        rng.shuffle(z)
+        one_by_one = np.array([hyp2f1_family(eta, x) for x in z.tolist()])
+        index = np.arange(z.size)
+        for part in (index, index[:5], index[::3], index.reshape(5, 17)):
+            np.testing.assert_array_equal(hyp2f1_family(eta, z[part]), one_by_one[part])
+
+    def test_log_term_and_terminating_series(self):
+        # eta = 1/2 puts s = 0 (the log term) in the binomial series; an integer eta
+        # ends both series
+        for z in (-2.5, -1e6):
+            assert hyp2f1_family(0.5, z) == pytest.approx(hyp2f1_mpmath(0.5, z), rel=1e-15)
+        for eta in (1.0, 2.0, 3.0):
+            for z in (-1.0, -2.0, -3.0, -1e9):
+                assert hyp2f1_family(eta, z) == pytest.approx(hyp2f1_mpmath(eta, z), rel=1e-14)
+
+    @pytest.mark.parametrize("eta", [2.55, 4.3, 6.8, 9.1, 11.7])
+    def test_far_tail_keeps_full_accuracy(self, eta):
+        # y^s with a rounded s = eta + 3/2 - k would lose ln(y) ulps (2e-14 at y = 1e12)
+        for z in (-1e6, -1e9, -1e12):
+            assert hyp2f1_family(eta, z) == pytest.approx(hyp2f1_mpmath(eta, z), rel=2e-15)
+
+    def test_exponent_must_be_finite(self):
+        with pytest.raises(DomainError):
+            hyp2f1_family(math.inf, -1.0)
