@@ -73,6 +73,7 @@ from .optimizer import (
     InfeasiblePolicy,
     OptimalPolicy,
     PolicyEvaluation,
+    SolverStart,
     TransactionCost,
     evaluate_policy,
     optimize_policy,

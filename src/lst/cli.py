@@ -314,7 +314,7 @@ def cmd_buffer(args) -> int:
         grid = np.linspace(0.0, 1.0, int(args.curve_points))
         write_csv(
             out / "nbc_curve.csv", ["w", "nbc"],
-            [[_fmt(w), _fmt(net_buffer_cost(market, params, float(w)))] for w in grid],
+            [[_fmt(w), _fmt(v)] for w, v in zip(grid, net_buffer_cost(market, params, grid))],
         )
         write_csv(
             out / "break_even_curve.csv", ["w", "premium"],

@@ -8,11 +8,12 @@ liquidation shortfall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from . import _slsqp
 from .core import (
     TRADING_DAYS_PER_YEAR,
     DomainError,
@@ -247,17 +248,37 @@ def evaluate_policy(
 
 
 @dataclass(frozen=True)
+class SolverStart:
+    """Outcome of the SLSQP run from one starting point of ``optimize_policy``.
+
+    ``mode`` is SLSQP's exit mode (0 is success) and ``message`` its text; a
+    run that hit a ``DomainError`` has mode ``None`` and the error as its
+    message. ``chosen`` marks the start whose result (or clipped start point)
+    became the returned policy.
+    """
+
+    name: str
+    mode: Optional[int]
+    message: str
+    nit: int
+    nfev: int
+    chosen: bool = False
+
+
+@dataclass(frozen=True)
 class InfeasiblePolicy:
     """Returned when no liquidation portfolio satisfies the constraint set."""
 
     binding_constraint: str
     message: str
+    starts: Tuple[SolverStart, ...] = ()
 
 
 @dataclass(frozen=True)
 class OptimalPolicy:
     redemption: RedemptionPortfolio
     evaluation: PolicyEvaluation
+    starts: Tuple[SolverStart, ...] = ()
 
 
 def optimize_policy(
@@ -274,12 +295,15 @@ def optimize_policy(
     minimize TC(q) s.t. TR(q) <= tr_max, 1 - LR(q; horizon) <= ls_max,
     value(q) = shock amount, 0 <= q <= holdings.
 
-    Runs SLSQP from several deterministic starting points (pro-rata, a
-    most-liquid-first fill, and their midpoint); the value-matching equality
-    is kept feasible by renormalizing each start onto the budget plane. The
-    pro-rata slice always satisfies the tracking constraint, so infeasibility
-    can only come from the shortfall cap; that case is detected against the
-    fastest-liquidating portfolio and reported as a typed outcome.
+    Runs SLSQP (``_slsqp.minimize``, scipy's kernel without the
+    ``scipy.optimize`` package) from several deterministic starting points:
+    pro-rata, a cheapest-first fill, the fastest-liquidating fill, and the
+    midpoints of pro-rata with each fill; the value-matching equality is kept
+    feasible by renormalizing each start onto the budget plane. The pro-rata
+    slice always satisfies the tracking constraint, so infeasibility can only
+    come from the shortfall cap; that case is detected against the
+    fastest-liquidating portfolio and reported as a typed outcome. The result
+    carries one ``SolverStart`` per start.
     """
     if shock.amount <= 0:
         raise DomainError("redemption shock must be positive")
@@ -318,14 +342,13 @@ def optimize_policy(
         )
 
     pro_rata = (budget / total) * shares
-    starts = [pro_rata]
+    starts = {"pro-rata": pro_rata}
     greedy = _greedy_fill(portfolio, shares, budget, by_cost=(portfolio, cost_model))
     if greedy is not None:
-        starts.append(greedy)
-        starts.append(0.5 * pro_rata + 0.5 * greedy)
-    if fastest is not None:
-        starts.append(fastest)
-        starts.append(0.5 * pro_rata + 0.5 * fastest)
+        starts["cheapest"] = greedy
+        starts["pro-rata/cheapest"] = 0.5 * pro_rata + 0.5 * greedy
+    starts["fastest"] = fastest
+    starts["pro-rata/fastest"] = 0.5 * pro_rata + 0.5 * fastest
 
     def clip_to_budget(q: np.ndarray) -> np.ndarray:
         q = np.clip(q, 0.0, shares)
@@ -348,31 +371,30 @@ def optimize_policy(
             scaled = scaled + (room / space) * excess / prices
         return np.clip(scaled, 0.0, shares)
 
-    constraints = [{"type": "eq", "fun": lambda q: (q @ prices - budget) / budget}]
+    ineq = []
     if np.isfinite(tr_max):
-        constraints.append(
-            {"type": "ineq", "fun": lambda q: tr_max - tr_of(np.clip(q, 0.0, shares))})
+        ineq.append(lambda q: tr_max - tr_of(np.clip(q, 0.0, shares)))
     if ls_max < 1.0:
-        constraints.append(
-            {"type": "ineq", "fun": lambda q: ls_max - ls_of(np.clip(q, 0.0, shares))})
-    bounds = [(0.0, float(s)) for s in shares]
-    from scipy import optimize
+        ineq.append(lambda q: ls_max - ls_of(np.clip(q, 0.0, shares)))
 
     best_q = None
     best_tc = math.inf
-    for start in starts:
+    records = []
+    for name, start in starts.items():
         start = clip_to_budget(np.asarray(start, dtype=float))
         try:
-            res = optimize.minimize(
+            res = _slsqp.minimize(
                 lambda q: tc_of(np.clip(q, 0.0, shares)),
-                x0=start,
-                method="SLSQP",
-                bounds=bounds,
-                constraints=constraints,
-                options={"maxiter": 300, "ftol": 1e-8},
+                start, np.zeros(portfolio.n), shares,
+                eq=[lambda q: (q @ prices - budget) / budget],
+                ineq=ineq,
+                maxiter=300,
+                ftol=1e-8,
             )
-        except DomainError:
+        except DomainError as exc:
+            records.append(SolverStart(name, None, str(exc), 0, 0))
             continue
+        records.append(SolverStart(name, res.mode, res.message, res.nit, res.nfev))
         for candidate in (res.x, start):
             q = clip_to_budget(np.asarray(candidate, dtype=float))
             if abs(q @ prices - budget) > 1e-6 * budget:
@@ -383,15 +405,19 @@ def optimize_policy(
             if cost < best_tc:
                 best_tc = cost
                 best_q = q
+                chosen = len(records) - 1
     if best_q is None:
         return InfeasiblePolicy(
             "tracking-risk",
             "no evaluated portfolio satisfied both the tracking and shortfall caps",
+            tuple(records),
         )
+    records[chosen] = replace(records[chosen], chosen=True)
     redemption = RedemptionPortfolio(quantities=best_q)
     return OptimalPolicy(
         redemption=redemption,
         evaluation=evaluate_policy(portfolio, cost_model, redemption, horizon, bond_spec),
+        starts=tuple(records),
     )
 
 

@@ -43,7 +43,8 @@ def _sum_series(total, block, n_min: float = 0.0):
 
     Summing stops after a block, at or past term n_min, whose last term is
     below a quarter of an ulp of every finite sum. From there on the terms
-    of the series shrink, so no later term moves a sum: an element's value
+    of the series shrink, so no later term moves a sum, and a sum that is
+    no longer finite (it overflowed) is kept as it is: an element's value
     does not depend on how many blocks the other elements need.
     """
     n = 0
@@ -51,7 +52,7 @@ def _sum_series(total, block, n_min: float = 0.0):
         terms = block(n)
         last = terms[:, -1]
         terms[:, 0] += total
-        total = np.add.accumulate(terms, axis=1)[:, -1]
+        total = np.where(np.isfinite(total), np.add.accumulate(terms, axis=1)[:, -1], total)
         n += _BLOCK
         pending = np.abs(last) > _QUARTER_ULP * np.abs(total)
         if not pending.any() and (n >= n_min or not np.isfinite(total).any()):

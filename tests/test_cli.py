@@ -322,10 +322,12 @@ class TestScipyFreeSubcommands:
         argv = SCIPY_FREE[name] + ([str(tmp_path)] if SCIPY_FREE[name][-1] == "--out-dir" else [])
         assert run_and_list_modules(argv, "scipy") == "0 False"
 
-    def test_optimize_still_loads_scipy(self):
-        # SLSQP is scipy's; this also shows the check above can see a loaded scipy
+    def test_optimize_loads_only_the_slsqp_kernel(self):
+        # SLSQP runs on scipy's compiled kernel alone; this also shows the
+        # check above can see a loaded scipy module
         argv = ["optimize", "--portfolio", FUND, "--corr", CORR, "--shock", "0.1"]
-        assert run_and_list_modules(argv, "scipy") == "0 True"
+        assert run_and_list_modules(argv, "scipy.optimize") == "0 False"
+        assert run_and_list_modules(argv, "scipy.optimize._slsqplib") == "0 True"
 
 
 class TestInputFileErrors:

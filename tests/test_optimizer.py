@@ -1,7 +1,10 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lst import (
     BondRiskSpec,
@@ -15,12 +18,19 @@ from lst import (
     Security,
     build_schedule,
     evaluate_policy,
+    load_portfolio,
     optimize_policy,
     tracking_risk_bond,
     tracking_risk_equity,
     transaction_cost,
 )
-from conftest import MIXING_POLICIES, make_fund, random_portfolio
+from lst import _slsqp
+from lst._slsqp import SlsqpResult
+from conftest import CORRELATION, FUND_ROWS, MIXING_POLICIES, make_fund, random_portfolio
+
+DATA = resources.files("lst") / "data"
+FUND = str(DATA / "example_fund.csv")
+CORR = str(DATA / "example_fund_corr.csv")
 
 
 def policy(name: str) -> RedemptionPortfolio:
@@ -256,3 +266,150 @@ class TestOptimizePolicy:
         with pytest.raises(DomainError):
             optimize_policy(fund, cost_model, RedemptionShock(rate=0.0, amount=0.0),
                             tr_max=1.0, ls_max=1.0)
+
+
+def scipy_slsqp(fun, x0, lb, ub, eq=(), ineq=(), maxiter=100, ftol=1e-6):
+    """The oracle: ``scipy.optimize.minimize(method="SLSQP")`` behind ``_slsqp.minimize``'s signature."""
+    from scipy import optimize
+
+    res = optimize.minimize(
+        fun, x0, method="SLSQP", bounds=list(zip(lb, ub)),
+        constraints=([{"type": "eq", "fun": c} for c in eq]
+                     + [{"type": "ineq", "fun": c} for c in ineq]),
+        options={"maxiter": maxiter, "ftol": ftol})
+    return SlsqpResult(x=res.x, fun=res.fun, mode=res.status, nit=res.nit, nfev=res.nfev)
+
+
+def outcome(res: SlsqpResult):
+    return res.x.tobytes(), res.fun, res.mode, res.nit, res.nfev
+
+
+def slsqp_problem(rng, n, kinked, n_ineq, scale, n_fixed):
+    """A box-bounded problem with one linear equality and 0-2 inequalities.
+
+    Variables live at ``scale`` (1e9 forces scipy's relative-step fallback);
+    some boxes are narrower than the difference step, and each start
+    coordinate lies inside its box, on a bound or past one.
+    """
+    lb = rng.uniform(-2.0, 1.0, n)
+    ub = lb + rng.choice([1e-9, 0.1, 1.0, 3.0], n, p=[0.1, 0.3, 0.3, 0.3])
+    fixed = rng.choice(n, n_fixed, replace=False)
+    ub[fixed] = lb[fixed]
+    inside = rng.uniform(lb, ub)
+    x0 = np.choose(rng.choice(5, n, p=[0.4, 0.2, 0.2, 0.1, 0.1]),
+                   [rng.uniform(lb, ub), lb, ub, lb - 1.0, ub + 1.0])
+    c, w, a = rng.normal(0.0, 1.0, n), rng.uniform(0.5, 2.0, n), rng.normal(0.0, 1.0, n)
+    if kinked:
+        def fun(x):
+            z = x / scale
+            return float(w @ np.abs(z - c) + 0.05 * z @ z)
+    else:
+        def fun(x):
+            z = x / scale
+            return float(w @ (z - c) ** 2 + 0.1 * math.sin(a @ z))
+    b = float(a @ inside)
+    eq = [lambda x: float(a @ (x / scale)) - b]
+    ineq = []
+    for _ in range(n_ineq):
+        centre = rng.normal(0.0, 1.0, n)
+        if kinked:
+            r = float(np.abs(inside - centre).max()) + 0.3
+            ineq.append(lambda x, m=centre, r=r: r - float(np.abs(x / scale - m).max()))
+        else:
+            r = float((inside - centre) @ (inside - centre)) + 0.5
+            ineq.append(lambda x, m=centre, r=r: r - float((x / scale - m) @ (x / scale - m)))
+    return fun, scale * x0, scale * lb, scale * ub, eq, ineq
+
+
+class TestSlsqpMinimize:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.booleans(), st.integers(0, 2),
+           st.sampled_from([1.0, 1e9]), st.integers(0, 1))
+    def test_reproduces_scipy_slsqp(self, seed, n, kinked, n_ineq, scale, n_fixed):
+        problem = slsqp_problem(np.random.default_rng(seed), n, kinked, n_ineq, scale, n_fixed)
+        options = dict(maxiter=300, ftol=1e-8)
+        assert outcome(_slsqp.minimize(*problem, **options)) == \
+            outcome(scipy_slsqp(*problem, **options))
+
+
+def one_factor_fund(n=30, seed=30) -> Portfolio:
+    """n names with one-factor correlations, each sellable within 1-12 days at its limit."""
+    rng = np.random.default_rng(seed)
+    volume = np.round(np.exp(rng.normal(math.log(2e5), 1.0, n))) + 1000.0
+    limit = 0.1 * volume
+    securities = tuple(
+        Security(f"S{i:02d}", shares=float(np.round(limit[i] * rng.uniform(1.0, 12.0))),
+                 price=float(np.round(rng.uniform(10.0, 300.0), 2)), daily_limit=float(limit[i]),
+                 daily_volume=float(volume[i]), volatility=float(rng.uniform(0.1, 0.4)),
+                 spread=float(rng.uniform(2e-4, 2e-3)))
+        for i in range(n))
+    beta = rng.uniform(0.3, 0.9, n)
+    rho = np.outer(beta, beta)
+    np.fill_diagonal(rho, 1.0)
+    return Portfolio(securities=securities, correlation=rho)
+
+
+class TestOptimizePolicyMatchesScipy:
+    """optimize_policy gives the same policy and start records under scipy's SLSQP."""
+
+    def same_under_scipy(self, monkeypatch, portfolio, shock, tr_max, ls_max, horizon):
+        args = (portfolio, CostModel(), RedemptionShock.from_rate(portfolio, shock),
+                tr_max, ls_max, horizon)
+        ours = optimize_policy(*args)
+        monkeypatch.setattr(_slsqp, "minimize", scipy_slsqp)
+        theirs = optimize_policy(*args)
+        assert isinstance(ours, OptimalPolicy)
+        assert ours.redemption.quantities.tobytes() == theirs.redemption.quantities.tobytes()
+        assert ours.starts == theirs.starts
+        return ours
+
+    @pytest.mark.parametrize("shock, tr_max, ls_max, h", [
+        ("0.05", "10bp", "0.30", 2), ("0.10", "20bp", "0.10", 1), ("0.15", "30bp", "0.40", 3)])
+    def test_packaged_fund_cli_arguments(self, monkeypatch, shock, tr_max, ls_max, h):
+        from lst.cli import parse_rate
+
+        fund = load_portfolio(FUND, correlation_path=CORR)
+        self.same_under_scipy(monkeypatch, fund, parse_rate(shock), parse_rate(tr_max),
+                              parse_rate(ls_max), h)
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_one_factor_fund(self, monkeypatch, h):
+        self.same_under_scipy(monkeypatch, one_factor_fund(), 0.10, 20e-4, 0.30, h)
+
+    def test_zero_share_holding_is_a_fixed_variable(self, monkeypatch):
+        # bounds (0, 0) make scipy solve over the other names only
+        zeroed = Portfolio(securities=tuple(
+            Security(sid, 0 if sid == "A6" else shares, *rest) for sid, shares, *rest in FUND_ROWS),
+            correlation=CORRELATION)
+        res = self.same_under_scipy(monkeypatch, zeroed, 0.10, 20e-4, 0.30, 2)
+        assert res.redemption.quantities[5] == 0.0
+
+
+class TestSolverDiagnostics:
+    def test_one_record_per_start_and_one_chosen(self, fund, cost_model):
+        shock = RedemptionShock.from_rate(fund, 0.10)
+        res = optimize_policy(fund, cost_model, shock, tr_max=20e-4, ls_max=0.10)
+        assert isinstance(res, OptimalPolicy)
+        names = [s.name for s in res.starts]
+        assert names == ["pro-rata", "cheapest", "pro-rata/cheapest", "fastest",
+                         "pro-rata/fastest"]
+        assert sum(s.chosen for s in res.starts) == 1
+        for s in res.starts:
+            assert s.mode == 0 and s.message == "Optimization terminated successfully"
+            assert s.nit >= 1 and s.nfev > fund.n
+
+    def test_tracking_risk_infeasibility_keeps_the_records(self, cost_model):
+        # only pro-rata tracks exactly, and its illiquid half cannot be sold in a day
+        p = Portfolio(securities=(
+            Security("L", 1_000, 10.0, daily_limit=1_000, daily_volume=10_000, volatility=0.2),
+            Security("I", 1_000, 10.0, daily_limit=10, daily_volume=100, volatility=0.3)),
+            correlation=np.array([[1.0, 0.5], [0.5, 1.0]]))
+        shock = RedemptionShock.from_rate(p, 0.10)
+        res = optimize_policy(p, cost_model, shock, tr_max=0.0, ls_max=0.0)
+        assert isinstance(res, InfeasiblePolicy) and res.binding_constraint == "tracking-risk"
+        assert len(res.starts) == 5 and not any(s.chosen for s in res.starts)
+
+    def test_shortfall_infeasibility_runs_no_start(self, fund, cost_model):
+        shock = RedemptionShock.from_rate(fund, 0.20)
+        res = optimize_policy(fund, cost_model, shock, tr_max=1.0, ls_max=0.0)
+        assert isinstance(res, InfeasiblePolicy) and res.starts == ()
