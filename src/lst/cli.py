@@ -5,6 +5,10 @@ CSV/JSON emission, including the golden-table regression runner.
 Exit codes: 0 on success, 1 when a computation reports a typed infeasibility
 (no-solution reverse stress, infeasible policy constraints), 2 on config or
 validation errors.
+
+Each subcommand imports the analytics it calls when it runs, so ``lst hqla``,
+``lst swing`` and ``lst gate`` load no numpy and only ``lst optimize`` loads
+the SLSQP kernel.
 """
 
 from __future__ import annotations
@@ -16,30 +20,15 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-import numpy as np
+from ._checks import DomainError, check_widths, csv_rows, parse_cell
+from .swing import SwingMode  # the parser's --mode choices
 
-from .core import DomainError, Portfolio, RedemptionShock, load_portfolio
-from .buffer import (
-    BufferCostParams,
-    BufferMarketParams,
-    break_even_premium,
-    net_buffer_cost,
-    optimal_cash_buffer,
-)
-from .hqla import SpecificRiskParams, ccf_parametric, load_buckets, rcr_hqla
-from .optimizer import CostModel, InfeasiblePolicy, optimize_policy
-from .rcr import optimal_pro_rata, pro_rata_portfolio, rcr_report, waterfall_portfolio
-from .reverse import AssetRstNoSolution, asset_rst, liability_rst
-from .swing import (
-    GatePolicy,
-    GateRequest,
-    SwingConfig,
-    SwingMode,
-    gate_schedule,
-    swing_nav,
-)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .core import Portfolio
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -118,6 +107,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _load_portfolio_arg(args) -> Portfolio:
+    from .core import load_portfolio
+
     if not args.portfolio:
         raise DomainError("a --portfolio file is required")
     return load_portfolio(args.portfolio, correlation_path=getattr(args, "corr", None))
@@ -128,6 +119,9 @@ def _load_portfolio_arg(args) -> Portfolio:
 # =============================================================================
 
 def cmd_rcr(args) -> int:
+    from .core import RedemptionShock
+    from .rcr import optimal_pro_rata, pro_rata_portfolio, rcr_report, waterfall_portfolio
+
     portfolio = _load_portfolio_arg(args)
     shock_rate = parse_rate(args.shock)
     shock = RedemptionShock.from_rate(portfolio, shock_rate)
@@ -166,6 +160,8 @@ def cmd_rcr(args) -> int:
 
 
 def cmd_hqla(args) -> int:
+    from .hqla import SpecificRiskParams, ccf_parametric, load_buckets, rcr_hqla
+
     buckets = load_buckets(args.buckets)
     weights_arg = [float(x) for x in str(args.weights).split(",")]
     if len(weights_arg) != len(buckets):
@@ -206,20 +202,27 @@ def cmd_hqla(args) -> int:
 
 
 def _load_alpha(path) -> np.ndarray:
-    """Stressed saleable proportions: one value per line, or an id,value CSV."""
-    values = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                values.append(float(row[-1]))
-            except ValueError:
-                continue  # header line
-    return np.array(values, dtype=float)
+    """Stressed saleable proportions: one value per line, or an id,value CSV.
+
+    The value is the last field of each non-blank row; only the first row may
+    be a header. Rows are matched to securities by position.
+    """
+    import numpy as np
+
+    rows = csv_rows(path)
+    start = 0
+    if rows:
+        try:
+            float(rows[0][-1])
+        except ValueError:
+            start = 1  # a header line
+    return np.array([parse_cell(path, "alpha", k, "value", row[-1])
+                     for k, row in enumerate(rows[start:], start=start)], dtype=float)
 
 
 def cmd_rst(args) -> int:
+    from .reverse import AssetRstNoSolution, asset_rst, liability_rst
+
     portfolio = _load_portfolio_arg(args)
     taus = parse_days(args.tau)
     floors = [parse_rate(x) for x in str(args.floor).split(",")]
@@ -252,6 +255,9 @@ def cmd_rst(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .core import RedemptionShock
+    from .optimizer import CostModel, InfeasiblePolicy, optimize_policy
+
     portfolio = _load_portfolio_arg(args)
     shock = RedemptionShock.from_rate(portfolio, parse_rate(args.shock))
     cost_model = CostModel(
@@ -290,6 +296,16 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_buffer(args) -> int:
+    import numpy as np
+
+    from .buffer import (
+        BufferCostParams,
+        BufferMarketParams,
+        break_even_premium,
+        net_buffer_cost,
+        optimal_cash_buffer,
+    )
+
     market = BufferMarketParams(
         mu_asset=float(args.mu_asset),
         mu_cash=float(args.mu_cash),
@@ -324,7 +340,7 @@ def cmd_buffer(args) -> int:
 
 
 def cmd_swing(args) -> int:
-    from .swing import FlowEvent, FundState, adl_fees, AdlRule
+    from .swing import AdlRule, FlowEvent, FundState, SwingConfig, adl_fees, swing_nav
 
     state = FundState(nav=float(args.nav), units=float(args.units))
     subscribed = float(args.sub or 0.0)
@@ -356,12 +372,32 @@ def cmd_swing(args) -> int:
     return EXIT_OK
 
 
+_REQUEST_FIELDS = ("day", "investor", "rate")
+
+
+def _load_requests(path) -> list:
+    """Gate requests from a CSV with day, investor and rate columns in any
+    order; blank lines are skipped and every row has as many fields as the
+    header."""
+    from .swing import GateRequest
+
+    rows = csv_rows(path)
+    header = rows[0] if rows else []
+    missing = [f for f in _REQUEST_FIELDS if f not in header]
+    if missing:
+        raise DomainError(f"requests file {path}: missing columns {missing}")
+    check_widths(path, rows, "requests", "header")
+    day, investor, rate = (header.index(f) for f in _REQUEST_FIELDS)
+    return [GateRequest(day=parse_cell(path, "requests", k, "day", row[day], int),
+                        investor=row[investor],
+                        rate=parse_cell(path, "requests", k, "rate", row[rate]))
+            for k, row in enumerate(rows[1:], start=1)]
+
+
 def cmd_gate(args) -> int:
-    requests: List[GateRequest] = []
-    with open(args.requests, newline="") as fh:
-        for row in csv.DictReader(fh):
-            requests.append(GateRequest(day=int(row["day"]), investor=row["investor"],
-                                        rate=float(row["rate"])))
+    from .swing import GatePolicy, gate_schedule
+
+    requests = _load_requests(args.requests)
     fills = gate_schedule(requests, GatePolicy(daily_cap=parse_rate(args.cap)))
     header = ["day", "investor", "rate_pct", "fraction_of_request_pct"]
     rows = [[f.day, f.investor, _pct(f.rate, args.raw), _pct(f.fraction_of_request, args.raw)]
@@ -378,6 +414,8 @@ def cmd_gate(args) -> int:
 # =============================================================================
 
 def _example_portfolio() -> Portfolio:
+    from .core import load_portfolio
+
     data = resources.files("lst") / "data"
     with resources.as_file(data / "example_fund.csv") as p, \
             resources.as_file(data / "example_fund_corr.csv") as c:
@@ -386,7 +424,25 @@ def _example_portfolio() -> Portfolio:
 
 def golden_tables() -> dict:
     """Recompute every fixture table from the packaged example fund."""
-    from .swing import FlowEvent, FundState, dynamic_threshold, nav_step
+    import numpy as np
+
+    from .buffer import BufferCostParams, BufferMarketParams, optimal_cash_buffer
+    from .core import RedemptionPortfolio, RedemptionShock
+    from .hqla import HqlaBucket, SpecificRiskParams, ccf_parametric, rcr_hqla
+    from .optimizer import CostModel, evaluate_policy
+    from .rcr import optimal_pro_rata, pro_rata_portfolio, rcr_report, waterfall_portfolio
+    from .reverse import liability_rst
+    from .swing import (
+        FlowEvent,
+        FundState,
+        GatePolicy,
+        GateRequest,
+        SwingConfig,
+        dynamic_threshold,
+        gate_schedule,
+        nav_step,
+        swing_nav,
+    )
 
     portfolio = _example_portfolio()
     tables: dict = {}
@@ -450,7 +506,6 @@ def golden_tables() -> dict:
             rrows.append([tau, _pct(floor), f"{res.amount / 1e6:.1f}", _pct(res.rate)])
     tables["rst_liability"] = (["tau", "floor_pct", "amount_mn", "rate_pct"], rrows)
 
-    from .hqla import HqlaBucket
     bucket = HqlaBucket("large-cap equities", selling_intensity=0.05,
                         loss_intensity=0.0625, max_drawdown=0.50)
     sf = SpecificRiskParams(tna_threshold=1e9, herfindahl_threshold=0.01,
@@ -465,8 +520,6 @@ def golden_tables() -> dict:
     tables["hqla_grid"] = (["herfindahl", "tau", "tna_bn", "rcr"], hrows)
 
     cost_model = CostModel()
-    from .optimizer import evaluate_policy
-    from .core import RedemptionPortfolio
     policies = {
         "#1": 0.10 * portfolio.shares,
         "#2": np.array([0, 27000, 22238, 0, 0, 0, 0.0]),

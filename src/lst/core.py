@@ -20,26 +20,19 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+# the errors and scalar checks live in a numpy-free module, so that the
+# scalar tools can load without numpy; core re-exports them
+from ._checks import (
+    BOUNDS,
+    DomainError,
+    check_finite,
+    check_widths,
+    csv_rows,
+    reject_first_non_number,
+)
+
 #: Trading-day annualization convention (annual vol -> daily vol via sqrt).
 TRADING_DAYS_PER_YEAR = 260
-
-
-class DomainError(ValueError):
-    """An operation was called outside its mathematical domain."""
-
-
-_BOUNDS = {"": lambda v: True, "non-negative": lambda v: v >= 0, "positive": lambda v: v > 0}
-
-
-def check_finite(obj, names, bound: str = "") -> None:
-    """Reject, by name, a field of ``obj`` that is NaN or infinite, or that
-    breaks ``bound`` ("non-negative" or "positive")."""
-    holds = _BOUNDS[bound]
-    for name in names:
-        value = getattr(obj, name)
-        if not (math.isfinite(value) and holds(value)):
-            kind = f"finite and {bound}" if bound else "finite"
-            raise DomainError(f"{name} must be {kind}, got {value!r}")
 
 
 # =============================================================================
@@ -63,7 +56,7 @@ def _check_holdings(ids, columns) -> None:
     for a single holding. It works on both, so this is the one rule for a
     valid holding, whether it comes from a ``Security``, a file or a dict.
     """
-    ok = np.array([_BOUNDS[bound](columns[name]) & (columns[name] < math.inf)
+    ok = np.array([BOUNDS[bound](columns[name]) & (columns[name] < math.inf)
                    for name, bound in _HOLDING_BOUNDS.items()])
     if np.count_nonzero(ok) == ok.size:
         return
@@ -316,41 +309,6 @@ def round_shares(x) -> np.ndarray:
 # FILE FORMATS
 # =============================================================================
 
-def _csv_rows(path) -> list:
-    """The non-blank rows of a CSV file, read in one ``csv.reader`` pass."""
-    with open(path, newline="") as fh:
-        return list(filter(None, csv.reader(fh)))
-
-
-def _line_number(path, index: int) -> int:
-    """File line on which non-blank row ``index`` ends (error path only)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for k, _ in enumerate(filter(None, reader)):
-            if k == index:
-                return reader.line_num
-
-
-def _reject_first_non_number(path, kind: str, cells) -> None:
-    """Raise a DomainError naming the first of ``cells`` ((row index, label,
-    text) in file order) that ``float()`` rejects (error path only)."""
-    for k, label, text in cells:
-        try:
-            float(text)
-        except ValueError:
-            raise DomainError(f"{kind} file {path}, line {_line_number(path, k)}: "
-                              f"{label} {text!r} is not a number") from None
-
-
-def _check_widths(path, rows, kind: str, first: str) -> None:
-    """Reject the first row whose field count differs from that of ``rows[0]``."""
-    width = len(rows[0])
-    k = next((k for k, row in enumerate(rows) if len(row) != width), None)
-    if k is not None:
-        raise DomainError(f"{kind} file {path}, line {_line_number(path, k)}: "
-                          f"{len(rows[k])} fields where the {first} has {width}")
-
-
 def load_portfolio(path, correlation_path=None) -> Portfolio:
     """Read a portfolio CSV (header: id,shares,price,daily_limit,daily_volume,volatility,spread).
 
@@ -363,7 +321,7 @@ def load_portfolio(path, correlation_path=None) -> Portfolio:
     The correlation matrix, when used, lives in a sidecar CSV (n x n,
     row-major, no header).
     """
-    rows = _csv_rows(path)
+    rows = csv_rows(path)
     header = rows[0] if rows else []
     missing = [f for f in _PORTFOLIO_FIELDS if f not in header]
     if missing:
@@ -371,12 +329,12 @@ def load_portfolio(path, correlation_path=None) -> Portfolio:
     repeated = [f for f in _PORTFOLIO_FIELDS if header.count(f) > 1]
     if repeated:
         raise DomainError(f"portfolio file {path}: repeated columns {repeated}")
-    _check_widths(path, rows, "portfolio", "header")
+    check_widths(path, rows, "portfolio", "header")
     cells = {col[0]: col[1:] for col in zip(*rows)}
     try:
         columns = {name: np.array(cells[name], dtype=float) for name in _NUMERIC_FIELDS}
     except ValueError:
-        _reject_first_non_number(path, "portfolio", (
+        reject_first_non_number(path, "portfolio", (
             (k + 1, name, cells[name][k]) for k in range(len(rows) - 1) for name in _NUMERIC_FIELDS))
         raise
     correlation = load_correlation(correlation_path) if correlation_path else None
@@ -394,13 +352,13 @@ def save_portfolio(portfolio: Portfolio, path) -> None:
 
 def load_correlation(path) -> np.ndarray:
     """Read an n x n correlation matrix from a headerless CSV (blank lines skipped)."""
-    rows = _csv_rows(path)
+    rows = csv_rows(path)
     if rows:
-        _check_widths(path, rows, "correlation", "first row")
+        check_widths(path, rows, "correlation", "first row")
     try:
         return np.array(rows, dtype=float)
     except ValueError:
-        _reject_first_non_number(path, "correlation", (
+        reject_first_non_number(path, "correlation", (
             (k, f"column {j + 1}", text) for k, row in enumerate(rows) for j, text in enumerate(row)))
         raise
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
-from .core import DomainError
+from ._checks import DomainError, check_finite, check_number
 
 
 class AssetClass(Enum):
@@ -81,10 +81,12 @@ class HqlaBucket:
     ccf_static: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.ccf_static is not None and not 0.0 <= self.ccf_static <= 1.0:
-            raise DomainError("static CCF must lie in [0, 1]")
-        if self.selling_intensity < 0 or self.loss_intensity < 0:
-            raise DomainError("intensities must be non-negative")
+        if self.ccf_static is not None:
+            check_finite(self, ("ccf_static",))
+            if not 0.0 <= self.ccf_static <= 1.0:
+                raise DomainError("static CCF must lie in [0, 1]")
+        check_finite(self, ("selling_intensity", "loss_intensity"), "non-negative")
+        check_finite(self, ("max_drawdown",))
         if not 0.0 <= self.max_drawdown <= 1.0:
             raise DomainError("max drawdown must lie in [0, 1]")
 
@@ -100,13 +102,15 @@ class SpecificRiskParams:
     cap: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.tna_threshold <= 0 or self.herfindahl_threshold <= 0:
-            raise DomainError("thresholds must be positive")
+        check_finite(self, ("tna_threshold", "herfindahl_threshold"), "positive")
+        check_finite(self, ("size_coefficient", "concentration_coefficient", "cap"))
         if not 0.0 <= self.cap <= 1.0:
             raise DomainError("specific-risk cap must lie in [0, 1]")
 
     def factor(self, fund_tna: float, fund_herfindahl: float) -> float:
         """Additive size + concentration penalty, capped."""
+        check_number("fund_tna", fund_tna, "non-negative")
+        check_number("fund_herfindahl", fund_herfindahl, "non-negative")
         size = self.size_coefficient * max(fund_tna / self.tna_threshold - 1.0, 0.0)
         conc = self.concentration_coefficient * max(
             math.sqrt(fund_herfindahl / self.herfindahl_threshold) - 1.0, 0.0
@@ -146,8 +150,7 @@ def ccf_parametric(
     average loss over a sale spread across the window; ``conservative=True``
     evaluates it at the full horizon instead (a strictly lower CCF).
     """
-    if tau_h < 0:
-        raise DomainError("tau_h must be non-negative")
+    check_number("tau_h", tau_h, "non-negative")
     lf = liquidity_factor(bucket, tau_h)
     df = drawdown_factor(bucket, tau_h if conservative else tau_h / 2.0)
     sf = specific_risk.factor(fund_tna, fund_herfindahl) if specific_risk else 0.0
@@ -160,8 +163,9 @@ def rcr_hqla(bucket_weights: Sequence[Tuple[float, float]], rate: float) -> Tupl
     RCR = sum(w_k * ccf_k) / rate and LS = rate * max(0, 1 - RCR), the
     shortfall as a fraction of net assets.
     """
-    if rate <= 0:
-        raise DomainError("redemption rate must be positive")
+    check_number("rate", rate, "positive")
+    for k, (weight, _) in enumerate(bucket_weights):
+        check_number(f"weight {k + 1}", weight, "non-negative")
     total_weight = sum(w for w, _ in bucket_weights)
     if abs(total_weight - 1.0) > 1e-9:
         raise DomainError(f"bucket weights sum to {total_weight}, expected 1")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
 
-from .core import DomainError, check_finite
+from ._checks import DomainError, check_finite
 
 
 # =============================================================================

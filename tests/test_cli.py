@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -111,6 +112,20 @@ class TestHqlaCommand:
         code = main(["hqla", "--buckets", BUCKETS, "--weights", "1.0"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--weights", "nan,0.3,0.1"], "weight 1"),
+        (["--weights", "0.6,inf,0.1"], "weight 2"),
+        (["--weights", "0.6,0.3,0.1", "--shock", "nan"], "rate"),
+        (["--weights", "0.6,0.3,0.1", "--tau", "nan"], "tau_h"),
+        (["--weights", "0.6,0.3,0.1", "--tna", "nan", "--tna-star", "1e9", "--h-star", "0.01"],
+         "fund_tna"),
+    ])
+    def test_non_finite_input_is_a_validation_error(self, argv, field, capsys):
+        assert main(["hqla", "--buckets", BUCKETS, *argv]) == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation"
+        assert report["detail"].startswith(field + " ")
+
 
 class TestRstCommand:
     def test_liability_table(self, tmp_path):
@@ -124,6 +139,25 @@ class TestRstCommand:
         rows = read_rows(out)
         assert rows[1][:2] == ["1", "25.00"]
         assert rows[1][3] == "17.72"
+
+    def test_alpha_header_is_skipped(self, tmp_path, capsys):
+        values = "A1,0.20\nA2,0.30\nA3,0\nA4,0.15\nA5,0\nA6,0\nA7,0\n"
+        outputs = []
+        for name, text in (("plain.csv", values), ("header.csv", "id,alpha\n\n" + values)):
+            (tmp_path / name).write_text(text)
+            assert main(["rst", "--portfolio", FUND, "--alpha", str(tmp_path / name)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_non_numeric_alpha_names_the_line(self, tmp_path, capsys):
+        # such a row was once skipped, shifting each later value onto the
+        # security before its own
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text("A1,0.2\nA2,0.3\nA3,abc\nA4,0.15\nA5,0\nA6,0\nA7,0\nA8,0.1\n")
+        code = main(["rst", "--portfolio", FUND, "--mode", "liability", "--alpha", str(alpha)])
+        report = json.loads(capsys.readouterr().err)
+        assert code == EXIT_CONFIG and report["error"] == "validation"
+        assert report["detail"] == f"alpha file {alpha}, line 3: value 'abc' is not a number"
 
     def test_asset_mode_reports_no_solution_with_exit_one(self, tmp_path, capsys):
         code = main(["rst", "--portfolio", FUND, "--mode", "asset",
@@ -239,6 +273,27 @@ class TestGateCommand:
         assert lines[1] == "0,A,2.00,40.00"
         assert lines[-1] == "3,B,1.00,50.00"
 
+    @pytest.mark.parametrize("body, detail", [
+        ("1,B\n", "line 3: 2 fields where the header has 3"),
+        ("1,B,0.02,extra\n", "line 3: 4 fields where the header has 3"),
+        ("\n1.5,B,0.02\n", "line 4: day '1.5' is not an integer"),
+        ("1,B,abc\n", "line 3: rate 'abc' is not a number"),
+    ])
+    def test_bad_row_is_a_validation_error(self, tmp_path, capsys, body, detail):
+        path = tmp_path / "requests.csv"
+        path.write_text("day,investor,rate\n0,A,0.05\n" + body)
+        assert main(["gate", "--requests", str(path)]) == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation"
+        assert report["detail"] == f"requests file {path}, {detail}"
+
+    def test_missing_column_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "requests.csv"
+        path.write_text("day,investor\n0,A\n")
+        assert main(["gate", "--requests", str(path)]) == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["detail"] == f"requests file {path}: missing columns ['rate']"
+
 
 class TestGoldens:
     def test_all_tables_match(self, capsys):
@@ -278,16 +333,20 @@ class TestPortfolioFileErrors:
         assert report["detail"].endswith("line 3: price 'abc' is not a number")
 
 
-def run_and_list_modules(argv, module):
-    """Exit code of ``lst argv`` in a fresh interpreter and whether it loaded module."""
-    code = ("import sys; from lst.cli import main; "
-            f"rc = main({argv!r}); print(rc, {module!r} in sys.modules)")
+def run_fresh(code):
+    """Last stdout line of ``python -c code`` in a fresh interpreter importing this lst."""
     src = str(Path(lst.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     return out.splitlines()[-1]
+
+
+def run_and_list_modules(argv, module):
+    """Exit code of ``lst argv`` in a fresh interpreter and whether it loaded module."""
+    return run_fresh("import sys; from lst.cli import main; "
+                     f"rc = main({argv!r}); print(rc, {module!r} in sys.modules)")
 
 
 class TestImportCost:
@@ -328,6 +387,56 @@ class TestScipyFreeSubcommands:
         argv = ["optimize", "--portfolio", FUND, "--corr", CORR, "--shock", "0.1"]
         assert run_and_list_modules(argv, "scipy.optimize") == "0 False"
         assert run_and_list_modules(argv, "scipy.optimize._slsqplib") == "0 True"
+
+
+class TestPerSubcommandImports:
+    @pytest.mark.parametrize("name", ["gate", "hqla", "swing"])
+    def test_scalar_tools_load_no_numpy(self, name):
+        assert run_and_list_modules(SCIPY_FREE[name], "numpy") == "0 False"
+
+    def test_rcr_loads_numpy(self):
+        # shows the check above can see a loaded module
+        assert run_and_list_modules(SCIPY_FREE["rcr"], "numpy") == "0 True"
+
+    @pytest.mark.parametrize("module", ["lst.optimizer", "lst.buffer", "lst.specialfuncs",
+                                        "lst._slsqp"])
+    @pytest.mark.parametrize("name", ["rcr", "rst"])
+    def test_measurement_loads_no_management_module(self, name, module):
+        assert run_and_list_modules(SCIPY_FREE[name], module) == "0 False"
+
+    def test_import_lst_loads_nothing(self):
+        out = run_fresh("import sys, lst; print(sorted(m for m in sys.modules "
+                        "if m == 'numpy' or m.startswith('lst.')))")
+        assert out == "[]"
+
+
+SUBMODULES = ("core", "liquidation", "rcr", "hqla", "reverse", "optimizer", "specialfuncs",
+              "buffer", "swing")
+
+
+class TestLazyPackage:
+    def test_every_export_is_its_submodule_object(self):
+        modules = [importlib.import_module(f"lst.{name}") for name in SUBMODULES]
+        for name in lst.__all__:
+            holders = [vars(m)[name] for m in modules if name in vars(m)]
+            assert holders and all(obj is getattr(lst, name) for obj in holders), name
+            assert vars(lst)[name] is holders[0]  # resolved once, then a plain attribute
+
+    def test_dir_covers_all(self):
+        assert len(set(lst.__all__)) == len(lst.__all__)
+        assert set(lst.__all__) <= set(dir(lst))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lst.no_such_name
+        assert not hasattr(lst, "_slsqp_typo")
+
+    def test_submodules_and_private_modules_resolve(self):
+        from lst import _slsqp
+
+        assert lst.core is sys.modules["lst.core"]
+        assert lst.DomainError is lst.core.DomainError
+        assert _slsqp is sys.modules["lst._slsqp"]
 
 
 class TestInputFileErrors:

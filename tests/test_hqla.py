@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -162,3 +163,35 @@ class TestRcrHqla:
     def test_zero_rate_rejected(self):
         with pytest.raises(DomainError):
             rcr_hqla([(1.0, 0.5)], 0.0)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("base, field", [
+        (LARGE_CAP, "selling_intensity"), (LARGE_CAP, "loss_intensity"),
+        (LARGE_CAP, "max_drawdown"), (LARGE_CAP, "ccf_static"),
+        (SPECIFIC_RISK, "tna_threshold"), (SPECIFIC_RISK, "herfindahl_threshold"),
+        (SPECIFIC_RISK, "size_coefficient"), (SPECIFIC_RISK, "concentration_coefficient"),
+        (SPECIFIC_RISK, "cap"),
+    ])
+    def test_rejected_by_field_name(self, base, field, value):
+        with pytest.raises(DomainError, match=f"^{field} "):
+            dataclasses.replace(base, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["tau_h", "fund_tna", "fund_herfindahl"])
+    def test_ccf_arguments_rejected_by_name(self, field, value):
+        args = {"tau_h": 10.0, "fund_tna": 5e9, "fund_herfindahl": 0.02, field: value}
+        with pytest.raises(DomainError, match=f"^{field} "):
+            ccf_parametric(LARGE_CAP, SPECIFIC_RISK, **args)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rate_rejected(self, value):
+        with pytest.raises(DomainError, match="^rate "):
+            rcr_hqla([(1.0, 0.5)], value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+    def test_weight_rejected_by_position(self, value):
+        # a NaN weight also makes the weight sum NaN, which the sum check passes
+        with pytest.raises(DomainError, match="^weight 2 "):
+            rcr_hqla([(0.6, 0.5), (value, 1.0), (0.4, 0.85)], 0.2)
