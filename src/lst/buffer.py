@@ -311,16 +311,22 @@ def expected_lg_components_quadrature(params: BufferCostParams, w: float) -> Tup
     def f_cash(x: float) -> float:
         return (tc(x) - tc_cash(x, params)) * pdf(x)
 
-    def f_asset(x: float) -> float:
-        return (tc(x) - tc(x - w)) * pdf(x)
+    def f_asset(t: float) -> float:
+        x = math.exp(t)
+        return (tc(x) - tc(x - w)) * pdf(x) * x
 
     pts1 = _cost_breakpoints(params, 0.0, w)
     cash_part, _ = integrate.quad(f_cash, 0.0, w, points=pts1 or None,
                                   epsabs=1e-13, epsrel=1e-11, limit=400)
     if w >= 1.0:
         return cash_part, 0.0
+    # over t = ln x: on [w, 1] a density singular at 0, such as eta x^(eta-1)
+    # with eta < 1, looks singular at the left end until the bisection reaches
+    # the scale of w, and for a tiny w the extrapolation stops early at the
+    # integral from 0 instead (off by s w^(eta+1), 1.1e-13 at w = 2^-24)
     pts2 = sorted(set(_cost_breakpoints(params, w, 1.0) + _cost_breakpoints(params, w, 1.0, shift=w)))
-    asset_part, _ = integrate.quad(f_asset, w, 1.0, points=pts2 or None,
+    asset_part, _ = integrate.quad(f_asset, math.log(w), 0.0,
+                                   points=[math.log(p) for p in pts2] or None,
                                    epsabs=1e-13, epsrel=1e-11, limit=400)
     return cash_part, asset_part
 
