@@ -201,11 +201,15 @@ def cmd_hqla(args) -> int:
     return EXIT_OK
 
 
-def _load_alpha(path) -> np.ndarray:
-    """Stressed saleable proportions: one value per line, or an id,value CSV.
+def _load_alpha(path, ids) -> np.ndarray:
+    """Stressed saleable proportions, one per security in ``ids``: one value
+    per line, or an id,value CSV.
 
     The value is the last field of each non-blank row; only the first row may
-    be a header. Rows are matched to securities by position.
+    be a header. Every value is parsed before the ids are matched, so a
+    non-number is reported first. Rows that carry an id (two or more
+    fields) are matched to the securities by that id, which must name each
+    security exactly once; a values-only file is matched by position.
     """
     import numpy as np
 
@@ -216,8 +220,22 @@ def _load_alpha(path) -> np.ndarray:
             float(rows[0][-1])
         except ValueError:
             start = 1  # a header line
-    return np.array([parse_cell(path, "alpha", k, "value", row[-1])
-                     for k, row in enumerate(rows[start:], start=start)], dtype=float)
+    rows = rows[start:]
+    values = [parse_cell(path, "alpha", k, "value", row[-1]) for k, row in enumerate(rows, start=start)]
+    if all(len(row) == 1 for row in rows):
+        return np.array(values, dtype=float)
+    by_id = {}
+    for row, value in zip(rows, values):
+        if row[0] in by_id:
+            raise DomainError(f"alpha file {path}: security {row[0]!r} is listed twice")
+        by_id[row[0]] = value
+    unknown = sorted(set(by_id) - set(ids))
+    if unknown:
+        raise DomainError(f"alpha file {path}: ids not in the portfolio {unknown}")
+    missing = [sid for sid in ids if sid not in by_id]
+    if missing:
+        raise DomainError(f"alpha file {path}: no value for securities {missing}")
+    return np.array([by_id[sid] for sid in ids], dtype=float)
 
 
 def cmd_rst(args) -> int:
@@ -227,7 +245,7 @@ def cmd_rst(args) -> int:
     taus = parse_days(args.tau)
     floors = [parse_rate(x) for x in str(args.floor).split(",")]
     if args.mode == "liability":
-        alpha = _load_alpha(args.alpha)
+        alpha = _load_alpha(args.alpha, portfolio.ids)
         header = ["tau", "floor_pct", "amount", "rate_pct", "feasible"]
         rows = []
         for tau in taus:

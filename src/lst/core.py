@@ -12,6 +12,7 @@ helper for integer share counts.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections import Counter
@@ -309,26 +310,86 @@ def round_shares(x) -> np.ndarray:
 # FILE FORMATS
 # =============================================================================
 
+#: Characters that numpy's float parser strips as whitespace and Python's
+#: ``float()`` rejects; a file that holds one is read by the csv path.
+_C_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _c_table(path, header_dtype=None):
+    """Parse a CSV file with one call of numpy's C text reader.
+
+    Returns ``(first, table)``, where ``first`` is the first non-blank row as
+    ``csv.reader`` reads it. With ``header_dtype``, ``first`` is a header and
+    ``table`` holds the rows below it in the structured dtype
+    ``header_dtype(first)``; without, ``table`` is every row as a 2-d float
+    array. ``table`` is None when the C reader raises ``ValueError``, when no
+    row is there to parse, or when the text holds a character the two
+    parsers read differently. The caller's csv path then decides, so that
+    path alone defines the accepted syntax and the error messages.
+    """
+    with open(path, newline="") as fh:
+        text = fh.read()
+    lines = io.StringIO(text, newline="")
+    reader = csv.reader(lines)
+    rows = filter(None, reader)
+    first = next(rows, [])
+    skip = reader.line_num if header_dtype else 0
+    if (not first or (header_dtype and next(rows, None) is None)
+            or any(c in text for c in _C_ONLY_SPACES)):
+        return first, None
+    lines.seek(0)
+    try:
+        table = np.loadtxt(lines, dtype=header_dtype(first) if header_dtype else float,
+                           delimiter=",", quotechar='"', comments=None, skiprows=skip,
+                           ndmin=1 if header_dtype else 2)
+    except ValueError:
+        return first, None
+    return first, table
+
+
+def _portfolio_dtype(header) -> np.dtype:
+    """One field per header column, in order: float64 for the numeric
+    holding fields, ``object`` (untruncated text) for the id and the rest."""
+    return np.dtype([(f"f{k}", float if name in _NUMERIC_FIELDS else object)
+                     for k, name in enumerate(header)])
+
+
 def load_portfolio(path, correlation_path=None) -> Portfolio:
     """Read a portfolio CSV (header: id,shares,price,daily_limit,daily_volume,volatility,spread).
 
     Columns may come in any order, each read column named once; blank lines
     are skipped, and every other row must have as many fields as the
-    header. Each numeric column is parsed in one call with Python
-    ``float()`` syntax and the holdings are validated as columns, so no
-    ``Security`` object is built.
+    header. Cells use Python ``float()`` syntax. numpy's C reader parses the
+    rows below the header in one call; any file it rejects is read by
+    ``csv.reader`` and ``float()`` instead (``_csv_portfolio``), which
+    names the file line of a bad row or cell. The holdings are validated as
+    columns, so no ``Security`` object is built.
 
     The correlation matrix, when used, lives in a sidecar CSV (n x n,
     row-major, no header).
     """
-    rows = csv_rows(path)
-    header = rows[0] if rows else []
+    header, table = _c_table(path, _portfolio_dtype)
     missing = [f for f in _PORTFOLIO_FIELDS if f not in header]
     if missing:
         raise DomainError(f"portfolio file {path}: missing columns {missing}")
     repeated = [f for f in _PORTFOLIO_FIELDS if header.count(f) > 1]
     if repeated:
         raise DomainError(f"portfolio file {path}: repeated columns {repeated}")
+    if table is None:
+        ids, columns = _csv_portfolio(path)
+    else:
+        ids, *values = (table[f"f{header.index(name)}"] for name in _PORTFOLIO_FIELDS)
+        columns = dict(zip(_NUMERIC_FIELDS, values))
+    correlation = load_correlation(correlation_path) if correlation_path else None
+    return Portfolio.from_columns(ids, columns, correlation)
+
+
+def _csv_portfolio(path):
+    """``(ids, columns)`` of a portfolio CSV whose header has passed its
+    checks, read by ``csv.reader`` with each numeric column parsed by one
+    ``np.array`` call of ``float()`` syntax; a DomainError names the file
+    line of the first ragged row or non-number cell."""
+    rows = csv_rows(path)
     check_widths(path, rows, "portfolio", "header")
     cells = {col[0]: col[1:] for col in zip(*rows)}
     try:
@@ -337,8 +398,7 @@ def load_portfolio(path, correlation_path=None) -> Portfolio:
         reject_first_non_number(path, "portfolio", (
             (k + 1, name, cells[name][k]) for k in range(len(rows) - 1) for name in _NUMERIC_FIELDS))
         raise
-    correlation = load_correlation(correlation_path) if correlation_path else None
-    return Portfolio.from_columns(cells["id"], columns, correlation)
+    return cells["id"], columns
 
 
 def save_portfolio(portfolio: Portfolio, path) -> None:
@@ -351,7 +411,16 @@ def save_portfolio(portfolio: Portfolio, path) -> None:
 
 
 def load_correlation(path) -> np.ndarray:
-    """Read an n x n correlation matrix from a headerless CSV (blank lines skipped)."""
+    """Read an n x n correlation matrix from a headerless CSV (blank lines
+    skipped): numpy's C reader first, the csv path (``_csv_correlation``)
+    for any file it rejects."""
+    _, table = _c_table(path)
+    return _csv_correlation(path) if table is None else table
+
+
+def _csv_correlation(path) -> np.ndarray:
+    """A correlation CSV read by ``csv.reader`` and ``float()``; a DomainError
+    names the file line of the first ragged row or non-number cell."""
     rows = csv_rows(path)
     if rows:
         check_widths(path, rows, "correlation", "first row")

@@ -62,8 +62,12 @@ def stressed_rcr(
     """
     limits = validated_limits(portfolio, redemption, tau_h,
                               volume_multiplier * portfolio.daily_limits)
-    raised = np.minimum(tau_h * limits, redemption.quantities) @ portfolio.prices
-    return float(raised) / shock_amount
+    return _raised(tau_h, limits, redemption.quantities, portfolio.prices) / shock_amount
+
+
+def _raised(tau_h: int, limits: np.ndarray, q: np.ndarray, prices: np.ndarray) -> float:
+    """Cash raised by day tau_h selling ``q`` greedily at the daily ``limits``."""
+    return float(np.minimum(tau_h * limits, q) @ prices)
 
 
 def _check_floor(rcr_floor: float) -> None:
@@ -126,7 +130,9 @@ def asset_rst(
     every daily limit scales with the multiplier. Coverage is non-decreasing
     in the multiplier, so the threshold is found by bisection; daily limits
     stay real-valued (no share rounding). Each step evaluates the closed
-    form ``stressed_rcr`` in O(n).
+    form of ``stressed_rcr`` in O(n); the two end points go through
+    ``stressed_rcr`` itself, which validates the limits, so the steps
+    between them skip that check.
 
     Coverage is piecewise linear in the multiplier, so its root could be
     solved exactly; the bisection (its midpoints, its ``<=`` test and its
@@ -156,9 +162,10 @@ def asset_rst(
     if bottom >= rcr_floor:
         return AssetRstNoSolution(tau_h=tau_h, rcr_floor=rcr_floor,
                                   reason=AssetRstFailure.FLOOR_UNREACHABLE)
+    q, cap, prices = redemption.quantities, portfolio.daily_limits, portfolio.prices
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if stressed_rcr(portfolio, redemption, shock_amount, tau_h, mid) <= rcr_floor:
+        if _raised(tau_h, mid * cap, q, prices) / shock_amount <= rcr_floor:
             lo = mid
         else:
             hi = mid

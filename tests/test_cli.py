@@ -159,6 +159,31 @@ class TestRstCommand:
         assert code == EXIT_CONFIG and report["error"] == "validation"
         assert report["detail"] == f"alpha file {alpha}, line 3: value 'abc' is not a number"
 
+    def test_alpha_rows_with_ids_are_matched_by_id(self, tmp_path, capsys):
+        values = {"A1": "0.20", "A2": "0.30", "A3": "0", "A4": "0.15", "A5": "0", "A6": "0", "A7": "0"}
+        order = ["A4", "A7", "A1", "A6", "A2", "A5", "A3"]
+        files = {"positional.csv": "".join(v + "\n" for v in values.values()),
+                 "by_id.csv": "id,alpha\n" + "".join(f"{k},{values[k]}\n" for k in order)}
+        outputs = []
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+            assert main(["rst", "--portfolio", FUND, "--alpha", str(tmp_path / name)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("rows, detail", [
+        (["Z9,0.1"], "ids not in the portfolio ['Z9']"),
+        ([], "no value for securities ['A7']"),
+        (["A3,0.1"], "security 'A3' is listed twice"),
+    ])
+    def test_alpha_ids_must_name_each_security_once(self, tmp_path, capsys, rows, detail):
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text("".join(f"A{i},0.1\n" for i in range(1, 7)) + "".join(r + "\n" for r in rows))
+        code = main(["rst", "--portfolio", FUND, "--mode", "liability", "--alpha", str(alpha)])
+        report = json.loads(capsys.readouterr().err)
+        assert code == EXIT_CONFIG and report["error"] == "validation"
+        assert report["detail"] == f"alpha file {alpha}: {detail}"
+
     def test_asset_mode_reports_no_solution_with_exit_one(self, tmp_path, capsys):
         code = main(["rst", "--portfolio", FUND, "--mode", "asset",
                      "--rate-star", "0.30", "--floor", "1.0", "--tau", "1..3"])

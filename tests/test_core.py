@@ -1,9 +1,11 @@
 import csv
 import math
 import tempfile
+import warnings
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from lst import (
     weight_distortion,
     weights,
 )
+from lst import core
 from conftest import random_portfolio
 
 # Published value weights of the demo fund, in percent.
@@ -412,6 +415,157 @@ class TestColumnarLoading:
         assert shares.flags.writeable and p.shares is not shares
         with pytest.raises(DomainError, match="column price"):
             Portfolio.from_columns(("a", "b"), {**cols, "price": [1.0]})
+
+
+# =============================================================================
+# C READER AND CSV FALLBACK
+# =============================================================================
+
+FIELDS = ("id",) + NUMERIC
+
+
+def load_outcome(path):
+    """What ``load_portfolio`` makes of a file: ids and column bytes, or the
+    DomainError text."""
+    try:
+        p = load_portfolio(path)
+    except DomainError as err:
+        return str(err)
+    return p.ids, [col.tobytes() for col in (p.shares, p.prices, p.daily_limits,
+                                             p.daily_volumes, p.volatilities, p.spreads)]
+
+
+def reference_outcome(path):
+    """The same from ``reference_rows``, with ``Portfolio``'s empty and
+    duplicate checks."""
+    try:
+        rows = reference_rows(path)
+    except DomainError as err:
+        return str(err)
+    ids = tuple(sid for sid, _ in rows)
+    if not ids:
+        return "portfolio is empty"
+    if len(set(ids)) != len(ids):
+        return f"duplicate security ids {sorted({i for i in ids if ids.count(i) > 1})}"
+    return ids, [np.array([rec[name] for _, rec in rows]).tobytes() for name in NUMERIC]
+
+
+def quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+# spellings of one value: the write_generated_fund ones, quoted, with an
+# underscore, and with a separator character float() does not strip
+SPELLINGS = (repr, lambda x: f"{x:.17g}", lambda x: f"{x:.4e}", lambda x: f" {x:.6f} ",
+             lambda x: str(int(x)) if x == int(x) else repr(x), lambda x: quoted(repr(x)),
+             lambda x: f"{int(x):_}", lambda x: repr(x) + "\x1c")
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def fund_files(draw):
+    """The text of a portfolio CSV and whether its rows are well formed.
+
+    Ids may need quoting (commas, quotes, line breaks), may be empty or
+    longer than 64 characters; columns come in any order with extra ones;
+    blank and whitespace-only lines, mixed line ends, ``1_000`` cells,
+    non-numbers and ragged rows are drawn too.
+    """
+    n = draw(st.integers(0, 5))
+    header = list(draw(st.permutations(FIELDS + tuple(
+        draw(st.lists(st.sampled_from(["note", "", "note"]), max_size=2))))))
+    chars = st.sampled_from(',"\n\r ') | st.characters(min_codepoint=32, max_codepoint=126)
+    ids = draw(st.lists(st.text(chars, max_size=4) | st.text("ab", min_size=65, max_size=80),
+                        min_size=n, max_size=n))
+    value = st.floats(min_value=0.0, max_value=1e7, allow_nan=False) | st.sampled_from(
+        [0.0, 1.0, 1000.0, -1.0, math.nan, math.inf])
+    spellings = draw(st.sampled_from([SPELLINGS[:6], SPELLINGS]))
+    rows, well_formed = [], True
+    for sid in ids:
+        cells = []
+        for name in header:
+            if name == "id":
+                cells.append(quoted(sid) if draw(st.booleans()) or set(sid) & set(',"\r\n') else sid)
+            elif name in NUMERIC:
+                x = draw(value)
+                spell = draw(st.sampled_from(spellings)) if math.isfinite(x) else repr
+                cells.append(spell(x))
+            else:
+                cells.append(draw(st.sampled_from(["", "x", quoted("a,b")])))
+        if draw(st.integers(0, 9)) == 0:
+            well_formed = False
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["9"]
+        if draw(st.integers(0, 9)) == 0:
+            well_formed = False
+            cells[draw(st.integers(0, len(cells) - 1))] = "abc"
+        rows.append(",".join(cells))
+    lines = [",".join(header)] + rows
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from(["", "", "   "]))
+        well_formed &= filler == ""
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    text = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    return text, well_formed
+
+
+class TestCReader:
+    @settings(max_examples=400, deadline=None)
+    @given(fund_files())
+    def test_equals_the_csv_path_and_the_per_row_reference(self, drawn):
+        text, well_formed = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fund.csv"
+            path.write_text(text, newline="")
+            ours = load_outcome(path)
+            with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+                csv_only = load_outcome(path)
+            assert ours == csv_only
+            if well_formed and not any(c in text for c in "_\x1c"):
+                assert ours == reference_outcome(path)
+
+    def test_large_plain_file_never_falls_back(self, monkeypatch, tmp_path):
+        path = tmp_path / "big.csv"
+        write_generated_fund(path, 2_000, seed=7)
+
+        def refuse(*args):
+            raise AssertionError("fell back to the csv path")
+
+        monkeypatch.setattr(core, "_csv_portfolio", refuse)
+        assert_matches_reference(load_portfolio(path), path)
+
+    def test_header_only_file_is_empty_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        for text in (HEADER, "\n" + HEADER + "\n\r\n"):
+            path.write_text(text, newline="")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="portfolio is empty"):
+                    load_portfolio(path)
+
+    def test_separator_character_is_not_a_number(self, tmp_path):
+        # numpy's float parser strips U+001C..U+001F and float() does not
+        path = tmp_path / "fs.csv"
+        path.write_text(HEADER + "A,1,2\x1c,3,4,0.1,0.01\n")
+        with pytest.raises(DomainError, match=r"line 2: price '2\\x1c' is not a number"):
+            load_portfolio(path)
+
+    def test_correlation_is_bit_identical_through_both_paths(self, tmp_path):
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 7, 40):
+            rho = rng.uniform(-1, 1, size=(n, n))
+            path = tmp_path / f"rho{n}.csv"
+            path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rho.tolist()))
+            fast, slow = load_correlation(path), core._csv_correlation(path)
+            assert fast.shape == slow.shape == (n, n)
+            assert fast.tobytes() == slow.tobytes() == rho.tobytes()
+
+    def test_correlation_fallback_keeps_its_messages(self, tmp_path):
+        path = tmp_path / "rho.csv"
+        path.write_text("1,0.5\r0.5,1_0\r")
+        assert load_correlation(path).tolist() == [[1.0, 0.5], [0.5, 10.0]]
+        path.write_text("1,0.5\n0.5, \n")
+        with pytest.raises(DomainError, match=r"line 2: column 2 ' ' is not a number"):
+            load_correlation(path)
 
 
 @st.composite

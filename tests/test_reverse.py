@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lst import (
     AssetRstFailure,
     AssetRstNoSolution,
     DomainError,
+    Portfolio,
     RedemptionShock,
     asset_rst,
     liability_rst,
@@ -12,6 +15,7 @@ from lst import (
     pro_rata_portfolio,
     rcr_report,
     stressed_rcr,
+    tna,
     weights,
 )
 from conftest import random_portfolio
@@ -177,3 +181,59 @@ class TestAssetRst:
     def test_nan_standard_rate_rejected(self, fund):
         with pytest.raises(DomainError):
             asset_rst(fund, float("nan"), 0.5, 2)
+
+
+def reference_asset_rst(portfolio, rate, floor, tau, tol=1e-6):
+    """The bisection with ``stressed_rcr`` (and its limit checks) at every step."""
+    q = pro_rata_portfolio(portfolio, rate)
+    shock = rate * tna(portfolio)
+    if stressed_rcr(portfolio, q, shock, tau, 1.0) <= floor:
+        return AssetRstFailure.ALREADY_BELOW_FLOOR
+    if stressed_rcr(portfolio, q, shock, tau, tol) >= floor:
+        return AssetRstFailure.FLOOR_UNREACHABLE
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if stressed_rcr(portfolio, q, shock, tau, mid) <= floor:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def asset_rst_cases(draw):
+    """A random fund, some of its names with a zero daily limit, and a floor
+    at or just around the coverage at m = 1, at m = tol, or at a dyadic m
+    that the bisection steps on, where the ``<=`` test meets a tie."""
+    n = draw(st.integers(1, 8))
+    shares = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+    prices = draw(st.lists(st.floats(0.5, 2000.0), min_size=n, max_size=n))
+    limits = draw(st.lists(st.sampled_from([0.0]) | st.floats(0.01, 1e5), min_size=n, max_size=n))
+    columns = dict(shares=shares, price=prices, daily_limit=limits, daily_volume=[0] * n,
+                   volatility=[0] * n, spread=[0] * n)
+    portfolio = Portfolio.from_columns([f"S{i}" for i in range(n)], columns)
+    rate = draw(st.floats(0.01, 1.0))
+    tau = draw(st.integers(1, 10))
+    q = pro_rata_portfolio(portfolio, rate)
+    shock = rate * tna(portfolio)
+    m = draw(st.sampled_from([1.0, 1e-6]) | st.integers(1, 2**20 - 1).map(lambda k: k / 2**20))
+    floor = stressed_rcr(portfolio, q, shock, tau, m) * draw(
+        st.sampled_from([1.0, 1 - 1e-12, 1 + 1e-12, 1 - 1e-7, 1 + 1e-7]))
+    assume(floor > 0)
+    return portfolio, rate, floor, tau
+
+
+class TestAssetRstBisection:
+    @settings(max_examples=300, deadline=None)
+    @given(asset_rst_cases())
+    def test_equals_a_bisection_through_stressed_rcr(self, case):
+        portfolio, rate, floor, tau = case
+        ours = asset_rst(portfolio, rate, floor, tau)
+        want = reference_asset_rst(portfolio, rate, floor, tau)
+        if isinstance(want, AssetRstFailure):
+            assert isinstance(ours, AssetRstNoSolution) and ours.reason is want
+        else:
+            assert type(ours) is float and ours == want
