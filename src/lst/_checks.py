@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 
 
 class DomainError(ValueError):
@@ -32,23 +33,47 @@ def check_finite(obj, names, bound: str = "") -> None:
         check_number(name, getattr(obj, name), bound)
 
 
+def check_days(name: str, value) -> None:
+    """Reject, by name, a day count that is not an integer (a Python or
+    numpy int, not a bool or a float) of at least 1."""
+    try:
+        days = 0 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        days = 0
+    if days < 1:
+        raise DomainError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 # =============================================================================
 # CSV FILES
 # =============================================================================
 
-def csv_rows(path) -> list:
+def csv_error(path, kind: str, reader, exc: csv.Error) -> DomainError:
+    """The DomainError for ``exc``, raised by ``reader`` on a line of the
+    file (a field longer than ``csv.field_size_limit()``)."""
+    return DomainError(f"{kind} file {path}, line {reader.line_num}: {exc}")
+
+
+def csv_rows(path, kind: str) -> list:
     """The non-blank rows of a CSV file, read in one ``csv.reader`` pass."""
     with open(path, newline="") as fh:
-        return list(filter(None, csv.reader(fh)))
+        reader = csv.reader(fh)
+        try:
+            return list(filter(None, reader))
+        except csv.Error as exc:
+            raise csv_error(path, kind, reader, exc) from None
 
 
-def line_number(path, index: int) -> int:
+def line_number(path, kind: str, index: int) -> int:
     """File line on which non-blank row ``index`` ends (error path only)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for k, _ in enumerate(filter(None, reader)):
-            if k == index:
-                return reader.line_num
+        try:
+            for k, _ in enumerate(filter(None, reader)):
+                if k == index:
+                    return reader.line_num
+        except csv.Error as exc:
+            raise csv_error(path, kind, reader, exc) from None
 
 
 def parse_cell(path, kind: str, index: int, label: str, text: str, parse=float):
@@ -58,7 +83,7 @@ def parse_cell(path, kind: str, index: int, label: str, text: str, parse=float):
         return parse(text)
     except ValueError:
         what = "an integer" if parse is int else "a number"
-        raise DomainError(f"{kind} file {path}, line {line_number(path, index)}: "
+        raise DomainError(f"{kind} file {path}, line {line_number(path, kind, index)}: "
                           f"{label} {text!r} is not {what}") from None
 
 
@@ -74,5 +99,5 @@ def check_widths(path, rows, kind: str, first: str) -> None:
     width = len(rows[0])
     k = next((k for k, row in enumerate(rows) if len(row) != width), None)
     if k is not None:
-        raise DomainError(f"{kind} file {path}, line {line_number(path, k)}: "
+        raise DomainError(f"{kind} file {path}, line {line_number(path, kind, k)}: "
                           f"{len(rows[k])} fields where the {first} has {width}")

@@ -213,7 +213,7 @@ def _load_alpha(path, ids) -> np.ndarray:
     """
     import numpy as np
 
-    rows = csv_rows(path)
+    rows = csv_rows(path, "alpha")
     start = 0
     if rows:
         try:
@@ -399,7 +399,7 @@ def _load_requests(path) -> list:
     header."""
     from .swing import GateRequest
 
-    rows = csv_rows(path)
+    rows = csv_rows(path, "requests")
     header = rows[0] if rows else []
     missing = [f for f in _REQUEST_FIELDS if f not in header]
     if missing:

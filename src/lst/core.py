@@ -28,6 +28,7 @@ from ._checks import (
     DomainError,
     check_finite,
     check_widths,
+    csv_error,
     csv_rows,
     reject_first_non_number,
 )
@@ -101,10 +102,11 @@ class Portfolio:
     Holdings are stored by column: ``ids`` and the read-only arrays
     (``shares``, ``prices``, ...) are validated and fixed at construction.
     ``Portfolio(securities)`` and ``Portfolio.from_columns`` share that one
-    path; ``securities`` is built from the columns on first access.
+    path; ``securities`` is built from the columns on first access, and so
+    is the sorted unwind curve that ``liquidation`` keeps in ``_unwind``.
     """
 
-    __slots__ = ("_ids", "_columns", "_correlation", "_securities")
+    __slots__ = ("_ids", "_columns", "_correlation", "_securities", "_unwind")
 
     def __init__(self, securities, correlation=None) -> None:
         securities = tuple(securities)
@@ -137,7 +139,7 @@ class Portfolio:
             col.flags.writeable = False
             cols[name] = col
         _check_holdings(ids, cols)
-        self._ids, self._columns = ids, cols
+        self._ids, self._columns, self._unwind = ids, cols, None
         self._correlation = None if correlation is None else _checked_correlation(correlation, n)
 
     @property
@@ -315,7 +317,27 @@ def round_shares(x) -> np.ndarray:
 _C_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
 
-def _c_table(path, header_dtype=None):
+def _short_lines(text: str) -> bool:
+    """Whether no line of ``text`` is longer than ``csv.field_size_limit()``.
+
+    True when every full block of ``limit // 2 + 1`` characters holds a line
+    break, which bounds each line by the limit; a few ``find`` calls per
+    megabyte. A cell within one line is then within the limit too.
+    """
+    size = csv.field_size_limit() // 2 + 1
+    return all(text.find("\n", j, j + size) >= 0 or text.find("\r", j, j + size) >= 0
+               for j in range(0, len(text) - size + 1, size))
+
+
+def _long_text_cell(table) -> bool:
+    """Whether a text (``object``) field of a parsed table holds a cell
+    longer than ``csv.field_size_limit()``."""
+    limit = csv.field_size_limit()
+    return any(len(cell) > limit for name in table.dtype.names
+               if table.dtype[name] == object for cell in table[name].tolist())
+
+
+def _c_table(path, kind: str, header_dtype=None):
     """Parse a CSV file with one call of numpy's C text reader.
 
     Returns ``(first, table)``, where ``first`` is the first non-blank row as
@@ -323,19 +345,25 @@ def _c_table(path, header_dtype=None):
     ``table`` holds the rows below it in the structured dtype
     ``header_dtype(first)``; without, ``table`` is every row as a 2-d float
     array. ``table`` is None when the C reader raises ``ValueError``, when no
-    row is there to parse, or when the text holds a character the two
-    parsers read differently. The caller's csv path then decides, so that
-    path alone defines the accepted syntax and the error messages.
+    row is there to parse, when the text holds a character the two parsers
+    read differently, or when a cell may be longer than
+    ``csv.field_size_limit()``, which only ``csv.reader`` enforces. The
+    caller's csv path then decides, so that path alone defines the accepted
+    syntax and the error messages. A field over the limit in the first two
+    rows is a DomainError naming the file (a ``kind`` file) and the line.
     """
     with open(path, newline="") as fh:
         text = fh.read()
     lines = io.StringIO(text, newline="")
     reader = csv.reader(lines)
     rows = filter(None, reader)
-    first = next(rows, [])
-    skip = reader.line_num if header_dtype else 0
-    if (not first or (header_dtype and next(rows, None) is None)
-            or any(c in text for c in _C_ONLY_SPACES)):
+    try:
+        first = next(rows, [])
+        skip = reader.line_num if header_dtype else 0
+        empty = not first or (header_dtype and next(rows, None) is None)
+    except csv.Error as exc:
+        raise csv_error(path, kind, reader, exc) from None
+    if empty or any(c in text for c in _C_ONLY_SPACES) or not _short_lines(text):
         return first, None
     lines.seek(0)
     try:
@@ -343,6 +371,9 @@ def _c_table(path, header_dtype=None):
                            delimiter=",", quotechar='"', comments=None, skiprows=skip,
                            ndmin=1 if header_dtype else 2)
     except ValueError:
+        return first, None
+    # a quoted cell may span lines, each shorter than the limit
+    if header_dtype and '"' in text and _long_text_cell(table):
         return first, None
     return first, table
 
@@ -368,7 +399,7 @@ def load_portfolio(path, correlation_path=None) -> Portfolio:
     The correlation matrix, when used, lives in a sidecar CSV (n x n,
     row-major, no header).
     """
-    header, table = _c_table(path, _portfolio_dtype)
+    header, table = _c_table(path, "portfolio", _portfolio_dtype)
     missing = [f for f in _PORTFOLIO_FIELDS if f not in header]
     if missing:
         raise DomainError(f"portfolio file {path}: missing columns {missing}")
@@ -389,7 +420,7 @@ def _csv_portfolio(path):
     checks, read by ``csv.reader`` with each numeric column parsed by one
     ``np.array`` call of ``float()`` syntax; a DomainError names the file
     line of the first ragged row or non-number cell."""
-    rows = csv_rows(path)
+    rows = csv_rows(path, "portfolio")
     check_widths(path, rows, "portfolio", "header")
     cells = {col[0]: col[1:] for col in zip(*rows)}
     try:
@@ -414,14 +445,14 @@ def load_correlation(path) -> np.ndarray:
     """Read an n x n correlation matrix from a headerless CSV (blank lines
     skipped): numpy's C reader first, the csv path (``_csv_correlation``)
     for any file it rejects."""
-    _, table = _c_table(path)
+    _, table = _c_table(path, "correlation")
     return _csv_correlation(path) if table is None else table
 
 
 def _csv_correlation(path) -> np.ndarray:
     """A correlation CSV read by ``csv.reader`` and ``float()``; a DomainError
     names the file line of the first ragged row or non-number cell."""
-    rows = csv_rows(path)
+    rows = csv_rows(path, "correlation")
     if rows:
         check_widths(path, rows, "correlation", "first row")
     try:

@@ -5,7 +5,9 @@ profile and the illiquid-asset measure.
 
 Greedy selling at the daily limits has the closed form
 cum_i(h) = min(h * cap_i, q_i); every analytic here evaluates it directly
-(``cumulative_value``) instead of stepping through days.
+instead of stepping through days: many days at once off a value curve
+sorted once (``_curve``, kept per schedule and per portfolio), one day by a
+single sum (``_raised``).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -45,16 +48,14 @@ UNREACHABLE = Unreachable()
 DONE_TOL = 1e-9
 
 
-def cumulative_value(sellable: np.ndarray, cap: np.ndarray, prices: np.ndarray,
-                     days) -> np.ndarray:
-    """Value raised by greedy selling, sum_i prices_i * min(h * cap_i, sellable_i), per h in ``days``.
+def _curve(sellable: np.ndarray, cap: np.ndarray, prices: np.ndarray) -> tuple:
+    """The greedy value curve of ``sellable`` at the daily ``cap``, sorted once.
 
     Position i finishes after t_i = sellable_i / cap_i days (never when
-    cap_i = 0, which sells nothing). With the t_i sorted once, the value
-    after h days is the full value of the finished positions plus h times the
-    daily value of the others, read off prefix and suffix sums at
-    ``searchsorted(t, h)``. Cost O(n log n + len(days)); no day-by-security
-    array is formed.
+    cap_i = 0, which sells nothing). Returns ``(t, full, rest)``: the t_i in
+    ascending order, ``full[k]``, the value of the k first-finishing
+    positions, and ``rest[k]``, the daily value of the others. The arrays
+    are read-only, so a curve can be kept and read many times.
     """
     live = cap > 0
     t = sellable[live] / cap[live]
@@ -62,9 +63,41 @@ def cumulative_value(sellable: np.ndarray, cap: np.ndarray, prices: np.ndarray,
     full = np.concatenate(([0.0], np.cumsum((prices[live] * sellable[live])[order])))
     rate = (prices[live] * cap[live])[order]
     rest = np.concatenate((np.cumsum(rate[::-1])[::-1], [0.0]))  # rest[k] = sum(rate[k:])
+    t = t[order]
+    for a in (t, full, rest):
+        a.flags.writeable = False
+    return t, full, rest
+
+
+def _evaluate(curve: tuple, days) -> np.ndarray:
+    """Value raised after each h in ``days``, read off a ``_curve``: the full
+    value of the positions finished by day h plus h times the daily value of
+    the others, in O(len(days) log n)."""
+    t, full, rest = curve
     days = np.asarray(days, dtype=float)
-    k = np.searchsorted(t[order], days, side="right")  # positions finished by day h
+    k = np.searchsorted(t, days, side="right")  # positions finished by day h
     return full[k] + days * rest[k]
+
+
+def cumulative_value(sellable: np.ndarray, cap: np.ndarray, prices: np.ndarray,
+                     days) -> np.ndarray:
+    """Value raised by greedy selling, sum_i prices_i * min(h * cap_i, sellable_i), per h in ``days``.
+
+    With the finishing days sorted once (``_curve``), every h is read off
+    prefix and suffix sums (``_evaluate``). Cost O(n log n + len(days)); no
+    day-by-security array is formed.
+    """
+    return _evaluate(_curve(sellable, cap, prices), days)
+
+
+def _raised(tau_h: int, limits: np.ndarray, q: np.ndarray, prices: np.ndarray,
+            out: Optional[np.ndarray] = None) -> float:
+    """Cash raised by day tau_h selling ``q`` greedily at the daily ``limits``:
+    A(tau_h) = sum_i P_i * min(tau_h * limits_i, q_i), with no schedule built.
+    ``out``, an array shaped like ``limits`` (it may be ``limits`` itself),
+    takes the per-security sales instead of a new array."""
+    out = np.multiply(limits, tau_h, out=out)
+    return float(np.minimum(out, q, out=out) @ prices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +113,9 @@ class LiquidationSchedule:
     never finish (zero daily limit with a positive target).
 
     ``sold`` (shares sold per day and security) is rebuilt on every access
-    and never stored; read it once when iterating over days.
+    and never stored; read it once when iterating over days. The sorted
+    value curve behind ``amounts`` is built on first use and kept, so an RCR
+    table and the liquidation times read off one schedule sort it once.
     """
 
     portfolio: Portfolio
@@ -115,7 +150,11 @@ class LiquidationSchedule:
     def amounts(self, days: int) -> np.ndarray:
         """Cash raised after each of days 1..days; flat once the schedule ends."""
         h = np.minimum(np.arange(1, days + 1), self.horizon)
-        return cumulative_value(self.sellable, self.cap, self.portfolio.prices, h)
+        return _evaluate(self._value_curve, h)
+
+    @cached_property
+    def _value_curve(self) -> tuple:
+        return _curve(self.sellable, self.cap, self.portfolio.prices)
 
 
 def validated_limits(
@@ -217,25 +256,38 @@ def _per_day_weight(portfolio: Portfolio) -> Tuple[np.ndarray, np.ndarray]:
     return psi, tau
 
 
+def _unwind(portfolio: Portfolio) -> tuple:
+    """``(w, psi, tau, curve)`` of the full unwind in weight units, where
+    ``curve`` is the ``_curve`` of w at the daily weights psi. Sorted on
+    first use and kept on the portfolio, so the daily profile and the
+    illiquid-asset measure share one sort whatever their horizons."""
+    if portfolio._unwind is None:
+        w = weights(portfolio)
+        psi, tau = _per_day_weight(portfolio)
+        for a in (w, psi, tau):
+            a.flags.writeable = False
+        portfolio._unwind = (w, psi, tau, _curve(w, psi, np.ones_like(w)))
+    return portfolio._unwind
+
+
 def daily_liquidation_profile(portfolio: Portfolio, max_days: int = MAX_DAYS_DEFAULT):
     """Daily liquidation weights W(h) for a full waterfall-style unwind.
 
     Computed in closed form from the per-day sellable weight of each asset:
     W(h) = sum_i [min(h * psi_i, w_i) - min((h-1) * psi_i, w_i)], in
-    O(n log n + horizon) through ``cumulative_value``.
+    O(horizon log n) off the portfolio's unwind curve (``_unwind``), which
+    is sorted once per portfolio.
 
     Returns:
         (W, residual): W is indexed by day (W[0] is day 1) and sums to
         1 - residual; residual is the weight of securities with a zero daily
         limit, which never liquidate.
     """
-    w = weights(portfolio)
-    psi, tau = _per_day_weight(portfolio)
+    w, psi, tau, curve = _unwind(portfolio)
     liquid = psi > 0
     residual = float(w[~liquid].sum())
     horizon = int(min(max_days, math.ceil(tau[liquid].max()))) if liquid.any() else 0
-    cum = cumulative_value(w, psi, np.ones_like(w), np.arange(horizon + 1))
-    return np.diff(cum), residual
+    return np.diff(_evaluate(curve, np.arange(horizon + 1))), residual
 
 
 def illiquid_assets(portfolio: Portfolio, w_star: float,
@@ -251,8 +303,7 @@ def illiquid_assets(portfolio: Portfolio, w_star: float,
     """
     if not 0.0 < w_star < 1.0:
         raise DomainError("w_star must lie in (0, 1)")
-    w = weights(portfolio)
-    psi, _ = _per_day_weight(portfolio)
+    w, psi, _, _ = _unwind(portfolio)
     profile, _ = daily_liquidation_profile(portfolio, max_days=max_days)
     below = np.flatnonzero(profile <= w_star + 1e-15)
     # beyond the computed profile the daily liquidation is 0 (or the residual

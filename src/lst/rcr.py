@@ -11,11 +11,13 @@ from typing import Tuple
 
 import numpy as np
 
+from ._checks import check_days
 from .core import DomainError, Portfolio, RedemptionPortfolio, RedemptionShock, tna
 from .liquidation import (
     UNREACHABLE,
     LiquidationSchedule,
     MAX_DAYS_DEFAULT,
+    _raised,
     build_schedule,
 )
 
@@ -88,8 +90,7 @@ def optimal_pro_rata(portfolio: Portfolio, tau_h: int) -> Tuple[float, Redemptio
     admissible redemption shock for the horizon; the slice itself does not
     depend on the shock.
     """
-    if tau_h < 1:
-        raise DomainError("tau_h must be at least 1")
+    check_days("tau_h", tau_h)
     shares = portfolio.shares
     limits = portfolio.daily_limits
     held = shares > 0
@@ -109,14 +110,16 @@ def max_admissible_shock(portfolio: Portfolio, tau_h: int, policy: str = "optima
     """Maximum redemption rate absorbable within tau_h days under a policy.
 
     ``optimal`` uses the optimal pro-rata slice (phi); ``waterfall`` uses the
-    cash the waterfall raises in tau_h days as a fraction of net assets.
+    cash the waterfall raises in tau_h days as a fraction of net assets,
+    the one sum ``_raised`` over the whole holdings, with no schedule built.
     """
+    check_days("tau_h", tau_h)
     if policy == "optimal":
         phi, _ = optimal_pro_rata(portfolio, tau_h)
         return phi
     if policy == "waterfall":
-        schedule = build_schedule(portfolio, waterfall_portfolio(portfolio), max_days=tau_h)
-        return schedule.amount(tau_h) / tna(portfolio)
+        raised = _raised(tau_h, portfolio.daily_limits, portfolio.shares, portfolio.prices)
+        return raised / tna(portfolio)
     raise DomainError(f"unknown policy {policy!r}")
 
 

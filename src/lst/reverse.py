@@ -12,9 +12,9 @@ from typing import Union
 
 import numpy as np
 
+from ._checks import check_days
 from .core import DomainError, Portfolio, RedemptionPortfolio, tna, weights
-from .liquidation import build_schedule, validated_limits
-from .rcr import pro_rata_portfolio
+from .liquidation import _raised, validated_limits
 
 BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 200
@@ -65,11 +65,6 @@ def stressed_rcr(
     return _raised(tau_h, limits, redemption.quantities, portfolio.prices) / shock_amount
 
 
-def _raised(tau_h: int, limits: np.ndarray, q: np.ndarray, prices: np.ndarray) -> float:
-    """Cash raised by day tau_h selling ``q`` greedily at the daily ``limits``."""
-    return float(np.minimum(tau_h * limits, q) @ prices)
-
-
 def _check_floor(rcr_floor: float) -> None:
     if not (rcr_floor > 0 and math.isfinite(rcr_floor)):
         raise DomainError("RCR floor must be positive and finite")
@@ -87,19 +82,18 @@ def liability_rst(
     stress; the liquidation portfolio is alpha * holdings. The scenario is
     A(tau_h) / floor; it is flagged infeasible when that exceeds net assets
     (no redemption rate <= 1 breaches the floor, which happens whenever the
-    floor is below the stressed saleable weight of the fund).
+    floor is below the stressed saleable weight of the fund). A(tau_h) is
+    the one sum ``_raised``, with no schedule built.
     """
     _check_floor(rcr_floor)
-    if tau_h < 1:
-        raise DomainError("tau_h must be at least 1")
+    check_days("tau_h", tau_h)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (portfolio.n,):
         raise DomainError("alpha must give one proportion per security")
     if not np.all((alpha >= 0) & (alpha <= 1)):
         raise DomainError("alpha proportions must lie in [0, 1]")
-    redemption = RedemptionPortfolio(quantities=alpha * portfolio.shares)
-    schedule = build_schedule(portfolio, redemption, max_days=tau_h)
-    amount = schedule.amount(tau_h) / rcr_floor
+    amount = _raised(tau_h, portfolio.daily_limits, alpha * portfolio.shares,
+                     portfolio.prices) / rcr_floor
     rate = amount / tna(portfolio)
     return LiabilityRstResult(
         tau_h=tau_h, rcr_floor=rcr_floor, amount=amount, rate=rate, feasible=rate <= 1.0
@@ -129,10 +123,10 @@ def asset_rst(
     The liquidation portfolio is the pro-rata slice at ``standard_rate`` and
     every daily limit scales with the multiplier. Coverage is non-decreasing
     in the multiplier, so the threshold is found by bisection; daily limits
-    stay real-valued (no share rounding). Each step evaluates the closed
-    form of ``stressed_rcr`` in O(n); the two end points go through
-    ``stressed_rcr`` itself, which validates the limits, so the steps
-    between them skip that check.
+    stay real-valued (no share rounding). Every evaluation, the two end
+    points included, is the closed form of ``stressed_rcr`` in O(n),
+    written into one preallocated buffer; the checked day count, rate and
+    ``tol`` leave no limit for ``stressed_rcr``'s check to reject.
 
     Coverage is piecewise linear in the multiplier, so its root could be
     solved exactly; the bisection (its midpoints, its ``<=`` test and its
@@ -148,24 +142,27 @@ def asset_rst(
     if not 0.0 < standard_rate <= 1.0:
         raise DomainError("standard redemption rate must lie in (0, 1]")
     _check_floor(rcr_floor)
-    if tau_h < 1:
-        raise DomainError("tau_h must be at least 1")
-    redemption = pro_rata_portfolio(portfolio, standard_rate)
+    check_days("tau_h", tau_h)
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"bisection tol must lie in (0, 1), got {tol!r}")
+    q = standard_rate * portfolio.shares  # the pro-rata slice
     shock_amount = standard_rate * tna(portfolio)
+    cap, prices = portfolio.daily_limits, portfolio.prices
+    buf = np.empty_like(cap)
 
-    top = stressed_rcr(portfolio, redemption, shock_amount, tau_h, 1.0)
-    if top <= rcr_floor:
+    def coverage(m: float) -> float:
+        return _raised(tau_h, np.multiply(cap, m, out=buf), q, prices, out=buf) / shock_amount
+
+    if coverage(1.0) <= rcr_floor:
         return AssetRstNoSolution(tau_h=tau_h, rcr_floor=rcr_floor,
                                   reason=AssetRstFailure.ALREADY_BELOW_FLOOR)
-    lo, hi = 0.0, 1.0
-    bottom = stressed_rcr(portfolio, redemption, shock_amount, tau_h, tol)
-    if bottom >= rcr_floor:
+    if coverage(tol) >= rcr_floor:
         return AssetRstNoSolution(tau_h=tau_h, rcr_floor=rcr_floor,
                                   reason=AssetRstFailure.FLOOR_UNREACHABLE)
-    q, cap, prices = redemption.quantities, portfolio.daily_limits, portfolio.prices
+    lo, hi = 0.0, 1.0
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if _raised(tau_h, mid * cap, q, prices) / shock_amount <= rcr_floor:
+        if coverage(mid) <= rcr_floor:
             lo = mid
         else:
             hi = mid

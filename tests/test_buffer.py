@@ -518,3 +518,29 @@ class TestBoundedBrent:
             return net_buffer_cost(market, params, float(np.clip(w, 0.0, 1.0)))
 
         assert _fminbound(nbc, lo, hi, xatol=1e-9) == scipy_bounded(nbc, lo, hi)
+
+
+@st.composite
+def monte_carlo_cases(draw):
+    """Cost parameters, a cash weight and a simulation seed. Without a
+    trading limit the reference closed form keeps its published
+    eta*s*w*(1-w) asset leg, which is the expectation only at eta = 1. The
+    weight is drawn by its redemption probability F(w) = w^eta >= 1e-3, so
+    that 10^5 draws see a hundred redemptions below it: a rarer event moves
+    the mean without showing in the standard error."""
+    x_plus = draw(st.floats(0.02, 0.99) | st.sampled_from([0.05, 0.1, 1.0, 1.5]))
+    eta = 1.0 if x_plus >= 1.0 else draw(st.floats(0.3, 4.0) | st.just(1.0))
+    params = BufferCostParams(spread=draw(st.floats(1e-4, 0.01)), cash_cost=draw(st.floats(0.0, 1e-3)),
+                              beta_impact=draw(st.floats(0.0, 1.0)), sigma=draw(st.floats(0.0, 1.0)),
+                              x_plus=x_plus, eta=eta)
+    w = draw(st.floats(1e-3, 1.0)) ** (1.0 / eta)
+    return params, w, draw(st.integers(0, 2**32 - 1))
+
+
+class TestMonteCarloProperty:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(monte_carlo_cases())
+    def test_simulation_agrees_with_the_exact_gain(self, case):
+        params, w, seed = case
+        mean, stderr = simulate_lg(params, w, n=100_000, seed=seed)
+        assert abs(mean - expected_lg_exact(params, w)) <= 4 * stderr

@@ -483,3 +483,35 @@ class TestInputFileErrors:
         report = json.loads(capsys.readouterr().err)
         assert code == EXIT_CONFIG and report["error"] == "validation"
         assert report["detail"] == f"correlation file {corr}, line 1: column 2 'x' is not a number"
+
+
+class TestFieldLimit:
+    LIMIT = csv.field_size_limit()
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_long_id_is_a_validation_error_on_any_row(self, tmp_path, capsys, k):
+        rows = [f"A{i},1,2,3,4,0.1,0.01" for i in range(4)]
+        rows[k] = "X" * 200_000 + ",1,2,3,4,0.1,0.01"
+        path = tmp_path / "fund.csv"
+        path.write_text(TestPortfolioFileErrors.HEADER + "".join(r + "\n" for r in rows))
+        code = main(["rcr", "--portfolio", str(path)])
+        report = json.loads(capsys.readouterr().err)
+        assert code == EXIT_CONFIG and report["error"] == "validation"
+        assert report["detail"] == (f"portfolio file {path}, line {k + 2}: "
+                                    f"field larger than field limit ({self.LIMIT})")
+
+    def test_long_alpha_cell(self, tmp_path, capsys):
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text("0.2\n0.3\n" + "0" * 200_000 + "\n")
+        code = main(["rst", "--portfolio", FUND, "--mode", "liability", "--alpha", str(alpha)])
+        report = json.loads(capsys.readouterr().err)
+        assert code == EXIT_CONFIG and report["error"] == "validation"
+        assert report["detail"].startswith(f"alpha file {alpha}, line 3: field larger")
+
+    def test_long_request_cell(self, tmp_path, capsys):
+        path = tmp_path / "requests.csv"
+        path.write_text("day,investor,rate\n0," + "A" * 200_000 + ",0.05\n")
+        assert main(["gate", "--requests", str(path)]) == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation"
+        assert report["detail"].startswith(f"requests file {path}, line 2: field larger")

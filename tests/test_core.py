@@ -638,3 +638,92 @@ class TestRepeatedColumns:
         path = tmp_path / "fund.csv"
         path.write_text(HEADER.strip() + ",note,note\nA,1,2,3,4,0.1,0.01,a,b\n")
         assert load_portfolio(path).ids == ("A",)
+
+
+LIMIT = csv.field_size_limit()
+OVER = "0" * LIMIT + "1"  # a number one character over the csv field limit
+
+
+class TestFieldLimit:
+    """A cell longer than ``csv.field_size_limit()`` is a DomainError naming
+    the file and line, wherever it sits and whichever path parses the file."""
+
+    def write(self, path, row, k):
+        rows = [f"A{i},1,2,3,4,0.1,0.01" for i in range(4)]
+        rows[k] = row
+        path.write_text(HEADER + "".join(r + "\n" for r in rows))
+
+    def assert_both_paths_raise(self, path, match):
+        with pytest.raises(DomainError, match=match) as fast:
+            load_portfolio(path)
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+            with pytest.raises(DomainError) as slow:
+                load_portfolio(path)
+        assert str(fast.value) == str(slow.value)
+        return str(fast.value)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("row", ["X" * (LIMIT + 1) + ",1,2,3,4,0.1,0.01",
+                                     f"B,{OVER},2,3,4,0.1,0.01",
+                                     f"B,1,2,3,4,0.1,0.01,{OVER}"],
+                             ids=["id", "number", "extra column"])
+    def test_long_cell_names_the_line(self, tmp_path, row, k):
+        path = tmp_path / "fund.csv"
+        self.write(path, row, k)
+        detail = self.assert_both_paths_raise(path, "field larger than field limit")
+        assert detail == f"portfolio file {path}, line {k + 2}: field larger than field limit ({LIMIT})"
+
+    def test_long_header_cell(self, tmp_path):
+        path = tmp_path / "fund.csv"
+        path.write_text(HEADER.strip() + ",x" + "y" * LIMIT + "\nA,1,2,3,4,0.1,0.01,z\n")
+        assert self.assert_both_paths_raise(path, "field larger").startswith(
+            f"portfolio file {path}, line 1: ")
+
+    def test_quoted_cell_spanning_short_lines(self, tmp_path):
+        # no line is over the limit, the cell is
+        path = tmp_path / "fund.csv"
+        self.write(path, quoted(("x" * 999 + "\n") * 200) + ",1,2,3,4,0.1,0.01", 2)
+        self.assert_both_paths_raise(path, f"portfolio file .*, line 1[0-9][0-9]: field larger")
+
+    def test_cell_at_the_limit_loads_through_both_paths(self, tmp_path):
+        path = tmp_path / "fund.csv"
+        self.write(path, "X" * LIMIT + ",1,2,3,4,0.1,0.01", 2)
+        ours = load_outcome(path)
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+            assert load_outcome(path) == ours
+        assert ours[0][2] == "X" * LIMIT
+
+    def test_long_ids_below_the_limit_stay_on_the_c_reader(self, monkeypatch, tmp_path):
+        path = tmp_path / "fund.csv"
+        path.write_text(HEADER + "".join(f"{quoted('x' * 4000 + str(i))},1,2,3,4,0.1,0.01\n"
+                                         for i in range(100)))
+
+        def refuse(*args):
+            raise AssertionError("fell back to the csv path")
+
+        monkeypatch.setattr(core, "_csv_portfolio", refuse)
+        assert load_portfolio(path).n == 100
+
+    def test_a_raised_limit_is_honoured(self, tmp_path):
+        path = tmp_path / "fund.csv"
+        self.write(path, "X" * 200_000 + ",1,2,3,4,0.1,0.01", 2)
+        csv.field_size_limit(400_000)
+        try:
+            ours = load_outcome(path)
+            with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+                assert load_outcome(path) == ours
+        finally:
+            csv.field_size_limit(LIMIT)
+        assert ours[0][2] == "X" * 200_000
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_long_correlation_cell(self, tmp_path, k):
+        rows = ["1,0.5", "0.5,1"]
+        rows[k] = f"1,{OVER}"
+        path = tmp_path / "rho.csv"
+        path.write_text("\n".join(rows) + "\n")
+        want = f"correlation file {path}, line {k + 1}: field larger than field limit ({LIMIT})"
+        for read in (load_correlation, core._csv_correlation):
+            with pytest.raises(DomainError) as err:
+                read(path)
+            assert str(err.value) == want

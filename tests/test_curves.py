@@ -1,0 +1,274 @@
+"""Each liquidation curve is sorted once: a schedule keeps the value curve
+behind ``amounts``, a portfolio keeps its unwind curve, and the liability
+RST and the waterfall admissible shock read A(tau) as one sum. Every value
+is compared with the expression it replaces, bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lst import (
+    UNREACHABLE,
+    DomainError,
+    Portfolio,
+    RedemptionPortfolio,
+    Security,
+    asset_rst,
+    build_schedule,
+    daily_liquidation_profile,
+    illiquid_assets,
+    liability_rst,
+    liquidation_time,
+    max_admissible_shock,
+    optimal_pro_rata,
+    tna,
+    weights,
+)
+from lst.liquidation import DONE_TOL, _raised, cumulative_value
+
+ALPHA = np.array([0.20, 0.30, 0.0, 0.15, 0.0, 0.0, 0.0])
+EPS = np.finfo(float).eps
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@st.composite
+def funds(draw, min_n=1, max_n=12):
+    """Columns of a random fund: some names unheld, some with a zero daily
+    limit, limits from a sliver of a position to more than all of it."""
+    n = draw(st.integers(min_n, max_n))
+    shares = draw(st.lists(st.sampled_from([0]) | st.integers(1, 10**6), min_size=n, max_size=n))
+    prices = draw(st.lists(st.floats(0.01, 2000.0), min_size=n, max_size=n))
+    limits = draw(st.lists(st.sampled_from([0.0]) | st.floats(1e-3, 2e6), min_size=n, max_size=n))
+    assume(sum(s * p for s, p in zip(shares, prices)) > 0)
+    return dict(shares=shares, price=prices, daily_limit=limits, daily_volume=[0.0] * n,
+                volatility=[0.0] * n, spread=[0.0] * n)
+
+
+def from_columns(columns) -> Portfolio:
+    return Portfolio.from_columns([f"S{i}" for i in range(len(columns["shares"]))], columns)
+
+
+def from_securities(columns) -> Portfolio:
+    rows = zip(*(columns[k] for k in ("shares", "price", "daily_limit")))
+    return Portfolio([Security(id=f"S{i}", shares=s, price=p, daily_limit=c)
+                      for i, (s, p, c) in enumerate(rows)])
+
+
+def reference_liquidation_time(schedule, p):
+    """``liquidation_time`` on a value curve sorted afresh."""
+    total = schedule.target.value(schedule.portfolio)
+    days = np.arange(1, schedule.horizon + 1)
+    cum = cumulative_value(schedule.sellable, schedule.cap, schedule.portfolio.prices, days)
+    hit = np.flatnonzero(cum >= p * total * (1 - 1e-12))
+    return int(hit[0]) + 1 if hit.size else UNREACHABLE
+
+
+def reference_profile(portfolio, max_days):
+    """``daily_liquidation_profile`` with its unwind curve sorted afresh."""
+    w = weights(portfolio)
+    cap = portfolio.daily_limits
+    psi = cap * portfolio.prices / tna(portfolio)
+    with np.errstate(divide="ignore"):
+        tau = np.where(cap > 0, portfolio.shares / np.where(cap > 0, cap, 1.0), np.inf)
+    liquid = psi > 0
+    residual = float(w[~liquid].sum())
+    horizon = int(min(max_days, math.ceil(tau[liquid].max()))) if liquid.any() else 0
+    return np.diff(cumulative_value(w, psi, np.ones_like(w), np.arange(horizon + 1))), residual
+
+
+def reference_illiquid(portfolio, w_star, max_days):
+    w = weights(portfolio)
+    psi = portfolio.daily_limits * portfolio.prices / tna(portfolio)
+    profile, _ = reference_profile(portfolio, max_days)
+    below = np.flatnonzero(profile <= w_star + 1e-15)
+    h_star = int(below[0]) + 1 if below.size else len(profile) + 1
+    return h_star, 1.0 - float(np.minimum((h_star - 1) * psi, w).sum())
+
+
+class TestScheduleCurve:
+    @settings(max_examples=120, deadline=None)
+    @given(funds(), st.floats(0.0, 1.0), st.integers(1, 400),
+           st.lists(st.integers(1, 500), min_size=1, max_size=4),
+           st.lists(st.sampled_from([1.0, 0.5]) | st.floats(1e-6, 1.0), min_size=1, max_size=4))
+    def test_amounts_and_liquidation_time_equal_a_fresh_sort(self, columns, rate, max_days,
+                                                             days, thresholds):
+        portfolio = from_columns(columns)
+        q = RedemptionPortfolio(quantities=rate * portfolio.shares)
+        schedule = build_schedule(portfolio, q, max_days=max_days)
+        prices = portfolio.prices
+        for d in days + days:  # every length twice: the second read is off the kept curve
+            h = np.minimum(np.arange(1, d + 1), schedule.horizon)
+            assert bits(schedule.amounts(d)) == bits(
+                cumulative_value(schedule.sellable, schedule.cap, prices, h))
+        if schedule.target.value(portfolio) > 0:
+            for p in thresholds:
+                assert liquidation_time(schedule, p) == reference_liquidation_time(schedule, p)
+
+    @settings(max_examples=50, deadline=None)
+    @given(funds())
+    def test_curve_is_built_once_and_read_only(self, columns):
+        portfolio = from_columns(columns)
+        schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=portfolio.shares))
+        schedule.amounts(3)
+        curve = schedule._value_curve
+        schedule.amounts(7)
+        assert schedule._value_curve is curve
+        for a in curve:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+    def test_zero_limits_sell_nothing(self):
+        columns = dict(shares=[100, 50], price=[10.0, 20.0], daily_limit=[0.0, 0.0],
+                       daily_volume=[0, 0], volatility=[0, 0], spread=[0, 0])
+        schedule = build_schedule(from_columns(columns),
+                                  RedemptionPortfolio(quantities=[100.0, 50.0]), max_days=5)
+        assert schedule.stuck == ("S0", "S1")
+        assert bits(schedule.amounts(5)) == bits(np.zeros(5))
+        assert liquidation_time(schedule, 0.5) is UNREACHABLE
+
+
+class TestAmountWithoutSchedule:
+    @settings(max_examples=120, deadline=None)
+    @given(funds(), st.data(), st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 2.0),
+           st.integers(1, 40))
+    def test_liability_rst_is_the_raised_sum(self, columns, data, floor, tau):
+        portfolio = from_columns(columns)
+        n = portfolio.n
+        alpha = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                            min_size=n, max_size=n)))
+        q = alpha * portfolio.shares
+        cap, prices = portfolio.daily_limits, portfolio.prices
+        res = liability_rst(portfolio, alpha, floor, tau)
+        want = _raised(tau, cap, q, prices)
+        assert res.amount == want / floor
+        assert res.rate == want / floor / tna(portfolio)
+        old = build_schedule(portfolio, RedemptionPortfolio(quantities=q), max_days=tau).amount(tau)
+        # the schedule stops DONE_TOL shares short; both sums round within n ulps each
+        assert abs(want - old) <= DONE_TOL * prices.max() + 2 * n * EPS * float(q @ prices)
+
+    @settings(max_examples=120, deadline=None)
+    @given(funds(), st.integers(1, 40))
+    def test_waterfall_admissible_shock_is_the_raised_sum(self, columns, tau):
+        portfolio = from_columns(columns)
+        shares, cap, prices = portfolio.shares, portfolio.daily_limits, portfolio.prices
+        got = max_admissible_shock(portfolio, tau, "waterfall")
+        assert got == _raised(tau, cap, shares, prices) / tna(portfolio)
+        old = build_schedule(portfolio, RedemptionPortfolio(quantities=shares),
+                             max_days=tau).amount(tau)
+        # as above, plus one rounding of the division by net assets
+        assert abs(got * tna(portfolio) - old) <= \
+            DONE_TOL * prices.max() + (2 * portfolio.n + 2) * EPS * tna(portfolio)
+
+    @settings(max_examples=50, deadline=None)
+    @given(funds().map(lambda c: dict(c, daily_limit=[x or 1.0 for x in c["daily_limit"]])))
+    def test_fully_liquid_fund_absorbs_exactly_its_net_assets(self, columns):
+        portfolio = from_columns(columns)
+        tau = int(np.ceil((portfolio.shares / portfolio.daily_limits).max())) + 1
+        assert max_admissible_shock(portfolio, tau, "waterfall") == 1.0
+
+    def test_a_schedule_stopped_within_done_tol_sold_less(self):
+        # each position finishes a hair past a whole day: the schedule stops
+        # DONE_TOL shares short and reads 0.9999999999999997, the sum reads 1
+        columns = dict(shares=[473189.0, 511822.0, 755167.0],
+                       price=[82.94255678822374, 41.51071450054697, 55.40977507963289],
+                       daily_limit=[24904.68421052629, 511821.9999999998, 251722.33333333323],
+                       daily_volume=[0, 0, 0], volatility=[0, 0, 0], spread=[0, 0, 0])
+        portfolio = from_columns(columns)
+        schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=portfolio.shares),
+                                  max_days=20)
+        assert schedule.horizon < 20
+        assert schedule.amount(20) / tna(portfolio) == 0.9999999999999997
+        assert max_admissible_shock(portfolio, 20, "waterfall") == 1.0
+        assert liability_rst(portfolio, np.ones(3), 1.0, 20).rate == 1.0
+
+    def test_liability_rst_on_the_demo_fund(self, fund):
+        # the published liability table's amounts, through the direct sum
+        for tau in range(1, 6):
+            q = ALPHA * fund.shares
+            schedule = build_schedule(fund, RedemptionPortfolio(quantities=q), max_days=tau)
+            assert liability_rst(fund, ALPHA, 0.5, tau).amount == schedule.amount(tau) / 0.5
+
+
+class TestUnwindCurve:
+    @settings(max_examples=150, deadline=None)
+    @given(funds(), st.sampled_from([5e-4, 1e-3, 2e-3, 0.05]) | st.floats(1e-6, 0.5),
+           st.lists(st.sampled_from([260, 10_000]) | st.integers(1, 600), min_size=1, max_size=4),
+           st.booleans())
+    def test_profile_and_illiquid_equal_a_fresh_sort(self, columns, w_star, horizons, securities):
+        build = from_securities if securities else from_columns
+        portfolio = build(columns)
+        for max_days in horizons + horizons[::-1]:
+            profile, residual = daily_liquidation_profile(portfolio, max_days)
+            want, want_residual = reference_profile(portfolio, max_days)
+            assert bits(profile) == bits(want) and residual == want_residual
+            assert illiquid_assets(portfolio, w_star, max_days) == \
+                reference_illiquid(portfolio, w_star, max_days)
+        # the default horizons of the two measures, in the stress report's order
+        assert illiquid_assets(portfolio, w_star) == reference_illiquid(portfolio, w_star, 10_000)
+        profile, _ = daily_liquidation_profile(portfolio)
+        assert bits(profile) == bits(reference_profile(portfolio, 260)[0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(funds(min_n=2), st.floats(0.1, 10.0))
+    def test_two_portfolios_never_share_a_curve(self, columns, scale):
+        # same ids and holdings, other limits: each reads its own curve
+        first = from_columns(columns)
+        other = dict(columns, daily_limit=[scale * c for c in columns["daily_limit"]])
+        second = from_columns(other)
+        twin = from_securities(columns)
+        for p in (first, second, twin):
+            profile, _ = daily_liquidation_profile(p)
+            assert bits(profile) == bits(reference_profile(p, 260)[0])
+            assert illiquid_assets(p, 1e-3) == reference_illiquid(p, 1e-3, 10_000)
+        assert first._unwind is not second._unwind and first._unwind is not twin._unwind
+        assert first._unwind[3][0] is not twin._unwind[3][0]
+        for a in (*first._unwind[:3], *first._unwind[3]):
+            assert not a.flags.writeable
+
+    def test_a_new_portfolio_starts_without_a_curve(self, fund):
+        columns = dict(shares=fund.shares, price=fund.prices, daily_limit=fund.daily_limits,
+                       daily_volume=fund.daily_volumes, volatility=fund.volatilities,
+                       spread=fund.spreads)
+        assert Portfolio.from_columns(fund.ids, columns)._unwind is None
+        assert Portfolio(fund.securities)._unwind is None
+
+
+BAD_DAYS = [0, -3, 2.5, 2.0, float("nan"), float("inf"), True, "3", None, np.float64(2.0)]
+
+
+class TestDayCountsAndTolerance:
+    @pytest.mark.parametrize("tau", BAD_DAYS, ids=repr)
+    def test_bad_day_counts_are_domain_errors(self, fund, tau):
+        calls = (lambda: liability_rst(fund, ALPHA, 0.5, tau),
+                 lambda: asset_rst(fund, 0.1, 0.5, tau),
+                 lambda: optimal_pro_rata(fund, tau),
+                 lambda: max_admissible_shock(fund, tau, "optimal"),
+                 lambda: max_admissible_shock(fund, tau, "waterfall"))
+        for call in calls:
+            with pytest.raises(DomainError, match="tau_h must be an integer of at least 1"):
+                call()
+
+    def test_numpy_integers_are_day_counts(self, fund):
+        for tau in (np.int64(3), np.int32(3)):
+            assert liability_rst(fund, ALPHA, 0.5, tau) == liability_rst(fund, ALPHA, 0.5, 3)
+            assert asset_rst(fund, 0.1, 0.5, tau) == asset_rst(fund, 0.1, 0.5, 3)
+            assert optimal_pro_rata(fund, tau)[0] == optimal_pro_rata(fund, 3)[0]
+            assert max_admissible_shock(fund, tau, "waterfall") == \
+                max_admissible_shock(fund, 3, "waterfall")
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, -1e-6, float("nan"), float("inf")])
+    def test_bisection_tol_must_lie_in_the_open_unit_interval(self, fund, tol):
+        with pytest.raises(DomainError, match="tol must lie in"):
+            asset_rst(fund, 0.1, 0.5, 2, tol=tol)
+
+    def test_a_coarse_tol_still_solves(self, fund):
+        fine = asset_rst(fund, 0.1, 0.5, 2)
+        assert isinstance(fine, float)
+        assert abs(asset_rst(fund, 0.1, 0.5, 2, tol=1e-3) - fine) <= 1e-3
