@@ -415,10 +415,17 @@ def _power_law_gain(params: BufferCostParams, w):
 def expected_lg_exact(params: BufferCostParams, w):
     """Exact expected liquidation gain at a cash weight w (a float or an array).
 
-    Under the power law: the reference closed form when no trading limit
-    binds, the sum over trading-limit segments otherwise. A custom
-    redemption law takes the adaptive quadrature of the defining integral
-    (float w only).
+    Under the power law: the sum over trading-limit segments when a limit
+    binds (x+ < 1), which is the expectation of the defining integral. With
+    no trading limit (x+ >= 1) it returns the paper's reference closed form
+    ``expected_lg_components_closed``, whose asset leg is
+    ``eta * s * w * (1 - w)``, as the goldens do. That form is the true
+    expectation only at eta = 1, so at other eta the value jumps at
+    x+ = 1: with spread 20bp, cash cost 1bp, impact 0.4, sigma 0.2, eta = 2
+    and w = 0.1 it is 7.686e-4 at x+ = 0.999999 (quadrature of the
+    defining integral agrees) and 9.306e-4 at x+ = 1. A custom redemption
+    law takes the adaptive quadrature of the defining integral (float w
+    only).
     """
     if params.cdf is not None:
         return expected_lg_quadrature(params, w)

@@ -103,10 +103,13 @@ class Portfolio:
     (``shares``, ``prices``, ...) are validated and fixed at construction.
     ``Portfolio(securities)`` and ``Portfolio.from_columns`` share that one
     path; ``securities`` is built from the columns on first access, and so
-    is the sorted unwind curve that ``liquidation`` keeps in ``_unwind``.
+    are the two sorted curves ``liquidation`` keeps: ``_waterfall``, the
+    value curve of the whole holdings at the daily limits, whose order of
+    the live names by shares/cap every other curve at those limits starts
+    from, and ``_unwind``, the same unwind in weight units.
     """
 
-    __slots__ = ("_ids", "_columns", "_correlation", "_securities", "_unwind")
+    __slots__ = ("_ids", "_columns", "_correlation", "_securities", "_waterfall", "_unwind")
 
     def __init__(self, securities, correlation=None) -> None:
         securities = tuple(securities)
@@ -139,7 +142,8 @@ class Portfolio:
             col.flags.writeable = False
             cols[name] = col
         _check_holdings(ids, cols)
-        self._ids, self._columns, self._unwind = ids, cols, None
+        self._ids, self._columns = ids, cols
+        self._waterfall = self._unwind = None
         self._correlation = None if correlation is None else _checked_correlation(correlation, n)
 
     @property

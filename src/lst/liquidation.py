@@ -6,8 +6,9 @@ profile and the illiquid-asset measure.
 Greedy selling at the daily limits has the closed form
 cum_i(h) = min(h * cap_i, q_i); every analytic here evaluates it directly
 instead of stepping through days: many days at once off a value curve
-sorted once (``_curve``, kept per schedule and per portfolio), one day by a
-single sum (``_raised``).
+sorted once (``_curve``, kept per schedule and per portfolio, all from one
+full sort per portfolio, ``_waterfall``), one day by a single sum
+(``_raised``).
 """
 
 from __future__ import annotations
@@ -48,32 +49,74 @@ UNREACHABLE = Unreachable()
 DONE_TOL = 1e-9
 
 
-def _curve(sellable: np.ndarray, cap: np.ndarray, prices: np.ndarray) -> tuple:
+def _sort_live(sellable: np.ndarray, cap: np.ndarray,
+               hint: Optional[np.ndarray] = None) -> tuple:
+    """The live positions (cap_i > 0) by finishing day t_i = sellable_i / cap_i.
+
+    Returns ``(order, t)``: the live indices in the order
+    ``np.argsort(t, kind="stable")`` gives them (ties in index order) and
+    the t_i in that order. ``hint``, a portfolio's kept order of its live
+    names by shares/cap (``_waterfall``), must list every live position; it
+    changes only the cost. A slice c * shares at the portfolio's own limits
+    has keys in nearly that order, so the stable sort (timsort) of the
+    hinted keys runs in about O(n) instead of O(n log n). That sort keeps
+    the hint's order within a run of equal keys, and two keys can round
+    equal where shares/cap differ (c * s / cap against s / cap); each such
+    run is put back into index order, so the result is exactly the plain
+    stable argsort.
+    """
+    live = cap > 0
+    if hint is None:
+        idx = np.flatnonzero(live)
+    else:  # fewer live names than the hint lists: drop the others, keep the order
+        idx = hint if len(hint) == np.count_nonzero(live) else hint[live[hint]]
+    t = sellable[idx] / cap[idx]
+    by_t = np.argsort(t, kind="stable")
+    order, t = idx[by_t], t[by_t]
+    tie = t[1:] == t[:-1]
+    if tie.any():
+        at = np.flatnonzero(np.concatenate((tie, [False])) | np.concatenate(([False], tie)))
+        # sorted t holds each run of equal keys together: order by key, then index
+        order[at] = order[at][np.lexsort((order[at], t[at]))]
+    return order, t
+
+
+def _curve(sellable: np.ndarray, cap: np.ndarray, prices: np.ndarray,
+           hint: Optional[np.ndarray] = None) -> tuple:
     """The greedy value curve of ``sellable`` at the daily ``cap``, sorted once.
 
     Position i finishes after t_i = sellable_i / cap_i days (never when
-    cap_i = 0, which sells nothing). Returns ``(t, full, rest)``: the t_i in
-    ascending order, ``full[k]``, the value of the k first-finishing
-    positions, and ``rest[k]``, the daily value of the others. The arrays
+    cap_i = 0, which sells nothing). Returns ``(t, full, rest, order)``: the
+    t_i in ascending order, ``full[k]``, the value of the k first-finishing
+    positions, ``rest[k]``, the daily value of the others, and the live
+    positions in that order (``_sort_live``; ``hint`` as there). The arrays
     are read-only, so a curve can be kept and read many times.
     """
-    live = cap > 0
-    t = sellable[live] / cap[live]
-    order = np.argsort(t, kind="stable")
-    full = np.concatenate(([0.0], np.cumsum((prices[live] * sellable[live])[order])))
-    rate = (prices[live] * cap[live])[order]
+    order, t = _sort_live(sellable, cap, hint)
+    full = np.concatenate(([0.0], np.cumsum((prices * sellable)[order])))
+    rate = (prices * cap)[order]
     rest = np.concatenate((np.cumsum(rate[::-1])[::-1], [0.0]))  # rest[k] = sum(rate[k:])
-    t = t[order]
-    for a in (t, full, rest):
+    for a in (t, full, rest, order):
         a.flags.writeable = False
-    return t, full, rest
+    return t, full, rest, order
+
+
+def _waterfall(portfolio: Portfolio) -> tuple:
+    """The portfolio's waterfall curve, ``_curve`` of its whole holdings at
+    its own daily limits: W(h) = sum_i P_i min(h cap_i, shares_i). Sorted on
+    first use and kept on the portfolio. Its ``order``, the live names by
+    shares/cap, is the hint every other curve at these limits starts from,
+    so a portfolio pays for one full sort."""
+    if portfolio._waterfall is None:
+        portfolio._waterfall = _curve(portfolio.shares, portfolio.daily_limits, portfolio.prices)
+    return portfolio._waterfall
 
 
 def _evaluate(curve: tuple, days) -> np.ndarray:
     """Value raised after each h in ``days``, read off a ``_curve``: the full
     value of the positions finished by day h plus h times the daily value of
     the others, in O(len(days) log n)."""
-    t, full, rest = curve
+    t, full, rest, _ = curve
     days = np.asarray(days, dtype=float)
     k = np.searchsorted(t, days, side="right")  # positions finished by day h
     return full[k] + days * rest[k]
@@ -85,19 +128,17 @@ def cumulative_value(sellable: np.ndarray, cap: np.ndarray, prices: np.ndarray,
 
     With the finishing days sorted once (``_curve``), every h is read off
     prefix and suffix sums (``_evaluate``). Cost O(n log n + len(days)); no
-    day-by-security array is formed.
+    day-by-security array is formed. The limits here are arbitrary, so the
+    sort is a plain one, with no portfolio's order as a hint.
     """
     return _evaluate(_curve(sellable, cap, prices), days)
 
 
-def _raised(tau_h: int, limits: np.ndarray, q: np.ndarray, prices: np.ndarray,
-            out: Optional[np.ndarray] = None) -> float:
+def _raised(tau_h: int, limits: np.ndarray, q: np.ndarray, prices: np.ndarray) -> float:
     """Cash raised by day tau_h selling ``q`` greedily at the daily ``limits``:
-    A(tau_h) = sum_i P_i * min(tau_h * limits_i, q_i), with no schedule built.
-    ``out``, an array shaped like ``limits`` (it may be ``limits`` itself),
-    takes the per-security sales instead of a new array."""
-    out = np.multiply(limits, tau_h, out=out)
-    return float(np.minimum(out, q, out=out) @ prices)
+    A(tau_h) = sum_i P_i * min(tau_h * limits_i, q_i), with no schedule built."""
+    sold = np.multiply(limits, tau_h)
+    return float(np.minimum(sold, q, out=sold) @ prices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +195,11 @@ class LiquidationSchedule:
 
     @cached_property
     def _value_curve(self) -> tuple:
-        return _curve(self.sellable, self.cap, self.portfolio.prices)
+        # at the portfolio's own limits the live names are those of its kept
+        # order; stressed limits may differ in which names are live
+        own = self.cap is self.portfolio.daily_limits
+        hint = _waterfall(self.portfolio)[3] if own else None
+        return _curve(self.sellable, self.cap, self.portfolio.prices, hint)
 
 
 def validated_limits(
@@ -258,15 +303,17 @@ def _per_day_weight(portfolio: Portfolio) -> Tuple[np.ndarray, np.ndarray]:
 
 def _unwind(portfolio: Portfolio) -> tuple:
     """``(w, psi, tau, curve)`` of the full unwind in weight units, where
-    ``curve`` is the ``_curve`` of w at the daily weights psi. Sorted on
-    first use and kept on the portfolio, so the daily profile and the
-    illiquid-asset measure share one sort whatever their horizons."""
+    ``curve`` is the ``_curve`` of w at the daily weights psi, sorted from
+    the waterfall's order (w_i / psi_i is shares/cap up to rounding). Built
+    on first use and kept on the portfolio, so the daily profile and the
+    illiquid-asset measure share one curve whatever their horizons."""
     if portfolio._unwind is None:
         w = weights(portfolio)
         psi, tau = _per_day_weight(portfolio)
         for a in (w, psi, tau):
             a.flags.writeable = False
-        portfolio._unwind = (w, psi, tau, _curve(w, psi, np.ones_like(w)))
+        portfolio._unwind = (w, psi, tau,
+                             _curve(w, psi, np.ones_like(w), _waterfall(portfolio)[3]))
     return portfolio._unwind
 
 

@@ -14,10 +14,14 @@ import numpy as np
 
 from ._checks import check_days
 from .core import DomainError, Portfolio, RedemptionPortfolio, tna, weights
-from .liquidation import _raised, validated_limits
+from .liquidation import _raised, _waterfall, validated_limits
 
 BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 200
+
+_U = 2.0**-53            # unit roundoff of a float64
+_TINY = 2.0**-1070       # 32 times the largest underflow error of one operation
+_NO_OVERFLOW = 2.0**1020  # a curve value below this leaves the exact sum finite
 
 
 @dataclass(frozen=True)
@@ -120,19 +124,50 @@ def asset_rst(
 ) -> Union[float, AssetRstNoSolution]:
     """Volume multiplier below which RCR(tau_h) falls below the floor.
 
-    The liquidation portfolio is the pro-rata slice at ``standard_rate`` and
-    every daily limit scales with the multiplier. Coverage is non-decreasing
-    in the multiplier, so the threshold is found by bisection; daily limits
-    stay real-valued (no share rounding). Every evaluation, the two end
-    points included, is the closed form of ``stressed_rcr`` in O(n),
-    written into one preallocated buffer; the checked day count, rate and
-    ``tol`` leave no limit for ``stressed_rcr``'s check to reject.
+    The liquidation portfolio is the pro-rata slice q = r * shares at the
+    standard rate r, and every daily limit scales with the multiplier m.
+    Coverage is non-decreasing in m, so the threshold is found by
+    bisection; daily limits stay real-valued (no share rounding).
 
-    Coverage is piecewise linear in the multiplier, so its root could be
-    solved exactly; the bisection (its midpoints, its ``<=`` test and its
-    stop at ``tol``) is kept on purpose, because the published 6-digit
-    multipliers are those of this sequence and the exact root prints
-    differently in some cells.
+    Coverage is piecewise linear in m, so its root could be solved exactly;
+    the bisection (its midpoints, its ``<=`` test and its stop at ``tol``)
+    is kept on purpose, because the published 6-digit multipliers are those
+    of this sequence and the exact root prints differently in some cells.
+    Every comparison with the floor, the two end points included, is that
+    of the exact coverage c1(m) = A / R, where A is the closed form of
+    ``stressed_rcr``, the sum ``_raised`` in O(n), and R = r * TNA.
+
+    Each comparison is read first off the portfolio's waterfall curve W
+    (``_waterfall``) in O(log n): sum_i P_i min(tau m cap_i, r s_i) equals
+    r W(tau m / r), so c2(m) = r W(h) / R at h = tau m / r. Let T be that
+    sum in exact arithmetic and c = T / R. Both c1 and c2 sum n
+    non-negative terms, so with u = 2^-53 and gamma_k = k u / (1 - k u):
+
+    * c1: tau m cap_i and r s_i carry at most two roundings, so their
+      minimum does; the dot product adds at most n, the division one:
+      c1 = c (1 + a), |a| <= gamma_(n+3).
+    * c2: h = fl(fl(tau m) / r) carries two roundings. A name counts as
+      finished when fl(s_i / cap_i) <= h, which can differ from
+      s_i <= (tau m / r) cap_i only within three roundings, so the amount
+      it contributes, s_i or (tau m / r) cap_i, is within gamma_3 of
+      min((tau m / r) cap_i, s_i). The prefix sum of P_i s_i and the suffix
+      sum of P_i cap_i add at most n roundings; h's own two, the product
+      with h, the addition, the factor r and the division six more:
+      c2 = c (1 + b), |b| <= gamma_(n+9).
+
+    So when |c2 - floor| > g floor with g >= (gamma_(n+3) + gamma_(n+9)) /
+    (1 - gamma_(n+3)), about 2 gamma_(n+9), c1 lies strictly on the same
+    side of the floor as c2. The guard is g = 4 (n + 9) u, about twice
+    that, which also covers the rounding of the test itself. An operation
+    that underflows adds up to 2^-1075 in its own units instead; with
+    Sigma P and Sigma P cap the sums of prices and of daily values, all
+    such terms stay below e = 2^-1070 ((tau + 2)(n + Sigma P) +
+    Sigma P cap) / R + 2^-1070, which is added to the guard. Only a curve
+    value within g floor + e of the floor, or one too large to leave the
+    exact sum finite (NaN and inf included), falls back to ``_raised``. So
+    every midpoint, decision and result is that of the exact bisection, at
+    the cost of one O(n) sum of prices per call instead of about 22 full
+    passes.
 
     Returns:
         The multiplier in (0, 1), or a typed no-solution outcome when the
@@ -145,13 +180,24 @@ def asset_rst(
     check_days("tau_h", tau_h)
     if not 0.0 < tol < 1.0:
         raise DomainError(f"bisection tol must lie in (0, 1), got {tol!r}")
-    q = standard_rate * portfolio.shares  # the pro-rata slice
     shock_amount = standard_rate * tna(portfolio)
-    cap, prices = portfolio.daily_limits, portfolio.prices
-    buf = np.empty_like(cap)
+    shares, cap, prices = portfolio.shares, portfolio.daily_limits, portfolio.prices
+    t, full, rest, _ = _waterfall(portfolio)
+    n = portfolio.n
+    slack = (4 * (n + 9) * _U * rcr_floor
+             + _TINY * ((tau_h + 2) * (n + float(prices.sum())) + float(rest[0])) / shock_amount
+             + _TINY)
 
     def coverage(m: float) -> float:
-        return _raised(tau_h, np.multiply(cap, m, out=buf), q, prices, out=buf) / shock_amount
+        """A value that compares with the floor as c1(m) does: c2(m) where
+        the guard allows, else c1(m) itself."""
+        h = tau_h * m / standard_rate
+        k = t.searchsorted(h, "right")
+        value = standard_rate * (full.item(k) + h * rest.item(k))
+        c = value / shock_amount
+        if value < _NO_OVERFLOW and abs(c - rcr_floor) > slack:
+            return c
+        return _raised(tau_h, cap * m, standard_rate * shares, prices) / shock_amount
 
     if coverage(1.0) <= rcr_floor:
         return AssetRstNoSolution(tau_h=tau_h, rcr_floor=rcr_floor,

@@ -85,3 +85,31 @@ def random_portfolio(rng: np.random.Generator, n: int = None, with_corr: bool = 
         d = np.sqrt(np.diag(cov))
         correlation = cov / np.outer(d, d)
     return Portfolio(securities=securities, correlation=correlation)
+
+
+def tied_columns(rng: np.random.Generator, n: int) -> dict:
+    """Columns of an n-name fund whose keys shares/cap tie or nearly tie.
+
+    Some names copy another name's (shares, cap) pair; some pairs share a
+    cap with shares one ulp apart, the larger share at the lower index, so
+    that c * shares / cap rounds equal for many c where shares/cap does
+    not and the order by shares/cap puts the pair against index order.
+    Some caps are zero and some names are unheld.
+    """
+    shares = np.round(rng.lognormal(10.0, 1.5, n)) + 1.0
+    cap = np.round(rng.lognormal(8.0, 1.0, n)) + 1.0
+    cap[rng.random(n) < rng.choice([0.0, 0.05, 0.5])] = 0.0
+    shares[rng.random(n) < 0.05] = 0.0
+    for _ in range(int(rng.integers(0, n // 3 + 2))):  # repeated pairs
+        i, j = rng.integers(0, n, 2)
+        shares[j], cap[j] = shares[i], cap[i]
+    for _ in range(int(rng.integers(0, n // 3 + 2))):  # one-ulp pairs against index order
+        i, j = np.sort(rng.choice(n, 2, replace=False)) if n > 1 else (0, 0)
+        if shares[j] > 0:
+            cap[i] = cap[j]
+            shares[i] = np.nextafter(shares[j], np.inf)
+    if not (shares > 0).any():
+        shares[0] = 1.0
+    return dict(shares=shares, price=np.round(rng.lognormal(4.0, 0.6, n), 2) + 0.01,
+                daily_limit=cap, daily_volume=np.zeros(n), volatility=np.zeros(n),
+                spread=np.zeros(n))

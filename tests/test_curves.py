@@ -1,7 +1,8 @@
 """Each liquidation curve is sorted once: a schedule keeps the value curve
-behind ``amounts``, a portfolio keeps its unwind curve, and the liability
-RST and the waterfall admissible shock read A(tau) as one sum. Every value
-is compared with the expression it replaces, bit for bit."""
+behind ``amounts``, a portfolio keeps its waterfall and unwind curves, every
+curve at a portfolio's own limits starts from the waterfall's order, and the
+liability RST and the waterfall admissible shock read A(tau) as one sum.
+Every value is compared with the expression it replaces, bit for bit."""
 
 import math
 
@@ -27,7 +28,8 @@ from lst import (
     tna,
     weights,
 )
-from lst.liquidation import DONE_TOL, _raised, cumulative_value
+from lst.liquidation import DONE_TOL, _curve, _raised, _unwind, _waterfall, cumulative_value
+from conftest import tied_columns
 
 ALPHA = np.array([0.20, 0.30, 0.0, 0.15, 0.0, 0.0, 0.0])
 EPS = np.finfo(float).eps
@@ -89,6 +91,124 @@ def reference_illiquid(portfolio, w_star, max_days):
     below = np.flatnonzero(profile <= w_star + 1e-15)
     h_star = int(below[0]) + 1 if below.size else len(profile) + 1
     return h_star, 1.0 - float(np.minimum((h_star - 1) * psi, w).sum())
+
+
+def reference_curve(sellable, cap, prices):
+    """A value curve sorted afresh by one full stable argsort: ``(t, full,
+    rest, order)``, with ``order`` the live indices in that order."""
+    live = cap > 0
+    t = sellable[live] / cap[live]
+    order = np.argsort(t, kind="stable")
+    full = np.concatenate(([0.0], np.cumsum((prices[live] * sellable[live])[order])))
+    rate = (prices[live] * cap[live])[order]
+    rest = np.concatenate((np.cumsum(rate[::-1])[::-1], [0.0]))
+    return t[order], full, rest, np.flatnonzero(live)[order]
+
+
+def same_curve(got, want) -> bool:
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want)) \
+        and len(got) == len(want) == 4
+
+
+@st.composite
+def tied_funds(draw, max_n=3000):
+    """A portfolio from ``tied_columns``, n up to ``max_n``."""
+    n = draw(st.sampled_from([1, 2, 3]) | st.integers(1, max_n))
+    columns = tied_columns(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    return from_columns(columns)
+
+
+#: Slice factors: 0 (every key 0), 1, factors that round many one-ulp pairs
+#: of shares equal (0.8 and 0.6 at shares in [2^k, 1.25 * 2^k)), and any.
+SLICES = st.sampled_from([0.0, 1.0, 0.8, 0.6, 0.1, 0.2]) | st.floats(0.0, 1.0)
+
+
+class TestKeptOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(tied_funds(), st.lists(SLICES, min_size=1, max_size=4))
+    def test_hinted_curve_is_the_fresh_stable_sort(self, portfolio, slices):
+        shares, cap, prices = portfolio.shares, portfolio.daily_limits, portfolio.prices
+        hint = _waterfall(portfolio)[3]
+        assert same_curve(_waterfall(portfolio), reference_curve(shares, cap, prices))
+        for c in slices:
+            q = c * shares
+            assert same_curve(_curve(q, cap, prices, hint), reference_curve(q, cap, prices))
+            schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=q))
+            assert same_curve(schedule._value_curve,
+                              reference_curve(schedule.sellable, cap, prices))
+
+    def test_a_tie_of_scaled_keys_goes_back_to_index_order(self):
+        # shares/cap puts name 1 first; 0.8 * shares rounds both keys equal,
+        # so the stable sort lists name 0 first
+        shares = np.array([np.nextafter(1.5, 2.0), 1.5])
+        cap, prices = np.ones(2), np.array([3.0, 7.0])
+        hint = _curve(shares, cap, prices)[3]
+        assert hint.tolist() == [1, 0]
+        q = 0.8 * shares
+        assert q[0] == q[1]
+        got = _curve(q, cap, prices, hint)
+        assert got[3].tolist() == [0, 1]
+        assert same_curve(got, reference_curve(q, cap, prices))
+        # an empty slice: every key is 0, one run in index order
+        zero = _curve(0.0 * shares, cap, prices, hint)
+        assert zero[3].tolist() == [0, 1]
+        assert same_curve(zero, reference_curve(0.0 * shares, cap, prices))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_funds(max_n=400), SLICES, st.floats(0.1, 3.0), st.data())
+    def test_stressed_limits_sort_afresh(self, portfolio, c, scale, data):
+        # other limits may make other names live, so no kept order applies
+        n = portfolio.n
+        own = portfolio.daily_limits
+        revived = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        limits = np.where(np.array(revived) & (own == 0), 50.0, scale * own)
+        q = RedemptionPortfolio(quantities=c * portfolio.shares)
+        schedule = build_schedule(portfolio, q, limits=limits)
+        assert same_curve(schedule._value_curve,
+                          reference_curve(schedule.sellable, schedule.cap, portfolio.prices))
+
+    def test_a_name_live_only_under_stressed_limits_is_on_the_curve(self):
+        columns = dict(shares=[100.0, 50.0, 70.0], price=[10.0, 20.0, 5.0],
+                       daily_limit=[10.0, 0.0, 7.0], daily_volume=[0, 0, 0],
+                       volatility=[0, 0, 0], spread=[0, 0, 0])
+        portfolio = from_columns(columns)
+        schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=portfolio.shares),
+                                  limits=[0.0, 25.0, 7.0])
+        assert schedule._value_curve[3].tolist() == [1, 2]
+        assert bits(schedule.amounts(3)) == bits([500.0 + 35.0, 1000.0 + 70.0, 1000.0 + 105.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_funds())
+    def test_unwind_curve_is_the_fresh_stable_sort(self, portfolio):
+        w, psi, _, curve = _unwind(portfolio)
+        assert same_curve(curve, reference_curve(w, psi, np.ones_like(w)))
+
+    def test_a_daily_weight_that_underflows_leaves_the_unwind_curve(self):
+        # name 1 is live at its limit, but cap * price / TNA rounds to 0
+        columns = dict(shares=[100.0, 1e6, 70.0], price=[10.0, 1e-30, 5.0],
+                       daily_limit=[10.0, 1e-300, 7.0], daily_volume=[0, 0, 0],
+                       volatility=[0, 0, 0], spread=[0, 0, 0])
+        portfolio = from_columns(columns)
+        assert _waterfall(portfolio)[3].tolist() == [0, 2, 1]
+        w, psi, _, curve = _unwind(portfolio)
+        assert psi[1] == 0.0 and curve[3].tolist() == [0, 2]
+        assert same_curve(curve, reference_curve(w, psi, np.ones_like(w)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(tied_funds(max_n=50))
+    def test_waterfall_is_kept_once_read_only_and_per_portfolio(self, portfolio):
+        assert portfolio._waterfall is None
+        curve = _waterfall(portfolio)
+        build_schedule(portfolio, RedemptionPortfolio(quantities=portfolio.shares)).amounts(5)
+        _unwind(portfolio)
+        assert _waterfall(portfolio) is curve
+        for a in curve:
+            assert not a.flags.writeable
+        twin = Portfolio.from_columns(portfolio.ids, dict(
+            shares=portfolio.shares, price=portfolio.prices, daily_limit=portfolio.daily_limits,
+            daily_volume=portfolio.daily_volumes, volatility=portfolio.volatilities,
+            spread=portfolio.spreads))
+        assert _waterfall(twin) is not curve and same_curve(_waterfall(twin), curve)
 
 
 class TestScheduleCurve:

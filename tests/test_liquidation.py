@@ -366,9 +366,17 @@ def exact_asset_root(fund, rate, floor, tau):
 
 class TestAssetRstRoot:
     @PROPERTY
-    @given(integral_cases(), st.floats(0.01, 1.0), st.floats(0.05, 1.5), st.integers(1, 5))
-    def test_within_tol_of_exact_root(self, case, rate, floor, tau):
+    @given(integral_cases(), st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.integers(1, 5))
+    def test_within_tol_of_exact_root(self, case, rate, where, tau):
+        # a floor strictly between the coverages at m = tol and m = 1 has a root
         fund = case[0]
+        q = RedemptionPortfolio(quantities=rate * fund.shares)
+        shock = rate * tna(fund)
+        low = stressed_rcr(fund, q, shock, tau, BISECTION_TOL)
+        high = stressed_rcr(fund, q, shock, tau, 1.0)
+        floor = min(max(low + where * (high - low), np.nextafter(low, np.inf)),
+                    np.nextafter(high, -np.inf))
+        assume(low < floor < high)  # no float between them: coverage flat in m
         res = asset_rst(fund, rate, floor, tau)
-        assume(isinstance(res, float))
+        assert isinstance(res, float)
         assert abs(res - exact_asset_root(fund, rate, floor, tau)) <= BISECTION_TOL

@@ -18,7 +18,9 @@ from lst import (
     tna,
     weights,
 )
-from conftest import random_portfolio
+from lst import reverse
+from lst.liquidation import _raised, _waterfall
+from conftest import random_portfolio, tied_columns
 
 ALPHA = np.array([0.20, 0.30, 0.0, 0.15, 0.0, 0.0, 0.0])
 
@@ -204,16 +206,25 @@ def reference_asset_rst(portfolio, rate, floor, tau, tol=1e-6):
 
 
 @st.composite
-def asset_rst_cases(draw):
+def asset_rst_cases(draw, wide=False):
     """A random fund, some of its names with a zero daily limit, and a floor
     at or just around the coverage at m = 1, at m = tol, or at a dyadic m
-    that the bisection steps on, where the ``<=`` test meets a tie."""
-    n = draw(st.integers(1, 8))
-    shares = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
-    prices = draw(st.lists(st.floats(0.5, 2000.0), min_size=n, max_size=n))
-    limits = draw(st.lists(st.sampled_from([0.0]) | st.floats(0.01, 1e5), min_size=n, max_size=n))
-    columns = dict(shares=shares, price=prices, daily_limit=limits, daily_volume=[0] * n,
-                   volatility=[0] * n, spread=[0] * n)
+    that the bisection steps on, where the ``<=`` test meets a tie.
+
+    A ``wide`` fund has up to 2000 names whose keys shares/cap tie or nearly
+    tie (``tied_columns``), so the rounding guard is tested at the n it
+    scales with."""
+    if wide:
+        n = draw(st.integers(2, 2000))
+        columns = tied_columns(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    else:
+        n = draw(st.integers(1, 8))
+        shares = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+        prices = draw(st.lists(st.floats(0.5, 2000.0), min_size=n, max_size=n))
+        limits = draw(st.lists(st.sampled_from([0.0]) | st.floats(0.01, 1e5),
+                               min_size=n, max_size=n))
+        columns = dict(shares=shares, price=prices, daily_limit=limits, daily_volume=[0] * n,
+                       volatility=[0] * n, spread=[0] * n)
     portfolio = Portfolio.from_columns([f"S{i}" for i in range(n)], columns)
     rate = draw(st.floats(0.01, 1.0))
     tau = draw(st.integers(1, 10))
@@ -226,14 +237,56 @@ def asset_rst_cases(draw):
     return portfolio, rate, floor, tau
 
 
+def check_against_reference(case):
+    portfolio, rate, floor, tau = case
+    ours = asset_rst(portfolio, rate, floor, tau)
+    want = reference_asset_rst(portfolio, rate, floor, tau)
+    if isinstance(want, AssetRstFailure):
+        assert isinstance(ours, AssetRstNoSolution) and ours.reason is want
+    else:
+        assert type(ours) is float and ours == want
+
+
 class TestAssetRstBisection:
     @settings(max_examples=300, deadline=None)
     @given(asset_rst_cases())
     def test_equals_a_bisection_through_stressed_rcr(self, case):
-        portfolio, rate, floor, tau = case
-        ours = asset_rst(portfolio, rate, floor, tau)
-        want = reference_asset_rst(portfolio, rate, floor, tau)
-        if isinstance(want, AssetRstFailure):
-            assert isinstance(ours, AssetRstNoSolution) and ours.reason is want
-        else:
-            assert type(ours) is float and ours == want
+        check_against_reference(case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(asset_rst_cases(wide=True))
+    def test_wide_funds_with_tied_keys(self, case):
+        check_against_reference(case)
+
+    def test_a_curve_value_off_by_hundreds_of_ulps_falls_back(self):
+        # after a term of 1, each of 1000 terms of 1.5 u (u = 2^-53) rounds
+        # up to 2 u in the curve's running sum: its coverage is 320-390 u
+        # above the exact one, inside the guard 4 (n + 9) u but far outside
+        # a guard of a few u
+        n = 1002
+        shares = np.ones(n)
+        prices = np.r_[1.0, np.full(n - 2, 1.5 * 2.0**-53), 1.0]
+        limits = np.r_[4.0, np.full(n - 2, 2.0), 0.5]
+        portfolio = Portfolio.from_columns(
+            [f"S{i}" for i in range(n)],
+            dict(shares=shares, price=prices, daily_limit=limits, daily_volume=np.zeros(n),
+                 volatility=np.zeros(n), spread=np.zeros(n)))
+        q, total = pro_rata_portfolio(portfolio, 1.0), tna(portfolio)
+        t, full, rest, _ = _waterfall(portfolio)
+        for m in (1.0, 0.75, 0.625, 0.5 + 2**-10):
+            floor = stressed_rcr(portfolio, q, total, 1, m)
+            k = t.searchsorted(m, "right")
+            assert (full[k] + m * rest[k]) / total > floor * (1 + 300 * 2.0**-53)
+            check_against_reference((portfolio, 1.0, floor, 1))
+
+    def test_steps_are_read_off_the_curve(self, fund, monkeypatch):
+        # away from a tie with the floor no step needs the exact O(n) sum
+        calls = []
+        monkeypatch.setattr(reverse, "_raised", lambda *a: calls.append(a) or _raised(*a))
+        wide = Portfolio.from_columns([f"S{i}" for i in range(3000)],
+                                      tied_columns(np.random.default_rng(7), 3000))
+        for portfolio in (fund, wide):
+            for tau in range(1, 6):
+                for floor in (0.15, 0.3, 0.5):
+                    asset_rst(portfolio, 0.1, floor, tau)
+        assert calls == []
