@@ -74,9 +74,7 @@ def parse_days(text: str) -> List[int]:
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_text(header, rows))
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -85,6 +83,14 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _emit(args, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write a subcommand's table to ``--out`` if given, else to stdout."""
+    if args.out:
+        write_csv(args.out, header, rows)
+    else:
+        sys.stdout.write(_csv_text(header, rows))
 
 
 def _error(report: dict, code: int) -> int:
@@ -142,10 +148,7 @@ def cmd_rcr(args) -> int:
          _pct(report.rcr[h - 1], args.raw), _pct(report.ls[h - 1], args.raw)]
         for h in range(1, report.horizon + 1)
     ]
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(_csv_text(header, rows))
+    _emit(args, header, rows)
     if args.schedule_out:
         from .liquidation import build_schedule
 
@@ -194,10 +197,7 @@ def cmd_hqla(args) -> int:
     rows.append(["rcr", "", _fmt(rcr)])
     rows.append(["ls", "", _fmt(ls)])
     header = ["bucket", "weight", "value"]
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(_csv_text(header, rows))
+    _emit(args, header, rows)
     return EXIT_OK
 
 
@@ -263,10 +263,7 @@ def cmd_rst(args) -> int:
                     rows.append([tau, _pct(floor, args.raw), f"no-solution:{res.reason.name}"])
                 else:
                     rows.append([tau, _pct(floor, args.raw), _fmt(res)])
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(_csv_text(header, rows))
+    _emit(args, header, rows)
     if args.mode == "asset" and any(str(r[-1]).startswith("no-solution") for r in rows):
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -306,10 +303,7 @@ def cmd_optimize(args) -> int:
         ["tc_impact_bp", _bp(ev.tc_impact, args.raw)],
         ["shortfall_pct", _pct(ev.shortfall, args.raw)],
     ]
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(_csv_text(header, rows))
+    _emit(args, header, rows)
     return EXIT_OK
 
 
@@ -420,10 +414,7 @@ def cmd_gate(args) -> int:
     header = ["day", "investor", "rate_pct", "fraction_of_request_pct"]
     rows = [[f.day, f.investor, _pct(f.rate, args.raw), _pct(f.fraction_of_request, args.raw)]
             for f in fills]
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        sys.stdout.write(_csv_text(header, rows))
+    _emit(args, header, rows)
     return EXIT_OK
 
 

@@ -103,13 +103,13 @@ class Portfolio:
     (``shares``, ``prices``, ...) are validated and fixed at construction.
     ``Portfolio(securities)`` and ``Portfolio.from_columns`` share that one
     path; ``securities`` is built from the columns on first access, and so
-    are the two sorted curves ``liquidation`` keeps: ``_waterfall``, the
-    value curve of the whole holdings at the daily limits, whose order of
-    the live names by shares/cap every other curve at those limits starts
-    from, and ``_unwind``, the same unwind in weight units.
+    is the one sorted curve ``liquidation`` keeps, ``_waterfall``: the value
+    curve of the whole holdings at the daily limits, which the daily
+    profile and the illiquid-asset measure read, and whose order of the
+    live names by shares/cap every other curve at those limits starts from.
     """
 
-    __slots__ = ("_ids", "_columns", "_correlation", "_securities", "_waterfall", "_unwind")
+    __slots__ = ("_ids", "_columns", "_correlation", "_securities", "_waterfall")
 
     def __init__(self, securities, correlation=None) -> None:
         securities = tuple(securities)
@@ -143,7 +143,7 @@ class Portfolio:
             cols[name] = col
         _check_holdings(ids, cols)
         self._ids, self._columns = ids, cols
-        self._waterfall = self._unwind = None
+        self._waterfall = None
         self._correlation = None if correlation is None else _checked_correlation(correlation, n)
 
     @property

@@ -6,9 +6,11 @@ profile and the illiquid-asset measure.
 Greedy selling at the daily limits has the closed form
 cum_i(h) = min(h * cap_i, q_i); every analytic here evaluates it directly
 instead of stepping through days: many days at once off a value curve
-sorted once (``_curve``, kept per schedule and per portfolio, all from one
-full sort per portfolio, ``_waterfall``), one day by a single sum
-(``_raised``).
+sorted once (``_curve``, kept per schedule), one day by a single sum
+(``_raised``). A portfolio keeps one curve, its waterfall
+W(h) = sum_i P_i min(h cap_i, shares_i) (``_waterfall``): the daily profile
+and the illiquid-asset measure read it, and its order of the live names is
+where every other curve at the portfolio's limits starts its sort.
 """
 
 from __future__ import annotations
@@ -56,20 +58,16 @@ def _sort_live(sellable: np.ndarray, cap: np.ndarray,
     Returns ``(order, t)``: the live indices in the order
     ``np.argsort(t, kind="stable")`` gives them (ties in index order) and
     the t_i in that order. ``hint``, a portfolio's kept order of its live
-    names by shares/cap (``_waterfall``), must list every live position; it
-    changes only the cost. A slice c * shares at the portfolio's own limits
-    has keys in nearly that order, so the stable sort (timsort) of the
-    hinted keys runs in about O(n) instead of O(n log n). That sort keeps
-    the hint's order within a run of equal keys, and two keys can round
-    equal where shares/cap differ (c * s / cap against s / cap); each such
-    run is put back into index order, so the result is exactly the plain
-    stable argsort.
+    names by shares/cap (``_waterfall``), must list exactly the live
+    positions; it changes only the cost. A slice c * shares at the
+    portfolio's own limits has keys in nearly that order, so the stable sort
+    (timsort) of the hinted keys runs in about O(n) instead of O(n log n).
+    That sort keeps the hint's order within a run of equal keys, and two
+    keys can round equal where shares/cap differ (c * s / cap against
+    s / cap); each such run is put back into index order, so the result is
+    exactly the plain stable argsort.
     """
-    live = cap > 0
-    if hint is None:
-        idx = np.flatnonzero(live)
-    else:  # fewer live names than the hint lists: drop the others, keep the order
-        idx = hint if len(hint) == np.count_nonzero(live) else hint[live[hint]]
+    idx = np.flatnonzero(cap > 0) if hint is None else hint
     t = sellable[idx] / cap[idx]
     by_t = np.argsort(t, kind="stable")
     order, t = idx[by_t], t[by_t]
@@ -281,6 +279,13 @@ def liquidation_ratio(schedule: LiquidationSchedule, h: int) -> float:
     return schedule.amount(h) / total
 
 
+def _first_day(series: np.ndarray, level: float):
+    """First day h (``series[h-1]``, 1-based) on which ``series`` reaches
+    ``level`` up to a relative 1e-12, or UNREACHABLE if it never does."""
+    hit = np.flatnonzero(series >= level * (1 - 1e-12))
+    return int(hit[0]) + 1 if hit.size else UNREACHABLE
+
+
 def liquidation_time(schedule: LiquidationSchedule, p: float):
     """Smallest h with liquidation ratio >= p, or UNREACHABLE within max_days."""
     if not 0.0 < p <= 1.0:
@@ -288,73 +293,47 @@ def liquidation_time(schedule: LiquidationSchedule, p: float):
     total = schedule.target.value(schedule.portfolio)
     if total <= 0:
         raise DomainError("liquidation time undefined for a zero-value redemption")
-    hit = np.flatnonzero(schedule.amounts(schedule.horizon) >= p * total * (1 - 1e-12))
-    return int(hit[0]) + 1 if hit.size else UNREACHABLE
-
-
-def _per_day_weight(portfolio: Portfolio) -> Tuple[np.ndarray, np.ndarray]:
-    """psi_i = weight sellable per day; tau_i = days to unwind the position."""
-    cap = portfolio.daily_limits
-    psi = cap * portfolio.prices / tna(portfolio)
-    with np.errstate(divide="ignore"):
-        tau = np.where(cap > 0, portfolio.shares / np.where(cap > 0, cap, 1.0), np.inf)
-    return psi, tau
-
-
-def _unwind(portfolio: Portfolio) -> tuple:
-    """``(w, psi, tau, curve)`` of the full unwind in weight units, where
-    ``curve`` is the ``_curve`` of w at the daily weights psi, sorted from
-    the waterfall's order (w_i / psi_i is shares/cap up to rounding). Built
-    on first use and kept on the portfolio, so the daily profile and the
-    illiquid-asset measure share one curve whatever their horizons."""
-    if portfolio._unwind is None:
-        w = weights(portfolio)
-        psi, tau = _per_day_weight(portfolio)
-        for a in (w, psi, tau):
-            a.flags.writeable = False
-        portfolio._unwind = (w, psi, tau,
-                             _curve(w, psi, np.ones_like(w), _waterfall(portfolio)[3]))
-    return portfolio._unwind
+    return _first_day(schedule.amounts(schedule.horizon), p * total)
 
 
 def daily_liquidation_profile(portfolio: Portfolio, max_days: int = MAX_DAYS_DEFAULT):
-    """Daily liquidation weights W(h) for a full waterfall-style unwind.
+    """Daily liquidation weights of a full waterfall-style unwind.
 
-    Computed in closed form from the per-day sellable weight of each asset:
-    W(h) = sum_i [min(h * psi_i, w_i) - min((h-1) * psi_i, w_i)], in
-    O(horizon log n) off the portfolio's unwind curve (``_unwind``), which
-    is sorted once per portfolio.
+    Day h sells W(h) - W(h-1) of value, where W is the portfolio's waterfall
+    curve (``_waterfall``), sorted once per portfolio. So the profile is
+    np.diff(W(0..H)) / TNA, in O(H log n), with H the last finishing day
+    shares_i / cap_i of a live name rounded up, or ``max_days`` if sooner.
 
     Returns:
-        (W, residual): W is indexed by day (W[0] is day 1) and sums to
-        1 - residual; residual is the weight of securities with a zero daily
-        limit, which never liquidate.
+        (profile, residual): profile is indexed by day (profile[0] is day 1)
+        and sums to 1 - residual, unless cut at ``max_days``; residual is
+        the weight of securities with a zero daily limit, which never
+        liquidate.
     """
-    w, psi, tau, curve = _unwind(portfolio)
-    liquid = psi > 0
-    residual = float(w[~liquid].sum())
-    horizon = int(min(max_days, math.ceil(tau[liquid].max()))) if liquid.any() else 0
-    return np.diff(_evaluate(curve, np.arange(horizon + 1))), residual
+    curve = _waterfall(portfolio)
+    t = curve[0]
+    horizon = math.ceil(min(t[-1], max_days)) if t.size else 0
+    residual = float(weights(portfolio)[portfolio.daily_limits == 0].sum())
+    return np.diff(_evaluate(curve, np.arange(horizon + 1))) / tna(portfolio), residual
 
 
 def illiquid_assets(portfolio: Portfolio, w_star: float,
                     max_days: int = 10_000) -> Tuple[int, float]:
     """Illiquid amount: weight still unsold when daily liquidation drops below w_star.
 
-    Returns (h_star, illiquid_fraction) where h_star is the first day with
-    W(h) <= w_star and the fraction is 1 - sum_i min((h_star - 1) * psi_i, w_i).
-    The default horizon is generous: the daily profile is non-increasing, so
-    the threshold day always exists once every unwind time is covered. The
+    Returns (h_star, illiquid_fraction) where h_star is the first day of the
+    daily profile with a weight <= w_star and the fraction is
+    1 - W(h_star - 1) / TNA, read off the waterfall curve W. The default
+    horizon is generous: the daily profile is non-increasing, so the
+    threshold day always exists once every unwind time is covered. The
     profile is evaluated in closed form, so the horizon costs O(max_days)
     memory, not O(max_days * n).
     """
     if not 0.0 < w_star < 1.0:
         raise DomainError("w_star must lie in (0, 1)")
-    w, psi, _, _ = _unwind(portfolio)
     profile, _ = daily_liquidation_profile(portfolio, max_days=max_days)
     below = np.flatnonzero(profile <= w_star + 1e-15)
     # beyond the computed profile the daily liquidation is 0 (or the residual
     # of stuck assets), so the threshold is met right after it
     h_star = int(below[0]) + 1 if below.size else len(profile) + 1
-    unsold = 1.0 - float(np.minimum((h_star - 1) * psi, w).sum())
-    return h_star, unsold
+    return h_star, 1.0 - float(_evaluate(_waterfall(portfolio), h_star - 1)) / tna(portfolio)

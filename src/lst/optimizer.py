@@ -25,7 +25,7 @@ from .core import (
     tna,
     weight_distortion,
 )
-from .liquidation import LiquidationSchedule, build_schedule
+from .liquidation import LiquidationSchedule, _raised, build_schedule
 
 
 # =============================================================================
@@ -299,10 +299,15 @@ def optimize_policy(
     ``scipy.optimize`` package) from several deterministic starting points:
     pro-rata, a cheapest-first fill, the fastest-liquidating fill, and the
     midpoints of pro-rata with each fill; the value-matching equality is kept
-    feasible by renormalizing each start onto the budget plane. The pro-rata
-    slice always satisfies the tracking constraint, so infeasibility can only
-    come from the shortfall cap; that case is detected against the
-    fastest-liquidating portfolio and reported as a typed outcome. The result
+    feasible by renormalizing each start onto the budget plane. The shortfall
+    is 1 - A(horizon) / budget, with A(horizon), the cash a greedy sale
+    raises by the horizon, read as one sum (``_raised``), no schedule built.
+
+    Two verdicts are typed outcomes. ``InfeasiblePolicy("shortfall")`` is a
+    proof: even the fastest-liquidating portfolio misses the shortfall cap.
+    ``InfeasiblePolicy("tracking-risk")`` means that no start reached a
+    point meeting both caps; it is not a proof that none exists, since a
+    local solver from a few starts can miss a feasible region. The result
     carries one ``SolverStart`` per start.
     """
     if shock.amount <= 0:
@@ -321,9 +326,7 @@ def optimize_policy(
         return tracking_risk_equity(portfolio, rp)
 
     def ls_of(q: np.ndarray) -> float:
-        rp = RedemptionPortfolio(quantities=q)
-        schedule = build_schedule(portfolio, rp)
-        return 1.0 - schedule.amount(horizon) / budget
+        return 1.0 - _raised(horizon, portfolio.daily_limits, q, prices) / budget
 
     def tc_of(q: np.ndarray) -> float:
         rp = RedemptionPortfolio(quantities=q)

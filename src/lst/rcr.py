@@ -14,9 +14,9 @@ import numpy as np
 from ._checks import check_days
 from .core import DomainError, Portfolio, RedemptionPortfolio, RedemptionShock, tna
 from .liquidation import (
-    UNREACHABLE,
     LiquidationSchedule,
     MAX_DAYS_DEFAULT,
+    _first_day,
     _raised,
     build_schedule,
 )
@@ -131,5 +131,4 @@ def time_to_liquidity(report: RcrReport, p: float):
     """
     if not p > 0:
         raise DomainError("threshold p must be positive")
-    hit = np.flatnonzero(report.rcr >= p * (1 - 1e-12))
-    return int(hit[0]) + 1 if hit.size else UNREACHABLE
+    return _first_day(report.rcr, p)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import os
@@ -236,6 +237,46 @@ class TestOptimizeCommand:
         assert report["detail"].startswith("beta_impact ")
 
 
+#: The four ``lst optimize`` runs of the benchmark's CLI catalogue, as
+#: shock-tr_max-ls_max-h, on the packaged fund and its correlation file.
+OPTIMIZE_RUNS = ["0.10-20bp-0.10-1", "0.05-10bp-0.30-2", "0.15-30bp-0.40-3", "0.20-20bp-0.01-1"]
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS")
+
+
+class TestOptimizeStdoutPinned:
+    """Stdout and exit code of the four benchmark ``lst optimize`` runs, as
+    recorded in ``tests/data/optimize_stdout.json``."""
+
+    @pytest.mark.parametrize("run", OPTIMIZE_RUNS)
+    def test_stdout_pinned(self, run):
+        # a fresh interpreter on one BLAS thread: the optimizer's sixth digit
+        # depends on the BLAS thread count
+        with open(PINNED / "optimize_stdout.json") as fh:
+            want = json.load(fh)[run]
+        shock, tr_max, ls_max, h = run.split("-")
+        env = dict(fresh_env(), **{var: "1" for var in BLAS_THREAD_VARS})
+        proc = subprocess.run(
+            [sys.executable, "-m", "lst.cli", "optimize", "--portfolio", FUND, "--corr", CORR,
+             "--shock", shock, "--tr-max", tr_max, "--ls-max", ls_max, "--h", h],
+            capture_output=True, env=env)
+        assert proc.returncode == want["exit"]
+        assert proc.stdout.decode() == want["stdout"]
+
+    def test_pins_are_the_benchmark_reference(self):
+        # the benchmark checks the same runs by the sha256 of their stdout
+        reference = Path(__file__).resolve().parents[1] / "perfbench" / "expected_cli.json"
+        with open(reference) as fh:
+            outputs = json.load(fh)["outputs"]
+        with open(PINNED / "optimize_stdout.json") as fh:
+            pins = json.load(fh)
+        assert sorted(pins) == sorted(OPTIMIZE_RUNS)
+        for run, want in pins.items():
+            entry = outputs[f"optimize-{run}"]
+            assert want["exit"] == entry["code"]
+            assert hashlib.sha256(want["stdout"].encode()).hexdigest() == entry["stdout"]
+
+
 class TestBufferCommand:
     def test_prints_optimum_and_writes_curves(self, tmp_path, capsys):
         out_dir = tmp_path / "curves"
@@ -358,13 +399,17 @@ class TestPortfolioFileErrors:
         assert report["detail"].endswith("line 3: price 'abc' is not a number")
 
 
+def fresh_env():
+    """Environment in which a fresh interpreter imports this lst."""
+    src = str(Path(lst.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_fresh(code):
     """Last stdout line of ``python -c code`` in a fresh interpreter importing this lst."""
-    src = str(Path(lst.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
+                         env=fresh_env(), check=True).stdout
     return out.splitlines()[-1]
 
 

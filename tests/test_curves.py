@@ -1,8 +1,9 @@
 """Each liquidation curve is sorted once: a schedule keeps the value curve
-behind ``amounts``, a portfolio keeps its waterfall and unwind curves, every
-curve at a portfolio's own limits starts from the waterfall's order, and the
-liability RST and the waterfall admissible shock read A(tau) as one sum.
-Every value is compared with the expression it replaces, bit for bit."""
+behind ``amounts``, a portfolio keeps its waterfall curve, which the daily
+profile and the illiquid-asset measure read, every curve at a portfolio's
+own limits starts from the waterfall's order, and the liability RST and the
+waterfall admissible shock read A(tau) as one sum. Every value is compared
+with the same formula on a curve sorted afresh, bit for bit."""
 
 import math
 
@@ -28,7 +29,7 @@ from lst import (
     tna,
     weights,
 )
-from lst.liquidation import DONE_TOL, _curve, _raised, _unwind, _waterfall, cumulative_value
+from lst.liquidation import DONE_TOL, _curve, _raised, _waterfall, cumulative_value
 from conftest import tied_columns
 
 ALPHA = np.array([0.20, 0.30, 0.0, 0.15, 0.0, 0.0, 0.0])
@@ -72,25 +73,23 @@ def reference_liquidation_time(schedule, p):
 
 
 def reference_profile(portfolio, max_days):
-    """``daily_liquidation_profile`` with its unwind curve sorted afresh."""
-    w = weights(portfolio)
-    cap = portfolio.daily_limits
-    psi = cap * portfolio.prices / tna(portfolio)
-    with np.errstate(divide="ignore"):
-        tau = np.where(cap > 0, portfolio.shares / np.where(cap > 0, cap, 1.0), np.inf)
-    liquid = psi > 0
-    residual = float(w[~liquid].sum())
-    horizon = int(min(max_days, math.ceil(tau[liquid].max()))) if liquid.any() else 0
-    return np.diff(cumulative_value(w, psi, np.ones_like(w), np.arange(horizon + 1))), residual
+    """``daily_liquidation_profile`` with its waterfall curve sorted afresh:
+    np.diff(W(0..H)) / TNA, H the last finishing day rounded up, at most
+    ``max_days``; the residual is the weight of the names with no daily limit."""
+    shares, cap, prices = portfolio.shares, portfolio.daily_limits, portfolio.prices
+    live = cap > 0
+    horizon = math.ceil(min((shares[live] / cap[live]).max(), max_days)) if live.any() else 0
+    profile = np.diff(cumulative_value(shares, cap, prices, np.arange(horizon + 1))) / tna(portfolio)
+    return profile, float(weights(portfolio)[cap == 0].sum())
 
 
 def reference_illiquid(portfolio, w_star, max_days):
-    w = weights(portfolio)
-    psi = portfolio.daily_limits * portfolio.prices / tna(portfolio)
     profile, _ = reference_profile(portfolio, max_days)
     below = np.flatnonzero(profile <= w_star + 1e-15)
     h_star = int(below[0]) + 1 if below.size else len(profile) + 1
-    return h_star, 1.0 - float(np.minimum((h_star - 1) * psi, w).sum())
+    sold = cumulative_value(portfolio.shares, portfolio.daily_limits, portfolio.prices,
+                            [h_star - 1])[0]
+    return h_star, 1.0 - float(sold) / tna(portfolio)
 
 
 def reference_curve(sellable, cap, prices):
@@ -177,22 +176,21 @@ class TestKeptOrder:
         assert schedule._value_curve[3].tolist() == [1, 2]
         assert bits(schedule.amounts(3)) == bits([500.0 + 35.0, 1000.0 + 70.0, 1000.0 + 105.0])
 
-    @settings(max_examples=60, deadline=None)
-    @given(tied_funds())
-    def test_unwind_curve_is_the_fresh_stable_sort(self, portfolio):
-        w, psi, _, curve = _unwind(portfolio)
-        assert same_curve(curve, reference_curve(w, psi, np.ones_like(w)))
-
-    def test_a_daily_weight_that_underflows_leaves_the_unwind_curve(self):
-        # name 1 is live at its limit, but cap * price / TNA rounds to 0
+    def test_a_daily_weight_that_underflows_stays_on_the_profile(self):
+        # name 1 is live at its limit, though its daily weight
+        # cap * price / TNA rounds to 0: the profile reads it off the
+        # waterfall, in value units, and it is no residual
         columns = dict(shares=[100.0, 1e6, 70.0], price=[10.0, 1e-30, 5.0],
                        daily_limit=[10.0, 1e-300, 7.0], daily_volume=[0, 0, 0],
                        volatility=[0, 0, 0], spread=[0, 0, 0])
         portfolio = from_columns(columns)
         assert _waterfall(portfolio)[3].tolist() == [0, 2, 1]
-        w, psi, _, curve = _unwind(portfolio)
-        assert psi[1] == 0.0 and curve[3].tolist() == [0, 2]
-        assert same_curve(curve, reference_curve(w, psi, np.ones_like(w)))
+        for max_days in (5, 10, 260):
+            profile, residual = daily_liquidation_profile(portfolio, max_days)
+            want, want_residual = reference_profile(portfolio, max_days)
+            assert len(profile) == max_days and residual == want_residual == 0.0
+            assert bits(profile) == bits(want)
+        assert illiquid_assets(portfolio, 1e-3) == reference_illiquid(portfolio, 1e-3, 10_000)
 
     @settings(max_examples=30, deadline=None)
     @given(tied_funds(max_n=50))
@@ -200,7 +198,8 @@ class TestKeptOrder:
         assert portfolio._waterfall is None
         curve = _waterfall(portfolio)
         build_schedule(portfolio, RedemptionPortfolio(quantities=portfolio.shares)).amounts(5)
-        _unwind(portfolio)
+        daily_liquidation_profile(portfolio)
+        illiquid_assets(portfolio, 1e-3)
         assert _waterfall(portfolio) is curve
         for a in curve:
             assert not a.flags.writeable
@@ -347,17 +346,34 @@ class TestUnwindCurve:
             profile, _ = daily_liquidation_profile(p)
             assert bits(profile) == bits(reference_profile(p, 260)[0])
             assert illiquid_assets(p, 1e-3) == reference_illiquid(p, 1e-3, 10_000)
-        assert first._unwind is not second._unwind and first._unwind is not twin._unwind
-        assert first._unwind[3][0] is not twin._unwind[3][0]
-        for a in (*first._unwind[:3], *first._unwind[3]):
+        assert first._waterfall is not second._waterfall and first._waterfall is not twin._waterfall
+        assert first._waterfall[0] is not twin._waterfall[0]
+        for a in first._waterfall:
             assert not a.flags.writeable
+
+    def test_a_name_that_never_finishes_runs_the_profile_to_max_days(self):
+        # shares / cap of name 0 overflows to inf: it never finishes, so the
+        # profile runs to max_days, and the illiquid day is read off it
+        columns = dict(shares=[1e300, 10.0], price=[1.0, 1.0], daily_limit=[1e-10, 5.0],
+                       daily_volume=[0, 0], volatility=[0, 0], spread=[0, 0])
+        portfolio = from_columns(columns)
+        with np.errstate(over="ignore"):
+            assert _waterfall(portfolio)[0].tolist() == [2.0, math.inf]
+            for max_days in (1, 3, 260):
+                profile, residual = daily_liquidation_profile(portfolio, max_days)
+                want, want_residual = reference_profile(portfolio, max_days)
+                assert len(profile) == max_days and bits(profile) == bits(want)
+                assert residual == want_residual == 0.0
+            assert len(daily_liquidation_profile(portfolio)[0]) == 260
+            assert illiquid_assets(portfolio, 1e-3) == (1, 1.0)
+            assert illiquid_assets(portfolio, 1e-3, 50) == reference_illiquid(portfolio, 1e-3, 50)
 
     def test_a_new_portfolio_starts_without_a_curve(self, fund):
         columns = dict(shares=fund.shares, price=fund.prices, daily_limit=fund.daily_limits,
                        daily_volume=fund.daily_volumes, volatility=fund.volatilities,
                        spread=fund.spreads)
-        assert Portfolio.from_columns(fund.ids, columns)._unwind is None
-        assert Portfolio(fund.securities)._unwind is None
+        assert Portfolio.from_columns(fund.ids, columns)._waterfall is None
+        assert Portfolio(fund.securities)._waterfall is None
 
 
 BAD_DAYS = [0, -3, 2.5, 2.0, float("nan"), float("inf"), True, "3", None, np.float64(2.0)]
