@@ -64,12 +64,16 @@ def parse_rate(text: str) -> float:
 
 
 def parse_days(text: str) -> List[int]:
-    """Parse a day list: '5', '1..5' or '1,3,5'."""
+    """Parse a non-empty day list: '5', '1..5' or '1,3,5'."""
     t = str(text).strip()
     if ".." in t:
         lo, hi = t.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in t.split(",") if x.strip()]
+        days = list(range(int(lo), int(hi) + 1))
+    else:
+        days = [int(x) for x in t.split(",") if x.strip()]
+    if not days:
+        raise DomainError(f"day list {text!r} names no day")
+    return days
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -98,18 +102,27 @@ def _error(report: dict, code: int) -> int:
     return code
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset options from the JSON config document, flags winning."""
-    if not getattr(args, "config", None):
-        return
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """``argv`` parsed again with the keys of the JSON config document as the
+    subcommand's defaults: a config value beats a flag's default, loses to a
+    flag given on the command line, and must meet the flag's choices."""
     with open(args.config) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    sub = parser.subcommands[args.command]
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    defaults = {}
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if attr in ("func", "command") or not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"unknown config key {key!r} for lst {args.command}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        defaults[action.dest] = value
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _load_portfolio_arg(args) -> Portfolio:
@@ -169,6 +182,8 @@ def cmd_hqla(args) -> int:
     weights_arg = [float(x) for x in str(args.weights).split(",")]
     if len(weights_arg) != len(buckets):
         raise DomainError("--weights must give one weight per bucket")
+    if (args.tna_star is None) != (args.h_star is None):
+        raise DomainError("--tna-star and --h-star go together: give both or neither")
     sf = None
     if args.tna_star is not None:
         sf = SpecificRiskParams(
@@ -629,13 +644,15 @@ def cmd_goldens(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lst", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> subparser, for _apply_config
 
-    def add_common(p):
+    def add_common(p, raw=False):
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--raw", action="store_true", help="full-precision output")
+        if raw:
+            p.add_argument("--raw", action="store_true", help="full-precision output")
 
     p = sub.add_parser("rcr", help="redemption coverage ratio table")
-    add_common(p)
+    add_common(p, raw=True)
     p.add_argument("--portfolio")
     p.add_argument("--corr")
     p.add_argument("--shock", default="0.20")
@@ -664,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hqla)
 
     p = sub.add_parser("rst", help="reverse stress testing scenarios")
-    add_common(p)
+    add_common(p, raw=True)
     p.add_argument("--portfolio")
     p.add_argument("--corr")
     p.add_argument("--mode", choices=["liability", "asset"], default="liability")
@@ -676,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rst)
 
     p = sub.add_parser("optimize", help="cost-minimal liquidation under caps")
-    add_common(p)
+    add_common(p, raw=True)
     p.add_argument("--portfolio")
     p.add_argument("--corr")
     p.add_argument("--shock", default="0.10")
@@ -726,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_swing)
 
     p = sub.add_parser("gate", help="FIFO redemption gate schedule")
-    add_common(p)
+    add_common(p, raw=True)
     p.add_argument("--requests", required=True, help="CSV: day,investor,rate")
     p.add_argument("--cap", default="0.02")
     p.add_argument("--out")
@@ -746,7 +763,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser)
+        if args.config:
+            args = _apply_config(parser, args, argv)
         return args.func(args)
     except DomainError as exc:
         return _error({"error": "validation", "detail": str(exc)}, EXIT_CONFIG)

@@ -23,6 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._checks import check_days
 from .core import DomainError, Portfolio, RedemptionPortfolio, tna, weights
 
 #: Default scheduling horizon: one trading year.
@@ -68,7 +69,8 @@ def _sort_live(sellable: np.ndarray, cap: np.ndarray,
     exactly the plain stable argsort.
     """
     idx = np.flatnonzero(cap > 0) if hint is None else hint
-    t = sellable[idx] / cap[idx]
+    with np.errstate(over="ignore"):  # inf: a name that never finishes
+        t = sellable[idx] / cap[idx]
     by_t = np.argsort(t, kind="stable")
     order, t = idx[by_t], t[by_t]
     tie = t[1:] == t[:-1]
@@ -209,11 +211,11 @@ def validated_limits(
     """The daily limits a liquidation of ``redemption`` over ``max_days`` days sells at.
 
     Raises:
-        DomainError: if the target exceeds the holdings, max_days < 1, or a
-            daily limit is negative or not finite.
+        DomainError: if the target exceeds the holdings, max_days is not an
+            integer of at least 1 (``check_days``), or a daily limit is
+            negative or not finite.
     """
-    if not max_days >= 1:
-        raise DomainError("max_days must be at least 1")
+    check_days("max_days", max_days)
     q = redemption.quantities
     if len(q) != portfolio.n:
         raise DomainError("redemption portfolio does not match portfolio size")
@@ -245,7 +247,7 @@ def build_schedule(
     Args:
         portfolio: Fund holdings with daily limits.
         redemption: Target quantities, must not exceed the holdings.
-        max_days: Truncation horizon (>= 1).
+        max_days: Truncation horizon, an integer of at least 1.
         limits: Optional per-security daily limits overriding the portfolio's
             (used by stressed-volume scenarios).
 
@@ -309,7 +311,11 @@ def daily_liquidation_profile(portfolio: Portfolio, max_days: int = MAX_DAYS_DEF
         and sums to 1 - residual, unless cut at ``max_days``; residual is
         the weight of securities with a zero daily limit, which never
         liquidate.
+
+    Raises:
+        DomainError: if max_days is not an integer of at least 1.
     """
+    check_days("max_days", max_days)
     curve = _waterfall(portfolio)
     t = curve[0]
     horizon = math.ceil(min(t[-1], max_days)) if t.size else 0
@@ -327,7 +333,7 @@ def illiquid_assets(portfolio: Portfolio, w_star: float,
     horizon is generous: the daily profile is non-increasing, so the
     threshold day always exists once every unwind time is covered. The
     profile is evaluated in closed form, so the horizon costs O(max_days)
-    memory, not O(max_days * n).
+    memory, not O(max_days * n). ``max_days`` is checked by the profile.
     """
     if not 0.0 < w_star < 1.0:
         raise DomainError("w_star must lie in (0, 1)")

@@ -14,6 +14,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from . import _slsqp
+from ._checks import check_days
 from .core import (
     TRADING_DAYS_PER_YEAR,
     DomainError,
@@ -106,25 +107,28 @@ def transaction_cost(
     if value <= 0:
         return TransactionCost(total=0.0, spread_part=0.0, impact_part=0.0)
     volumes = portfolio.daily_volumes
-    spread_cost = 0.0
-    impact_cost = 0.0
-    cap = cost_model.participation_cap
-    daily_vol = daily_volatility(portfolio.volatilities, cost_model.trading_days)
-    for day in schedule.sold:
-        active = day > 0
-        if not active.any():
-            continue
-        if np.any((volumes <= 0) & active):
-            bad = [portfolio.ids[i] for i in np.nonzero((volumes <= 0) & active)[0]]
+    has_volume = volumes > 0
+    per_volume = np.where(has_volume, volumes, 1.0)
+    sold = schedule.sold
+    # day h sells clip(s_i - (h-1) cap_i, 0, cap_i), which never grows with h:
+    # a sale that passes both checks on day 1 passes them on every day
+    if len(sold):
+        bad = [portfolio.ids[i] for i in np.flatnonzero((volumes <= 0) & (sold[0] > 0))]
+        if bad:
             raise DomainError(f"securities {bad} trade with zero daily volume")
-        x = np.where(volumes > 0, day / np.where(volumes > 0, volumes, 1.0), 0.0)
-        if np.any(x > cap * (1 + 1e-9)):
-            bad = [portfolio.ids[i] for i in np.nonzero(x > cap * (1 + 1e-9))[0]]
+        x = np.where(has_volume, sold[0] / per_volume, 0.0)
+        bad = [portfolio.ids[i] for i in np.flatnonzero(x > cost_model.participation_cap * (1 + 1e-9))]
+        if bad:
             raise DomainError(f"participation above the one-day cap for {bad}")
+    impact_scale = cost_model.beta_impact * daily_volatility(portfolio.volatilities,
+                                                             cost_model.trading_days)
+    spread_cost = impact_cost = 0.0
+    for day in sold:
+        active = day > 0
+        x = np.where(has_volume, day / per_volume, 0.0)
         notional = day * portfolio.prices
         spread_cost += float((notional * portfolio.spreads)[active].sum())
-        impact = cost_model.beta_impact * daily_vol * cost_model.impact_shape(x)
-        impact_cost += float((notional * impact)[active].sum())
+        impact_cost += float((notional * (impact_scale * cost_model.impact_shape(x)))[active].sum())
     return TransactionCost(
         total=(spread_cost + impact_cost) / value,
         spread_part=spread_cost / value,
@@ -203,6 +207,14 @@ def tracking_risk_bond(
     return risk_w + risk_md + risk_dts
 
 
+def _tracking_risk(portfolio: Portfolio, redemption: RedemptionPortfolio,
+                   bond_spec: Optional[BondRiskSpec]) -> float:
+    """Bond tracking risk under a ``bond_spec``, equity tracking risk without one."""
+    if bond_spec is not None:
+        return tracking_risk_bond(portfolio, redemption, bond_spec)
+    return tracking_risk_equity(portfolio, redemption)
+
+
 # =============================================================================
 # POLICY EVALUATION AND OPTIMIZATION
 # =============================================================================
@@ -230,16 +242,12 @@ def evaluate_policy(
     bond_spec: Optional[BondRiskSpec] = None,
 ) -> PolicyEvaluation:
     """Evaluate a liquidation portfolio: tracking risk, cost split, shortfall."""
+    check_days("horizon", horizon)
     schedule = build_schedule(portfolio, redemption)
     cost = transaction_cost(portfolio, cost_model, schedule)
-    if bond_spec is not None:
-        tr = tracking_risk_bond(portfolio, redemption, bond_spec)
-    else:
-        tr = tracking_risk_equity(portfolio, redemption)
-    value = redemption.value(portfolio)
-    shortfall = 1.0 - schedule.amount(horizon) / value
+    shortfall = 1.0 - schedule.amount(horizon) / redemption.value(portfolio)
     return PolicyEvaluation(
-        tracking_risk=tr,
+        tracking_risk=_tracking_risk(portfolio, redemption, bond_spec),
         tc=cost.total,
         tc_spread=cost.spread_part,
         tc_impact=cost.impact_part,
@@ -302,6 +310,8 @@ def optimize_policy(
     feasible by renormalizing each start onto the budget plane. The shortfall
     is 1 - A(horizon) / budget, with A(horizon), the cash a greedy sale
     raises by the horizon, read as one sum (``_raised``), no schedule built.
+    Each result and start point that meets both caps is scored once by
+    ``evaluate_policy``; the cheapest wins, the first of equals.
 
     Two verdicts are typed outcomes. ``InfeasiblePolicy("shortfall")`` is a
     proof: even the fastest-liquidating portfolio misses the shortfall cap.
@@ -310,27 +320,23 @@ def optimize_policy(
     local solver from a few starts can miss a feasible region. The result
     carries one ``SolverStart`` per start.
     """
+    check_days("horizon", horizon)
     if shock.amount <= 0:
         raise DomainError("redemption shock must be positive")
     total = tna(portfolio)
     if shock.amount > total:
         return InfeasiblePolicy("budget", "shock exceeds total net assets")
-    prices = portfolio.prices
-    shares = portfolio.shares
-    budget = shock.amount
+    prices, shares, budget = portfolio.prices, portfolio.shares, shock.amount
 
+    # each clips its argument to the holdings: SLSQP's trial points may leave them
     def tr_of(q: np.ndarray) -> float:
-        rp = RedemptionPortfolio(quantities=q)
-        if bond_spec is not None:
-            return tracking_risk_bond(portfolio, rp, bond_spec)
-        return tracking_risk_equity(portfolio, rp)
+        return _tracking_risk(portfolio, RedemptionPortfolio(np.clip(q, 0.0, shares)), bond_spec)
 
     def ls_of(q: np.ndarray) -> float:
-        return 1.0 - _raised(horizon, portfolio.daily_limits, q, prices) / budget
+        return 1.0 - _raised(horizon, portfolio.daily_limits, np.clip(q, 0.0, shares), prices) / budget
 
     def tc_of(q: np.ndarray) -> float:
-        rp = RedemptionPortfolio(quantities=q)
-        schedule = build_schedule(portfolio, rp)
+        schedule = build_schedule(portfolio, RedemptionPortfolio(np.clip(q, 0.0, shares)))
         return transaction_cost(portfolio, cost_model, schedule).total
 
     # Feasibility of the shortfall cap: nothing liquidates faster than filling
@@ -346,7 +352,7 @@ def optimize_policy(
 
     pro_rata = (budget / total) * shares
     starts = {"pro-rata": pro_rata}
-    greedy = _greedy_fill(portfolio, shares, budget, by_cost=(portfolio, cost_model))
+    greedy = _greedy_fill(portfolio, shares, budget, by_cost=cost_model)
     if greedy is not None:
         starts["cheapest"] = greedy
         starts["pro-rata/cheapest"] = 0.5 * pro_rata + 0.5 * greedy
@@ -376,18 +382,17 @@ def optimize_policy(
 
     ineq = []
     if np.isfinite(tr_max):
-        ineq.append(lambda q: tr_max - tr_of(np.clip(q, 0.0, shares)))
+        ineq.append(lambda q: tr_max - tr_of(q))
     if ls_max < 1.0:
-        ineq.append(lambda q: ls_max - ls_of(np.clip(q, 0.0, shares)))
+        ineq.append(lambda q: ls_max - ls_of(q))
 
-    best_q = None
-    best_tc = math.inf
+    best = None
     records = []
     for name, start in starts.items():
         start = clip_to_budget(np.asarray(start, dtype=float))
         try:
             res = _slsqp.minimize(
-                lambda q: tc_of(np.clip(q, 0.0, shares)),
+                tc_of,
                 start, np.zeros(portfolio.n), shares,
                 eq=[lambda q: (q @ prices - budget) / budget],
                 ineq=ineq,
@@ -400,38 +405,32 @@ def optimize_policy(
         records.append(SolverStart(name, res.mode, res.message, res.nit, res.nfev))
         for candidate in (res.x, start):
             q = clip_to_budget(np.asarray(candidate, dtype=float))
-            if abs(q @ prices - budget) > 1e-6 * budget:
+            if (abs(q @ prices - budget) > 1e-6 * budget
+                    or tr_of(q) > tr_max + 1e-9 or ls_of(q) > ls_max + 1e-9):
                 continue
-            if tr_of(q) > tr_max + 1e-9 or ls_of(q) > ls_max + 1e-9:
-                continue
-            cost = tc_of(q)
-            if cost < best_tc:
-                best_tc = cost
-                best_q = q
-                chosen = len(records) - 1
-    if best_q is None:
+            redemption = RedemptionPortfolio(quantities=q)
+            evaluation = evaluate_policy(portfolio, cost_model, redemption, horizon, bond_spec)
+            if best is None or evaluation.tc < best.evaluation.tc:
+                best = OptimalPolicy(redemption, evaluation, tuple(records))
+    if best is None:
         return InfeasiblePolicy(
             "tracking-risk",
             "no evaluated portfolio satisfied both the tracking and shortfall caps",
             tuple(records),
         )
+    chosen = len(best.starts) - 1  # the last start recorded when the winner was scored
     records[chosen] = replace(records[chosen], chosen=True)
-    redemption = RedemptionPortfolio(quantities=best_q)
-    return OptimalPolicy(
-        redemption=redemption,
-        evaluation=evaluate_policy(portfolio, cost_model, redemption, horizon, bond_spec),
-        starts=tuple(records),
-    )
+    return replace(best, starts=tuple(records))
 
 
-def _greedy_fill(portfolio: Portfolio, caps: np.ndarray, budget: float, by_cost=None):
-    """Fill a budget from per-security capacity, cheapest or as-listed first."""
+def _greedy_fill(portfolio: Portfolio, caps: np.ndarray, budget: float,
+                 by_cost: Optional[CostModel] = None):
+    """Fill a budget from per-security capacity, as listed or cheapest first under ``by_cost``."""
     order = np.arange(portfolio.n)
     if by_cost is not None:
-        p, cm = by_cost
         vols = np.where(portfolio.daily_volumes > 0, portfolio.daily_volumes, np.inf)
-        x_cap = np.minimum(portfolio.daily_limits / vols, cm.participation_cap)
-        marginal = cm.unit_cost(x_cap, p.spreads, p.volatilities)
+        x_cap = np.minimum(portfolio.daily_limits / vols, by_cost.participation_cap)
+        marginal = by_cost.unit_cost(x_cap, portfolio.spreads, portfolio.volatilities)
         order = np.argsort(marginal, kind="stable")
     q = np.zeros(portfolio.n)
     remaining = budget

@@ -38,6 +38,11 @@ class TestParsers:
         assert parse_days("3") == [3]
         assert parse_days("1,4,9") == [1, 4, 9]
 
+    @pytest.mark.parametrize("text", ["5..1", ",", ""])
+    def test_a_day_list_names_a_day(self, text):
+        with pytest.raises(lst.DomainError, match="names no day"):
+            parse_days(text)
+
 
 class TestRcrCommand:
     def test_prorata_matches_published_table(self, tmp_path):
@@ -90,6 +95,34 @@ class TestRcrCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[1].startswith("1,52.53")
 
+    def test_config_values_beat_flag_defaults(self, tmp_path, capsys):
+        # shock 0.5 and the waterfall policy, neither a default, print as if
+        # given as flags
+        for flags, cfg in ((["--shock", "0.5"], {"shock": 0.5}),
+                           (["--policy", "waterfall"], {"policy": "waterfall"})):
+            assert main(["rcr", "--portfolio", FUND, "--horizon", "2", *flags]) == EXIT_OK
+            want = capsys.readouterr().out
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"portfolio": FUND, "horizon": 2, **cfg}))
+            assert main(["rcr", "--config", str(path)]) == EXIT_OK
+            assert capsys.readouterr().out == want
+        assert want.splitlines()[1].startswith("1,11.80,")
+
+    def test_explicit_flags_beat_config_values(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"portfolio": FUND, "shock": 0.5, "horizon": 1}))
+        assert main(["rcr", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith("1,23.38,")
+        assert main(["rcr", "--config", str(cfg), "--shock", "0.20"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith("1,52.53,")
+
+    def test_config_values_meet_the_flag_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"portfolio": FUND, "mode": "bogus"}))
+        assert main(["rst", "--config", str(cfg)]) == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "config" and "'bogus'" in report["detail"]
+
     def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"portfolio": FUND, "shoc": "0.5"}))
@@ -98,6 +131,30 @@ class TestRcrCommand:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "config"
         assert "'shoc'" in report["detail"]
+
+
+class TestRawOutput:
+    def test_rcr_raw_prints_repr_floats(self, capsys):
+        argv = ["rcr", "--portfolio", FUND, "--shock", "0.20", "--horizon", "2"]
+        assert main(argv) == EXIT_OK
+        rounded = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--raw"]) == EXIT_OK
+        raw = capsys.readouterr().out.splitlines()
+        assert rounded[1].startswith("1,52.53,")
+        for a, b in zip(rounded[1:], raw[1:]):
+            a, b = a.split(","), b.split(",")
+            assert a[0] == b[0] and a[2] == b[2]  # the day and the amount stay as they were
+            for cell, full in zip(a[1:2] + a[3:], b[1:2] + b[3:]):
+                assert repr(float(full)) == full and f"{100 * float(full):.2f}" == cell
+
+    @pytest.mark.parametrize("argv", [
+        ["hqla", "--buckets", BUCKETS, "--weights", "0.6,0.3,0.1"], ["buffer"], ["swing"],
+        ["goldens"]])
+    def test_subcommands_without_rounding_take_no_raw(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--raw"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --raw" in capsys.readouterr().err
 
 
 class TestHqlaCommand:
@@ -112,6 +169,14 @@ class TestHqlaCommand:
     def test_weight_mismatch_rejected(self, capsys):
         code = main(["hqla", "--buckets", BUCKETS, "--weights", "1.0"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag", [["--tna-star", "1e9"], ["--h-star", "0.01"]])
+    def test_specific_risk_thresholds_come_as_a_pair(self, flag, capsys):
+        code = main(["hqla", "--buckets", BUCKETS, "--weights", "0.6,0.3,0.1", "--tna", "5e9",
+                     "--herfindahl", "0.02", *flag])
+        assert code == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation" and "--tna-star and --h-star" in report["detail"]
 
     @pytest.mark.parametrize("argv, field", [
         (["--weights", "nan,0.3,0.1"], "weight 1"),
@@ -192,6 +257,14 @@ class TestRstCommand:
         out = capsys.readouterr().out
         assert "no-solution:ALREADY_BELOW_FLOOR" in out
 
+    @pytest.mark.parametrize("mode", ["liability", "asset"])
+    def test_an_empty_day_list_is_a_validation_error(self, mode, capsys):
+        code = main(["rst", "--portfolio", FUND, "--mode", mode, "--tau", "5..1"])
+        assert code == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation" and "names no day" in report["detail"]
+        assert capsys.readouterr().out == ""
+
     def test_asset_mode_solution(self, capsys):
         code = main(["rst", "--portfolio", FUND, "--mode", "asset",
                      "--rate-star", "0.10", "--floor", "0.5", "--tau", "2"])
@@ -228,6 +301,14 @@ class TestOptimizeCommand:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "infeasible-policy"
         assert report["binding"] == "shortfall"
+
+    @pytest.mark.parametrize("h", ["0", "-1"])
+    def test_horizon_below_one_day_is_a_validation_error(self, h, capsys):
+        code = main(["optimize", "--portfolio", FUND, "--corr", CORR, "--h", h])
+        assert code == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation"
+        assert report["detail"] == f"horizon must be an integer of at least 1, got {h}"
 
     def test_non_finite_impact_is_a_validation_error(self, capsys):
         code = main(["optimize", "--portfolio", FUND, "--impact", "nan"])

@@ -6,6 +6,7 @@ waterfall admissible shock read A(tau) as one sum. Every value is compared
 with the same formula on a curve sorted afresh, bit for bit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,18 +15,22 @@ from hypothesis import strategies as st
 
 from lst import (
     UNREACHABLE,
+    CostModel,
     DomainError,
     Portfolio,
     RedemptionPortfolio,
+    RedemptionShock,
     Security,
     asset_rst,
     build_schedule,
     daily_liquidation_profile,
+    evaluate_policy,
     illiquid_assets,
     liability_rst,
     liquidation_time,
     max_admissible_shock,
     optimal_pro_rata,
+    optimize_policy,
     tna,
     weights,
 )
@@ -78,7 +83,8 @@ def reference_profile(portfolio, max_days):
     ``max_days``; the residual is the weight of the names with no daily limit."""
     shares, cap, prices = portfolio.shares, portfolio.daily_limits, portfolio.prices
     live = cap > 0
-    horizon = math.ceil(min((shares[live] / cap[live]).max(), max_days)) if live.any() else 0
+    with np.errstate(over="ignore"):  # inf: a name that never finishes
+        horizon = math.ceil(min((shares[live] / cap[live]).max(), max_days)) if live.any() else 0
     profile = np.diff(cumulative_value(shares, cap, prices, np.arange(horizon + 1))) / tna(portfolio)
     return profile, float(weights(portfolio)[cap == 0].sum())
 
@@ -353,11 +359,13 @@ class TestUnwindCurve:
 
     def test_a_name_that_never_finishes_runs_the_profile_to_max_days(self):
         # shares / cap of name 0 overflows to inf: it never finishes, so the
-        # profile runs to max_days, and the illiquid day is read off it
+        # profile runs to max_days, and the illiquid day is read off it, all
+        # without a numpy warning
         columns = dict(shares=[1e300, 10.0], price=[1.0, 1.0], daily_limit=[1e-10, 5.0],
                        daily_volume=[0, 0], volatility=[0, 0], spread=[0, 0])
         portfolio = from_columns(columns)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert _waterfall(portfolio)[0].tolist() == [2.0, math.inf]
             for max_days in (1, 3, 260):
                 profile, residual = daily_liquidation_profile(portfolio, max_days)
@@ -391,7 +399,42 @@ class TestDayCountsAndTolerance:
             with pytest.raises(DomainError, match="tau_h must be an integer of at least 1"):
                 call()
 
+    # one rule, ``check_days``, for the day counts of the liquidation analytics
+    # and the policy horizon: 0, a negative or a fractional count is an error
+    @pytest.mark.parametrize("days", BAD_DAYS, ids=repr)
+    def test_bad_profile_max_days(self, fund, days):
+        with pytest.raises(DomainError, match="max_days must be an integer of at least 1"):
+            daily_liquidation_profile(fund, days)
+
+    @pytest.mark.parametrize("days", BAD_DAYS, ids=repr)
+    def test_bad_illiquid_assets_max_days(self, fund, days):
+        with pytest.raises(DomainError, match="max_days must be an integer of at least 1"):
+            illiquid_assets(fund, 1e-3, max_days=days)
+
+    @pytest.mark.parametrize("days", BAD_DAYS, ids=repr)
+    def test_bad_schedule_max_days(self, fund, days):
+        with pytest.raises(DomainError, match="max_days must be an integer of at least 1"):
+            build_schedule(fund, RedemptionPortfolio(quantities=fund.shares), max_days=days)
+
+    @pytest.mark.parametrize("days", BAD_DAYS, ids=repr)
+    def test_bad_evaluation_horizon(self, fund, days):
+        q = RedemptionPortfolio(quantities=0.1 * fund.shares)
+        with pytest.raises(DomainError, match="horizon must be an integer of at least 1"):
+            evaluate_policy(fund, CostModel(), q, horizon=days)
+
+    @pytest.mark.parametrize("days", BAD_DAYS, ids=repr)
+    def test_bad_optimizer_horizon(self, fund, days):
+        shock = RedemptionShock.from_rate(fund, 0.10)
+        with pytest.raises(DomainError, match="horizon must be an integer of at least 1"):
+            optimize_policy(fund, CostModel(), shock, 20e-4, 0.10, horizon=days)
+
     def test_numpy_integers_are_day_counts(self, fund):
+        for days in (np.int64(3), np.int32(3)):
+            assert bits(daily_liquidation_profile(fund, days)[0]) == \
+                bits(daily_liquidation_profile(fund, 3)[0])
+            assert illiquid_assets(fund, 1e-3, days) == illiquid_assets(fund, 1e-3, 3)
+            q = RedemptionPortfolio(quantities=0.1 * fund.shares)
+            assert evaluate_policy(fund, CostModel(), q, days) == evaluate_policy(fund, CostModel(), q, 3)
         for tau in (np.int64(3), np.int32(3)):
             assert liability_rst(fund, ALPHA, 0.5, tau) == liability_rst(fund, ALPHA, 0.5, 3)
             assert asset_rst(fund, 0.1, 0.5, tau) == asset_rst(fund, 0.1, 0.5, 3)

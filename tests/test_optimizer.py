@@ -1,5 +1,6 @@
 import math
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lst import (
     RedemptionPortfolio,
     RedemptionShock,
     Security,
+    TransactionCost,
     build_schedule,
     evaluate_policy,
     load_portfolio,
@@ -25,6 +27,7 @@ from lst import (
     transaction_cost,
 )
 from lst import _slsqp
+from lst.core import daily_volatility
 from lst._slsqp import SlsqpResult
 from conftest import CORRELATION, FUND_ROWS, MIXING_POLICIES, make_fund, random_portfolio
 
@@ -125,6 +128,98 @@ class TestTransactionCost:
         schedule = build_schedule(p, RedemptionPortfolio(quantities=np.array([50_000.0])))
         with pytest.raises(DomainError):
             transaction_cost(p, cost_model, schedule)  # 50% of volume in one day
+
+
+def reference_transaction_cost(portfolio, cost_model, schedule):
+    """``transaction_cost`` as a day loop that checks every day's sale:
+    days without a sale are skipped, and each other day is checked for sales
+    at zero volume and above the participation cap before it is priced."""
+    value = schedule.target.value(portfolio)
+    if value <= 0:
+        return TransactionCost(total=0.0, spread_part=0.0, impact_part=0.0)
+    volumes = portfolio.daily_volumes
+    spread_cost = 0.0
+    impact_cost = 0.0
+    cap = cost_model.participation_cap
+    daily_vol = daily_volatility(portfolio.volatilities, cost_model.trading_days)
+    for day in schedule.sold:
+        active = day > 0
+        if not active.any():
+            continue
+        if np.any((volumes <= 0) & active):
+            bad = [portfolio.ids[i] for i in np.nonzero((volumes <= 0) & active)[0]]
+            raise DomainError(f"securities {bad} trade with zero daily volume")
+        x = np.where(volumes > 0, day / np.where(volumes > 0, volumes, 1.0), 0.0)
+        if np.any(x > cap * (1 + 1e-9)):
+            bad = [portfolio.ids[i] for i in np.nonzero(x > cap * (1 + 1e-9))[0]]
+            raise DomainError(f"participation above the one-day cap for {bad}")
+        notional = day * portfolio.prices
+        spread_cost += float((notional * portfolio.spreads)[active].sum())
+        impact = cost_model.beta_impact * daily_vol * cost_model.impact_shape(x)
+        impact_cost += float((notional * impact)[active].sum())
+    return TransactionCost(
+        total=(spread_cost + impact_cost) / value,
+        spread_part=spread_cost / value,
+        impact_part=impact_cost / value,
+    )
+
+
+def outcome_of(call):
+    """A call's result, or the text of the DomainError it raised."""
+    try:
+        return call()
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+class TestTransactionCostMatchesDayByDayChecks:
+    """A name's sale never grows from one day to the next, so checking day 1
+    decides both checks: the same costs, bit for bit, and the same errors."""
+
+    MODELS = (CostModel(), CostModel(regime="sqrt"),
+              CostModel(knee=0.03, participation_cap=0.2, custom_impact=lambda x: x ** 0.6))
+
+    def test_random_funds(self):
+        rng = np.random.default_rng(14)
+        raised = []
+        for case in range(400):
+            n = int(rng.integers(1, 41))
+            volume = np.round(np.exp(rng.normal(11.0, 1.5, n)))
+            volume[rng.random(n) < rng.choice([0.0, 0.05])] = 0.0
+            # limits at 2-10% of the volume, in some funds also above the 10% cap
+            over = rng.choice([0.0, 0.05])
+            limit = np.floor(volume * rng.choice([0.02, 0.05, 0.1, 0.15, 0.5], n,
+                                                 p=[0.3, 0.3, 0.4 - 2 * over, over, over]))
+            limit[limit == 0] = 1.0
+            shares = np.round(limit * rng.uniform(0.2, 25.0, n))
+            p = Portfolio(securities=tuple(
+                Security(f"S{i}", shares=float(shares[i]), price=float(rng.uniform(1.0, 500.0)),
+                         daily_limit=float(limit[i]), daily_volume=float(volume[i]),
+                         volatility=float(rng.uniform(0.05, 0.6)),
+                         spread=float(rng.uniform(0.0, 3e-3)))
+                for i in range(n)))
+            q = shares * rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)
+            schedule = build_schedule(p, RedemptionPortfolio(quantities=q),
+                                      max_days=int(rng.integers(1, 31)))
+            for model in self.MODELS:
+                ours = outcome_of(lambda: transaction_cost(p, model, schedule))
+                assert ours == outcome_of(lambda: reference_transaction_cost(p, model, schedule)), case
+                if isinstance(ours, str):
+                    raised.append("volume" if "zero daily volume" in ours else "cap")
+        # both paths, priced and rejected, and both errors are exercised
+        assert 100 < raised.count("volume") and 100 < raised.count("cap") and len(raised) < 800
+
+    def test_only_the_first_day_is_checked(self, cost_model):
+        # a sale that grows after day 1 (never one of build_schedule's): the
+        # second day's 50% participation and zero-volume sale go unchecked
+        p = Portfolio(securities=(
+            Security("X", 1_000, 10.0, daily_limit=100, daily_volume=1_000, volatility=0.2),
+            Security("Y", 1_000, 10.0, daily_limit=100, daily_volume=0, volatility=0.2)))
+        grows = SimpleNamespace(target=RedemptionPortfolio(quantities=[600.0, 50.0]),
+                                sold=np.array([[100.0, 0.0], [500.0, 50.0]]))
+        assert transaction_cost(p, cost_model, grows).total > 0
+        with pytest.raises(DomainError, match="trade with zero daily volume"):
+            reference_transaction_cost(p, cost_model, grows)
 
 
 class TestTrackingRiskEquity:
@@ -383,6 +478,31 @@ class TestOptimizePolicyMatchesScipy:
             correlation=CORRELATION)
         res = self.same_under_scipy(monkeypatch, zeroed, 0.10, 20e-4, 0.30, 2)
         assert res.redemption.quantities[5] == 0.0
+
+
+class TestWinnerScoredOnce:
+    """The returned evaluation is the winner's own ``evaluate_policy`` score."""
+
+    @pytest.mark.parametrize("shock, tr_max, ls_max, h", [
+        (0.05, 10e-4, 0.30, 2), (0.10, 20e-4, 0.10, 1), (0.15, 30e-4, 0.40, 3),
+        (0.10, math.inf, 1.0, 1)])
+    def test_evaluation_is_that_of_the_returned_redemption(self, fund, cost_model,
+                                                           shock, tr_max, ls_max, h):
+        res = optimize_policy(fund, cost_model, RedemptionShock.from_rate(fund, shock),
+                              tr_max, ls_max, h)
+        assert isinstance(res, OptimalPolicy)
+        assert res.evaluation == evaluate_policy(fund, cost_model, res.redemption, h)
+
+    def test_bond_spec_scores_bond_tracking_risk(self, fund, cost_model):
+        spec = BondRiskSpec(sectors=("a", "a", "b", "b", "c", "c", "c"),
+                            buckets=(1, 2, 1, 2, 1, 2, 3),
+                            modified_duration=(2.0, 5.0, 3.0, 7.0, 1.0, 4.0, 9.0),
+                            dts=(0.1, 0.3, 0.2, 0.5, 0.05, 0.2, 0.6))
+        shock = RedemptionShock.from_rate(fund, 0.10)
+        res = optimize_policy(fund, cost_model, shock, 0.05, 0.30, 2, bond_spec=spec)
+        assert isinstance(res, OptimalPolicy)
+        assert res.evaluation == evaluate_policy(fund, cost_model, res.redemption, 2, spec)
+        assert res.evaluation.tracking_risk == tracking_risk_bond(fund, res.redemption, spec)
 
 
 class TestSolverDiagnostics:
