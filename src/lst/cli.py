@@ -125,12 +125,20 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     return parser.parse_args(argv)
 
 
+def _required(args, flag: str, what: str = "value"):
+    """The value of ``flag`` once any ``--config`` is merged; argparse marks
+    no flag required, so that a config key can give it."""
+    value = getattr(args, flag.lstrip("-").replace("-", "_"))
+    if value is None or value == "":
+        raise DomainError(f"a {flag} {what} is required")
+    return value
+
+
 def _load_portfolio_arg(args) -> Portfolio:
     from .core import load_portfolio
 
-    if not args.portfolio:
-        raise DomainError("a --portfolio file is required")
-    return load_portfolio(args.portfolio, correlation_path=getattr(args, "corr", None))
+    return load_portfolio(_required(args, "--portfolio", "file"),
+                          correlation_path=getattr(args, "corr", None))
 
 
 # =============================================================================
@@ -178,8 +186,8 @@ def cmd_rcr(args) -> int:
 def cmd_hqla(args) -> int:
     from .hqla import SpecificRiskParams, ccf_parametric, load_buckets, rcr_hqla
 
-    buckets = load_buckets(args.buckets)
-    weights_arg = [float(x) for x in str(args.weights).split(",")]
+    buckets = load_buckets(_required(args, "--buckets", "file"))
+    weights_arg = [float(x) for x in str(_required(args, "--weights")).split(",")]
     if len(weights_arg) != len(buckets):
         raise DomainError("--weights must give one weight per bucket")
     if (args.tna_star is None) != (args.h_star is None):
@@ -424,7 +432,7 @@ def _load_requests(path) -> list:
 def cmd_gate(args) -> int:
     from .swing import GatePolicy, gate_schedule
 
-    requests = _load_requests(args.requests)
+    requests = _load_requests(_required(args, "--requests", "file"))
     fills = gate_schedule(requests, GatePolicy(daily_cap=parse_rate(args.cap)))
     header = ["day", "investor", "rate_pct", "fraction_of_request_pct"]
     rows = [[f.day, f.investor, _pct(f.rate, args.raw), _pct(f.fraction_of_request, args.raw)]
@@ -665,8 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hqla", help="HQLA coverage from bucket weights")
     add_common(p)
-    p.add_argument("--buckets", required=True, help="bucket JSON file")
-    p.add_argument("--weights", required=True, help="comma list, one weight per bucket")
+    p.add_argument("--buckets", help="bucket JSON file (required)")
+    p.add_argument("--weights", help="comma list, one weight per bucket (required)")
     p.add_argument("--shock", default="0.20")
     p.add_argument("--tau", default="10")
     p.add_argument("--tna", help="fund size for the specific-risk factor")
@@ -744,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gate", help="FIFO redemption gate schedule")
     add_common(p, raw=True)
-    p.add_argument("--requests", required=True, help="CSV: day,investor,rate")
+    p.add_argument("--requests", help="CSV: day,investor,rate (required)")
     p.add_argument("--cap", default="0.02")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gate)

@@ -103,13 +103,18 @@ class Portfolio:
     (``shares``, ``prices``, ...) are validated and fixed at construction.
     ``Portfolio(securities)`` and ``Portfolio.from_columns`` share that one
     path; ``securities`` is built from the columns on first access, and so
-    is the one sorted curve ``liquidation`` keeps, ``_waterfall``: the value
-    curve of the whole holdings at the daily limits, which the daily
-    profile and the illiquid-asset measure read, and whose order of the
-    live names by shares/cap every other curve at those limits starts from.
+    is what a portfolio keeps of its own analytics, each computed once from
+    the read-only columns:
+
+    - ``_tna``, the total net assets, on the first ``tna`` call;
+    - ``_waterfall``, the one sorted curve ``liquidation`` keeps: the value
+      curve of the whole holdings at the daily limits, which the daily
+      profile, the illiquid-asset measure and a waterfall schedule read,
+      and whose order of the live names by shares/cap every other curve at
+      those limits starts from.
     """
 
-    __slots__ = ("_ids", "_columns", "_correlation", "_securities", "_waterfall")
+    __slots__ = ("_ids", "_columns", "_correlation", "_securities", "_tna", "_waterfall")
 
     def __init__(self, securities, correlation=None) -> None:
         securities = tuple(securities)
@@ -143,7 +148,7 @@ class Portfolio:
             cols[name] = col
         _check_holdings(ids, cols)
         self._ids, self._columns = ids, cols
-        self._waterfall = None
+        self._tna = self._waterfall = None
         self._correlation = None if correlation is None else _checked_correlation(correlation, n)
 
     @property
@@ -267,8 +272,12 @@ class WeightDistortion(NamedTuple):
 # =============================================================================
 
 def tna(portfolio: Portfolio) -> float:
-    """Total net assets: sum of shares times price over all holdings."""
-    value = float(portfolio.shares @ portfolio.prices)
+    """Total net assets: sum of shares times price over all holdings,
+    computed on the first call and kept on the portfolio; a portfolio whose
+    value is not positive raises on every call."""
+    value = portfolio._tna
+    if value is None:
+        value = portfolio._tna = float(portfolio.shares @ portfolio.prices)
     if value <= 0:
         raise DomainError("total net assets must be positive")
     return value
@@ -414,6 +423,7 @@ def load_portfolio(path, correlation_path=None) -> Portfolio:
         ids, columns = _csv_portfolio(path)
     else:
         ids, *values = (table[f"f{header.index(name)}"] for name in _PORTFOLIO_FIELDS)
+        ids = ids.tolist()  # a tuple of a list is far cheaper than of an object array
         columns = dict(zip(_NUMERIC_FIELDS, values))
     correlation = load_correlation(correlation_path) if correlation_path else None
     return Portfolio.from_columns(ids, columns, correlation)

@@ -243,11 +243,18 @@ def evaluate_policy(
 ) -> PolicyEvaluation:
     """Evaluate a liquidation portfolio: tracking risk, cost split, shortfall."""
     check_days("horizon", horizon)
+    return _evaluation(portfolio, cost_model, redemption, horizon,
+                       _tracking_risk(portfolio, redemption, bond_spec))
+
+
+def _evaluation(portfolio: Portfolio, cost_model: CostModel, redemption: RedemptionPortfolio,
+                horizon: int, tracking_risk: float) -> PolicyEvaluation:
+    """``evaluate_policy`` of a redemption whose tracking risk is already known."""
     schedule = build_schedule(portfolio, redemption)
     cost = transaction_cost(portfolio, cost_model, schedule)
     shortfall = 1.0 - schedule.amount(horizon) / redemption.value(portfolio)
     return PolicyEvaluation(
-        tracking_risk=_tracking_risk(portfolio, redemption, bond_spec),
+        tracking_risk=tracking_risk,
         tc=cost.total,
         tc_spread=cost.spread_part,
         tc_impact=cost.impact_part,
@@ -310,8 +317,9 @@ def optimize_policy(
     feasible by renormalizing each start onto the budget plane. The shortfall
     is 1 - A(horizon) / budget, with A(horizon), the cash a greedy sale
     raises by the horizon, read as one sum (``_raised``), no schedule built.
-    Each result and start point that meets both caps is scored once by
-    ``evaluate_policy``; the cheapest wins, the first of equals.
+    Each result and start point that meets both caps is scored once, as
+    ``evaluate_policy`` scores it, with the tracking risk of its cap check;
+    the cheapest wins, the first of equals.
 
     Two verdicts are typed outcomes. ``InfeasiblePolicy("shortfall")`` is a
     proof: even the fastest-liquidating portfolio misses the shortfall cap.
@@ -405,11 +413,13 @@ def optimize_policy(
         records.append(SolverStart(name, res.mode, res.message, res.nit, res.nfev))
         for candidate in (res.x, start):
             q = clip_to_budget(np.asarray(candidate, dtype=float))
-            if (abs(q @ prices - budget) > 1e-6 * budget
-                    or tr_of(q) > tr_max + 1e-9 or ls_of(q) > ls_max + 1e-9):
+            if abs(q @ prices - budget) > 1e-6 * budget:
                 continue
             redemption = RedemptionPortfolio(quantities=q)
-            evaluation = evaluate_policy(portfolio, cost_model, redemption, horizon, bond_spec)
+            tr = _tracking_risk(portfolio, redemption, bond_spec)
+            if tr > tr_max + 1e-9 or ls_of(q) > ls_max + 1e-9:
+                continue
+            evaluation = _evaluation(portfolio, cost_model, redemption, horizon, tr)
             if best is None or evaluation.tc < best.evaluation.tc:
                 best = OptimalPolicy(redemption, evaluation, tuple(records))
     if best is None:

@@ -442,6 +442,56 @@ class TestGateCommand:
         assert report["detail"] == f"requests file {path}: missing columns ['rate']"
 
 
+class TestRequiredFlagsFromConfig:
+    """``--requests`` (gate) and ``--buckets``/``--weights`` (hqla) may come
+    from a config file, like ``--portfolio``; missing from both is exit 2."""
+
+    CASES = {
+        "gate": (["gate", "--cap", "0.02"], {"requests": GATES}),
+        "hqla": (["hqla", "--shock", "0.4"], {"buckets": BUCKETS, "weights": "0.6,0.3,0.1"}),
+    }
+
+    @staticmethod
+    def flags(values):
+        return [arg for key, value in values.items() for arg in (f"--{key}", value)]
+
+    @pytest.mark.parametrize("name", ["gate", "hqla"])
+    def test_config_gives_what_the_flags_give(self, name, tmp_path, capsys):
+        argv, values = self.CASES[name]
+        assert main([*argv, *self.flags(values)]) == EXIT_OK
+        want = capsys.readouterr().out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main([*argv, "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out == want
+
+    def test_flags_beat_config_values(self, tmp_path, capsys):
+        other = tmp_path / "requests.csv"
+        other.write_text("day,investor,rate\n0,Z,0.01\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"requests": str(other)}))
+        assert main(["gate", "--config", str(cfg), "--requests", GATES]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == "0,A,2.00,40.00"
+        cfg.write_text(json.dumps({"buckets": BUCKETS, "weights": "0.2,0.2,0.6"}))
+        assert main(["hqla", "--config", str(cfg), "--weights", "0.6,0.3,0.1"]) == EXIT_OK
+        got = capsys.readouterr().out
+        assert main(["hqla", "--buckets", BUCKETS, "--weights", "0.6,0.3,0.1"]) == EXIT_OK
+        assert got == capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, missing", [
+        ("gate", "requests"), ("hqla", "buckets"), ("hqla", "weights")])
+    def test_missing_from_both_is_exit_2(self, name, missing, tmp_path, capsys):
+        argv, values = self.CASES[name]
+        values = {k: v for k, v in values.items() if k != missing}
+        assert main([*argv, *self.flags(values)]) == EXIT_CONFIG
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "validation" and f"--{missing}" in report["detail"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"--{missing}" in json.loads(capsys.readouterr().err)["detail"]
+
+
 class TestGoldens:
     def test_all_tables_match(self, capsys):
         assert main(["goldens"]) == EXIT_OK

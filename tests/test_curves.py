@@ -7,6 +7,7 @@ with the same formula on a curve sorted afresh, bit for bit."""
 
 import math
 import warnings
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -31,11 +32,14 @@ from lst import (
     max_admissible_shock,
     optimal_pro_rata,
     optimize_policy,
+    rcr_report,
     tna,
+    waterfall_portfolio,
     weights,
 )
+from lst import liquidation
 from lst.liquidation import DONE_TOL, _curve, _raised, _waterfall, cumulative_value
-from conftest import tied_columns
+from conftest import random_portfolio, tied_columns
 
 ALPHA = np.array([0.20, 0.30, 0.0, 0.15, 0.0, 0.0, 0.0])
 EPS = np.finfo(float).eps
@@ -102,7 +106,8 @@ def reference_curve(sellable, cap, prices):
     """A value curve sorted afresh by one full stable argsort: ``(t, full,
     rest, order)``, with ``order`` the live indices in that order."""
     live = cap > 0
-    t = sellable[live] / cap[live]
+    with np.errstate(over="ignore"):  # inf: a name that never finishes
+        t = sellable[live] / cap[live]
     order = np.argsort(t, kind="stable")
     full = np.concatenate(([0.0], np.cumsum((prices[live] * sellable[live])[order])))
     rate = (prices[live] * cap[live])[order]
@@ -115,11 +120,24 @@ def same_curve(got, want) -> bool:
         and len(got) == len(want) == 4
 
 
+#: A position and a daily limit whose finishing day shares/cap overflows to inf.
+NEVER = (1e300, 1e-10)
+
+
 @st.composite
 def tied_funds(draw, max_n=3000):
-    """A portfolio from ``tied_columns``, n up to ``max_n``."""
+    """A portfolio from ``tied_columns``, n up to ``max_n``, where up to
+    three names may never finish: shares/cap overflows to inf, so they tie
+    with each other at inf (one of them a hair larger, so their keys tie
+    where their shares do not)."""
     n = draw(st.sampled_from([1, 2, 3]) | st.integers(1, max_n))
-    columns = tied_columns(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = tied_columns(rng, n)
+    never = rng.choice(n, draw(st.integers(0, min(n, 3))), replace=False)
+    shares, cap = NEVER
+    columns["shares"][never] = [np.nextafter(shares, np.inf) if k % 2 else shares
+                                for k in range(len(never))]
+    columns["daily_limit"][never] = cap
     return from_columns(columns)
 
 
@@ -451,3 +469,217 @@ class TestDayCountsAndTolerance:
         fine = asset_rst(fund, 0.1, 0.5, 2)
         assert isinstance(fine, float)
         assert abs(asset_rst(fund, 0.1, 0.5, 2, tol=1e-3) - fine) <= 1e-3
+
+
+def reference_horizon(sellable, cap, max_days):
+    """``(horizon, done)`` by bisection over days: the first h in
+    0..max_days with unsold(h) <= DONE_TOL, at most ``max_days``, and
+    whether unsold(horizon) <= DONE_TOL."""
+    def unsold(h):
+        return float(np.maximum(sellable - h * cap, 0.0).sum())
+
+    horizon = min(bisect_left(range(max_days + 1), True, key=lambda h: unsold(h) <= DONE_TOL),
+                  max_days)
+    return horizon, unsold(horizon) <= DONE_TOL
+
+
+@st.composite
+def horizon_cases(draw):
+    """Positions and limits over many magnitudes: shares from 1e-12 to 1e15
+    (an ulp of 1e15 exceeds DONE_TOL), limits down to 1e-12 and zero, names
+    that never finish (inf), and positions a few ulps of DONE_TOL past a
+    whole number of days."""
+    n = draw(st.integers(1, 8))
+    shares, caps = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["any", "whole", "residue", "never", "stuck"]))
+        cap = draw(st.sampled_from([1e-12, 1.0, 0.5, 3.0, 7.0]) | st.floats(1e-12, 1e6))
+        if kind == "any":
+            q = draw(st.sampled_from([0.0, 1e-12, 1e15]) | st.floats(1e-12, 1e15))
+        elif kind == "whole":  # k full days, or a hair over or under
+            k = draw(st.integers(0, 12_000))
+            q = k * cap * (1 + draw(st.sampled_from([0.0, EPS, -EPS, 1e-12])))
+        elif kind == "residue":  # DONE_TOL, give or take a few ulps, after k days
+            cap = draw(st.sampled_from([1.0, 0.5, 2.0, 0.25]))  # k * cap is exact
+            k = draw(st.integers(0, 12_000))
+            ulps = draw(st.integers(-4, 4))
+            q = k * cap + DONE_TOL * (1 + ulps * EPS) / n
+        elif kind == "never":
+            q, cap = NEVER
+        else:
+            cap = 0.0
+            q = draw(st.floats(1e-12, 1e15))
+        shares.append(max(q, 0.0))
+        caps.append(cap)
+    max_days = draw(st.sampled_from([1, 2, 260, 10_000]) | st.integers(1, 10_000))
+    rate = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.0, 1.0))
+    columns = dict(shares=shares, price=[1.0] * n, daily_limit=caps, daily_volume=[0.0] * n,
+                   volatility=[0.0] * n, spread=[0.0] * n)
+    return from_columns(columns), rate, max_days
+
+
+class TestHorizonRule:
+    """The horizon is read off the last finishing day, with the bisection
+    kept in ``reference_horizon`` as the reference it must equal."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(horizon_cases())
+    def test_horizon_and_exhausted_equal_the_bisection(self, case):
+        portfolio, rate, max_days = case
+        q = RedemptionPortfolio(quantities=rate * portfolio.shares)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            schedule = build_schedule(portfolio, q, max_days=max_days)
+        horizon, done = reference_horizon(schedule.sellable, schedule.cap, max_days)
+        assert schedule.horizon == horizon
+        assert schedule.exhausted == (done and not schedule.stuck)
+
+    def test_residues_at_done_tol(self):
+        # after 3 days the residue is DONE_TOL give or take an ulp: the rule
+        # answers as the bisection does on every side of the edge
+        cap = np.array([1.0])
+        for residue in (np.nextafter(DONE_TOL, 0.0), DONE_TOL, np.nextafter(DONE_TOL, 1.0)):
+            columns = dict(shares=[3.0 + residue], price=[1.0], daily_limit=cap,
+                           daily_volume=[0.0], volatility=[0.0], spread=[0.0])
+            portfolio = from_columns(columns)
+            for max_days in (1, 3, 4, 260):
+                schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=portfolio.shares),
+                                          max_days=max_days)
+                assert (schedule.horizon, schedule.exhausted) == \
+                    reference_horizon(schedule.sellable, cap, max_days)
+
+    @pytest.fixture
+    def bisections(self, monkeypatch):
+        """The horizon bisections ``build_schedule`` runs, one entry each."""
+        calls = []
+        monkeypatch.setattr(liquidation, "bisect_left",
+                            lambda *a, **k: calls.append(a) or bisect_left(*a, **k))
+        return calls
+
+    def test_typical_schedules_do_not_bisect(self, bisections):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            portfolio = random_portfolio(rng)
+            for q in (0.2 * portfolio.shares, portfolio.shares):
+                for max_days in (1, 5, 260):
+                    schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=q),
+                                              max_days=max_days)
+                    assert (schedule.horizon, schedule.exhausted) == \
+                        reference_horizon(schedule.sellable, schedule.cap, max_days)
+        assert bisections == []
+
+    @pytest.mark.parametrize("shares, cap, horizon", [
+        # finishes 1e-10 shares past day 3: within DONE_TOL, so day 3 ends it
+        (3.0 + 1e-10, 1.0, 3),
+        # shares/cap rounds to 6.0, yet six days leave an ulp of the
+        # position (0.5 shares) unsold: day 7 ends it
+        (4039593111535853.5, 673265518589308.9, 7),
+    ])
+    def test_a_residue_at_the_last_day_falls_back_to_bisection(self, bisections,
+                                                               shares, cap, horizon):
+        columns = dict(shares=[shares], price=[1.0], daily_limit=[cap],
+                       daily_volume=[0.0], volatility=[0.0], spread=[0.0])
+        portfolio = from_columns(columns)
+        schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=portfolio.shares))
+        assert (schedule.horizon, schedule.exhausted) == (horizon, True) == \
+            reference_horizon(schedule.sellable, schedule.cap, 260)
+        assert len(bisections) == 1
+
+
+class TestKeptNetAssets:
+    @settings(max_examples=60, deadline=None)
+    @given(funds())
+    def test_kept_tna_is_the_dot_product(self, columns):
+        portfolio = from_columns(columns)
+        assert portfolio._tna is None
+        value = tna(portfolio)
+        want = float(portfolio.shares @ portfolio.prices)
+        assert value.hex() == want.hex() and portfolio._tna.hex() == want.hex()
+        assert tna(portfolio).hex() == want.hex()
+
+    def test_tna_reads_the_kept_value(self, fund):
+        portfolio = Portfolio(fund.securities)
+        value = tna(portfolio)
+        assert value == float(portfolio.shares @ portfolio.prices)
+        portfolio._tna = 2.5  # no second dot product: the kept value is read
+        assert tna(portfolio) == 2.5
+
+    def test_a_fund_with_no_net_assets_raises_on_every_call(self):
+        columns = dict(shares=[0.0, 0.0], price=[10.0, 20.0], daily_limit=[1.0, 1.0],
+                       daily_volume=[0, 0], volatility=[0, 0], spread=[0, 0])
+        portfolio = from_columns(columns)
+        for _ in range(3):
+            with pytest.raises(DomainError, match="total net assets must be positive"):
+                tna(portfolio)
+            with pytest.raises(DomainError, match="total net assets must be positive"):
+                weights(portfolio)
+
+    @settings(max_examples=30, deadline=None)
+    @given(funds(), st.floats(0.1, 10.0))
+    def test_two_portfolios_never_share_the_value(self, columns, scale):
+        first = from_columns(columns)
+        other = from_columns(dict(columns, shares=[scale * s for s in columns["shares"]]))
+        twin = from_securities(columns)
+        for p in (first, other, twin):
+            assert tna(p).hex() == float(p.shares @ p.prices).hex()
+        assert other._tna == float(other.shares @ other.prices)
+        assert twin._tna is not None and Portfolio(twin.securities)._tna is None
+
+
+class TestWaterfallScheduleSharesTheCurve:
+    @settings(max_examples=60, deadline=None)
+    @given(tied_funds(max_n=400))
+    def test_the_waterfall_table_reads_the_kept_curve(self, portfolio):
+        shock = RedemptionShock.from_rate(portfolio, 0.2)
+        report = rcr_report(portfolio, shock, waterfall_portfolio(portfolio), horizon=30)
+        assert report.schedule._value_curve is _waterfall(portfolio)
+        assert same_curve(_waterfall(portfolio), reference_curve(
+            portfolio.shares, portfolio.daily_limits, portfolio.prices))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_funds(max_n=400), st.floats(0.0, 1.0, exclude_max=True), st.data())
+    def test_partial_and_stressed_targets_sort_their_own(self, portfolio, c, data):
+        cap, prices = portfolio.daily_limits, portfolio.prices
+        live = np.flatnonzero(cap > 0)
+        q = portfolio.shares.copy()
+        if live.size and q[live].any():
+            # one live name a hair short of its whole position
+            i = data.draw(st.sampled_from(live[q[live] > 0].tolist()))
+            q[i] = np.nextafter(q[i], 0.0)
+            targets = [q, c * portfolio.shares]
+        else:
+            targets = [c * portfolio.shares]
+        for target in targets:
+            schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=target))
+            if not np.array_equal(schedule.sellable[live], portfolio.shares[live]):
+                assert schedule._value_curve is not _waterfall(portfolio)
+            assert same_curve(schedule._value_curve,
+                              reference_curve(schedule.sellable, cap, prices))
+        # stressed limits, some names stuck: a fresh curve even for the whole holdings
+        stuck = np.where(np.arange(portfolio.n) % 2 == 0, 0.0, cap)
+        schedule = build_schedule(portfolio, waterfall_portfolio(portfolio), limits=stuck)
+        assert schedule._value_curve is not _waterfall(portfolio)
+        assert same_curve(schedule._value_curve,
+                          reference_curve(schedule.sellable, stuck, prices))
+
+    def test_own_limits_are_read_as_they_are_and_stressed_ones_checked(self, fund):
+        schedule = build_schedule(fund, waterfall_portfolio(fund))
+        assert schedule.cap is fund.daily_limits
+        q = RedemptionPortfolio(quantities=0.2 * fund.shares)
+        for bad in (-1.0, float("nan"), float("inf")):
+            limits = fund.daily_limits.copy()
+            limits[3] = bad
+            with pytest.raises(DomainError, match="daily limits must be non-negative and finite"):
+                build_schedule(fund, q, limits=limits)
+            with pytest.raises(DomainError, match="daily limits must be non-negative and finite"):
+                liquidation.validated_limits(fund, q, 5, limits)
+
+    def test_a_tie_of_signed_zeros_keeps_each_keys_bits(self):
+        # 0.0 and -0.0 are equal keys of other bits: the tie repair moves
+        # each key with its index, as the stable sort lists them
+        cap, prices = np.ones(4), np.ones(4)
+        for sellable in (np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, 0.0, -0.0, 0.0])):
+            got = _curve(sellable, cap, prices)
+            assert same_curve(got, reference_curve(sellable, cap, prices))
+            hinted = _curve(sellable, cap, prices, np.array([3, 2, 1, 0]))
+            assert same_curve(hinted, reference_curve(sellable, cap, prices))
