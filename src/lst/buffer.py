@@ -586,13 +586,18 @@ def optimal_cash_buffer(market: BufferMarketParams, params: BufferCostParams) ->
 
     Scans a 1e-3 grid (the exact gain can be bimodal near w = 1), in one
     array call under the power law, and refines the best bracket by Brent's
-    bounded method; exact ties resolve to the smaller weight.
+    bounded method; exact ties resolve to the smaller weight. A grid cost
+    that is not finite is a DomainError naming eta: at the CLI's default
+    costs the expected gain overflows at small w from eta = 101.27.
     """
     grid = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
-    if params.cdf is None:
-        values = net_buffer_cost(market, params, grid)
-    else:  # a custom law is integrated one weight at a time
-        values = np.array([net_buffer_cost(market, params, w) for w in grid.tolist()])
+    with np.errstate(all="ignore"):
+        if params.cdf is None:
+            values = net_buffer_cost(market, params, grid)
+        else:  # a custom law is integrated one weight at a time
+            values = np.array([net_buffer_cost(market, params, w) for w in grid.tolist()])
+    if not np.isfinite(values).all():
+        raise DomainError(f"net buffer cost is not finite on the weight grid at eta = {params.eta!r}")
     best = int(np.argmin(values))  # first index wins ties, i.e. smaller w
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]

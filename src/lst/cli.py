@@ -34,6 +34,9 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_CONFIG = 2
 
+#: Largest --curve-points of ``lst buffer``: a 1e-4 step on [0, 1].
+MAX_CURVE_POINTS = 10_001
+
 
 # =============================================================================
 # FORMATTING AND SMALL PARSERS
@@ -132,6 +135,15 @@ def _required(args, flag: str, what: str = "value"):
     if value is None or value == "":
         raise DomainError(f"a {flag} {what} is required")
     return value
+
+
+def _count(args, flag: str, cap: int) -> int:
+    """The value of ``flag`` as a whole number from 1 to ``cap``; anything
+    else is a DomainError naming the flag."""
+    text = str(getattr(args, flag.lstrip("-").replace("-", "_")))
+    if not (text.isascii() and text.isdigit() and 1 <= int(text) <= cap):
+        raise DomainError(f"{flag} must be a whole number from 1 to {cap}, got {text!r}")
+    return int(text)
 
 
 def _load_portfolio_arg(args) -> Portfolio:
@@ -268,7 +280,7 @@ def cmd_rst(args) -> int:
     taus = parse_days(args.tau)
     floors = [parse_rate(x) for x in str(args.floor).split(",")]
     if args.mode == "liability":
-        alpha = _load_alpha(args.alpha, portfolio.ids)
+        alpha = _load_alpha(_required(args, "--alpha", "file"), portfolio.ids)
         header = ["tau", "floor_pct", "amount", "rate_pct", "feasible"]
         rows = []
         for tau in taus:
@@ -357,12 +369,13 @@ def cmd_buffer(args) -> int:
         x_plus=parse_rate(args.xplus),
         eta=float(args.eta),
     )
+    curve_points = _count(args, "--curve-points", MAX_CURVE_POINTS)
     w_star = optimal_cash_buffer(market, params)
     print(f"w_star,{_fmt(w_star)}")
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        grid = np.linspace(0.0, 1.0, int(args.curve_points))
+        grid = np.linspace(0.0, 1.0, curve_points)
         write_csv(
             out / "nbc_curve.csv", ["w", "nbc"],
             [[_fmt(w), _fmt(v)] for w, v in zip(grid, net_buffer_cost(market, params, grid))],
@@ -729,7 +742,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", help="cost-model volatility; defaults to --sigma-asset")
     p.add_argument("--xplus", default="1.0")
     p.add_argument("--eta", default="1.0")
-    p.add_argument("--curve-points", dest="curve_points", default="101")
+    p.add_argument("--curve-points", dest="curve_points", default="101",
+                   help=f"points on each --out-dir curve, 1 to {MAX_CURVE_POINTS}")
     p.add_argument("--out-dir", dest="out_dir")
     p.set_defaults(func=cmd_buffer)
 
@@ -778,6 +792,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _error({"error": "validation", "detail": str(exc)}, EXIT_CONFIG)
     except FileNotFoundError as exc:
         return _error({"error": "missing-file", "detail": str(exc)}, EXIT_CONFIG)
+    except OSError as exc:  # a directory, no permission, ...
+        return _error({"error": "file", "detail": str(exc)}, EXIT_CONFIG)
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         return _error({"error": "config", "detail": str(exc)}, EXIT_CONFIG)
 

@@ -15,6 +15,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -350,6 +352,49 @@ def _long_text_cell(table) -> bool:
                if table.dtype[name] == object for cell in table[name].tolist())
 
 
+#: Suffixes of the files numpy's opener decompresses when it gets a path.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _reopenable(path, text: str, read: os.stat_result) -> Optional[str]:
+    """``path`` as a str when numpy, reopening it, reads ``text`` again, or None.
+
+    ``read`` is ``os.fstat`` of the handle ``text`` came from. The path must
+    be a ``str`` or ``os.PathLike`` (numpy cannot reopen an int fd) naming a
+    regular file (a pipe reads empty the second time), neither a URL nor a
+    compressed suffix (numpy's opener would fetch or decompress it), and
+    ``text`` must hold no ``"\\r"``: numpy's opener translates line ends,
+    ``csv.reader`` keeps a quoted ``"\\r\\n"``.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        return None
+    name = os.fspath(path)
+    if (not isinstance(name, str) or not stat.S_ISREG(read.st_mode) or "://" in name
+            or name.endswith(_COMPRESSED) or "\r" in text):
+        return None
+    return name
+
+
+def _same_file(read: os.stat_result, name: str) -> bool:
+    """Whether the file at ``name`` is still the one ``read`` (``os.fstat`` of
+    the handle it was read through) describes."""
+    try:
+        now = os.stat(name)
+    except OSError:
+        return False
+    fields = ("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
+    return all(getattr(now, f) == getattr(read, f) for f in fields)
+
+
+def _loadtxt(source, **options):
+    """``np.loadtxt(source, **options)``, or None where it raises ValueError,
+    or OSError when ``source`` is a path that is gone."""
+    try:
+        return np.loadtxt(source, **options)
+    except (ValueError, OSError):
+        return None
+
+
 def _c_table(path, kind: str, header_dtype=None):
     """Parse a CSV file with one call of numpy's C text reader.
 
@@ -364,9 +409,16 @@ def _c_table(path, kind: str, header_dtype=None):
     caller's csv path then decides, so that path alone defines the accepted
     syntax and the error messages. A field over the limit in the first two
     rows is a DomainError naming the file (a ``kind`` file) and the line.
+
+    numpy reads the file from its path, in chunks, when ``_reopenable``
+    allows and the file is unchanged after the parse; otherwise it parses
+    the text that was read, one line at a time, so that the table is always
+    that of the one text the checks saw.
     """
     with open(path, newline="") as fh:
         text = fh.read()
+        read = os.fstat(fh.fileno())
+        encoding = fh.encoding
     lines = io.StringIO(text, newline="")
     reader = csv.reader(lines)
     rows = filter(None, reader)
@@ -378,12 +430,15 @@ def _c_table(path, kind: str, header_dtype=None):
         raise csv_error(path, kind, reader, exc) from None
     if empty or any(c in text for c in _C_ONLY_SPACES) or not _short_lines(text):
         return first, None
-    lines.seek(0)
-    try:
-        table = np.loadtxt(lines, dtype=header_dtype(first) if header_dtype else float,
-                           delimiter=",", quotechar='"', comments=None, skiprows=skip,
-                           ndmin=1 if header_dtype else 2)
-    except ValueError:
+    options = dict(dtype=header_dtype(first) if header_dtype else float, delimiter=",",
+                   quotechar='"', comments=None, skiprows=skip, ndmin=1 if header_dtype else 2)
+    name = _reopenable(path, text, read)
+    if name is not None:
+        table = _loadtxt(name, encoding=encoding, **options)
+    if name is None or not _same_file(read, name):
+        lines.seek(0)
+        table = _loadtxt(lines, **options)
+    if table is None:
         return first, None
     # a quoted cell may span lines, each shorter than the limit
     if header_dtype and '"' in text and _long_text_cell(table):

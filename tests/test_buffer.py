@@ -1,5 +1,7 @@
 import math
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +401,16 @@ class TestNetBufferCost:
         assert params.expected_redemption == pytest.approx(0.23, rel=1e-12)
         w = optimal_cash_buffer(market, params)
         assert abs(w - 0.10) < 0.015
+
+    @pytest.mark.parametrize("eta", [200.0, 1e308])
+    def test_non_finite_grid_cost_names_eta(self, eta):
+        # the expected gain overflows at small w from about eta = 150; the
+        # optimizer once took an empty min() after a numpy overflow warning
+        params = with_eta(BASE, eta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"not finite .* at eta = {re.escape(repr(eta))}$"):
+                optimal_cash_buffer(BufferMarketParams(mu_asset=0.01), params)
 
     def test_higher_premium_wipes_out_the_buffer(self):
         market = BufferMarketParams(mu_asset=0.025)

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import lst
-from lst.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main, parse_days, parse_rate
+from lst.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, MAX_CURVE_POINTS, main, parse_days,
+                     parse_rate)
 
 DATA = resources.files("lst") / "data"
 FUND = str(DATA / "example_fund.csv")
@@ -86,6 +87,14 @@ class TestRcrCommand:
         code = main(["rcr", "--portfolio", "/nonexistent/fund.csv"])
         assert code == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"] == "missing-file"
+
+    def test_a_directory_is_a_file_error(self, tmp_path, capsys):
+        code = main(["rcr", "--portfolio", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["error"] == "file" and str(tmp_path) in report["detail"]
 
     def test_config_file_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -205,6 +214,24 @@ class TestRstCommand:
         rows = read_rows(out)
         assert rows[1][:2] == ["1", "25.00"]
         assert rows[1][3] == "17.72"
+
+    def test_missing_alpha_is_exit_2(self, tmp_path, capsys):
+        argv = ["rst", "--portfolio", FUND, "--mode", "liability"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "validation", "detail": "a --alpha file is required"}
+
+    def test_config_supplies_the_alpha_file(self, tmp_path, capsys):
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text("0.20\n0.30\n0\n0.15\n0\n0\n0\n")
+        argv = ["rst", "--portfolio", FUND, "--mode", "liability"]
+        assert main([*argv, "--alpha", str(alpha)]) == EXIT_OK
+        want = capsys.readouterr().out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": str(alpha)}))
+        assert main([*argv, "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out == want
 
     def test_alpha_header_is_skipped(self, tmp_path, capsys):
         values = "A1,0.20\nA2,0.30\nA3,0\nA4,0.15\nA5,0\nA6,0\nA7,0\n"
@@ -371,6 +398,32 @@ class TestBufferCommand:
         assert float(w_line.split(",")[1]) == pytest.approx(0.9667, abs=0.001)
         assert (out_dir / "nbc_curve.csv").exists()
         assert (out_dir / "break_even_curve.csv").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-5", "1.5", "x", "", str(MAX_CURVE_POINTS + 1)])
+    def test_curve_points_out_of_range_is_exit_2_before_any_output(self, count, tmp_path, capsys):
+        out_dir = tmp_path / "curves"
+        assert main(["buffer", "--curve-points", count, "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_dir.exists()
+        report = json.loads(captured.err)
+        assert report == {"error": "validation", "detail": (
+            f"--curve-points must be a whole number from 1 to {MAX_CURVE_POINTS}, got {count!r}")}
+
+    def test_one_curve_point_and_a_config_count(self, tmp_path, capsys):
+        out_dir = tmp_path / "curves"
+        assert main(["buffer", "--curve-points", "1", "--out-dir", str(out_dir)]) == EXIT_OK
+        assert read_rows(out_dir / "nbc_curve.csv") == [["w", "nbc"], ["0", "0"]]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"curve_points": 3}))
+        assert main(["buffer", "--config", str(cfg), "--out-dir", str(out_dir)]) == EXIT_OK
+        assert [row[0] for row in read_rows(out_dir / "nbc_curve.csv")] == ["w", "0", "0.5", "1"]
+
+    def test_eta_with_a_non_finite_cost_is_a_validation_error(self, capsys):
+        assert main(["buffer", "--eta", "1e308"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["error"] == "validation" and report["detail"].endswith("at eta = 1e+308")
 
     def test_non_finite_parameter_names_the_field(self, capsys):
         assert main(["buffer", "--spread", "nan"]) == EXIT_CONFIG

@@ -1,5 +1,7 @@
 import csv
+import io
 import math
+import os
 import tempfile
 import warnings
 from fractions import Fraction
@@ -466,16 +468,18 @@ LINE_ENDS = ("\n", "\r\n", "\r")
 def fund_files(draw):
     """The text of a portfolio CSV and whether its rows are well formed.
 
-    Ids may need quoting (commas, quotes, line breaks), may be empty or
-    longer than 64 characters; columns come in any order with extra ones;
-    blank and whitespace-only lines, mixed line ends, ``1_000`` cells,
-    non-numbers and ragged rows are drawn too.
+    Ids may need quoting (commas, quotes, line breaks, a quoted ``\\r\\n``),
+    may be empty or longer than 64 characters; columns come in any order
+    with extra ones; blank and whitespace-only lines, mixed line ends,
+    ``1_000`` cells, non-numbers, ragged rows and a leading byte order mark
+    are drawn too.
     """
     n = draw(st.integers(0, 5))
     header = list(draw(st.permutations(FIELDS + tuple(
         draw(st.lists(st.sampled_from(["note", "", "note"]), max_size=2))))))
     chars = st.sampled_from(',"\n\r ') | st.characters(min_codepoint=32, max_codepoint=126)
-    ids = draw(st.lists(st.text(chars, max_size=4) | st.text("ab", min_size=65, max_size=80),
+    ids = draw(st.lists(st.text(chars, max_size=4) | st.text("ab", min_size=65, max_size=80)
+                        | st.sampled_from(["x\r\ny", "x\ny", "\r", "\r\n"]),
                         min_size=n, max_size=n))
     value = st.floats(min_value=0.0, max_value=1e7, allow_nan=False) | st.sampled_from(
         [0.0, 1.0, 1000.0, -1.0, math.nan, math.inf])
@@ -505,23 +509,145 @@ def fund_files(draw):
         well_formed &= filler == ""
         lines.insert(draw(st.integers(0, len(lines))), filler)
     text = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    if draw(st.integers(0, 9)) == 0:
+        text, well_formed = "\ufeff" + text, False  # a byte order mark
     return text, well_formed
+
+
+def c_table_outcome(path):
+    """What ``core._c_table`` makes of a portfolio file: the header and the
+    table's ids and column bytes, the header and None where the csv path
+    decides, or the DomainError text."""
+    try:
+        first, table = core._c_table(path, "portfolio", core._portfolio_dtype)
+    except DomainError as err:
+        return str(err)
+    if table is None:
+        return first, None
+    return first, [table[f].tolist() if table.dtype[f] == object else table[f].tobytes()
+                   for f in table.dtype.names]
+
+
+def in_memory(function, *args):
+    """``function(*args)`` with numpy fed the text that was read, never the path."""
+    with mock.patch.object(core, "_reopenable", return_value=None):
+        return function(*args)
+
+
+class LoadtxtSpy:
+    """Stands in for ``np.loadtxt`` and records the type of each source."""
+
+    def __init__(self, before=None):
+        self.sources, self.before, self.real = [], before, np.loadtxt
+
+    def __call__(self, source, *args, **kwargs):
+        self.sources.append(type(source))
+        if self.before:
+            self.before(source)
+        return self.real(source, *args, **kwargs)
 
 
 class TestCReader:
     @settings(max_examples=400, deadline=None)
-    @given(fund_files())
-    def test_equals_the_csv_path_and_the_per_row_reference(self, drawn):
+    @given(fund_files(), st.booleans())
+    def test_equals_the_csv_path_and_the_per_row_reference(self, drawn, as_str):
         text, well_formed = drawn
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fund.csv"
             path.write_text(text, newline="")
+            if as_str:
+                path = str(path)
+            spy = LoadtxtSpy()
+            with mock.patch.object(np, "loadtxt", spy):
+                fed = c_table_outcome(path)
+            # numpy reads the path unless the text holds a "\r"
+            assert spy.sources in ([], [io.StringIO] if "\r" in text else [str])
+            assert fed == in_memory(c_table_outcome, path)
             ours = load_outcome(path)
             with mock.patch.object(np, "loadtxt", side_effect=ValueError):
                 csv_only = load_outcome(path)
             assert ours == csv_only
             if well_formed and not any(c in text for c in "_\x1c"):
                 assert ours == reference_outcome(path)
+
+    def test_long_quoted_ids_across_numpy_reads(self, tmp_path):
+        # ids of varied length with quoted line breaks and commas, so that
+        # numpy's chunk boundaries fall inside quoted cells
+        rng = np.random.default_rng(11)
+        rows = [quoted("\n".join("i,d" * int(k) for k in rng.integers(0, 400, 3)) + str(i))
+                + f",{i},2.5,3,4,0.1,0.01\n" for i in range(2_000)]
+        path = tmp_path / "ids.csv"
+        path.write_text(HEADER + "".join(rows))
+        spy = LoadtxtSpy()
+        with mock.patch.object(np, "loadtxt", spy):
+            fed = load_outcome(path)
+        assert spy.sources == [str]
+        assert fed == in_memory(load_outcome, path) == reference_outcome(path)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_keeps_the_text_that_was_read(self, tmp_path, suffix):
+        # numpy's opener would decompress a file by its suffix
+        path = tmp_path / f"fund.csv{suffix}"
+        write_generated_fund(path, 50, seed=5)
+        spy = LoadtxtSpy()
+        with mock.patch.object(np, "loadtxt", spy):
+            loaded = load_portfolio(path)
+        assert spy.sources == [io.StringIO]
+        assert_matches_reference(loaded, path)
+
+    def test_url_like_path_keeps_the_text_that_was_read(self, tmp_path, monkeypatch):
+        # "http://host/fund.csv" is a local file here; numpy's opener would fetch it
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        write_generated_fund(tmp_path / "http:" / "host" / "fund.csv", 20, seed=5)
+        monkeypatch.chdir(tmp_path)
+        spy = LoadtxtSpy()
+        with mock.patch("urllib.request.urlopen", side_effect=AssertionError("fetched")), \
+                mock.patch.object(np, "loadtxt", spy):
+            fed = load_outcome("http://host/fund.csv")
+        assert spy.sources == [io.StringIO]
+        assert fed == load_outcome(tmp_path / "http:" / "host" / "fund.csv")
+
+    def test_a_pipe_and_a_file_descriptor_keep_the_text_that_was_read(self, tmp_path):
+        # a pipe reads empty the second time; numpy cannot reopen an int fd
+        path = tmp_path / "fund.csv"
+        write_generated_fund(path, 20, seed=5)
+        want = load_outcome(path)
+        spy = LoadtxtSpy()
+        with mock.patch.object(np, "loadtxt", spy):
+            assert load_outcome(os.open(path, os.O_RDONLY)) == want
+            if os.path.isdir("/dev/fd"):
+                read, write = os.pipe()
+                os.write(write, path.read_bytes())
+                os.close(write)
+                try:
+                    assert load_outcome(f"/dev/fd/{read}") == want
+                finally:
+                    os.close(read)
+        assert set(spy.sources) == {io.StringIO}
+
+    def test_file_rewritten_before_numpy_reads_it(self, tmp_path):
+        path = tmp_path / "fund.csv"
+        write_generated_fund(path, 200, seed=5)
+        want = load_outcome(path)
+
+        def rewrite(source):
+            if isinstance(source, str):
+                write_generated_fund(path, 300, seed=6)
+
+        spy = LoadtxtSpy(before=rewrite)
+        with mock.patch.object(np, "loadtxt", spy):
+            assert load_outcome(path) == want
+        assert spy.sources == [str, io.StringIO]
+        assert load_outcome(path) != want
+
+    def test_file_removed_before_numpy_reads_it(self, tmp_path):
+        path = tmp_path / "fund.csv"
+        write_generated_fund(path, 200, seed=5)
+        want = load_outcome(path)
+        spy = LoadtxtSpy(before=lambda source: isinstance(source, str) and path.unlink())
+        with mock.patch.object(np, "loadtxt", spy):
+            assert load_outcome(path) == want
+        assert spy.sources == [str, io.StringIO]
 
     def test_large_plain_file_never_falls_back(self, monkeypatch, tmp_path):
         path = tmp_path / "big.csv"
@@ -531,7 +657,12 @@ class TestCReader:
             raise AssertionError("fell back to the csv path")
 
         monkeypatch.setattr(core, "_csv_portfolio", refuse)
-        assert_matches_reference(load_portfolio(path), path)
+        spy = LoadtxtSpy()
+        with mock.patch.object(np, "loadtxt", spy):
+            loaded = load_portfolio(path)
+        assert spy.sources == [str]  # numpy reads the file from its path
+        assert_matches_reference(loaded, path)
+        assert load_outcome(path) == in_memory(load_outcome, path)
 
     def test_header_only_file_is_empty_without_a_warning(self, tmp_path):
         path = tmp_path / "empty.csv"
