@@ -28,8 +28,6 @@ _EXPORTS = {
         "herfindahl",
         "load_correlation",
         "load_portfolio",
-        "load_portfolio_json",
-        "portfolio_from_dict",
         "round_shares",
         "save_portfolio",
         "tna",

@@ -8,6 +8,7 @@ command line import this module without loading the array stack.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 
@@ -54,50 +55,44 @@ def csv_error(path, kind: str, reader, exc: csv.Error) -> DomainError:
     return DomainError(f"{kind} file {path}, line {reader.line_num}: {exc}")
 
 
-def csv_rows(path, kind: str) -> list:
-    """The non-blank rows of a CSV file, read in one ``csv.reader`` pass."""
+def csv_rows(text: str, path, kind: str):
+    """The non-blank rows of the CSV ``text`` of ``path`` and the file line
+    each ends on, read in one ``csv.reader`` pass."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        ends = [(row, reader.line_num) for row in reader if row]
+    except csv.Error as exc:
+        raise csv_error(path, kind, reader, exc) from None
+    return [row for row, _ in ends], [line for _, line in ends]
+
+
+def read_rows(path, kind: str):
+    """``csv_rows`` of the file at ``path``, read once."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            return list(filter(None, reader))
-        except csv.Error as exc:
-            raise csv_error(path, kind, reader, exc) from None
+        return csv_rows(fh.read(), path, kind)
 
 
-def line_number(path, kind: str, index: int) -> int:
-    """File line on which non-blank row ``index`` ends (error path only)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            for k, _ in enumerate(filter(None, reader)):
-                if k == index:
-                    return reader.line_num
-        except csv.Error as exc:
-            raise csv_error(path, kind, reader, exc) from None
-
-
-def parse_cell(path, kind: str, index: int, label: str, text: str, parse=float):
-    """``parse(text)`` for the cell ``label`` of non-blank row ``index``, or a
-    DomainError naming the file, its line and the text."""
+def parse_cell(path, kind: str, line: int, label: str, text: str, parse=float):
+    """``parse(text)`` for the cell ``label`` on file line ``line``, or a
+    DomainError naming the file, the line and the text."""
     try:
         return parse(text)
     except ValueError:
         what = "an integer" if parse is int else "a number"
-        raise DomainError(f"{kind} file {path}, line {line_number(path, kind, index)}: "
-                          f"{label} {text!r} is not {what}") from None
+        raise DomainError(f"{kind} file {path}, line {line}: {label} {text!r} is not {what}") from None
 
 
 def reject_first_non_number(path, kind: str, cells) -> None:
-    """Raise a DomainError naming the first of ``cells`` ((row index, label,
+    """Raise a DomainError naming the first of ``cells`` ((file line, label,
     text) in file order) that ``float()`` rejects (error path only)."""
-    for k, label, text in cells:
-        parse_cell(path, kind, k, label, text)
+    for line, label, text in cells:
+        parse_cell(path, kind, line, label, text)
 
 
-def check_widths(path, rows, kind: str, first: str) -> None:
+def check_widths(path, kind: str, rows, lines, first: str) -> None:
     """Reject the first row whose field count differs from that of ``rows[0]``."""
     width = len(rows[0])
     k = next((k for k, row in enumerate(rows) if len(row) != width), None)
     if k is not None:
-        raise DomainError(f"{kind} file {path}, line {line_number(path, kind, k)}: "
+        raise DomainError(f"{kind} file {path}, line {lines[k]}: "
                           f"{len(rows[k])} fields where the {first} has {width}")

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ._checks import DomainError, check_widths, csv_rows, parse_cell
+from ._checks import DomainError, check_widths, parse_cell, read_rows
 from .swing import SwingMode  # the parser's --mode choices
 
 if TYPE_CHECKING:
@@ -36,6 +36,8 @@ EXIT_CONFIG = 2
 
 #: Largest --curve-points of ``lst buffer``: a 1e-4 step on [0, 1].
 MAX_CURVE_POINTS = 10_001
+#: Largest day count the command line reads: ``illiquid_assets``' default ``max_days``.
+MAX_DAYS = 10_000
 
 
 # =============================================================================
@@ -67,16 +69,21 @@ def parse_rate(text: str) -> float:
 
 
 def parse_days(text: str) -> List[int]:
-    """Parse a non-empty day list: '5', '1..5' or '1,3,5'."""
+    """Parse a non-empty day list: '5', '1..5' or '1,3,5', of at most
+    ``MAX_DAYS`` days and none after day ``MAX_DAYS`` (a range is checked
+    before it is built); a day below 1 is left to the analytics."""
     t = str(text).strip()
     if ".." in t:
-        lo, hi = t.split("..")
-        days = list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in t.split(".."))
+        days = range(max(lo, hi - MAX_DAYS), hi + 1)  # too long a range keeps MAX_DAYS + 1
     else:
         days = [int(x) for x in t.split(",") if x.strip()]
     if not days:
         raise DomainError(f"day list {text!r} names no day")
-    return days
+    if len(days) > MAX_DAYS or max(days) > MAX_DAYS:
+        raise DomainError(f"day list {text!r} must name at most {MAX_DAYS} days, "
+                          f"none after day {MAX_DAYS}")
+    return list(days)
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -161,6 +168,8 @@ def cmd_rcr(args) -> int:
     from .core import RedemptionShock
     from .rcr import optimal_pro_rata, pro_rata_portfolio, rcr_report, waterfall_portfolio
 
+    tau = _count(args, "--tau", MAX_DAYS)
+    horizon = _count(args, "--horizon", MAX_DAYS) if args.horizon else max(tau, 6)
     portfolio = _load_portfolio_arg(args)
     shock_rate = parse_rate(args.shock)
     shock = RedemptionShock.from_rate(portfolio, shock_rate)
@@ -168,12 +177,11 @@ def cmd_rcr(args) -> int:
     if policy == "prorata":
         redemption = pro_rata_portfolio(portfolio, shock_rate)
     elif policy == "optimal":
-        _, redemption = optimal_pro_rata(portfolio, int(args.tau))
+        _, redemption = optimal_pro_rata(portfolio, tau)
     elif policy == "waterfall":
         redemption = waterfall_portfolio(portfolio)
     else:
         raise DomainError(f"unknown policy {policy!r}")
-    horizon = int(args.horizon) if args.horizon else max(int(args.tau), 6)
     report = rcr_report(portfolio, shock, redemption, horizon=horizon)
     header = ["h", "lr_pct", "amount", "rcr_pct", "ls_pct"]
     rows = [
@@ -248,7 +256,7 @@ def _load_alpha(path, ids) -> np.ndarray:
     """
     import numpy as np
 
-    rows = csv_rows(path, "alpha")
+    rows, lines = read_rows(path, "alpha")
     start = 0
     if rows:
         try:
@@ -256,7 +264,7 @@ def _load_alpha(path, ids) -> np.ndarray:
         except ValueError:
             start = 1  # a header line
     rows = rows[start:]
-    values = [parse_cell(path, "alpha", k, "value", row[-1]) for k, row in enumerate(rows, start=start)]
+    values = [parse_cell(path, "alpha", line, "value", row[-1]) for line, row in zip(lines[start:], rows)]
     if all(len(row) == 1 for row in rows):
         return np.array(values, dtype=float)
     by_id = {}
@@ -370,11 +378,12 @@ def cmd_buffer(args) -> int:
         eta=float(args.eta),
     )
     curve_points = _count(args, "--curve-points", MAX_CURVE_POINTS)
-    w_star = optimal_cash_buffer(market, params)
-    print(f"w_star,{_fmt(w_star)}")
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
+    w_star = optimal_cash_buffer(market, params)
+    print(f"w_star,{_fmt(w_star)}")
+    if args.out_dir:
         grid = np.linspace(0.0, 1.0, curve_points)
         write_csv(
             out / "nbc_curve.csv", ["w", "nbc"],
@@ -429,17 +438,17 @@ def _load_requests(path) -> list:
     header."""
     from .swing import GateRequest
 
-    rows = csv_rows(path, "requests")
+    rows, lines = read_rows(path, "requests")
     header = rows[0] if rows else []
     missing = [f for f in _REQUEST_FIELDS if f not in header]
     if missing:
         raise DomainError(f"requests file {path}: missing columns {missing}")
-    check_widths(path, rows, "requests", "header")
+    check_widths(path, "requests", rows, lines, "header")
     day, investor, rate = (header.index(f) for f in _REQUEST_FIELDS)
-    return [GateRequest(day=parse_cell(path, "requests", k, "day", row[day], int),
+    return [GateRequest(day=parse_cell(path, "requests", line, "day", row[day], int),
                         investor=row[investor],
-                        rate=parse_cell(path, "requests", k, "rate", row[rate]))
-            for k, row in enumerate(rows[1:], start=1)]
+                        rate=parse_cell(path, "requests", line, "rate", row[rate]))
+            for line, row in zip(lines[1:], rows[1:])]
 
 
 def cmd_gate(args) -> int:
@@ -678,8 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corr")
     p.add_argument("--shock", default="0.20")
     p.add_argument("--policy", choices=["prorata", "optimal", "waterfall"], default="prorata")
-    p.add_argument("--tau", default="5", help="horizon for the optimal policy")
-    p.add_argument("--horizon", help="number of report rows")
+    p.add_argument("--tau", default="5", help=f"horizon for the optimal policy, 1 to {MAX_DAYS}")
+    p.add_argument("--horizon", help=f"number of report rows, 1 to {MAX_DAYS}")
     p.add_argument("--out")
     p.add_argument("--schedule-out", dest="schedule_out")
     p.set_defaults(func=cmd_rcr)

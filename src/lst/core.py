@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import stat
@@ -58,7 +57,7 @@ def _check_holdings(ids, columns) -> None:
 
     ``columns`` maps each field to one value per id: an array, or a number
     for a single holding. It works on both, so this is the one rule for a
-    valid holding, whether it comes from a ``Security``, a file or a dict.
+    valid holding, whether it comes from a ``Security`` or from columns.
     """
     ok = np.array([BOUNDS[bound](columns[name]) & (columns[name] < math.inf)
                    for name, bound in _HOLDING_BOUNDS.items()])
@@ -398,16 +397,17 @@ def _loadtxt(source, **options):
 def _c_table(path, kind: str, header_dtype=None):
     """Parse a CSV file with one call of numpy's C text reader.
 
-    Returns ``(first, table)``, where ``first`` is the first non-blank row as
-    ``csv.reader`` reads it. With ``header_dtype``, ``first`` is a header and
+    Returns ``(first, table, text)``, where ``first`` is the first non-blank
+    row as ``csv.reader`` reads it. With ``header_dtype``, ``first`` is a header and
     ``table`` holds the rows below it in the structured dtype
     ``header_dtype(first)``; without, ``table`` is every row as a 2-d float
     array. ``table`` is None when the C reader raises ``ValueError``, when no
     row is there to parse, when the text holds a character the two parsers
     read differently, or when a cell may be longer than
     ``csv.field_size_limit()``, which only ``csv.reader`` enforces. The
-    caller's csv path then decides, so that path alone defines the accepted
-    syntax and the error messages. A field over the limit in the first two
+    caller's csv path then parses ``text``, the text read here (None when
+    ``table`` is not), so that path alone defines the accepted syntax and
+    the error messages. A field over the limit in the first two
     rows is a DomainError naming the file (a ``kind`` file) and the line.
 
     numpy reads the file from its path, in chunks, when ``_reopenable``
@@ -429,7 +429,7 @@ def _c_table(path, kind: str, header_dtype=None):
     except csv.Error as exc:
         raise csv_error(path, kind, reader, exc) from None
     if empty or any(c in text for c in _C_ONLY_SPACES) or not _short_lines(text):
-        return first, None
+        return first, None, text
     options = dict(dtype=header_dtype(first) if header_dtype else float, delimiter=",",
                    quotechar='"', comments=None, skiprows=skip, ndmin=1 if header_dtype else 2)
     name = _reopenable(path, text, read)
@@ -438,12 +438,10 @@ def _c_table(path, kind: str, header_dtype=None):
     if name is None or not _same_file(read, name):
         lines.seek(0)
         table = _loadtxt(lines, **options)
-    if table is None:
-        return first, None
     # a quoted cell may span lines, each shorter than the limit
-    if header_dtype and '"' in text and _long_text_cell(table):
-        return first, None
-    return first, table
+    if table is None or header_dtype and '"' in text and _long_text_cell(table):
+        return first, None, text
+    return first, table, None
 
 
 def _portfolio_dtype(header) -> np.dtype:
@@ -459,15 +457,16 @@ def load_portfolio(path, correlation_path=None) -> Portfolio:
     Columns may come in any order, each read column named once; blank lines
     are skipped, and every other row must have as many fields as the
     header. Cells use Python ``float()`` syntax. numpy's C reader parses the
-    rows below the header in one call; any file it rejects is read by
-    ``csv.reader`` and ``float()`` instead (``_csv_portfolio``), which
-    names the file line of a bad row or cell. The holdings are validated as
-    columns, so no ``Security`` object is built.
+    rows below the header in one call; the text of any file it rejects is
+    parsed by ``csv.reader`` and ``float()`` instead (``_csv_portfolio``),
+    which names the file line of a bad row or cell. Each file is read once
+    (a pipe will do). The holdings are validated as columns, so no
+    ``Security`` object is built.
 
     The correlation matrix, when used, lives in a sidecar CSV (n x n,
     row-major, no header).
     """
-    header, table = _c_table(path, "portfolio", _portfolio_dtype)
+    header, table, text = _c_table(path, "portfolio", _portfolio_dtype)
     missing = [f for f in _PORTFOLIO_FIELDS if f not in header]
     if missing:
         raise DomainError(f"portfolio file {path}: missing columns {missing}")
@@ -475,7 +474,7 @@ def load_portfolio(path, correlation_path=None) -> Portfolio:
     if repeated:
         raise DomainError(f"portfolio file {path}: repeated columns {repeated}")
     if table is None:
-        ids, columns = _csv_portfolio(path)
+        ids, columns = _csv_portfolio(path, text)
     else:
         ids, *values = (table[f"f{header.index(name)}"] for name in _PORTFOLIO_FIELDS)
         ids = ids.tolist()  # a tuple of a list is far cheaper than of an object array
@@ -484,19 +483,19 @@ def load_portfolio(path, correlation_path=None) -> Portfolio:
     return Portfolio.from_columns(ids, columns, correlation)
 
 
-def _csv_portfolio(path):
-    """``(ids, columns)`` of a portfolio CSV whose header has passed its
-    checks, read by ``csv.reader`` with each numeric column parsed by one
+def _csv_portfolio(path, text: str):
+    """``(ids, columns)`` of a portfolio CSV's ``text`` whose header has passed
+    its checks, read by ``csv.reader`` with each numeric column parsed by one
     ``np.array`` call of ``float()`` syntax; a DomainError names the file
     line of the first ragged row or non-number cell."""
-    rows = csv_rows(path, "portfolio")
-    check_widths(path, rows, "portfolio", "header")
+    rows, lines = csv_rows(text, path, "portfolio")
+    check_widths(path, "portfolio", rows, lines, "header")
     cells = {col[0]: col[1:] for col in zip(*rows)}
     try:
         columns = {name: np.array(cells[name], dtype=float) for name in _NUMERIC_FIELDS}
     except ValueError:
         reject_first_non_number(path, "portfolio", (
-            (k + 1, name, cells[name][k]) for k in range(len(rows) - 1) for name in _NUMERIC_FIELDS))
+            (line, name, cells[name][k]) for k, line in enumerate(lines[1:]) for name in _NUMERIC_FIELDS))
         raise
     return cells["id"], columns
 
@@ -513,40 +512,23 @@ def save_portfolio(portfolio: Portfolio, path) -> None:
 def load_correlation(path) -> np.ndarray:
     """Read an n x n correlation matrix from a headerless CSV (blank lines
     skipped): numpy's C reader first, the csv path (``_csv_correlation``)
-    for any file it rejects."""
-    _, table = _c_table(path, "correlation")
-    return _csv_correlation(path) if table is None else table
+    on the text of any file it rejects."""
+    _, table, text = _c_table(path, "correlation")
+    return _csv_correlation(path, text) if table is None else table
 
 
-def _csv_correlation(path) -> np.ndarray:
-    """A correlation CSV read by ``csv.reader`` and ``float()``; a DomainError
-    names the file line of the first ragged row or non-number cell."""
-    rows = csv_rows(path, "correlation")
+def _csv_correlation(path, text: str) -> np.ndarray:
+    """A correlation CSV's ``text`` read by ``csv.reader`` and ``float()``; a
+    DomainError names the file line of the first ragged row or non-number cell."""
+    rows, lines = csv_rows(text, path, "correlation")
     if rows:
-        check_widths(path, rows, "correlation", "first row")
+        check_widths(path, "correlation", rows, lines, "first row")
     try:
         return np.array(rows, dtype=float)
     except ValueError:
         reject_first_non_number(path, "correlation", (
-            (k, f"column {j + 1}", text) for k, row in enumerate(rows) for j, text in enumerate(row)))
+            (line, f"column {j + 1}", cell) for line, row in zip(lines, rows) for j, cell in enumerate(row)))
         raise
-
-
-def portfolio_from_dict(data: dict) -> Portfolio:
-    """Build a portfolio from the JSON equivalent of the CSV format; shares and
-    price are required, the other numeric fields default to 0."""
-    records = data["securities"]
-    columns = {
-        name: [float(rec[name] if name in ("shares", "price") else rec.get(name, 0.0)) for rec in records]
-        for name in _NUMERIC_FIELDS
-    }
-    correlation = np.array(data["correlation"], dtype=float) if data.get("correlation") else None
-    return Portfolio.from_columns([str(rec["id"]) for rec in records], columns, correlation)
-
-
-def load_portfolio_json(path) -> Portfolio:
-    with open(path) as fh:
-        return portfolio_from_dict(json.load(fh))
 
 
 def daily_volatility(annual_vol, trading_days: int = TRADING_DAYS_PER_YEAR):

@@ -175,19 +175,32 @@ def rcr_hqla(bucket_weights: Sequence[Tuple[float, float]], rate: float) -> Tupl
     return rcr, ls
 
 
+#: Bucket JSON keys -> the ``HqlaBucket`` fields they set (absent: the default).
+_BUCKET_KEYS = {"lambda": "selling_intensity", "eta_dd": "loss_intensity",
+                "mdd": "max_drawdown", "ccf_static": "ccf_static"}
+
+
 def load_buckets(path) -> list:
-    """Read bucket definitions from JSON: [{name, lambda, eta_dd, mdd, ccf_static?}, ...]."""
+    """Read bucket definitions from JSON: [{name, lambda, eta_dd, mdd, ccf_static?}, ...].
+
+    A DomainError names the file, and the entry (from 1) and field of a
+    missing name or of a value that is not a number.
+    """
     with open(path) as fh:
         raw = json.load(fh)
+    if not (isinstance(raw, list) and all(isinstance(rec, dict) for rec in raw)):
+        raise DomainError(f"bucket file {path} must hold a JSON list of objects")
     buckets = []
-    for rec in raw:
-        buckets.append(
-            HqlaBucket(
-                name=str(rec["name"]),
-                selling_intensity=float(rec.get("lambda", 0.0)),
-                loss_intensity=float(rec.get("eta_dd", 0.0)),
-                max_drawdown=float(rec.get("mdd", 1.0)),
-                ccf_static=float(rec["ccf_static"]) if "ccf_static" in rec else None,
-            )
-        )
+    for k, rec in enumerate(raw, start=1):
+        where = f"bucket file {path}, entry {k}"
+        if "name" not in rec:
+            raise DomainError(f"{where}: name is required")
+        fields = {}
+        for key, field in _BUCKET_KEYS.items():
+            if key in rec:
+                try:
+                    fields[field] = float(rec[key])
+                except (TypeError, ValueError):
+                    raise DomainError(f"{where}: {key} {rec[key]!r} is not a number") from None
+        buckets.append(HqlaBucket(name=str(rec["name"]), **fields))
     return buckets

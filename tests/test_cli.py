@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import lst
-from lst.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, MAX_CURVE_POINTS, main, parse_days,
-                     parse_rate)
+from lst.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, MAX_CURVE_POINTS, MAX_DAYS, main,
+                     parse_days, parse_rate)
 
 DATA = resources.files("lst") / "data"
 FUND = str(DATA / "example_fund.csv")
@@ -43,6 +43,13 @@ class TestParsers:
     def test_a_day_list_names_a_day(self, text):
         with pytest.raises(lst.DomainError, match="names no day"):
             parse_days(text)
+
+    def test_a_day_list_stops_at_the_cap(self):
+        assert parse_days(f"1..{MAX_DAYS}") == list(range(1, MAX_DAYS + 1))
+        assert parse_days(f"{MAX_DAYS}") == [MAX_DAYS]
+        for text in (f"1..{MAX_DAYS + 1}", f"0..{MAX_DAYS}", f"1,{MAX_DAYS + 1}"):
+            with pytest.raises(lst.DomainError, match=f"at most {MAX_DAYS} days, none after day"):
+                parse_days(text)
 
 
 class TestRcrCommand:
@@ -95,6 +102,17 @@ class TestRcrCommand:
         assert captured.out == ""
         report = json.loads(captured.err)
         assert report["error"] == "file" and str(tmp_path) in report["detail"]
+
+    @pytest.mark.parametrize("flag", ["--tau", "--horizon"])
+    def test_day_counts_stop_at_the_cap(self, flag, capsys):
+        argv = ["rcr", "--portfolio", FUND, "--policy", "optimal"]
+        assert main([*argv, flag, str(MAX_DAYS)]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == MAX_DAYS + 1
+        assert main([*argv, flag, str(MAX_DAYS + 1)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "validation", "detail": (
+            f"{flag} must be a whole number from 1 to {MAX_DAYS}, got '{MAX_DAYS + 1}'")}
 
     def test_config_file_supplies_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -174,6 +192,18 @@ class TestHqlaCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "bucket,weight,value"
         assert any(line.startswith("rcr,") for line in lines)
+
+    @pytest.mark.parametrize("doc, detail", [
+        ({"a": 1}, " must hold a JSON list of objects"),
+        ([{"name": "x", "lambda": [1]}], ", entry 1: lambda [1] is not a number"),
+        ([{"lambda": 0.1}], ", entry 1: name is required"),
+    ])
+    def test_malformed_bucket_file_is_a_validation_error(self, doc, detail, tmp_path, capsys):
+        path = tmp_path / "buckets.json"
+        path.write_text(json.dumps(doc))
+        assert main(["hqla", "--buckets", str(path), "--weights", "1"]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation", "detail": f"bucket file {path}{detail}"}
 
     def test_weight_mismatch_rejected(self, capsys):
         code = main(["hqla", "--buckets", BUCKETS, "--weights", "1.0"])
@@ -283,6 +313,11 @@ class TestRstCommand:
         assert code == EXIT_INFEASIBLE
         out = capsys.readouterr().out
         assert "no-solution:ALREADY_BELOW_FLOOR" in out
+
+    def test_a_day_below_one_is_named_by_the_analytics(self, capsys):
+        assert main(["rst", "--portfolio", FUND, "--mode", "asset", "--tau", "0..2"]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["detail"] == (
+            "tau_h must be an integer of at least 1, got 0")
 
     @pytest.mark.parametrize("mode", ["liability", "asset"])
     def test_an_empty_day_list_is_a_validation_error(self, mode, capsys):
@@ -408,6 +443,14 @@ class TestBufferCommand:
         report = json.loads(captured.err)
         assert report == {"error": "validation", "detail": (
             f"--curve-points must be a whole number from 1 to {MAX_CURVE_POINTS}, got {count!r}")}
+
+    def test_out_dir_that_is_a_file_is_exit_2_before_any_output(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert main(["buffer", "--out-dir", str(target)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "file"
 
     def test_one_curve_point_and_a_config_count(self, tmp_path, capsys):
         out_dir = tmp_path / "curves"
@@ -543,6 +586,65 @@ class TestRequiredFlagsFromConfig:
         cfg.write_text(json.dumps(values))
         assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
         assert f"--{missing}" in json.loads(capsys.readouterr().err)["detail"]
+
+
+@pytest.fixture
+def pipe():
+    """``pipe(text)``: the ``/dev/fd`` path of a new pipe that holds ``text``."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    reads = []
+
+    def fill(text):
+        read, write = os.pipe()
+        os.write(write, text.encode())  # a small file: the pipe buffer holds it
+        os.close(write)
+        reads.append(read)
+        return f"/dev/fd/{read}"
+
+    yield fill
+    for read in reads:
+        os.close(read)
+
+
+class TestPipedInput:
+    """Any input file may be a pipe or /dev/stdin: each is read once."""
+
+    def test_portfolio_from_stdin_on_the_csv_path(self, tmp_path, capsys):
+        # numpy's reader rejects "1_800", so the csv path parses the file
+        text = Path(FUND).read_text().replace("A7,1800,", "A7,1_800,")
+        path = tmp_path / "fund.csv"
+        path.write_text(text)
+        assert main(["rcr", "--portfolio", str(path)]) == EXIT_OK
+        want = capsys.readouterr().out
+        piped = subprocess.run([sys.executable, "-m", "lst.cli", "rcr", "--portfolio", "/dev/stdin"],
+                               input=text, capture_output=True, text=True, env=fresh_env())
+        assert (piped.returncode, piped.stderr, piped.stdout) == (EXIT_OK, "", want)
+
+    @pytest.mark.parametrize("flag, argv, text, detail", [
+        ("--corr", ["rcr", "--portfolio", FUND],
+         Path(CORR).read_text().replace("0.40,0.70,1.00", "0.40,abc,1.00"),
+         "correlation file {}, line 3: column 2 'abc' is not a number"),
+        ("--alpha", ["rst", "--portfolio", FUND], "0.2\n0.3\n\nabc\n0\n0\n0\n0\n",
+         "alpha file {}, line 4: value 'abc' is not a number"),
+        ("--requests", ["gate"], "day,investor,rate\n\n0,A,0.05\n1,B,abc\n",
+         "requests file {}, line 4: rate 'abc' is not a number"),
+    ], ids=["corr", "alpha", "requests"])
+    def test_a_bad_cell_names_its_line(self, flag, argv, text, detail, pipe, capsys):
+        path = pipe(text)
+        assert main([*argv, flag, path]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation", "detail": detail.format(path)}
+
+    def test_buckets_and_config_from_pipes(self, pipe, capsys):
+        argv = ["hqla", "--weights", "0.6,0.3,0.1"]
+        assert main([*argv, "--buckets", BUCKETS]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main([*argv, "--buckets", pipe(Path(BUCKETS).read_text())]) == EXIT_OK
+        assert capsys.readouterr().out == want
+        cfg = pipe(json.dumps({"buckets": BUCKETS, "weights": "0.6,0.3,0.1"}))
+        assert main(["hqla", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out == want
 
 
 class TestGoldens:

@@ -23,7 +23,6 @@ from lst import (
     herfindahl,
     load_correlation,
     load_portfolio,
-    portfolio_from_dict,
     round_shares,
     save_portfolio,
     tna,
@@ -243,20 +242,6 @@ class TestFileFormats:
         with pytest.raises(DomainError):
             load_portfolio(path)
 
-    def test_json_equivalent(self, fund):
-        data = {
-            "securities": [
-                {"id": s.id, "shares": s.shares, "price": s.price,
-                 "daily_limit": s.daily_limit, "daily_volume": s.daily_volume,
-                 "volatility": s.volatility, "spread": s.spread}
-                for s in fund.securities
-            ],
-            "correlation": fund.correlation.tolist(),
-        }
-        loaded = portfolio_from_dict(data)
-        np.testing.assert_array_equal(loaded.shares, fund.shares)
-        np.testing.assert_allclose(loaded.correlation, fund.correlation)
-
 
 # =============================================================================
 # COLUMN-NATIVE LOADING
@@ -374,17 +359,15 @@ class TestColumnarLoading:
             path = tmp_path / f"case{case}.csv"
             path.write_text(HEADER + "".join(f"S{i}," + ",".join(row) + "\n"
                                              for i, row in enumerate(cells)))
-            records = {"securities": [dict(id=f"S{i}", **{n: float(v) for n, v in zip(NUMERIC, row)})
-                                      for i, row in enumerate(cells)]}
+            records = [dict(id=f"S{i}", **{n: float(v) for n, v in zip(NUMERIC, row)})
+                       for i, row in enumerate(cells)]
             with pytest.raises(DomainError) as theirs:
                 reference_rows(path)
             with pytest.raises(DomainError) as from_file:
                 load_portfolio(path)
-            with pytest.raises(DomainError) as from_dict:
-                portfolio_from_dict(records)
             with pytest.raises(DomainError) as from_securities:
-                Portfolio(securities=tuple(Security(**rec) for rec in records["securities"]))
-            assert str(from_file.value) == str(from_dict.value) == str(theirs.value)
+                Portfolio(securities=tuple(Security(**rec) for rec in records))
+            assert str(from_file.value) == str(theirs.value)
             assert str(from_securities.value) == str(theirs.value)
 
     def test_empty_and_duplicate_errors_unchanged(self, tmp_path):
@@ -514,12 +497,65 @@ def fund_files(draw):
     return text, well_formed
 
 
+@st.composite
+def correlation_files(draw):
+    """The text of a correlation CSV: up to 4 rows of up to 4 cells in the
+    ``SPELLINGS``, with ragged rows, non-numbers, blank lines and mixed line
+    ends drawn too."""
+    n = draw(st.integers(0, 4))
+    value = st.floats(min_value=-1.0, max_value=1.0) | st.sampled_from([0.0, 1.0, 0.5, math.nan])
+    lines = []
+    for _ in range(n):
+        cells = []
+        for _ in range(n):
+            x = draw(value)
+            cells.append(draw(st.sampled_from(SPELLINGS))(x) if math.isfinite(x) else repr(x))
+        if draw(st.integers(0, 9)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["9"]
+        if draw(st.integers(0, 9)) == 0:
+            cells[draw(st.integers(0, len(cells) - 1))] = "abc"
+        lines.append(",".join(cells))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   "])))
+    return "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+
+
+def correlation_outcome(path):
+    """What ``load_correlation`` makes of a file: its shape and bytes, or the
+    DomainError text."""
+    try:
+        rho = load_correlation(path)
+    except DomainError as err:
+        return str(err)
+    return rho.shape, rho.tobytes()
+
+
+def by_name_pipe_and_fd(outcome, path):
+    """``outcome`` of the file at ``path`` given by name, through a pipe
+    (``/dev/fd/N``) and as an int file descriptor, each with the file name
+    that a message shows replaced by ``<file>``."""
+    def shown(result, name):
+        return result.replace(f"file {name}", "file <file>") if isinstance(result, str) else result
+
+    results = [shown(outcome(path), path)]
+    read, write = os.pipe()
+    os.write(write, path.read_bytes())  # a few hundred bytes: the pipe holds them
+    os.close(write)
+    try:
+        results.append(shown(outcome(f"/dev/fd/{read}"), f"/dev/fd/{read}"))
+    finally:
+        os.close(read)
+    fd = os.open(path, os.O_RDONLY)  # the loader closes it
+    results.append(shown(outcome(fd), fd))
+    return results
+
+
 def c_table_outcome(path):
     """What ``core._c_table`` makes of a portfolio file: the header and the
     table's ids and column bytes, the header and None where the csv path
     decides, or the DomainError text."""
     try:
-        first, table = core._c_table(path, "portfolio", core._portfolio_dtype)
+        first, table, _ = core._c_table(path, "portfolio", core._portfolio_dtype)
     except DomainError as err:
         return str(err)
     if table is None:
@@ -569,6 +605,18 @@ class TestCReader:
             assert ours == csv_only
             if well_formed and not any(c in text for c in "_\x1c"):
                 assert ours == reference_outcome(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @settings(max_examples=150, deadline=None)
+    @given(fund_files(), correlation_files())
+    def test_a_path_a_pipe_and_a_file_descriptor_read_alike(self, fund, rho):
+        # the csv path parses the text that was read, never the file again
+        with tempfile.TemporaryDirectory() as tmp:
+            for outcome, text in ((load_outcome, fund[0]), (correlation_outcome, rho)):
+                path = Path(tmp) / "input.csv"
+                path.write_text(text, newline="")
+                by_name, by_pipe, by_fd = by_name_pipe_and_fd(outcome, path)
+                assert by_name == by_pipe == by_fd
 
     def test_long_quoted_ids_across_numpy_reads(self, tmp_path):
         # ids of varied length with quoted line breaks and commas, so that
@@ -686,7 +734,7 @@ class TestCReader:
             rho = rng.uniform(-1, 1, size=(n, n))
             path = tmp_path / f"rho{n}.csv"
             path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rho.tolist()))
-            fast, slow = load_correlation(path), core._csv_correlation(path)
+            fast, slow = load_correlation(path), core._csv_correlation(path, path.read_text())
             assert fast.shape == slow.shape == (n, n)
             assert fast.tobytes() == slow.tobytes() == rho.tobytes()
 
@@ -854,7 +902,7 @@ class TestFieldLimit:
         path = tmp_path / "rho.csv"
         path.write_text("\n".join(rows) + "\n")
         want = f"correlation file {path}, line {k + 1}: field larger than field limit ({LIMIT})"
-        for read in (load_correlation, core._csv_correlation):
+        for read in (load_correlation, lambda path: core._csv_correlation(path, path.read_text())):
             with pytest.raises(DomainError) as err:
                 read(path)
             assert str(err.value) == want
