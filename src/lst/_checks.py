@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import operator
+from typing import Optional
 
 
 class DomainError(ValueError):
@@ -34,14 +35,22 @@ def check_finite(obj, names, bound: str = "") -> None:
         check_number(name, getattr(obj, name), bound)
 
 
-def check_days(name: str, value) -> None:
-    """Reject, by name, a day count that is not an integer (a Python or
-    numpy int, not a bool or a float) of at least 1."""
+def as_integer(value) -> Optional[int]:
+    """``value`` as an int if it is an integer (a Python or numpy int, not a
+    bool or a float), else None."""
+    if isinstance(value, bool):
+        return None
     try:
-        days = 0 if isinstance(value, bool) else operator.index(value)
+        return operator.index(value)
     except TypeError:
-        days = 0
-    if days < 1:
+        return None
+
+
+def check_days(name: str, value) -> None:
+    """Reject, by name, a day count that is not an integer (``as_integer``)
+    of at least 1."""
+    days = as_integer(value)
+    if days is None or days < 1:
         raise DomainError(f"{name} must be an integer of at least 1, got {value!r}")
 
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import TRADING_DAYS_PER_YEAR, DomainError, check_finite, daily_volatility
+from .core import DomainError, check_finite, daily_volatility
 from .specialfuncs import integral_i_ab, integral_i_w
 
 _GRID_STEP = 1e-3  # coarse scan resolution of the buffer optimizer
@@ -78,11 +78,11 @@ class BufferCostParams:
         spread: Bid-ask spread of the risky assets, as a fraction.
         cash_cost: Unit cost of liquidating cash (usually tiny).
         beta_impact: Square-root market-impact coefficient.
-        sigma: Annual volatility feeding the impact term (converted to daily).
+        sigma: Annual volatility feeding the impact term (converted to daily by
+            sqrt(TRADING_DAYS_PER_YEAR)).
         x_plus: Daily trading limit as a fraction of net assets; >= 1 means
             the whole fund can be sold in one day.
         eta: Exponent of the redemption-rate law F(x) = x^eta.
-        trading_days: Annualization convention for the daily volatility.
         cdf, pdf: Optional custom redemption law (distribution function and
             density on [0, 1]); used by the quadrature paths only.
     """
@@ -93,7 +93,6 @@ class BufferCostParams:
     sigma: float = 0.0
     x_plus: float = 1.0
     eta: float = 1.0
-    trading_days: int = TRADING_DAYS_PER_YEAR
     cdf: Optional[Callable[[float], float]] = None
     pdf: Optional[Callable[[float], float]] = None
 
@@ -107,7 +106,7 @@ class BufferCostParams:
 
     @property
     def sigma_daily(self) -> float:
-        return daily_volatility(self.sigma, self.trading_days)
+        return daily_volatility(self.sigma)
 
     @property
     def unlimited(self) -> bool:
@@ -601,8 +600,6 @@ def optimal_cash_buffer(market: BufferMarketParams, params: BufferCostParams) ->
     best = int(np.argmin(values))  # first index wins ties, i.e. smaller w
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    if hi <= lo:
-        return float(grid[best])
     x, fx, _ = _fminbound(lambda w: net_buffer_cost(market, params, min(max(w, 0.0), 1.0)),
                           float(lo), float(hi), xatol=1e-9)
     candidates = [(values[best], float(grid[best])), (fx, x)]

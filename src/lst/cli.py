@@ -378,10 +378,11 @@ def cmd_buffer(args) -> int:
         eta=float(args.eta),
     )
     curve_points = _count(args, "--curve-points", MAX_CURVE_POINTS)
+    # solved before --out-dir is made, so that an error leaves no directory
+    w_star = optimal_cash_buffer(market, params)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    w_star = optimal_cash_buffer(market, params)
     print(f"w_star,{_fmt(w_star)}")
     if args.out_dir:
         grid = np.linspace(0.0, 1.0, curve_points)

@@ -183,8 +183,9 @@ _BUCKET_KEYS = {"lambda": "selling_intensity", "eta_dd": "loss_intensity",
 def load_buckets(path) -> list:
     """Read bucket definitions from JSON: [{name, lambda, eta_dd, mdd, ccf_static?}, ...].
 
-    A DomainError names the file, and the entry (from 1) and field of a
-    missing name or of a value that is not a number.
+    A DomainError names the file and the entry (from 1): a missing name, a
+    value that is not a number (with its field), or a bucket ``HqlaBucket``
+    rejects (with its message).
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -202,5 +203,8 @@ def load_buckets(path) -> list:
                     fields[field] = float(rec[key])
                 except (TypeError, ValueError):
                     raise DomainError(f"{where}: {key} {rec[key]!r} is not a number") from None
-        buckets.append(HqlaBucket(name=str(rec["name"]), **fields))
+        try:
+            buckets.append(HqlaBucket(name=str(rec["name"]), **fields))
+        except DomainError as exc:
+            raise DomainError(f"{where}: {exc}") from None
     return buckets

@@ -16,7 +16,6 @@ import numpy as np
 from . import _slsqp
 from ._checks import check_days
 from .core import (
-    TRADING_DAYS_PER_YEAR,
     DomainError,
     Portfolio,
     RedemptionPortfolio,
@@ -26,7 +25,7 @@ from .core import (
     tna,
     weight_distortion,
 )
-from .liquidation import LiquidationSchedule, _raised, build_schedule
+from .liquidation import MAX_DAYS_DEFAULT, LiquidationSchedule, _raised, build_schedule
 
 
 # =============================================================================
@@ -54,7 +53,6 @@ class CostModel:
     knee: float = 0.05
     participation_cap: float = 0.10
     regime: str = "sqrt_linear"
-    trading_days: int = TRADING_DAYS_PER_YEAR
     custom_impact: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
@@ -78,7 +76,7 @@ class CostModel:
 
     def unit_cost(self, x: np.ndarray, spread: np.ndarray, annual_vol: np.ndarray) -> np.ndarray:
         """Unit cost c(x) for given spreads and annualized volatilities."""
-        daily_vol = daily_volatility(np.asarray(annual_vol, dtype=float), self.trading_days)
+        daily_vol = daily_volatility(np.asarray(annual_vol, dtype=float))
         return np.asarray(spread, dtype=float) + self.beta_impact * daily_vol * self.impact_shape(x)
 
 
@@ -102,6 +100,8 @@ def transaction_cost(
     into the bid-ask and market-impact components, and normalizes by the
     value of the liquidated portfolio (costs are in fractions of the traded
     amount, matching how liquidation costs are usually quoted).
+    A sale at zero volume or above the participation cap is a DomainError,
+    and so is a schedule that leaves part of its target unsold, unpriced.
     """
     value = schedule.target.value(portfolio)
     if value <= 0:
@@ -120,8 +120,11 @@ def transaction_cost(
         bad = [portfolio.ids[i] for i in np.flatnonzero(x > cost_model.participation_cap * (1 + 1e-9))]
         if bad:
             raise DomainError(f"participation above the one-day cap for {bad}")
-    impact_scale = cost_model.beta_impact * daily_volatility(portfolio.volatilities,
-                                                             cost_model.trading_days)
+    if not schedule.exhausted:
+        unsold = schedule.target.quantities - schedule.cumulative()
+        bad = [portfolio.ids[i] for i in np.flatnonzero(unsold > 0)]
+        raise DomainError(f"securities {bad} do not sell out within {schedule.max_days} days")
+    impact_scale = cost_model.beta_impact * daily_volatility(portfolio.volatilities)
     spread_cost = impact_cost = 0.0
     for day in sold:
         active = day > 0
@@ -308,21 +311,25 @@ def optimize_policy(
     """Minimize transaction cost subject to tracking-risk and shortfall caps.
 
     minimize TC(q) s.t. TR(q) <= tr_max, 1 - LR(q; horizon) <= ls_max,
-    value(q) = shock amount, 0 <= q <= holdings.
+    value(q) = shock amount, 0 <= q <= b = min(holdings, MAX_DAYS_DEFAULT *
+    daily limits), all that ``transaction_cost`` prices.
 
     Runs SLSQP (``_slsqp.minimize``, scipy's kernel without the
     ``scipy.optimize`` package) from several deterministic starting points:
     pro-rata, a cheapest-first fill, the fastest-liquidating fill, and the
-    midpoints of pro-rata with each fill; the value-matching equality is kept
-    feasible by renormalizing each start onto the budget plane. The shortfall
-    is 1 - A(horizon) / budget, with A(horizon), the cash a greedy sale
-    raises by the horizon, read as one sum (``_raised``), no schedule built.
-    Each result and start point that meets both caps is scored once, as
+    midpoints of pro-rata with each fill. A point goes onto the budget
+    plane by one scale and one cap at b. The shortfall is 1 - A(horizon) /
+    budget, with A(horizon), the cash a greedy sale raises by the horizon,
+    read as one sum (``_raised``), no schedule built. Each result and start
+    point on the budget that meets both caps is scored once, as
     ``evaluate_policy`` scores it, with the tracking risk of its cap check;
     the cheapest wins, the first of equals.
 
-    Two verdicts are typed outcomes. ``InfeasiblePolicy("shortfall")`` is a
-    proof: even the fastest-liquidating portfolio misses the shortfall cap.
+    Three verdicts are typed outcomes. ``InfeasiblePolicy("budget")``: the
+    shock exceeds the value of b. ``InfeasiblePolicy("shortfall")`` is a
+    proof: nothing raises more by the horizon than A(horizon) of b, so the
+    least shortfall, 1 - A(horizon) / budget, exceeds ``ls_max``; below it,
+    the fastest start sells A(horizon) and fills the rest from b.
     ``InfeasiblePolicy("tracking-risk")`` means that no start reached a
     point meeting both caps; it is not a proof that none exists, since a
     local solver from a few starts can miss a feasible region. The result
@@ -334,59 +341,49 @@ def optimize_policy(
     total = tna(portfolio)
     if shock.amount > total:
         return InfeasiblePolicy("budget", "shock exceeds total net assets")
-    prices, shares, budget = portfolio.prices, portfolio.shares, shock.amount
+    prices, limits, budget = portfolio.prices, portfolio.daily_limits, shock.amount
+    box = np.minimum(portfolio.shares, MAX_DAYS_DEFAULT * limits)
+    sellable = box @ prices
+    if budget > sellable:
+        return InfeasiblePolicy("budget", f"shock exceeds the value sellable within "
+                                          f"{MAX_DAYS_DEFAULT} days at the daily limits")
 
-    # each clips its argument to the holdings: SLSQP's trial points may leave them
+    # each clips its argument to the bounds: SLSQP's trial points may leave them
     def tr_of(q: np.ndarray) -> float:
-        return _tracking_risk(portfolio, RedemptionPortfolio(np.clip(q, 0.0, shares)), bond_spec)
+        return _tracking_risk(portfolio, RedemptionPortfolio(np.clip(q, 0.0, box)), bond_spec)
 
     def ls_of(q: np.ndarray) -> float:
-        return 1.0 - _raised(horizon, portfolio.daily_limits, np.clip(q, 0.0, shares), prices) / budget
+        return 1.0 - _raised(horizon, limits, np.clip(q, 0.0, box), prices) / budget
 
     def tc_of(q: np.ndarray) -> float:
-        schedule = build_schedule(portfolio, RedemptionPortfolio(np.clip(q, 0.0, shares)))
+        schedule = build_schedule(portfolio, RedemptionPortfolio(np.clip(q, 0.0, box)))
         return transaction_cost(portfolio, cost_model, schedule).total
 
-    # Feasibility of the shortfall cap: nothing liquidates faster than filling
-    # the most liquid assets first up to their horizon capacity.
-    speed_caps = np.minimum(shares, horizon * portfolio.daily_limits)
-    fastest = _greedy_fill(portfolio, speed_caps, budget)
-    if fastest is None or ls_of(fastest) > ls_max + 1e-9:
+    least = ls_of(box)
+    if least > ls_max + 1e-9:
         return InfeasiblePolicy(
             "shortfall",
             f"no portfolio of value {budget:.6g} liquidates within the cap "
-            f"ls_max={ls_max} over {horizon} day(s)",
+            f"ls_max={ls_max} over {horizon} day(s): the least shortfall is {least:.6g}",
         )
-
-    pro_rata = (budget / total) * shares
-    starts = {"pro-rata": pro_rata}
-    greedy = _greedy_fill(portfolio, shares, budget, by_cost=cost_model)
-    if greedy is not None:
-        starts["cheapest"] = greedy
-        starts["pro-rata/cheapest"] = 0.5 * pro_rata + 0.5 * greedy
-    starts["fastest"] = fastest
-    starts["pro-rata/fastest"] = 0.5 * pro_rata + 0.5 * fastest
+    speed_caps = np.minimum(box, horizon * limits)
+    if least > 0:  # the horizon capacity falls short of the budget
+        fastest = speed_caps + _greedy_fill(portfolio, box - speed_caps,
+                                            budget - speed_caps @ prices)
+    else:
+        fastest = _greedy_fill(portfolio, speed_caps, budget)
+    pro_rata = (budget / sellable) * box
+    cheapest = _greedy_fill(portfolio, box, budget, by_cost=cost_model)
+    starts = {"pro-rata": pro_rata, "cheapest": cheapest,
+              "pro-rata/cheapest": 0.5 * pro_rata + 0.5 * cheapest,
+              "fastest": fastest, "pro-rata/fastest": 0.5 * pro_rata + 0.5 * fastest}
 
     def clip_to_budget(q: np.ndarray) -> np.ndarray:
-        q = np.clip(q, 0.0, shares)
+        q = np.clip(q, 0.0, box)
         value = q @ prices
         if value <= 0:
             return pro_rata.copy()
-        scaled = q * (budget / value)
-        # renormalization may push past the holdings; bleed the excess into
-        # a final exact projection step
-        for _ in range(50):
-            over = scaled > shares
-            if not over.any():
-                break
-            excess = float(((scaled - shares)[over] * prices[over]).sum())
-            scaled = np.minimum(scaled, shares)
-            room = (shares - scaled) * prices
-            space = float(room.sum())
-            if space <= 0 or excess <= 0:
-                break
-            scaled = scaled + (room / space) * excess / prices
-        return np.clip(scaled, 0.0, shares)
+        return np.minimum(q * (budget / value), box)
 
     ineq = []
     if np.isfinite(tr_max):
@@ -401,7 +398,7 @@ def optimize_policy(
         try:
             res = _slsqp.minimize(
                 tc_of,
-                start, np.zeros(portfolio.n), shares,
+                start, np.zeros(portfolio.n), box,
                 eq=[lambda q: (q @ prices - budget) / budget],
                 ineq=ineq,
                 maxiter=300,
@@ -434,8 +431,9 @@ def optimize_policy(
 
 
 def _greedy_fill(portfolio: Portfolio, caps: np.ndarray, budget: float,
-                 by_cost: Optional[CostModel] = None):
-    """Fill a budget from per-security capacity, as listed or cheapest first under ``by_cost``."""
+                 by_cost: Optional[CostModel] = None) -> np.ndarray:
+    """Fill a budget from per-security capacity, as listed or cheapest first
+    under ``by_cost``; a budget above the capacity takes all of it."""
     order = np.arange(portfolio.n)
     if by_cost is not None:
         vols = np.where(portfolio.daily_volumes > 0, portfolio.daily_volumes, np.inf)
@@ -450,6 +448,4 @@ def _greedy_fill(portfolio: Portfolio, caps: np.ndarray, budget: float,
         take_value = min(remaining, caps[i] * portfolio.prices[i])
         q[i] = take_value / portfolio.prices[i]
         remaining -= take_value
-    if remaining > 1e-9 * max(budget, 1.0):
-        return None
     return q

@@ -6,11 +6,12 @@ anti-dilution levies and the redemption-gate queue.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
-from ._checks import DomainError, check_finite
+from ._checks import DomainError, as_integer, check_finite
 
 
 # =============================================================================
@@ -265,6 +266,9 @@ class GateRequest:
     rate: float
 
     def __post_init__(self) -> None:
+        # any integer day, 0 and negative ones included
+        if as_integer(self.day) is None:
+            raise DomainError(f"request day must be an integer, got {self.day!r}")
         if not (self.rate >= 0 and math.isfinite(self.rate)):
             raise DomainError(f"redemption rate must be finite and non-negative, got {self.rate!r}")
 
@@ -286,16 +290,16 @@ def gate_schedule(requests: Sequence[GateRequest], policy: GatePolicy) -> List[G
     remainders carry to the next day ahead of later arrivals. Fills are exact
     fractions (no rounding).
     """
-    queue: List[List] = []  # [investor, remaining, original, arrival, seq]
+    queue: Deque[List] = deque()  # [investor, remaining, original]
     fills: List[GateFill] = []
-    pending = sorted(enumerate(requests), key=lambda item: (item[1].day, item[0]))
+    pending = sorted(requests, key=lambda r: r.day)  # stable: listing order within a day
     idx = 0
     day = min((r.day for r in requests), default=0)
     while idx < len(pending) or queue:
-        while idx < len(pending) and pending[idx][1].day <= day:
-            seq, req = pending[idx]
+        while idx < len(pending) and pending[idx].day <= day:
+            req = pending[idx]
             if req.rate > 0:
-                queue.append([req.investor, req.rate, req.rate, req.day, seq])
+                queue.append([req.investor, req.rate, req.rate])
             idx += 1
         capacity = policy.daily_cap
         while queue and capacity > 1e-15:
@@ -308,9 +312,9 @@ def gate_schedule(requests: Sequence[GateRequest], policy: GatePolicy) -> List[G
             entry[1] -= executed
             capacity -= executed
             if entry[1] <= 1e-15:
-                queue.pop(0)
+                queue.popleft()
         # an empty queue waits for the next arrival, not through idle days
-        day = pending[idx][1].day if not queue and idx < len(pending) else day + 1
+        day = pending[idx].day if not queue and idx < len(pending) else day + 1
     return fills
 
 

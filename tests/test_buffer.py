@@ -274,6 +274,21 @@ class TestExpectedGain:
             assert expected_lg_approx(custom, w) == pytest.approx(
                 expected_lg_approx(power2, w), rel=1e-7)
 
+    def test_custom_law_optimum_matches_the_power_law(self):
+        # with no trading limit the law x**2 is integrated one weight at a
+        # time; its expectation is the power law's at eta = 2 just below x+ = 1
+        custom = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
+                                  cdf=lambda x: x * x, pdf=lambda x: 2 * x)
+        power2 = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
+                                  x_plus=0.999999, eta=2.0)
+        market = BufferMarketParams(mu_asset=0.0)
+        assert custom.expected_redemption == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert expected_lg_exact(custom, 0.5) == pytest.approx(
+            expected_lg_exact(power2, 0.5), rel=1e-9)
+        w_star = optimal_cash_buffer(market, custom)
+        assert round(w_star, 6) == 0.967218
+        assert w_star == pytest.approx(optimal_cash_buffer(market, power2), abs=1e-7)
+
 
 @st.composite
 def limited_gain_cases(draw):

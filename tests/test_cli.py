@@ -197,6 +197,7 @@ class TestHqlaCommand:
         ({"a": 1}, " must hold a JSON list of objects"),
         ([{"name": "x", "lambda": [1]}], ", entry 1: lambda [1] is not a number"),
         ([{"lambda": 0.1}], ", entry 1: name is required"),
+        ([{"name": "x"}, {"name": "y", "mdd": 2}], ", entry 2: max drawdown must lie in [0, 1]"),
     ])
     def test_malformed_bucket_file_is_a_validation_error(self, doc, detail, tmp_path, capsys):
         path = tmp_path / "buckets.json"
@@ -363,6 +364,16 @@ class TestOptimizeCommand:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "infeasible-policy"
         assert report["binding"] == "shortfall"
+        assert report["detail"].endswith("the least shortfall is 0.409914")
+
+    def test_short_capacity_within_the_shortfall_cap_is_solved(self, tmp_path, capsys):
+        # one day at the limits raises 59% of a 20% shock: the least shortfall is 41%
+        out = tmp_path / "policy.csv"
+        code = main(["optimize", "--portfolio", FUND, "--corr", CORR, "--shock", "0.20",
+                     "--tr-max", "1.0", "--ls-max", "0.99", "--h", "1", "--out", str(out)])
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        rows = {r[0]: r[1] for r in read_rows(out)}
+        assert 40.99 <= float(rows["shortfall_pct"]) <= 99.0
 
     @pytest.mark.parametrize("h", ["0", "-1"])
     def test_horizon_below_one_day_is_a_validation_error(self, h, capsys):
@@ -467,6 +478,13 @@ class TestBufferCommand:
         assert captured.out == ""
         report = json.loads(captured.err)
         assert report["error"] == "validation" and report["detail"].endswith("at eta = 1e+308")
+
+    def test_a_failed_solve_makes_no_out_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "dd"
+        assert main(["buffer", "--eta", "1e308", "--out-dir", str(out_dir)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_dir.exists()
+        assert json.loads(captured.err)["error"] == "validation"
 
     def test_non_finite_parameter_names_the_field(self, capsys):
         assert main(["buffer", "--spread", "nan"]) == EXIT_CONFIG

@@ -512,7 +512,7 @@ def correlation_files(draw):
             cells.append(draw(st.sampled_from(SPELLINGS))(x) if math.isfinite(x) else repr(x))
         if draw(st.integers(0, 9)) == 0:
             cells = cells[:-1] if draw(st.booleans()) else cells + ["9"]
-        if draw(st.integers(0, 9)) == 0:
+        if cells and draw(st.integers(0, 9)) == 0:
             cells[draw(st.integers(0, len(cells) - 1))] = "abc"
         lines.append(",".join(cells))
     for _ in range(draw(st.integers(0, 2))):

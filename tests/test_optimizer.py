@@ -23,6 +23,7 @@ from lst import (
     load_portfolio,
     optimize_policy,
     tracking_risk_bond,
+    tna,
     tracking_risk_equity,
     transaction_cost,
 )
@@ -133,7 +134,9 @@ class TestTransactionCost:
 def reference_transaction_cost(portfolio, cost_model, schedule):
     """``transaction_cost`` as a day loop that checks every day's sale:
     days without a sale are skipped, and each other day is checked for sales
-    at zero volume and above the participation cap before it is priced."""
+    at zero volume and above the participation cap before it is priced. A
+    schedule that leaves names unsold, those with more than ``max_days``
+    days of their cap in the target, is then rejected."""
     value = schedule.target.value(portfolio)
     if value <= 0:
         return TransactionCost(total=0.0, spread_part=0.0, impact_part=0.0)
@@ -141,7 +144,7 @@ def reference_transaction_cost(portfolio, cost_model, schedule):
     spread_cost = 0.0
     impact_cost = 0.0
     cap = cost_model.participation_cap
-    daily_vol = daily_volatility(portfolio.volatilities, cost_model.trading_days)
+    daily_vol = daily_volatility(portfolio.volatilities)
     for day in schedule.sold:
         active = day > 0
         if not active.any():
@@ -157,6 +160,10 @@ def reference_transaction_cost(portfolio, cost_model, schedule):
         spread_cost += float((notional * portfolio.spreads)[active].sum())
         impact = cost_model.beta_impact * daily_vol * cost_model.impact_shape(x)
         impact_cost += float((notional * impact)[active].sum())
+    if not schedule.exhausted:
+        q = schedule.target.quantities
+        bad = [portfolio.ids[i] for i in np.nonzero(q > schedule.max_days * schedule.cap)[0]]
+        raise DomainError(f"securities {bad} do not sell out within {schedule.max_days} days")
     return TransactionCost(
         total=(spread_cost + impact_cost) / value,
         spread_part=spread_cost / value,
@@ -199,15 +206,18 @@ class TestTransactionCostMatchesDayByDayChecks:
                          spread=float(rng.uniform(0.0, 3e-3)))
                 for i in range(n)))
             q = shares * rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)
+            # some schedules are cut at max_days, which is rejected as well
             schedule = build_schedule(p, RedemptionPortfolio(quantities=q),
-                                      max_days=int(rng.integers(1, 31)))
+                                      max_days=int(rng.integers(5, 41)))
             for model in self.MODELS:
                 ours = outcome_of(lambda: transaction_cost(p, model, schedule))
                 assert ours == outcome_of(lambda: reference_transaction_cost(p, model, schedule)), case
                 if isinstance(ours, str):
-                    raised.append("volume" if "zero daily volume" in ours else "cap")
-        # both paths, priced and rejected, and both errors are exercised
+                    raised.append("volume" if "zero daily volume" in ours else
+                                  "unsold" if "do not sell out" in ours else "cap")
+        # both paths, priced and rejected, and all three errors are exercised
         assert 100 < raised.count("volume") and 100 < raised.count("cap") and len(raised) < 800
+        assert 100 < raised.count("unsold")
 
     def test_only_the_first_day_is_checked(self, cost_model):
         # a sale that grows after day 1 (never one of build_schedule's): the
@@ -216,7 +226,7 @@ class TestTransactionCostMatchesDayByDayChecks:
             Security("X", 1_000, 10.0, daily_limit=100, daily_volume=1_000, volatility=0.2),
             Security("Y", 1_000, 10.0, daily_limit=100, daily_volume=0, volatility=0.2)))
         grows = SimpleNamespace(target=RedemptionPortfolio(quantities=[600.0, 50.0]),
-                                sold=np.array([[100.0, 0.0], [500.0, 50.0]]))
+                                sold=np.array([[100.0, 0.0], [500.0, 50.0]]), exhausted=True)
         assert transaction_cost(p, cost_model, grows).total > 0
         with pytest.raises(DomainError, match="trade with zero daily volume"):
             reference_transaction_cost(p, cost_model, grows)
@@ -478,6 +488,86 @@ class TestOptimizePolicyMatchesScipy:
             correlation=CORRELATION)
         res = self.same_under_scipy(monkeypatch, zeroed, 0.10, 20e-4, 0.30, 2)
         assert res.redemption.quantities[5] == 0.0
+
+
+def least_shortfall(portfolio, shock, h):
+    """1 - A(h) / B: no sale raises more by day h than every name sold at its
+    limit, A(h) = sum_i P_i min(h cap_i, shares_i)."""
+    raised = np.minimum(h * portfolio.daily_limits, portfolio.shares) @ portfolio.prices
+    return 1.0 - raised / shock.amount
+
+
+class TestShortfallVerdictIsTheClosedForm:
+    """``InfeasiblePolicy("shortfall")`` exactly when the least reachable
+    shortfall exceeds ``ls_max``; otherwise a policy within the cap."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: load_portfolio(FUND, correlation_path=CORR), one_factor_fund],
+        ids=["packaged", "one-factor"])
+    @pytest.mark.parametrize("rate", [0.05, 0.20, 0.40])
+    def test_verdict_over_shocks_horizons_and_caps(self, make, rate):
+        portfolio, cost_model = make(), CostModel()
+        shock = RedemptionShock.from_rate(portfolio, rate)
+        for h in (1, 3):
+            least = least_shortfall(portfolio, shock, h)
+            for ls_max in (0.0, 0.3, 0.99):
+                res = optimize_policy(portfolio, cost_model, shock, 1.0, ls_max, h)
+                case = (rate, h, ls_max, least)
+                if least > ls_max + 1e-9:
+                    assert isinstance(res, InfeasiblePolicy), case
+                    assert res.binding_constraint == "shortfall" and res.starts == (), case
+                    assert res.message.endswith(f"the least shortfall is {least:.6g}"), case
+                else:
+                    assert isinstance(res, OptimalPolicy), case
+                    assert least - 1e-9 <= res.evaluation.shortfall <= ls_max + 1e-9, case
+                    assert res.redemption.value(portfolio) == pytest.approx(shock.amount,
+                                                                            rel=1e-6), case
+
+
+class TestUnsoldPartIsNotPriced:
+    """A sale a schedule does not finish is a DomainError, and the optimizer
+    sells no more of a name than it finishes within ``MAX_DAYS_DEFAULT`` days."""
+
+    def test_a_sale_cut_at_max_days_is_rejected(self, cost_model):
+        p = Portfolio(securities=(Security("X", 1_000, 10.0, daily_limit=1, daily_volume=100,
+                                           volatility=0.2, spread=1e-3),))
+        q = RedemptionPortfolio(quantities=np.array([1_000.0]))
+        with pytest.raises(DomainError, match=r"securities \['X'\] do not sell out within 260 days"):
+            transaction_cost(p, cost_model, build_schedule(p, q))
+        # given the days, every share is priced at the one-share unit cost
+        unit = cost_model.unit_cost(np.array([0.01]), p.spreads, p.volatilities)[0]
+        assert transaction_cost(p, cost_model, build_schedule(p, q, max_days=1_000)).total == \
+            pytest.approx(unit, rel=1e-12)
+
+    def test_a_name_with_a_zero_limit_is_rejected(self, cost_model):
+        fund = make_fund(limit_overrides={"A7": 0})
+        q = RedemptionPortfolio(quantities=0.1 * fund.shares)
+        with pytest.raises(DomainError, match=r"securities \['A7'\] do not sell out"):
+            transaction_cost(fund, cost_model, build_schedule(fund, q))
+
+    def test_optimizer_sells_none_of_an_untradeable_name(self, cost_model):
+        fund = make_fund(limit_overrides={"A7": 0})
+        res = optimize_policy(fund, cost_model, RedemptionShock.from_rate(fund, 0.05),
+                              tr_max=1.0, ls_max=0.99)
+        assert isinstance(res, OptimalPolicy)
+        assert res.redemption.quantities[6] == 0.0
+        assert res.evaluation == evaluate_policy(fund, cost_model, res.redemption, 1)
+
+    def test_shock_above_what_the_limits_sell_is_a_budget_verdict(self, cost_model):
+        # A7 cannot be sold, and B holds 1,000 shares at 1 a day: 260 of them sell
+        fund = Portfolio(securities=(
+            Security("A", 1_000, 10.0, daily_limit=100, daily_volume=1_000, volatility=0.2),
+            Security("B", 1_000, 10.0, daily_limit=1, daily_volume=100, volatility=0.2),
+            Security("A7", 100, 10.0, daily_limit=0, daily_volume=100, volatility=0.2)),
+            correlation=np.eye(3))
+        sellable = (1_000 + 260) * 10.0 / tna(fund)
+        res = optimize_policy(fund, cost_model, RedemptionShock.from_rate(fund, sellable * 1.001),
+                              tr_max=1.0, ls_max=1.0, horizon=1)
+        assert isinstance(res, InfeasiblePolicy) and res.binding_constraint == "budget"
+        res = optimize_policy(fund, cost_model, RedemptionShock.from_rate(fund, sellable * 0.999),
+                              tr_max=1.0, ls_max=1.0, horizon=1)
+        assert isinstance(res, OptimalPolicy)
+        assert res.redemption.quantities[1] <= 260.0 and res.redemption.quantities[2] == 0.0
 
 
 class TestWinnerScoredOnce:

@@ -291,6 +291,20 @@ class TestGate:
         with pytest.raises(DomainError):
             GateRequest(day=0, investor="A", rate=rate)
 
+    @pytest.mark.parametrize("day", [math.nan, 0.5, 1.0, np.float64(2.0), True, "1", None])
+    def test_day_that_is_not_an_integer_rejected(self, day):
+        # a NaN day once looped for ever, and 0.5 filled on days 0.5, 1.5, 2.5
+        with pytest.raises(DomainError, match="request day must be an integer"):
+            GateRequest(day=day, investor="A", rate=0.05)
+
+    def test_zero_negative_and_numpy_days_queue(self):
+        fills = gate_schedule(
+            [GateRequest(day=np.int64(0), investor="B", rate=0.02),
+             GateRequest(day=-2, investor="A", rate=0.03)],
+            GatePolicy(daily_cap=0.02),
+        )
+        assert [(f.day, f.investor) for f in fills] == [(-2, "A"), (-1, "A"), (0, "B")]
+
     def test_cap_domain(self):
         with pytest.raises(DomainError):
             GatePolicy(daily_cap=0.0)
