@@ -339,14 +339,12 @@ def optimize_policy(
     if shock.amount <= 0:
         raise DomainError("redemption shock must be positive")
     total = tna(portfolio)
-    if shock.amount > total:
-        return InfeasiblePolicy("budget", "shock exceeds total net assets")
     prices, limits, budget = portfolio.prices, portfolio.daily_limits, shock.amount
     box = np.minimum(portfolio.shares, MAX_DAYS_DEFAULT * limits)
-    sellable = box @ prices
-    if budget > sellable:
-        return InfeasiblePolicy("budget", f"shock exceeds the value sellable within "
-                                          f"{MAX_DAYS_DEFAULT} days at the daily limits")
+    if budget > box @ prices:
+        return InfeasiblePolicy("budget", "shock exceeds total net assets" if budget > total else
+                                f"shock exceeds the value sellable within {MAX_DAYS_DEFAULT} "
+                                f"days at the daily limits")
 
     # each clips its argument to the bounds: SLSQP's trial points may leave them
     def tr_of(q: np.ndarray) -> float:
@@ -372,7 +370,7 @@ def optimize_policy(
                                             budget - speed_caps @ prices)
     else:
         fastest = _greedy_fill(portfolio, speed_caps, budget)
-    pro_rata = (budget / sellable) * box
+    pro_rata = (budget / total) * portfolio.shares
     cheapest = _greedy_fill(portfolio, box, budget, by_cost=cost_model)
     starts = {"pro-rata": pro_rata, "cheapest": cheapest,
               "pro-rata/cheapest": 0.5 * pro_rata + 0.5 * cheapest,
@@ -382,7 +380,7 @@ def optimize_policy(
         q = np.clip(q, 0.0, box)
         value = q @ prices
         if value <= 0:
-            return pro_rata.copy()
+            return np.minimum(pro_rata, box)
         return np.minimum(q * (budget / value), box)
 
     ineq = []

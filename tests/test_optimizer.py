@@ -333,6 +333,16 @@ class TestOptimizePolicy:
         assert isinstance(res, OptimalPolicy)
         np.testing.assert_allclose(res.redemption.quantities, 0.10 * fund.shares, rtol=1e-9)
 
+    def test_zero_tracking_cap_returns_pro_rata_when_a_bound_is_below_the_holdings(self,
+                                                                                   cost_model):
+        # A7 sells 260 of its 1,800 shares within 260 days at 1 a day; its 5%
+        # slice, 90 shares, still fits, so the zero-risk pro-rata is feasible
+        fund = make_fund(limit_overrides={"A7": 1})
+        res = optimize_policy(fund, cost_model, RedemptionShock.from_rate(fund, 0.05),
+                              tr_max=0.0, ls_max=1.0)
+        assert isinstance(res, OptimalPolicy)
+        np.testing.assert_allclose(res.redemption.quantities, 0.05 * fund.shares, rtol=1e-9)
+
     def test_capped_problem_beats_the_benchmark_mixture(self, fund, cost_model):
         # LS <= 10% and TR <= 20bp admit a policy at least as cheap as the
         # published compromise portfolio (22.6bp)
