@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import DomainError, check_finite, daily_volatility
-from .specialfuncs import integral_i_ab, integral_i_w
+from .specialfuncs import _check_eta, integral_i_ab, integral_i_w
 
 _GRID_STEP = 1e-3  # coarse scan resolution of the buffer optimizer
 _ERROR_BLOCK = 1 << 15  # (w, u) points per block of the approximation-error scan
@@ -82,7 +82,8 @@ class BufferCostParams:
             sqrt(TRADING_DAYS_PER_YEAR)).
         x_plus: Daily trading limit as a fraction of net assets; >= 1 means
             the whole fund can be sold in one day.
-        eta: Exponent of the redemption-rate law F(x) = x^eta.
+        eta: Exponent of the redemption-rate law F(x) = x^eta, in
+            (0, ``specialfuncs.ETA_MAX``].
         cdf, pdf: Optional custom redemption law (distribution function and
             density on [0, 1]); used by the quadrature paths only.
     """
@@ -100,7 +101,7 @@ class BufferCostParams:
         check_finite(self, ("spread", "cash_cost", "beta_impact", "sigma"), "non-negative")
         if not self.x_plus > 0:
             raise DomainError("trading limit must be positive")
-        check_finite(self, ("eta",), "positive")
+        _check_eta(self.eta)
         if (self.cdf is None) != (self.pdf is None):
             raise DomainError("custom redemption law needs both cdf and pdf")
 
@@ -586,8 +587,8 @@ def optimal_cash_buffer(market: BufferMarketParams, params: BufferCostParams) ->
     Scans a 1e-3 grid (the exact gain can be bimodal near w = 1), in one
     array call under the power law, and refines the best bracket by Brent's
     bounded method; exact ties resolve to the smaller weight. A grid cost
-    that is not finite is a DomainError naming eta: at the CLI's default
-    costs the expected gain overflows at small w from eta = 101.27.
+    that is not finite, such as one that overflows at huge costs, is a
+    DomainError naming eta.
     """
     grid = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
     with np.errstate(all="ignore"):

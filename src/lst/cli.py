@@ -4,7 +4,8 @@ CSV/JSON emission, including the golden-table regression runner.
 
 Exit codes: 0 on success, 1 when a computation reports a typed infeasibility
 (no-solution reverse stress, infeasible policy constraints), 2 on config or
-validation errors.
+validation errors, 3 on any other exception (a fault of lst, reported as one
+``"internal"`` JSON line).
 
 Each subcommand imports the analytics it calls when it runs, so ``lst hqla``,
 ``lst swing`` and ``lst gate`` load no numpy and only ``lst optimize`` loads
@@ -33,6 +34,7 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_CONFIG = 2
+EXIT_INTERNAL = 3
 
 #: Largest --curve-points of ``lst buffer``: a 1e-4 step on [0, 1].
 MAX_CURVE_POINTS = 10_001
@@ -316,6 +318,7 @@ def cmd_optimize(args) -> int:
     from .core import RedemptionShock
     from .optimizer import CostModel, InfeasiblePolicy, optimize_policy
 
+    horizon = _count(args, "--h", MAX_DAYS)
     portfolio = _load_portfolio_arg(args)
     shock = RedemptionShock.from_rate(portfolio, parse_rate(args.shock))
     cost_model = CostModel(
@@ -328,7 +331,7 @@ def cmd_optimize(args) -> int:
         portfolio, cost_model, shock,
         tr_max=parse_rate(args.tr_max),
         ls_max=parse_rate(args.ls_max),
-        horizon=int(args.h),
+        horizon=horizon,
     )
     if isinstance(result, InfeasiblePolicy):
         return _error(
@@ -512,7 +515,7 @@ def golden_tables() -> dict:
         ]
 
     header = ["h", "lr_pct", "amount_mn", "rcr_pct", "ls_pct"]
-    _, rows = rcr_rows(pro_rata_portfolio(portfolio, 0.20), 0.20, 6)
+    pr_report, rows = rcr_rows(pro_rata_portfolio(portfolio, 0.20), 0.20, 6)
     tables["rcr_prorata"] = (header, rows)
 
     opt_rows = []
@@ -547,7 +550,6 @@ def golden_tables() -> dict:
             rows.append([h] + [_pct(v / total) for v in value])
         return rows
 
-    pr_report, _ = rcr_rows(pro_rata_portfolio(portfolio, 0.20), 0.20, 6)
     tables["weights_prorata_sold"] = (["h", *portfolio.ids], weight_rows(pr_report, False, 6))
     tables["weights_prorata_remaining"] = (["h", *portfolio.ids], weight_rows(pr_report, True, 6))
     tables["weights_waterfall_sold"] = (["h", *portfolio.ids], weight_rows(wf_report, False, 6))
@@ -730,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shock", default="0.10")
     p.add_argument("--tr-max", dest="tr_max", default="20bp")
     p.add_argument("--ls-max", dest="ls_max", default="0.10")
-    p.add_argument("--h", default="1")
+    p.add_argument("--h", default="1", help=f"shortfall horizon in days, 1 to {MAX_DAYS}")
     p.add_argument("--impact", default="0.4")
     p.add_argument("--knee", default="0.05")
     p.add_argument("--cap", default="0.10")
@@ -804,8 +806,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _error({"error": "missing-file", "detail": str(exc)}, EXIT_CONFIG)
     except OSError as exc:  # a directory, no permission, ...
         return _error({"error": "file", "detail": str(exc)}, EXIT_CONFIG)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError) as exc:  # json.JSONDecodeError included
         return _error({"error": "config", "detail": str(exc)}, EXIT_CONFIG)
+    except Exception as exc:  # a fault of lst, not of the input
+        return _error({"error": "internal", "detail": f"{type(exc).__name__}: {exc}"},
+                      EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

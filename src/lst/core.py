@@ -531,7 +531,7 @@ def _csv_correlation(path, text: str) -> np.ndarray:
         raise
 
 
-def daily_volatility(annual_vol, trading_days: int = TRADING_DAYS_PER_YEAR):
+def daily_volatility(annual_vol):
     """Convert annualized volatilities (a float or an array) to daily ones by
-    the sqrt-of-time rule."""
-    return annual_vol / math.sqrt(trading_days)
+    the sqrt-of-time rule over ``TRADING_DAYS_PER_YEAR``."""
+    return annual_vol / math.sqrt(TRADING_DAYS_PER_YEAR)

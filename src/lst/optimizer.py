@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from . import _slsqp
-from ._checks import check_days
+from ._checks import check_days, check_number
 from .core import (
     DomainError,
     Portfolio,
@@ -160,8 +161,10 @@ def tracking_risk_equity(portfolio: Portfolio, redemption: RedemptionPortfolio) 
 class BondRiskSpec:
     """Sector / maturity-bucket / duration / spread data for bond tracking risk.
 
-    Every bond maps to exactly one sector and one maturity bucket;
-    ``modified_duration`` is in years and ``dts`` is duration-times-spread.
+    Every bond maps to exactly one sector and one maturity bucket, neither
+    ``None``; labels are told apart by equality, so ``1`` and ``"1"`` are two
+    sectors. ``modified_duration`` (in years) and ``dts``
+    (duration-times-spread) must be finite.
     """
 
     sectors: tuple
@@ -173,12 +176,25 @@ class BondRiskSpec:
         n = len(self.sectors)
         if not (len(self.buckets) == len(self.modified_duration) == len(self.dts) == n):
             raise DomainError("bond risk spec fields must have equal length")
+        for i, (sector, bucket) in enumerate(zip(self.sectors, self.buckets)):
+            if sector is None or bucket is None:
+                raise DomainError(f"bond {i} needs a sector and a maturity bucket")
+        for name in ("modified_duration", "dts"):
+            for i, value in enumerate(getattr(self, name)):
+                check_number(f"{name} of bond {i}", value)
+
+    @cached_property
+    def _groups(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each bond's sector index and (sector, bucket) cell index, numbered
+        in order of first appearance."""
+        sector_of, cell_of = {}, {}
+        sector = [sector_of.setdefault(s, len(sector_of)) for s in self.sectors]
+        cell = [cell_of.setdefault(c, len(cell_of)) for c in zip(self.sectors, self.buckets)]
+        return np.array(sector, dtype=np.intp), np.array(cell, dtype=np.intp)
 
     def validate_for(self, portfolio: Portfolio) -> None:
         if len(self.sectors) != portfolio.n:
             raise DomainError("bond risk spec does not cover every bond")
-        if any(s is None for s in self.sectors) or any(b is None for b in self.buckets):
-            raise DomainError("every bond needs a sector and a maturity bucket")
 
 
 def tracking_risk_bond(
@@ -194,20 +210,10 @@ def tracking_risk_bond(
     """
     spec.validate_for(portfolio)
     delta = weight_distortion(portfolio, redemption).delta
-    md = np.asarray(spec.modified_duration, dtype=float)
-    dts = np.asarray(spec.dts, dtype=float)
-
-    risk_w = 0.0
-    risk_md = 0.0
-    risk_dts = 0.0
-    for sector in sorted(set(spec.sectors), key=str):
-        in_sector = np.array([s == sector for s in spec.sectors])
-        risk_w += abs(float(delta[in_sector].sum()))
-        risk_dts += abs(float((delta * dts)[in_sector].sum()))
-        for bucket in sorted({b for b, s in zip(spec.buckets, spec.sectors) if s == sector}, key=str):
-            cell = in_sector & np.array([b == bucket for b in spec.buckets])
-            risk_md += abs(float((delta * md)[cell].sum()))
-    return risk_w + risk_md + risk_dts
+    sector, cell = spec._groups
+    gaps = (np.bincount(sector, delta), np.bincount(cell, delta * spec.modified_duration),
+            np.bincount(sector, delta * spec.dts))
+    return float(sum(np.abs(gap).sum() for gap in gaps))
 
 
 def _tracking_risk(portfolio: Portfolio, redemption: RedemptionPortfolio,
@@ -312,7 +318,9 @@ def optimize_policy(
 
     minimize TC(q) s.t. TR(q) <= tr_max, 1 - LR(q; horizon) <= ls_max,
     value(q) = shock amount, 0 <= q <= b = min(holdings, MAX_DAYS_DEFAULT *
-    daily limits), all that ``transaction_cost`` prices.
+    daily limits), all that ``transaction_cost`` prices. Both caps must be
+    non-negative (a NaN cap is a DomainError); ``tr_max = inf`` and
+    ``ls_max >= 1`` leave their constraint out.
 
     Runs SLSQP (``_slsqp.minimize``, scipy's kernel without the
     ``scipy.optimize`` package) from several deterministic starting points:
@@ -336,6 +344,9 @@ def optimize_policy(
     carries one ``SolverStart`` per start.
     """
     check_days("horizon", horizon)
+    for name, cap in (("tr_max", tr_max), ("ls_max", ls_max)):
+        if not cap >= 0:  # NaN too
+            raise DomainError(f"{name} must be non-negative, got {cap!r}")
     if shock.amount <= 0:
         raise DomainError("redemption shock must be positive")
     total = tna(portfolio)

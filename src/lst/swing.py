@@ -63,12 +63,8 @@ def nav_step(state: FundState, event: FlowEvent) -> FundState:
     units_after = state.units + event.net_units
     if units_after <= 0:
         raise DomainError("flows redeem the whole fund")
-    if event.net_units > 0:
-        nav = gross - event.tc / units_after
-    elif event.net_units < 0:
-        nav = gross - event.tc / state.units
-    else:
-        nav = gross - (event.tc / state.units if event.tc else 0.0)
+    # no flow spreads any cost over the unchanged units, as a net redemption does
+    nav = gross - event.tc / (units_after if event.net_units > 0 else state.units)
     return FundState(nav=nav, units=units_after)
 
 
@@ -175,7 +171,7 @@ def swing_nav(state: FundState, event: FlowEvent, config: SwingConfig) -> SwingR
         threshold = config.threshold
         if config.mode == SwingMode.DYNAMIC:
             factor = config.factor
-            if factor <= 0 and abs(net) > 0:
+            if factor <= 0:
                 # infer today's factor from the cost of the day's net flow
                 factor = event.tc / (gross * abs(net)) if event.tc > 0 else 0.0
             if factor <= 0:

@@ -419,12 +419,20 @@ class TestNetBufferCost:
 
     @pytest.mark.parametrize("eta", [200.0, 1e308])
     def test_non_finite_grid_cost_names_eta(self, eta):
-        # the expected gain overflows at small w from about eta = 150; the
-        # optimizer once took an empty min() after a numpy overflow warning
-        params = with_eta(BASE, eta)
+        # an eta above specialfuncs.ETA_MAX is rejected when the costs are built,
+        # before the expected gain can overflow at small w (from about eta = 150)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=rf"not finite .* at eta = {re.escape(repr(eta))}$"):
+            with pytest.raises(DomainError,
+                               match=rf"^eta must lie in \(0, 12\], got {re.escape(repr(eta))}$"):
+                with_eta(BASE, eta)
+
+    def test_non_finite_grid_cost_is_a_domain_error(self):
+        # costs near the float limit overflow the grid at every eta
+        params = BufferCostParams(spread=1e308, beta_impact=1e308, sigma=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"not finite .* at eta = 1\.0$"):
                 optimal_cash_buffer(BufferMarketParams(mu_asset=0.01), params)
 
     def test_higher_premium_wipes_out_the_buffer(self):
@@ -571,3 +579,31 @@ class TestMonteCarloProperty:
         params, w, seed = case
         mean, stderr = simulate_lg(params, w, n=100_000, seed=seed)
         assert abs(mean - expected_lg_exact(params, w)) <= 4 * stderr
+
+
+CUSTOM_LAW = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
+                              cdf=lambda x: x * x, pdf=lambda x: 2 * x)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: BufferMarketParams(mu_asset=0.01, rho=2.0), r"^correlation must lie in \[-1, 1\]$"),
+        (lambda: BufferCostParams(spread=20e-4, x_plus=0.0), "^trading limit must be positive$"),
+        (lambda: BufferCostParams(spread=20e-4, cdf=lambda x: x),
+         "^custom redemption law needs both cdf and pdf$"),
+        (lambda: BufferCostParams(spread=20e-4, eta=12.5), r"^eta must lie in \(0, 12\], got 12\.5$"),
+        (lambda: tc_asset_sqrt(1.5, BASE), "^cannot liquidate more than the whole fund$"),
+        (lambda: expected_lg_components_closed(LIMITED, 0.5), "^closed form requires x_plus >= 1$"),
+        (lambda: expected_lg_components_closed(CUSTOM_LAW, 0.5),
+         "^closed form requires the power-law redemption model$"),
+        (lambda: expected_lg_derivative(BASE, 0.5, method="central"), "^unknown method 'central'$"),
+        (lambda: break_even_premium(BufferMarketParams(mu_asset=0.01), LIMITED, 0.5, method="exact"),
+         "^unknown method 'exact'$"),
+        (lambda: simulate_lg(CUSTOM_LAW, 0.5, n=10),
+         "^the Monte-Carlo validator supports the power law only$"),
+    ], ids=["market-rho", "zero-limit", "cdf-without-pdf", "eta-above-bound", "sale-above-fund",
+            "closed-form-limited", "closed-form-custom-law", "derivative-method",
+            "break-even-method", "simulate-custom-law"])
+    def test_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import lst
-from lst.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, MAX_CURVE_POINTS, MAX_DAYS, main,
-                     parse_days, parse_rate)
+from lst.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, MAX_CURVE_POINTS,
+                     MAX_DAYS, main, parse_days, parse_rate)
 
 DATA = resources.files("lst") / "data"
 FUND = str(DATA / "example_fund.csv")
@@ -381,7 +381,30 @@ class TestOptimizeCommand:
         assert code == EXIT_CONFIG
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "validation"
-        assert report["detail"] == f"horizon must be an integer of at least 1, got {h}"
+        assert report["detail"] == f"--h must be a whole number from 1 to {MAX_DAYS}, got {h!r}"
+
+    @pytest.mark.parametrize("h", ["1.5", "1e3", str(MAX_DAYS + 1)])
+    def test_horizon_that_is_no_whole_day_count_names_the_flag(self, h, capsys):
+        code = main(["optimize", "--portfolio", FUND, "--corr", CORR, "--h", h])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "validation",
+            "detail": f"--h must be a whole number from 1 to {MAX_DAYS}, got {h!r}"}
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--tr-max", "nan", "tr_max"), ("--tr-max", "-1bp", "tr_max"),
+        ("--ls-max", "nan", "ls_max"), ("--ls-max", "-0.01", "ls_max")])
+    def test_nan_or_negative_cap_is_a_validation_error(self, flag, value, name, capsys):
+        argv = ["optimize", "--portfolio", FUND, "--corr", CORR, "--shock", "0.10",
+                "--tr-max", "20bp", "--ls-max", "0.10", "--h", "1", f"{flag}={value}"]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["error"] == "validation"
+        assert report["detail"].startswith(f"{name} must be non-negative, got ")
 
     def test_non_finite_impact_is_a_validation_error(self, capsys):
         code = main(["optimize", "--portfolio", FUND, "--impact", "nan"])
@@ -476,15 +499,16 @@ class TestBufferCommand:
         assert main(["buffer", "--eta", "1e308"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        report = json.loads(captured.err)
-        assert report["error"] == "validation" and report["detail"].endswith("at eta = 1e+308")
+        assert json.loads(captured.err) == {"error": "validation",
+                                            "detail": "eta must lie in (0, 12], got 1e+308"}
 
     def test_a_failed_solve_makes_no_out_dir(self, tmp_path, capsys):
         out_dir = tmp_path / "dd"
         assert main(["buffer", "--eta", "1e308", "--out-dir", str(out_dir)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == "" and not out_dir.exists()
-        assert json.loads(captured.err)["error"] == "validation"
+        assert json.loads(captured.err) == {"error": "validation",
+                                            "detail": "eta must lie in (0, 12], got 1e+308"}
 
     def test_non_finite_parameter_names_the_field(self, capsys):
         assert main(["buffer", "--spread", "nan"]) == EXIT_CONFIG
@@ -864,3 +888,19 @@ class TestFieldLimit:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "validation"
         assert report["detail"].startswith(f"requests file {path}, line 2: field larger")
+
+
+class TestInternalErrors:
+    def test_an_uncaught_exception_is_one_json_line_and_exit_3(self, monkeypatch, capsys):
+        import lst.swing
+
+        def broken(requests, policy):
+            raise RuntimeError("queue corrupted")
+
+        monkeypatch.setattr(lst.swing, "gate_schedule", broken)
+        assert main(["gate", "--requests", GATES]) == EXIT_INTERNAL == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"error": "internal",
+                                            "detail": "RuntimeError: queue corrupted"}

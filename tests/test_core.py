@@ -906,3 +906,24 @@ class TestFieldLimit:
             with pytest.raises(DomainError) as err:
                 read(path)
             assert str(err.value) == want
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("call, message", [
+        (lambda f: RedemptionPortfolio(quantities=np.zeros((2, 2))),
+         "^redemption quantities must be a 1-d vector$"),
+        (lambda f: RedemptionPortfolio(quantities=np.zeros(f.n + 1)).value(f),
+         "^redemption portfolio does not match portfolio size$"),
+        (lambda f: Portfolio(securities=f.securities[:2], correlation=[[0.5, 0.0], [0.0, 0.5]]),
+         "^correlation matrix diagonal must be 1$"),
+        (lambda f: Portfolio(securities=f.securities[:2], correlation=[[1.0, 1.5], [1.5, 1.0]]),
+         r"^correlation entries must lie in \[-1, 1\]$"),
+    ], ids=["quantities-2d", "value-size-mismatch", "correlation-diagonal", "correlation-above-one"])
+    def test_domain_error(self, fund, call, message):
+        with pytest.raises(DomainError, match=message):
+            call(fund)
+
+    def test_zero_sale_leaves_the_weights_unchanged(self, fund):
+        distortion = weight_distortion(fund, RedemptionPortfolio(quantities=np.zeros(fund.n)))
+        assert np.array_equal(distortion.delta, np.zeros(fund.n))
+        assert np.array_equal(distortion.post, weights(fund))

@@ -195,3 +195,15 @@ class TestNonFiniteInputs:
         # a NaN weight also makes the weight sum NaN, which the sum check passes
         with pytest.raises(DomainError, match="^weight 2 "):
             rcr_hqla([(0.6, 0.5), (value, 1.0), (0.4, 0.85)], 0.2)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: HqlaBucket("x", ccf_static=1.5), r"^static CCF must lie in \[0, 1\]$"),
+        (lambda: HqlaBucket("x", ccf_static=-0.1), r"^static CCF must lie in \[0, 1\]$"),
+        (lambda: dataclasses.replace(SPECIFIC_RISK, cap=1.5),
+         r"^specific-risk cap must lie in \[0, 1\]$"),
+    ], ids=["ccf-above-one", "ccf-negative", "cap-above-one"])
+    def test_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()

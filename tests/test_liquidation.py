@@ -21,6 +21,7 @@ from lst import (
     time_to_liquidity,
     tna,
 )
+from lst.liquidation import validated_limits
 from lst.reverse import BISECTION_TOL
 from conftest import random_portfolio
 
@@ -380,3 +381,19 @@ class TestAssetRstRoot:
         res = asset_rst(fund, rate, floor, tau)
         assert isinstance(res, float)
         assert abs(res - exact_asset_root(fund, rate, floor, tau)) <= BISECTION_TOL
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("call, message", [
+        (lambda f: liquidation_time(build_schedule(f, RedemptionPortfolio(quantities=np.zeros(f.n))),
+                                    0.5),
+         "^liquidation time undefined for a zero-value redemption$"),
+        (lambda f: validated_limits(f, RedemptionPortfolio(quantities=np.zeros(f.n - 1)), 5),
+         "^redemption portfolio does not match portfolio size$"),
+        (lambda f: validated_limits(f, RedemptionPortfolio(quantities=np.zeros(f.n)), 5,
+                                    limits=np.ones(f.n + 1)),
+         "^limits must give one daily limit per security$"),
+    ], ids=["zero-value-liquidation-time", "redemption-length", "limits-length"])
+    def test_domain_error(self, fund, call, message):
+        with pytest.raises(DomainError, match=message):
+            call(fund)

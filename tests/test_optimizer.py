@@ -279,26 +279,78 @@ class TestTrackingRiskBond:
         assert delta.sum() == pytest.approx(0.0, abs=1e-15)
         assert tracking_risk_bond(p, q, spec) == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_groupby_oracle(self):
-        rng = np.random.default_rng(83)
+    @staticmethod
+    def groupby_oracle(p, q, spec):
+        """The tracking risk by independent aggregation with dictionaries."""
         from lst import weight_distortion
 
+        delta = weight_distortion(p, q).delta
+        by_sector, by_cell, by_dts = {}, {}, {}
+        for i in range(p.n):
+            s, b = spec.sectors[i], spec.buckets[i]
+            by_sector[s] = by_sector.get(s, 0.0) + delta[i]
+            by_cell[(s, b)] = by_cell.get((s, b), 0.0) + delta[i] * spec.modified_duration[i]
+            by_dts[s] = by_dts.get(s, 0.0) + delta[i] * spec.dts[i]
+        return (sum(abs(v) for v in by_sector.values())
+                + sum(abs(v) for v in by_cell.values())
+                + sum(abs(v) for v in by_dts.values()))
+
+    def test_matches_groupby_oracle(self):
+        rng = np.random.default_rng(83)
         for _ in range(30):
             p = random_portfolio(rng, n=10)
             spec = self.make_spec(p, rng)
             q = RedemptionPortfolio(quantities=rng.uniform(0, 0.8, p.n) * p.shares)
-            delta = weight_distortion(p, q).delta
-            # independent aggregation with dictionaries
-            by_sector, by_cell, by_dts = {}, {}, {}
-            for i in range(p.n):
-                s, b = spec.sectors[i], spec.buckets[i]
-                by_sector[s] = by_sector.get(s, 0.0) + delta[i]
-                by_cell[(s, b)] = by_cell.get((s, b), 0.0) + delta[i] * spec.modified_duration[i]
-                by_dts[s] = by_dts.get(s, 0.0) + delta[i] * spec.dts[i]
-            expected = (sum(abs(v) for v in by_sector.values())
-                        + sum(abs(v) for v in by_cell.values())
-                        + sum(abs(v) for v in by_dts.values()))
-            assert tracking_risk_bond(p, q, spec) == pytest.approx(expected, rel=1e-12)
+            assert tracking_risk_bond(p, q, spec) == pytest.approx(self.groupby_oracle(p, q, spec),
+                                                                   rel=1e-12)
+
+    def test_mixed_labels_match_groupby_oracle_up_to_300_bonds(self):
+        # str and int labels side by side: 1 and "1" are two sectors, and the
+        # buckets of a sector may mix both kinds too
+        rng = np.random.default_rng(19)
+        labels = [0, 1, 2, "0", "1", "2", "a"]
+        for n in (1, 2, 7, 30, 120, 300):
+            p = random_portfolio(rng, n=n)
+            for _ in range(3):
+                spec = BondRiskSpec(
+                    sectors=tuple(labels[k] for k in rng.integers(0, len(labels), n)),
+                    buckets=tuple(labels[k] for k in rng.integers(0, 4, n)),
+                    modified_duration=tuple(rng.uniform(0.5, 12, n).tolist()),
+                    dts=tuple(rng.uniform(10, 400, n).tolist()))
+                q = RedemptionPortfolio(quantities=rng.uniform(0, 0.8, n) * p.shares)
+                assert tracking_risk_bond(p, q, spec) == \
+                    pytest.approx(self.groupby_oracle(p, q, spec), rel=1e-12, abs=0.0), n
+
+    def test_equal_labels_of_two_types_are_one_sector(self):
+        # 1 and 1.0 compare equal, so they net as one sector; "1" is another
+        p = Portfolio(securities=(Security("B1", 1_000, 100.0), Security("B2", 1_000, 100.0)))
+        q = RedemptionPortfolio(quantities=np.array([500.0, 0.0]))
+        same = BondRiskSpec(sectors=(1, 1.0), buckets=("5y", "5y"),
+                            modified_duration=(4.0, 4.0), dts=(120.0, 120.0))
+        assert tracking_risk_bond(p, q, same) == pytest.approx(0.0, abs=1e-12)
+        apart = BondRiskSpec(sectors=(1, "1"), buckets=("5y", "5y"),
+                             modified_duration=(4.0, 4.0), dts=(120.0, 120.0))
+        assert tracking_risk_bond(p, q, apart) == pytest.approx(
+            self.groupby_oracle(p, q, apart), rel=1e-12)
+        assert tracking_risk_bond(p, q, apart) > 0.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("modified_duration", math.nan), ("modified_duration", math.inf),
+        ("dts", math.nan), ("dts", -math.inf)])
+    def test_non_finite_duration_or_dts_rejected_by_field_and_bond(self, field, value):
+        fields = dict(sectors=("a", "a", "b"), buckets=(1, 2, 1),
+                      modified_duration=(2.0, 5.0, 3.0), dts=(0.1, 0.3, 0.2))
+        fields[field] = fields[field][:2] + (value,)
+        with pytest.raises(DomainError, match=rf"^{field} of bond 2 must be finite, got {value!r}$"):
+            BondRiskSpec(**fields)
+
+    @pytest.mark.parametrize("field", ["sectors", "buckets"])
+    def test_missing_label_rejected_when_the_spec_is_built(self, field):
+        fields = dict(sectors=("a", "a", "b"), buckets=(1, 2, 1),
+                      modified_duration=(2.0, 5.0, 3.0), dts=(0.1, 0.3, 0.2))
+        fields[field] = (fields[field][0], None, fields[field][2])
+        with pytest.raises(DomainError, match="^bond 1 needs a sector and a maturity bucket$"):
+            BondRiskSpec(**fields)
 
     def test_incomplete_spec_rejected(self, fund):
         spec = BondRiskSpec(sectors=("a",), buckets=("b",),
@@ -381,6 +433,15 @@ class TestOptimizePolicy:
         with pytest.raises(DomainError):
             optimize_policy(fund, cost_model, RedemptionShock(rate=0.0, amount=0.0),
                             tr_max=1.0, ls_max=1.0)
+
+    @pytest.mark.parametrize("caps, name", [
+        ((math.nan, 0.10), "tr_max"), ((-1e-4, 0.10), "tr_max"), ((-math.inf, 0.10), "tr_max"),
+        ((20e-4, math.nan), "ls_max"), ((20e-4, -0.01), "ls_max")])
+    def test_nan_or_negative_cap_rejected_by_name(self, fund, cost_model, caps, name):
+        # a NaN cap would act as no cap: no constraint is added and no `x > cap` check fails
+        shock = RedemptionShock.from_rate(fund, 0.10)
+        with pytest.raises(DomainError, match=rf"^{name} must be non-negative, got "):
+            optimize_policy(fund, cost_model, shock, *caps)
 
 
 def scipy_slsqp(fun, x0, lb, ub, eq=(), ineq=(), maxiter=100, ftol=1e-6):
@@ -593,6 +654,16 @@ class TestWinnerScoredOnce:
         assert isinstance(res, OptimalPolicy)
         assert res.evaluation == evaluate_policy(fund, cost_model, res.redemption, h)
 
+    def test_non_finite_bond_spec_never_reaches_the_optimizer(self, fund, cost_model):
+        # a NaN duration would make every tracking risk NaN, which passes the cap check
+        with pytest.raises(DomainError, match="^modified_duration of bond 3 must be finite"):
+            spec = BondRiskSpec(sectors=("a", "a", "b", "b", "c", "c", "c"),
+                                buckets=(1, 2, 1, 2, 1, 2, 3),
+                                modified_duration=(2.0, 5.0, 3.0, math.nan, 1.0, 4.0, 9.0),
+                                dts=(0.1, 0.3, 0.2, 0.5, 0.05, 0.2, 0.6))
+            optimize_policy(fund, cost_model, RedemptionShock.from_rate(fund, 0.10), 1e-4, 1.0,
+                            bond_spec=spec)
+
     def test_bond_spec_scores_bond_tracking_risk(self, fund, cost_model):
         spec = BondRiskSpec(sectors=("a", "a", "b", "b", "c", "c", "c"),
                             buckets=(1, 2, 1, 2, 1, 2, 3),
@@ -628,6 +699,21 @@ class TestSolverDiagnostics:
         res = optimize_policy(p, cost_model, shock, tr_max=0.0, ls_max=0.0)
         assert isinstance(res, InfeasiblePolicy) and res.binding_constraint == "tracking-risk"
         assert len(res.starts) == 5 and not any(s.chosen for s in res.starts)
+
+    def test_a_start_the_cost_model_cannot_price_is_recorded_without_a_mode(self, cost_model):
+        # A1 may sell 100,000 a day, half its volume: starts that sell more than
+        # the 10% participation cap on day 1 stop at a DomainError
+        fund = make_fund(limit_overrides={"A1": 100_000})
+        res = optimize_policy(fund, cost_model, RedemptionShock.from_rate(fund, 0.10),
+                              tr_max=1.0, ls_max=1.0)
+        assert isinstance(res, OptimalPolicy)
+        failed = [s for s in res.starts if s.mode is None]
+        assert [s.name for s in failed] == ["pro-rata", "pro-rata/cheapest", "fastest",
+                                            "pro-rata/fastest"]
+        for s in failed:
+            assert s.message == "participation above the one-day cap for ['A1']"
+            assert (s.nit, s.nfev, s.chosen) == (0, 0, False)
+        assert res.evaluation == evaluate_policy(fund, cost_model, res.redemption, 1)
 
     def test_shortfall_infeasibility_runs_no_start(self, fund, cost_model):
         shock = RedemptionShock.from_rate(fund, 0.20)

@@ -4,8 +4,10 @@ import pytest
 from lst import (
     UNREACHABLE,
     DomainError,
+    Portfolio,
     RedemptionPortfolio,
     RedemptionShock,
+    Security,
     max_admissible_shock,
     optimal_pro_rata,
     pro_rata_portfolio,
@@ -220,3 +222,28 @@ class TestTimeToLiquidity:
         schedule = build_schedule(fund, q)
         for p in (0.3, 0.7, 0.95, 1.0):
             assert time_to_liquidity(report, p) == liquidation_time(schedule, p)
+
+
+def twenty_percent_report(fund):
+    return rcr_report(fund, RedemptionShock.from_rate(fund, 0.20), pro_rata_portfolio(fund, 0.20),
+                      horizon=6)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("call, message", [
+        (lambda f: twenty_percent_report(f).row(7), r"^day 7 outside report horizon 1\.\.6$"),
+        (lambda f: twenty_percent_report(f).row(0), r"^day 0 outside report horizon 1\.\.6$"),
+        (lambda f: rcr_report(f, RedemptionShock.from_rate(f, 0.20),
+                              RedemptionPortfolio(quantities=np.zeros(f.n))),
+         "^redemption portfolio has no value to liquidate$"),
+        (lambda f: optimal_pro_rata(Portfolio(securities=(Security("X", 0, 10.0, daily_limit=5),)), 3),
+         "^portfolio holds no shares$"),
+        (lambda f: max_admissible_shock(f, 5, "vertical"), "^unknown policy 'vertical'$"),
+        (lambda f: time_to_liquidity(twenty_percent_report(f), 0.0), "^threshold p must be positive$"),
+        (lambda f: time_to_liquidity(twenty_percent_report(f), -0.5), "^threshold p must be positive$"),
+        (lambda f: time_to_liquidity(twenty_percent_report(f), np.nan), "^threshold p must be positive$"),
+    ], ids=["row-past-horizon", "row-zero", "zero-value-redemption", "no-shares-held",
+            "unknown-policy", "p-zero", "p-negative", "p-nan"])
+    def test_domain_error(self, fund, call, message):
+        with pytest.raises(DomainError, match=message):
+            call(fund)

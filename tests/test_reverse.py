@@ -290,3 +290,10 @@ class TestAssetRstBisection:
                 for floor in (0.15, 0.3, 0.5):
                     asset_rst(portfolio, 0.1, floor, tau)
         assert calls == []
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("shape", [(6,), (8,), (1, 7)], ids=["short", "long", "2d"])
+    def test_alpha_of_the_wrong_shape(self, fund, shape):
+        with pytest.raises(DomainError, match="^alpha must give one proportion per security$"):
+            liability_rst(fund, np.full(shape, 0.5), 0.5, 1)

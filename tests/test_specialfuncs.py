@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from lst import DomainError, hyp2f1_family, integral_i_ab, integral_i_w
+from lst.specialfuncs import ETA_MAX
 
 Z_GRID = [-80.0, -20.0, -5.0, -1.0, -0.4, -0.01, 0.0]
 
@@ -239,12 +240,18 @@ class TestSeriesAgainstMpmath:
     @pytest.mark.parametrize("eta", [0.05, 0.5, 1.0, 2.5, 3.0, 4.2, 7.5, 11.3, 100.0])
     def test_array_elements_do_not_depend_on_each_other(self, eta):
         # both branches, the -2 seam, subnormal and huge |z| and NaN, in one array and
-        # in sub-arrays that need fewer series terms; at eta = 100 sums past the
-        # float range (z = -170487.07) stay inf beside elements that need more terms
+        # in sub-arrays that need fewer series terms; eta = 100, where sums run past
+        # the float range (z = -170487.07), lies above ETA_MAX and is rejected whole
+        # and element by element
         rng = np.random.default_rng(76)
         z = np.concatenate([-rng.uniform(0.0, 3.0, 40), -10.0 ** rng.uniform(-15.0, 15.0, 40),
                             [-170487.07, 0.0, -5e-324, -2.0, np.nextafter(-2.0, -3.0), np.nan]])
         rng.shuffle(z)
+        if eta > ETA_MAX:
+            for part in (z, *z.tolist()):
+                with pytest.raises(DomainError, match=r"^eta must lie in \(0, 12\], got 100\.0$"):
+                    hyp2f1_family(eta, part)
+            return
         one_by_one = np.array([hyp2f1_family(eta, x) for x in z.tolist()])
         index = np.arange(z.size)
         for part in (index, index[:5], index[::3], index.reshape(2, 43)):
@@ -268,3 +275,24 @@ class TestSeriesAgainstMpmath:
     def test_exponent_must_be_finite(self):
         with pytest.raises(DomainError):
             hyp2f1_family(math.inf, -1.0)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("call", [
+        # past the bound y**eta overflows in the tail series for y = (b - a)/a near
+        # 2^60 (from eta = 16), giving inf or NaN where the integral is about 1/(eta + 1.5)
+        lambda: integral_i_ab(2.0**-59, 1.0, 17.0),
+        lambda: integral_i_ab(2.0**-59, 1.0, 20.0),
+        lambda: integral_i_ab(1e-12, 1.0, 40.0),
+        lambda: integral_i_ab(1e-6, 1.0, 60.0),
+        lambda: integral_i_w(np.array([0.0, 0.5]), np.nextafter(ETA_MAX, np.inf)),
+        lambda: hyp2f1_family(0.0, -1.0),
+        lambda: hyp2f1_family(math.nan, -1.0),
+    ], ids=["eta-17", "eta-20", "eta-40", "eta-60", "just-above-bound", "eta-zero", "eta-nan"])
+    def test_eta_outside_the_tested_range(self, call):
+        with pytest.raises(DomainError, match=r"^eta must lie in \(0, 12\], got "):
+            call()
+
+    def test_unknown_method(self):
+        with pytest.raises(DomainError, match="^unknown method 'series'$"):
+            integral_i_ab(0.1, 1.0, 2.0, method="series")

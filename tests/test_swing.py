@@ -308,3 +308,16 @@ class TestGate:
     def test_cap_domain(self):
         with pytest.raises(DomainError):
             GatePolicy(daily_cap=0.0)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SwingConfig(mode=SwingMode.DUAL, penalty=0.5),
+         "^redemption penalty must be at least 1$"),
+        (lambda: swing_nav(STATE, FlowEvent(redeemed=10.0), FULL), "^flows redeem the whole fund$"),
+        (lambda: swing_nav(STATE, FlowEvent(subscribed=1.0, redeemed=12.0), FULL),
+         "^flows redeem the whole fund$"),
+    ], ids=["penalty-below-one", "every-unit-redeemed", "more-than-every-unit"])
+    def test_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
