@@ -904,3 +904,21 @@ class TestInternalErrors:
         assert captured.err.count("\n") == 1
         assert json.loads(captured.err) == {"error": "internal",
                                             "detail": "RuntimeError: queue corrupted"}
+
+
+HELP_COMMANDS = ["", "rcr", "hqla", "rst", "optimize", "buffer", "swing", "gate", "goldens"]
+
+
+class TestHelpPinned:
+    """``lst --help`` and each ``lst <sub> --help`` at 80 columns, as recorded
+    in ``tests/data/cli_help.json``: flags, their order, metavars and help."""
+
+    @pytest.mark.parametrize("command", HELP_COMMANDS)
+    def test_help_is_pinned(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with open(PINNED / "cli_help.json") as fh:
+            want = json.load(fh)[f"lst {command}".strip()]
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out == want
