@@ -1,7 +1,7 @@
 """
-Input validation that needs no numpy: the package's error type, the finite
-and sign checks on scalar fields, and the CSV helpers that name the file and
-line of a bad row. The scalar tools (HQLA, swing pricing, gates) and the
+Input validation that needs no numpy: the package's error types, the finite
+and sign checks on scalar fields, the JSON reader and the CSV helpers that
+name the file and line of a bad row. The scalar tools (HQLA, swing pricing, gates) and the
 command line import this module without loading the array stack.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import operator
 from typing import Optional
@@ -16,6 +17,11 @@ from typing import Optional
 
 class DomainError(ValueError):
     """An operation was called outside its mathematical domain."""
+
+
+class ConfigError(ValueError):
+    """An input document is malformed: a file that is no JSON, or a config
+    key or value that no flag takes."""
 
 
 BOUNDS = {"": lambda v: True, "non-negative": lambda v: v >= 0, "positive": lambda v: v > 0}
@@ -52,6 +58,18 @@ def check_days(name: str, value) -> None:
     days = as_integer(value)
     if days is None or days < 1:
         raise DomainError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
+def load_json(path, kind: str):
+    """The JSON document in the file at ``path``, read once; a file that is
+    not JSON (bad syntax, an integer past Python's digit limit, bytes that
+    are not UTF-8, nesting too deep) is a ConfigError naming the ``kind``
+    file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"{kind} file {path}: {exc}") from None
 
 
 # =============================================================================

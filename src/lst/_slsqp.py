@@ -89,7 +89,8 @@ def _forward_difference(fun, x0, f0, lb, ub) -> np.ndarray:
     for i in range(x0.size):
         x1 = x0.copy()
         x1[i] = x0[i] + h[i]
-        grad[i] = (fun(x1) - f0) / ((x0[i] + h[i]) - x0[i])
+        with np.errstate(over="ignore"):
+            grad[i] = (fun(x1) - f0) / ((x0[i] + h[i]) - x0[i])
     return grad
 
 

@@ -24,6 +24,10 @@ from .specialfuncs import _check_eta, integral_i_ab, integral_i_w
 
 _GRID_STEP = 1e-3  # coarse scan resolution of the buffer optimizer
 _ERROR_BLOCK = 1 << 15  # (w, u) points per block of the approximation-error scan
+# The smallest trading limit: a full redemption sells out within 10,000 days.
+# The exact gain sums one term per limit segment, about 4 ms each in
+# ``optimal_cash_buffer``, so a smaller limit would run without bound.
+X_PLUS_MIN = 1e-4
 
 
 # =============================================================================
@@ -62,12 +66,11 @@ class BufferMarketParams:
 
     @property
     def te_variance_unit(self) -> float:
-        """Tracking-error variance per unit of squared buffer weight."""
-        return (
-            self.sigma_cash**2
-            + self.sigma_asset**2
-            - 2.0 * self.rho * self.sigma_cash * self.sigma_asset
-        )
+        """Tracking-error variance per unit of squared buffer weight (inf or
+        NaN, not an OverflowError, where huge volatilities overflow)."""
+        sigma_cash, sigma_asset = self.sigma_cash, self.sigma_asset
+        return (sigma_cash * sigma_cash + sigma_asset * sigma_asset
+                - 2.0 * self.rho * sigma_cash * sigma_asset)
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,8 @@ class BufferCostParams:
         beta_impact: Square-root market-impact coefficient.
         sigma: Annual volatility feeding the impact term (converted to daily by
             sqrt(TRADING_DAYS_PER_YEAR)).
-        x_plus: Daily trading limit as a fraction of net assets; >= 1 means
-            the whole fund can be sold in one day.
+        x_plus: Daily trading limit as a fraction of net assets, at least
+            ``X_PLUS_MIN``; >= 1 means the whole fund can be sold in one day.
         eta: Exponent of the redemption-rate law F(x) = x^eta, in
             (0, ``specialfuncs.ETA_MAX``].
         cdf, pdf: Optional custom redemption law (distribution function and
@@ -101,6 +104,8 @@ class BufferCostParams:
         check_finite(self, ("spread", "cash_cost", "beta_impact", "sigma"), "non-negative")
         if not self.x_plus > 0:
             raise DomainError("trading limit must be positive")
+        if self.x_plus < X_PLUS_MIN:
+            raise DomainError(f"trading limit must be at least {X_PLUS_MIN:g}, got {self.x_plus!r}")
         _check_eta(self.eta)
         if (self.cdf is None) != (self.pdf is None):
             raise DomainError("custom redemption law needs both cdf and pdf")

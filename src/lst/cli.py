@@ -21,9 +21,9 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
-from ._checks import DomainError, check_widths, parse_cell, read_rows
+from ._checks import ConfigError, DomainError, check_widths, load_json, parse_cell, read_rows
 from .swing import SwingMode  # the parser's --mode choices
 
 if TYPE_CHECKING:
@@ -114,52 +114,10 @@ def _error(report: dict, code: int) -> int:
     return code
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    """``argv`` parsed again with the keys of the JSON config document as the
-    subcommand's defaults: a config value beats a flag's default, loses to a
-    flag given on the command line, and must meet the flag's choices."""
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config file {args.config} must hold a JSON object")
-    sub = parser.subcommands[args.command]
-    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    defaults = {}
-    for key, value in cfg.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            raise ValueError(f"unknown config key {key!r} for lst {args.command}")
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-        defaults[action.dest] = value
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
-
-
-def _required(args, flag: str, what: str = "value"):
-    """The value of ``flag`` once any ``--config`` is merged; argparse marks
-    no flag required, so that a config key can give it."""
-    value = getattr(args, flag.lstrip("-").replace("-", "_"))
-    if value is None or value == "":
-        raise DomainError(f"a {flag} {what} is required")
-    return value
-
-
-def _count(args, flag: str, cap: int) -> int:
-    """The value of ``flag`` as a whole number from 1 to ``cap``; anything
-    else is a DomainError naming the flag."""
-    text = str(getattr(args, flag.lstrip("-").replace("-", "_")))
-    if not (text.isascii() and text.isdigit() and 1 <= int(text) <= cap):
-        raise DomainError(f"{flag} must be a whole number from 1 to {cap}, got {text!r}")
-    return int(text)
-
-
 def _load_portfolio_arg(args) -> Portfolio:
     from .core import load_portfolio
 
-    return load_portfolio(_required(args, "--portfolio", "file"),
-                          correlation_path=getattr(args, "corr", None))
+    return load_portfolio(args.portfolio, correlation_path=args.corr)
 
 
 # =============================================================================
@@ -170,20 +128,15 @@ def cmd_rcr(args) -> int:
     from .core import RedemptionShock
     from .rcr import optimal_pro_rata, pro_rata_portfolio, rcr_report, waterfall_portfolio
 
-    tau = _count(args, "--tau", MAX_DAYS)
-    horizon = _count(args, "--horizon", MAX_DAYS) if args.horizon else max(tau, 6)
     portfolio = _load_portfolio_arg(args)
-    shock_rate = parse_rate(args.shock)
-    shock = RedemptionShock.from_rate(portfolio, shock_rate)
-    policy = args.policy
-    if policy == "prorata":
-        redemption = pro_rata_portfolio(portfolio, shock_rate)
-    elif policy == "optimal":
-        _, redemption = optimal_pro_rata(portfolio, tau)
-    elif policy == "waterfall":
-        redemption = waterfall_portfolio(portfolio)
+    shock = RedemptionShock.from_rate(portfolio, args.shock)
+    if args.policy == "prorata":
+        redemption = pro_rata_portfolio(portfolio, args.shock)
+    elif args.policy == "optimal":
+        _, redemption = optimal_pro_rata(portfolio, args.tau)
     else:
-        raise DomainError(f"unknown policy {policy!r}")
+        redemption = waterfall_portfolio(portfolio)
+    horizon = args.horizon or max(args.tau, 6)
     report = rcr_report(portfolio, shock, redemption, horizon=horizon)
     header = ["h", "lr_pct", "amount", "rcr_pct", "ls_pct"]
     rows = [
@@ -208,37 +161,31 @@ def cmd_rcr(args) -> int:
 def cmd_hqla(args) -> int:
     from .hqla import SpecificRiskParams, ccf_parametric, load_buckets, rcr_hqla
 
-    buckets = load_buckets(_required(args, "--buckets", "file"))
-    weights_arg = [float(x) for x in str(_required(args, "--weights")).split(",")]
-    if len(weights_arg) != len(buckets):
-        raise DomainError("--weights must give one weight per bucket")
     if (args.tna_star is None) != (args.h_star is None):
         raise DomainError("--tna-star and --h-star go together: give both or neither")
+    buckets = load_buckets(args.buckets)
+    if len(args.weights) != len(buckets):
+        raise DomainError("--weights must give one weight per bucket")
     sf = None
     if args.tna_star is not None:
-        sf = SpecificRiskParams(
-            tna_threshold=float(args.tna_star),
-            herfindahl_threshold=float(args.h_star),
-            size_coefficient=float(args.xi_size),
-            concentration_coefficient=float(args.xi_conc),
-            cap=float(args.sf_cap),
-        )
-    tau = float(args.tau)
+        sf = SpecificRiskParams(tna_threshold=args.tna_star, herfindahl_threshold=args.h_star,
+                                size_coefficient=args.xi_size,
+                                concentration_coefficient=args.xi_conc, cap=args.sf_cap)
     pairs = []
     rows = []
-    for weight, bucket in zip(weights_arg, buckets):
+    for weight, bucket in zip(args.weights, buckets):
         if bucket.ccf_static is not None:
             ccf = bucket.ccf_static
         else:
             ccf = ccf_parametric(
-                bucket, sf, tau,
-                fund_tna=float(args.tna or 0.0),
-                fund_herfindahl=float(args.herfindahl or 0.0),
-                conservative=bool(args.conservative),
+                bucket, sf, args.tau,
+                fund_tna=0.0 if args.tna is None else args.tna,
+                fund_herfindahl=0.0 if args.herfindahl is None else args.herfindahl,
+                conservative=args.conservative,
             )
         pairs.append((weight, ccf))
         rows.append([bucket.name, _fmt(weight), _fmt(ccf)])
-    rcr, ls = rcr_hqla(pairs, parse_rate(args.shock))
+    rcr, ls = rcr_hqla(pairs, args.shock)
     rows.append(["rcr", "", _fmt(rcr)])
     rows.append(["ls", "", _fmt(ls)])
     header = ["bucket", "weight", "value"]
@@ -286,24 +233,24 @@ def _load_alpha(path, ids) -> np.ndarray:
 def cmd_rst(args) -> int:
     from .reverse import AssetRstNoSolution, asset_rst, liability_rst
 
+    if args.mode == "liability" and args.alpha is None:
+        raise DomainError("a --alpha file is required")
     portfolio = _load_portfolio_arg(args)
-    taus = parse_days(args.tau)
-    floors = [parse_rate(x) for x in str(args.floor).split(",")]
     if args.mode == "liability":
-        alpha = _load_alpha(_required(args, "--alpha", "file"), portfolio.ids)
+        alpha = _load_alpha(args.alpha, portfolio.ids)
         header = ["tau", "floor_pct", "amount", "rate_pct", "feasible"]
         rows = []
-        for tau in taus:
-            for floor in floors:
+        for tau in args.tau:
+            for floor in args.floor:
                 res = liability_rst(portfolio, alpha, floor, tau)
                 rows.append([tau, _pct(floor, args.raw), _fmt(res.amount),
                              _pct(res.rate, args.raw), str(res.feasible).lower()])
     else:
         header = ["tau", "floor_pct", "volume_multiplier"]
         rows = []
-        for tau in taus:
-            for floor in floors:
-                res = asset_rst(portfolio, parse_rate(args.rate_star), floor, tau)
+        for tau in args.tau:
+            for floor in args.floor:
+                res = asset_rst(portfolio, args.rate_star, floor, tau)
                 if isinstance(res, AssetRstNoSolution):
                     rows.append([tau, _pct(floor, args.raw), f"no-solution:{res.reason.name}"])
                 else:
@@ -318,27 +265,15 @@ def cmd_optimize(args) -> int:
     from .core import RedemptionShock
     from .optimizer import CostModel, InfeasiblePolicy, optimize_policy
 
-    horizon = _count(args, "--h", MAX_DAYS)
     portfolio = _load_portfolio_arg(args)
-    shock = RedemptionShock.from_rate(portfolio, parse_rate(args.shock))
-    cost_model = CostModel(
-        beta_impact=float(args.impact),
-        knee=parse_rate(args.knee),
-        participation_cap=parse_rate(args.cap),
-        regime=args.regime,
-    )
-    result = optimize_policy(
-        portfolio, cost_model, shock,
-        tr_max=parse_rate(args.tr_max),
-        ls_max=parse_rate(args.ls_max),
-        horizon=horizon,
-    )
+    shock = RedemptionShock.from_rate(portfolio, args.shock)
+    cost_model = CostModel(beta_impact=args.impact, knee=args.knee,
+                           participation_cap=args.cap, regime=args.regime)
+    result = optimize_policy(portfolio, cost_model, shock,
+                             tr_max=args.tr_max, ls_max=args.ls_max, horizon=args.h)
     if isinstance(result, InfeasiblePolicy):
-        return _error(
-            {"error": "infeasible-policy", "binding": result.binding_constraint,
-             "detail": result.message},
-            EXIT_INFEASIBLE,
-        )
+        return _error({"error": "infeasible-policy", "binding": result.binding_constraint,
+                       "detail": result.message}, EXIT_INFEASIBLE)
     ev = result.evaluation
     header = ["field", "value"]
     rows = [[sid, _fmt(qty)] for sid, qty in zip(portfolio.ids, result.redemption.quantities)]
@@ -364,23 +299,12 @@ def cmd_buffer(args) -> int:
         optimal_cash_buffer,
     )
 
-    market = BufferMarketParams(
-        mu_asset=float(args.mu_asset),
-        mu_cash=float(args.mu_cash),
-        sigma_asset=float(args.sigma_asset),
-        sigma_cash=float(args.sigma_cash),
-        rho=float(args.rho),
-        te_aversion=float(getattr(args, "lambda")),
-    )
-    params = BufferCostParams(
-        spread=parse_rate(args.spread),
-        cash_cost=parse_rate(args.cash_cost),
-        beta_impact=float(args.impact),
-        sigma=float(args.sigma if args.sigma is not None else args.sigma_asset),
-        x_plus=parse_rate(args.xplus),
-        eta=float(args.eta),
-    )
-    curve_points = _count(args, "--curve-points", MAX_CURVE_POINTS)
+    market = BufferMarketParams(mu_asset=args.mu_asset, mu_cash=args.mu_cash,
+                                sigma_asset=args.sigma_asset, sigma_cash=args.sigma_cash,
+                                rho=args.rho, te_aversion=getattr(args, "lambda"))
+    params = BufferCostParams(spread=args.spread, cash_cost=args.cash_cost, beta_impact=args.impact,
+                              sigma=args.sigma_asset if args.sigma is None else args.sigma,
+                              x_plus=args.xplus, eta=args.eta)
     # solved before --out-dir is made, so that an error leaves no directory
     w_star = optimal_cash_buffer(market, params)
     if args.out_dir:
@@ -388,7 +312,7 @@ def cmd_buffer(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     print(f"w_star,{_fmt(w_star)}")
     if args.out_dir:
-        grid = np.linspace(0.0, 1.0, curve_points)
+        grid = np.linspace(0.0, 1.0, args.curve_points)
         write_csv(
             out / "nbc_curve.csv", ["w", "nbc"],
             [[_fmt(w), _fmt(v)] for w, v in zip(grid, net_buffer_cost(market, params, grid))],
@@ -403,21 +327,16 @@ def cmd_buffer(args) -> int:
 def cmd_swing(args) -> int:
     from .swing import AdlRule, FlowEvent, FundState, SwingConfig, adl_fees, swing_nav
 
-    state = FundState(nav=float(args.nav), units=float(args.units))
-    subscribed = float(args.sub or 0.0)
-    redeemed = float(args.red or 0.0)
+    state = FundState(nav=args.nav, units=args.units)
+    subscribed = 0.0 if args.sub is None else args.sub
+    redeemed = 0.0 if args.red is None else args.red
     if args.flow is not None:
-        net = float(args.flow)
+        net = args.flow
         subscribed, redeemed = (net, 0.0) if net >= 0 else (0.0, -net)
     event = FlowEvent(subscribed=subscribed, redeemed=redeemed,
-                      asset_return=float(args.asset_return), tc=float(args.tc))
-    config = SwingConfig(
-        mode=SwingMode(args.mode),
-        threshold=parse_rate(args.threshold),
-        factor=parse_rate(args.factor),
-        product=parse_rate(args.product),
-        penalty=float(args.gamma),
-    )
+                      asset_return=args.asset_return, tc=args.tc)
+    config = SwingConfig(mode=SwingMode(args.mode), threshold=args.threshold,
+                         factor=args.factor, product=args.product, penalty=args.gamma)
     result = swing_nav(state, event, config)
     rows = [["nav_gross", _fmt(result.nav_gross)], ["activated", str(result.activated).lower()]]
     if result.nav_swing is not None:
@@ -458,8 +377,8 @@ def _load_requests(path) -> list:
 def cmd_gate(args) -> int:
     from .swing import GatePolicy, gate_schedule
 
-    requests = _load_requests(_required(args, "--requests", "file"))
-    fills = gate_schedule(requests, GatePolicy(daily_cap=parse_rate(args.cap)))
+    requests = _load_requests(args.requests)
+    fills = gate_schedule(requests, GatePolicy(daily_cap=args.cap))
     header = ["day", "investor", "rate_pct", "fraction_of_request_pct"]
     rows = [[f.day, f.investor, _pct(f.rate, args.raw), _pct(f.fraction_of_request, args.raw)]
             for f in fills]
@@ -633,14 +552,10 @@ def golden_tables() -> dict:
     return tables
 
 
-def _golden_dir():
-    return resources.files("lst") / "goldens"
-
-
 def cmd_goldens(args) -> int:
-    tables = golden_tables()
     if args.write and not args.out_dir:
         raise DomainError("--write needs an --out-dir to put the refreshed tables in")
+    tables = golden_tables()
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -651,7 +566,7 @@ def cmd_goldens(args) -> int:
             (out_dir / f"{name}.csv").write_text(text)
         if args.write:
             continue
-        expected_file = _golden_dir() / f"{name}.csv"
+        expected_file = resources.files("lst") / "goldens" / f"{name}.csv"
         if not expected_file.is_file():
             failures.append((name, "missing expected file"))
             print(f"{name}: MISSING")
@@ -664,141 +579,224 @@ def cmd_goldens(args) -> int:
             print(f"{name}: OK")
     if args.write:
         print(f"wrote {len(tables)} golden tables to {out_dir}")
-        return EXIT_OK
-    if failures:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return EXIT_INFEASIBLE if failures else EXIT_OK
 
 
 # =============================================================================
-# PARSER
+# FLAGS
 # =============================================================================
+
+class Flag(NamedTuple):
+    """One flag of a subcommand: ``PARSERS[kind]`` turns its text into
+    ``args.<dest>`` (see ``_resolve_flags``)."""
+
+    name: str
+    kind: str
+    default: Optional[str] = None
+    help: Optional[str] = None
+    required: bool = False
+    choices: Sequence[str] = ()  # of a "choice"
+    cap: int = 0  # of a "count"
+    rename: str = ""  # the dest, where it is not the name's
+
+    @property
+    def dest(self) -> str:
+        return self.rename or self.name[2:].replace("-", "_")
+
+
+def _scalar(parse, what: str):
+    """A parser of ``parse(text)`` whose ValueError names the flag and its text."""
+    def run(flag: Flag, text: str):
+        try:
+            return parse(text)
+        except DomainError:
+            raise
+        except ValueError:
+            raise DomainError(f"{flag.name} must be {what}, got {text!r}") from None
+    return run
+
+
+def _count(flag: Flag, text: str) -> int:
+    """A whole number from 1 to the flag's cap; int() reads at most 4300 digits."""
+    digits = text.lstrip("0")
+    if not (text.isascii() and text.isdigit() and len(digits) <= len(str(flag.cap))
+            and 1 <= int(digits or "0") <= flag.cap):
+        raise DomainError(f"{flag.name} must be a whole number from 1 to {flag.cap}, got {text!r}")
+    return int(digits)
+
+
+def _path(flag: Flag, text: str) -> Optional[str]:
+    """A file name; an empty one is no file."""
+    if "\0" in text:
+        raise DomainError(f"{flag.name} must be a file name without a NUL byte, got {text!r}")
+    return text or None
+
+
+#: Flag kind -> parser of the flag's text: ``(flag, text) -> value``. A
+#: switch's text is True (given) or False (its default).
+PARSERS = {
+    "rate": _scalar(parse_rate, "a rate such as 0.2, 20bp or 20%"),
+    "number": _scalar(float, "a number"),
+    "rates": _scalar(lambda text: list(map(parse_rate, text.split(","))), "a comma list of rates"),
+    "numbers": _scalar(lambda text: list(map(float, text.split(","))), "a comma list of numbers"),
+    "days": _scalar(parse_days, "a day list such as 5, 1..5 or 1,3,5"),
+    "count": _count,
+    "path": _path,
+    "choice": lambda flag, text: text,
+    "switch": lambda flag, given: given,
+}
+
+_CONFIG = Flag("--config", "path", help="JSON config file; flags override its keys")
+_RAW = Flag("--raw", "switch", False, "full-precision output")
+_FUND = [Flag("--portfolio", "path", required=True), Flag("--corr", "path")]
+_OUT = Flag("--out", "path")
+
+#: Subcommand -> (its help, its flags after --config in help order).
+#: ``cmd_<subcommand>`` runs it.
+FLAGS = {
+    "rcr": ("redemption coverage ratio table", [
+        _RAW, *_FUND,
+        Flag("--shock", "rate", "0.20"),
+        Flag("--policy", "choice", "prorata", choices=["prorata", "optimal", "waterfall"]),
+        Flag("--tau", "count", "5", f"horizon for the optimal policy, 1 to {MAX_DAYS}",
+             cap=MAX_DAYS),
+        Flag("--horizon", "count", None, f"number of report rows, 1 to {MAX_DAYS}", cap=MAX_DAYS),
+        _OUT,
+        Flag("--schedule-out", "path"),
+    ]),
+    "hqla": ("HQLA coverage from bucket weights", [
+        Flag("--buckets", "path", None, "bucket JSON file (required)", required=True),
+        Flag("--weights", "numbers", None, "comma list, one weight per bucket (required)",
+             required=True),
+        Flag("--shock", "rate", "0.20"),
+        Flag("--tau", "number", "10"),
+        Flag("--tna", "number", None, "fund size for the specific-risk factor"),
+        Flag("--herfindahl", "number"), Flag("--tna-star", "number"), Flag("--h-star", "number"),
+        Flag("--xi-size", "number", "0.0"), Flag("--xi-conc", "number", "0.0"),
+        Flag("--sf-cap", "number", "1.0"),
+        Flag("--conservative", "switch", False),
+        _OUT,
+    ]),
+    "rst": ("reverse stress testing scenarios", [
+        _RAW, *_FUND,
+        Flag("--mode", "choice", "liability", choices=["liability", "asset"]),
+        Flag("--alpha", "path", None, "CSV of stressed saleable proportions"),
+        Flag("--floor", "rates", "0.25"),
+        Flag("--tau", "days", "1..5"),
+        Flag("--rate-star", "rate", "0.10"),
+        _OUT,
+    ]),
+    "optimize": ("cost-minimal liquidation under caps", [
+        _RAW, *_FUND,
+        Flag("--shock", "rate", "0.10"), Flag("--tr-max", "rate", "20bp"),
+        Flag("--ls-max", "rate", "0.10"),
+        Flag("--h", "count", "1", f"shortfall horizon in days, 1 to {MAX_DAYS}", cap=MAX_DAYS),
+        Flag("--impact", "number", "0.4"), Flag("--knee", "rate", "0.05"),
+        Flag("--cap", "rate", "0.10"),
+        Flag("--regime", "choice", "sqrt_linear", choices=["sqrt", "sqrt_linear"]),
+        _OUT,
+    ]),
+    "buffer": ("optimal cash buffer and cost curves", [
+        Flag("--mu-asset", "number", "0.01"), Flag("--mu-cash", "number", "0.0"),
+        Flag("--sigma-asset", "number", "0.20"), Flag("--sigma-cash", "number", "0.0"),
+        Flag("--rho", "number", "0.0"), Flag("--lambda", "number", "0.0"),
+        Flag("--spread", "rate", "20bp"), Flag("--cash-cost", "rate", "1bp"),
+        Flag("--impact", "number", "0.4"),
+        Flag("--sigma", "number", None, "cost-model volatility; defaults to --sigma-asset"),
+        Flag("--xplus", "rate", "1.0"), Flag("--eta", "number", "1.0"),
+        Flag("--curve-points", "count", "101",
+             f"points on each --out-dir curve, 1 to {MAX_CURVE_POINTS}", cap=MAX_CURVE_POINTS),
+        Flag("--out-dir", "path"),
+    ]),
+    "swing": ("swing pricing for one dealing day", [
+        Flag("--nav", "number", "100"), Flag("--units", "number", "10"),
+        Flag("--flow", "number", None, "net unit flow (sign carries direction)"),
+        Flag("--sub", "number", None, "subscribed units (dual pricing)"),
+        Flag("--red", "number", None, "redeemed units (dual pricing)"),
+        Flag("--return", "number", "0.0", rename="asset_return"),
+        Flag("--tc", "number", "0.0"),
+        Flag("--mode", "choice", "full", choices=[m.value for m in SwingMode]),
+        Flag("--threshold", "rate", "0.0"), Flag("--factor", "rate", "0.0"),
+        Flag("--product", "rate", "0.0"), Flag("--gamma", "number", "1.0"),
+        Flag("--adl", "choice", choices=["netted", "gross", "pro-rata"]),
+    ]),
+    "gate": ("FIFO redemption gate schedule", [
+        _RAW,
+        Flag("--requests", "path", None, "CSV: day,investor,rate (required)", required=True),
+        Flag("--cap", "rate", "0.02"),
+        _OUT,
+    ]),
+    "goldens": ("recompute fixture tables and diff them", [
+        Flag("--out-dir", "path"),
+        Flag("--write", "switch", False, "write tables without diffing (fixture refresh)"),
+    ]),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``FLAGS``. It only collects text: every
+    default is None, and ``_resolve_flags`` gives the values."""
     parser = argparse.ArgumentParser(prog="lst", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = sub.choices  # name -> subparser, for _apply_config
-
-    def add_common(p, raw=False):
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        if raw:
-            p.add_argument("--raw", action="store_true", help="full-precision output")
-
-    p = sub.add_parser("rcr", help="redemption coverage ratio table")
-    add_common(p, raw=True)
-    p.add_argument("--portfolio")
-    p.add_argument("--corr")
-    p.add_argument("--shock", default="0.20")
-    p.add_argument("--policy", choices=["prorata", "optimal", "waterfall"], default="prorata")
-    p.add_argument("--tau", default="5", help=f"horizon for the optimal policy, 1 to {MAX_DAYS}")
-    p.add_argument("--horizon", help=f"number of report rows, 1 to {MAX_DAYS}")
-    p.add_argument("--out")
-    p.add_argument("--schedule-out", dest="schedule_out")
-    p.set_defaults(func=cmd_rcr)
-
-    p = sub.add_parser("hqla", help="HQLA coverage from bucket weights")
-    add_common(p)
-    p.add_argument("--buckets", help="bucket JSON file (required)")
-    p.add_argument("--weights", help="comma list, one weight per bucket (required)")
-    p.add_argument("--shock", default="0.20")
-    p.add_argument("--tau", default="10")
-    p.add_argument("--tna", help="fund size for the specific-risk factor")
-    p.add_argument("--herfindahl")
-    p.add_argument("--tna-star", dest="tna_star")
-    p.add_argument("--h-star", dest="h_star")
-    p.add_argument("--xi-size", dest="xi_size", default="0.0")
-    p.add_argument("--xi-conc", dest="xi_conc", default="0.0")
-    p.add_argument("--sf-cap", dest="sf_cap", default="1.0")
-    p.add_argument("--conservative", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_hqla)
-
-    p = sub.add_parser("rst", help="reverse stress testing scenarios")
-    add_common(p, raw=True)
-    p.add_argument("--portfolio")
-    p.add_argument("--corr")
-    p.add_argument("--mode", choices=["liability", "asset"], default="liability")
-    p.add_argument("--alpha", help="CSV of stressed saleable proportions")
-    p.add_argument("--floor", default="0.25")
-    p.add_argument("--tau", default="1..5")
-    p.add_argument("--rate-star", dest="rate_star", default="0.10")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_rst)
-
-    p = sub.add_parser("optimize", help="cost-minimal liquidation under caps")
-    add_common(p, raw=True)
-    p.add_argument("--portfolio")
-    p.add_argument("--corr")
-    p.add_argument("--shock", default="0.10")
-    p.add_argument("--tr-max", dest="tr_max", default="20bp")
-    p.add_argument("--ls-max", dest="ls_max", default="0.10")
-    p.add_argument("--h", default="1", help=f"shortfall horizon in days, 1 to {MAX_DAYS}")
-    p.add_argument("--impact", default="0.4")
-    p.add_argument("--knee", default="0.05")
-    p.add_argument("--cap", default="0.10")
-    p.add_argument("--regime", choices=["sqrt", "sqrt_linear"], default="sqrt_linear")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("buffer", help="optimal cash buffer and cost curves")
-    add_common(p)
-    p.add_argument("--mu-asset", dest="mu_asset", default="0.01")
-    p.add_argument("--mu-cash", dest="mu_cash", default="0.0")
-    p.add_argument("--sigma-asset", dest="sigma_asset", default="0.20")
-    p.add_argument("--sigma-cash", dest="sigma_cash", default="0.0")
-    p.add_argument("--rho", default="0.0")
-    p.add_argument("--lambda", default="0.0")
-    p.add_argument("--spread", default="20bp")
-    p.add_argument("--cash-cost", dest="cash_cost", default="1bp")
-    p.add_argument("--impact", default="0.4")
-    p.add_argument("--sigma", help="cost-model volatility; defaults to --sigma-asset")
-    p.add_argument("--xplus", default="1.0")
-    p.add_argument("--eta", default="1.0")
-    p.add_argument("--curve-points", dest="curve_points", default="101",
-                   help=f"points on each --out-dir curve, 1 to {MAX_CURVE_POINTS}")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(func=cmd_buffer)
-
-    p = sub.add_parser("swing", help="swing pricing for one dealing day")
-    add_common(p)
-    p.add_argument("--nav", default="100")
-    p.add_argument("--units", default="10")
-    p.add_argument("--flow", help="net unit flow (sign carries direction)")
-    p.add_argument("--sub", help="subscribed units (dual pricing)")
-    p.add_argument("--red", help="redeemed units (dual pricing)")
-    p.add_argument("--return", dest="asset_return", default="0.0")
-    p.add_argument("--tc", default="0.0")
-    p.add_argument("--mode", choices=[m.value for m in SwingMode], default="full")
-    p.add_argument("--threshold", default="0.0")
-    p.add_argument("--factor", default="0.0")
-    p.add_argument("--product", default="0.0")
-    p.add_argument("--gamma", default="1.0")
-    p.add_argument("--adl", choices=["netted", "gross", "pro-rata"])
-    p.set_defaults(func=cmd_swing)
-
-    p = sub.add_parser("gate", help="FIFO redemption gate schedule")
-    add_common(p, raw=True)
-    p.add_argument("--requests", help="CSV: day,investor,rate (required)")
-    p.add_argument("--cap", default="0.02")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gate)
-
-    p = sub.add_parser("goldens", help="recompute fixture tables and diff them")
-    add_common(p)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--write", action="store_true",
-                   help="write tables without diffing (fixture refresh)")
-    p.set_defaults(func=cmd_goldens)
-
+    for command, (help_text, flags) in FLAGS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in (_CONFIG, *flags):
+            if flag.kind == "switch":
+                p.add_argument(flag.name, action="store_true", default=None, help=flag.help)
+            else:
+                p.add_argument(flag.name, dest=flag.dest, choices=flag.choices or None,
+                               help=flag.help)
+        p.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 
+def _config_texts(path: str, command: str, flags: Sequence[Flag]) -> dict:
+    """The text of each flag the config document at ``path`` gives, by dest.
+    A key is a flag's name with dashes or underscores. A value is a JSON
+    string or number, read as that text on the command line would be, or
+    true or false for a switch; anything else is a ConfigError naming the key."""
+    doc = load_json(path, "config")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    by_dest = {flag.dest: flag for flag in flags}
+    texts = {}
+    for key, value in doc.items():
+        flag = by_dest.get(key.replace("-", "_"))
+        if flag is None:
+            raise ConfigError(f"unknown config key {key!r} for lst {command}")
+        if flag.kind == "switch" and type(value) is bool:
+            texts[flag.dest] = value
+        elif flag.kind != "switch" and type(value) in (str, int, float):
+            text = value if type(value) is str else repr(value)
+            if flag.choices and text not in flag.choices:
+                raise ConfigError(f"config key {key!r}: {value!r} is not one of {flag.choices}")
+            texts[flag.dest] = text
+        else:
+            takes = "true or false" if flag.kind == "switch" else "a JSON string or number"
+            raise ConfigError(f"config key {key!r} must be {takes}, got {json.dumps(value)}")
+    return texts
+
+
+def _resolve_flags(args: argparse.Namespace) -> None:
+    """Give each flag of ``args.command`` its value: its command-line text,
+    else its ``--config`` value, else its default text, through its parser."""
+    flags = FLAGS[args.command][1]
+    config = _path(_CONFIG, args.config or "")
+    texts = _config_texts(config, args.command, flags) if config else {}
+    for flag in flags:
+        text = getattr(args, flag.dest)
+        if text is None:
+            text = texts.get(flag.dest, flag.default)
+        if flag.required and not text:
+            noun = "file" if flag.kind == "path" else "value"
+            raise DomainError(f"a {flag.name} {noun} is required")
+        setattr(args, flag.dest, None if text is None else PARSERS[flag.kind](flag, text))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            args = _apply_config(parser, args, argv)
+        _resolve_flags(args)
         return args.func(args)
     except DomainError as exc:
         return _error({"error": "validation", "detail": str(exc)}, EXIT_CONFIG)
@@ -806,7 +804,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _error({"error": "missing-file", "detail": str(exc)}, EXIT_CONFIG)
     except OSError as exc:  # a directory, no permission, ...
         return _error({"error": "file", "detail": str(exc)}, EXIT_CONFIG)
-    except (KeyError, ValueError) as exc:  # json.JSONDecodeError included
+    except (ConfigError, UnicodeDecodeError) as exc:  # a bad document, a file not UTF-8
         return _error({"error": "config", "detail": str(exc)}, EXIT_CONFIG)
     except Exception as exc:  # a fault of lst, not of the input
         return _error({"error": "internal", "detail": f"{type(exc).__name__}: {exc}"},

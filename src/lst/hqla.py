@@ -6,13 +6,12 @@ liquidity, drawdown and fund-specific risk factors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
-from ._checks import DomainError, check_finite, check_number
+from ._checks import DomainError, check_finite, check_number, load_json
 
 
 class AssetClass(Enum):
@@ -185,10 +184,9 @@ def load_buckets(path) -> list:
 
     A DomainError names the file and the entry (from 1): a missing name, a
     value that is not a number (with its field), or a bucket ``HqlaBucket``
-    rejects (with its message).
+    rejects (with its message). A file that is not JSON is a ConfigError.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = load_json(path, "bucket")
     if not (isinstance(raw, list) and all(isinstance(rec, dict) for rec in raw)):
         raise DomainError(f"bucket file {path} must hold a JSON list of objects")
     buckets = []

@@ -132,7 +132,8 @@ def transaction_cost(
         x = np.where(has_volume, day / per_volume, 0.0)
         notional = day * portfolio.prices
         spread_cost += float((notional * portfolio.spreads)[active].sum())
-        impact_cost += float((notional * (impact_scale * cost_model.impact_shape(x)))[active].sum())
+        with np.errstate(over="ignore"):  # inf: a cost past the float range
+            impact_cost += float((notional * (impact_scale * cost_model.impact_shape(x)))[active].sum())
     return TransactionCost(
         total=(spread_cost + impact_cost) / value,
         spread_part=spread_cost / value,

@@ -6,7 +6,8 @@ a Gauss hypergeometric function of the (1 - eta, 5/2; 7/2) family at the
 argument z = (a - b)/a <= 0 (the tail integral sends z to -infinity as its
 lower bound goes to 0). ``hyp2f1_family`` sums it with numpy: a Pfaff series
 on [-2, 0] and, past z = -2, a split of its Euler integral into a rescaled
-value at -2 and a binomial series of ratio at most 1/2.
+value at -2 and a binomial series of ratio at most 1/2, summed in log space
+past z = -2^60.
 
 Every function takes floats or arrays; a float goes through the same array
 code, and each finite element's value does not depend on the other
@@ -16,7 +17,7 @@ tested on; any other eta is a DomainError.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -26,6 +27,10 @@ from .core import DomainError
 # relative gap is at most 4.5 a / b), while a^(eta-1) and z = (a - b)/a can
 # overflow
 _NEGLIGIBLE_LOWER = 2.0**-60
+
+# Past this |z| the tail series runs in log space (no buffer path gets there)
+_HUGE = 2.0**60
+_LN2 = np.log(2.0)
 
 # Series terms are generated this many at a time; a series stops after the
 # first block whose last term is below a quarter of an ulp of the sum
@@ -98,7 +103,7 @@ def _exprel(x):
     return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-def _split_euler(eta: float, z):
+def _split_euler(eta: float, z, log_space: bool = False):
     """2F1(1 - eta, 5/2; 7/2; z) for z < -2 from the Euler integral
     (5/2) integral_0^1 t^(3/2) (1 + y t)^(eta-1) dt, y = -z, split at t = 2/y.
 
@@ -108,10 +113,19 @@ def _split_euler(eta: float, z):
     s = eta + 3/2 - k. Written as ln(y/2) exprel(-|s| ln(y/2)) max(y, 2)^s,
     the ratio needs no case at s = 0 (the log term) and loses no accuracy
     for large s ln(y/2).
+
+    ``log_space`` (for y > 2^60) folds y^(-5/2) into each term as one
+    exponential, y^(s - 5/2) or 2^s y^(-5/2), where y^eta, y^(3/2-j) and
+    y^(-5/2) apart would overflow or underflow before they meet. The sums
+    run at 2^-3 scale, so a value overflows only past the float range; the
+    exponent's rounding costs about |s - 5/2| ln(y) ulps (up to 2e-13).
     """
     y = -z
     log_half = np.log(y / 2.0)[:, None]
-    y_eta = (y**eta)[:, None]
+    if log_space:
+        log_y = np.log(y)[:, None]
+    else:
+        y_eta = (y**eta)[:, None]
     binomial = 1.0  # C(eta - 1, k - 1) at the start of each block
 
     def block(k):
@@ -120,12 +134,21 @@ def _split_euler(eta: float, z):
         binomials = binomial * np.cumprod(np.where(j > 0, (eta - j) / np.maximum(j, 1), 1.0))
         binomial = binomials[-1]
         s = eta + 1.5 - j
-        # y^s as y^eta y^(3/2 - j): a rounded s would cost ln(y) ulps
-        peak = np.where(s > 0.0, y_eta * y[:, None] ** (1.5 - j), 2.0**s)
+        if log_space:  # y^(s - 5/2) or 2^s y^(-5/2), times 2^-3
+            exponent = np.where(s > 0.0, (eta - 1.0 - j) * log_y, s * _LN2 - 2.5 * log_y)
+            peak = np.exp(exponent - 3.0 * _LN2)
+        else:
+            # y^s as y^eta y^(3/2 - j): a rounded s would cost ln(y) ulps
+            peak = np.where(s > 0.0, y_eta * y[:, None] ** (1.5 - j), 2.0**s)
         return binomials * log_half * _exprel(-np.abs(s) * log_half) * peak
 
-    tail = _sum_series(np.zeros(z.size), block)
-    return (2.0**2.5 * _at_minus_two(eta) + 2.5 * tail) * y**-2.5
+    if not log_space:
+        tail = _sum_series(np.zeros(z.size), block)
+        return (2.0**2.5 * _at_minus_two(eta) + 2.5 * tail) * y**-2.5
+    with np.errstate(over="ignore"):  # inf: a value past the float range
+        tail = _sum_series(np.zeros(z.size), block)
+        head = _at_minus_two(eta) * np.exp(2.5 * (_LN2 - log_y[:, 0]) - 3.0 * _LN2)
+        return (head + 2.5 * tail) * 8.0
 
 
 def hyp2f1_family(eta: float, z):
@@ -135,9 +158,10 @@ def hyp2f1_family(eta: float, z):
         raise DomainError("argument z must be non-positive for this family")
     z = np.minimum(z, 0.0)
     flat = np.reshape(z, -1)
-    far = flat < -2.0
+    far, huge = flat < -2.0, flat < -_HUGE
     value = np.empty(flat.shape)
-    for part, series in ((~far, _pfaff), (far, _split_euler)):  # NaN: Pfaff keeps it
+    for part, series in ((~far, _pfaff), (far & ~huge, _split_euler),  # NaN: Pfaff keeps it
+                         (huge, partial(_split_euler, log_space=True))):
         if part.any():
             value[part] = series(eta, flat[part])
     return value.reshape(np.shape(z)) if np.ndim(z) else float(value[0])

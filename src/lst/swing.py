@@ -242,6 +242,12 @@ def adl_fees(subscribed: float, redeemed: float, tc: float, rule: AdlRule) -> Ad
 # REDEMPTION GATE
 # =============================================================================
 
+#: The smallest gate cap: a request for all net assets clears within 10,000
+#: days. ``gate_schedule`` steps one day at a time, and below 1e-15 a day
+#: executes nothing, so a smaller cap would run without bound.
+GATE_CAP_MIN = 1e-4
+
+
 @dataclass(frozen=True)
 class GatePolicy:
     """Daily cap on executed redemptions, as a fraction of net assets."""
@@ -249,8 +255,8 @@ class GatePolicy:
     daily_cap: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.daily_cap <= 1.0:
-            raise DomainError("gate cap must lie in (0, 1]")
+        if not GATE_CAP_MIN <= self.daily_cap <= 1.0:
+            raise DomainError(f"gate cap must lie in [{GATE_CAP_MIN:g}, 1], got {self.daily_cap!r}")
 
 
 @dataclass(frozen=True)

@@ -922,3 +922,244 @@ class TestHelpPinned:
             main([*command.split(), "--help"])
         assert exc.value.code == EXIT_OK
         assert capsys.readouterr().out == want
+
+
+def run_main(argv, capsys):
+    """``main(argv)``'s exit code, stdout and stderr."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def config_file(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+class TestConfigValues:
+    """A config value is a JSON string or number, read as its text on the
+    command line would be, or true or false for a switch; anything else is
+    a ``config`` error naming the key."""
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["rcr", "--portfolio", FUND], "raw", "no"),
+        (["rcr", "--portfolio", FUND], "raw", 1),
+        (["hqla", "--buckets", BUCKETS, "--weights", "0.6,0.3,0.1"], "conservative", "false"),
+        (["goldens"], "write", None),
+    ])
+    def test_a_switch_takes_only_true_or_false(self, argv, key, value, tmp_path, capsys):
+        code, out, err = run_main([*argv, "--config", config_file(tmp_path, {key: value})], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert json.loads(err) == {"error": "config", "detail": (
+            f"config key {key!r} must be true or false, got {json.dumps(value)}")}
+
+    def test_a_config_switch_is_its_flag(self, tmp_path, capsys):
+        argv = ["rcr", "--portfolio", FUND, "--horizon", "2"]
+        for flags, value in (([], False), (["--raw"], True)):
+            want = run_main([*argv, *flags], capsys)
+            assert want[0] == EXIT_OK
+            assert run_main([*argv, "--config", config_file(tmp_path, {"raw": value})],
+                            capsys) == want
+
+    @pytest.mark.parametrize("value", [[1], None, {"a": 1}, True, []])
+    def test_a_value_must_be_a_string_or_number(self, value, tmp_path, capsys):
+        cfg = config_file(tmp_path, {"shock": value})
+        code, out, err = run_main(["rcr", "--portfolio", FUND, "--config", cfg], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert json.loads(err) == {"error": "config", "detail": (
+            f"config key 'shock' must be a JSON string or number, got {json.dumps(value)}")}
+
+    def test_a_number_names_a_file_as_its_text_does(self, tmp_path, monkeypatch, capsys):
+        # {"out": 1} writes ./1 as --out 1 does, not to file descriptor 1
+        monkeypatch.chdir(tmp_path)
+        argv = ["rcr", "--portfolio", FUND]
+        assert run_main([*argv, "--out", "1"], capsys) == (EXIT_OK, "", "")
+        want = (tmp_path / "1").read_text()
+        (tmp_path / "1").unlink()
+        assert run_main([*argv, "--config", config_file(tmp_path, {"out": 1})], capsys) == (
+            EXIT_OK, "", "")
+        assert (tmp_path / "1").read_text() == want and want.startswith("h,lr_pct,")
+
+    def test_a_number_portfolio_is_a_file_name(self, tmp_path, monkeypatch, capsys):
+        # {"portfolio": 0} reads the file ./0, not standard input
+        monkeypatch.chdir(tmp_path)
+        want = run_main(["rcr", "--portfolio", "0"], capsys)
+        assert want[0] == EXIT_CONFIG and json.loads(want[2])["error"] == "missing-file"
+        assert run_main(["rcr", "--config", config_file(tmp_path, {"portfolio": 0})],
+                        capsys) == want
+
+    @pytest.mark.parametrize("key, value, text", [
+        ("shock", "abc", "abc"), ("shock", 0.5, "0.5"), ("horizon", 1.0, "1.0"),
+        ("horizon", "", ""), ("tau", MAX_DAYS + 1, str(MAX_DAYS + 1)), ("shock", 1e400, "inf"),
+        ("policy", "waterfall", "waterfall"),
+    ])
+    def test_a_value_means_what_its_text_means(self, key, value, text, tmp_path, capsys):
+        argv = ["rcr", "--portfolio", FUND, "--policy", "optimal"] if key != "policy" else [
+            "rcr", "--portfolio", FUND]
+        want = run_main([*argv, f"--{key}={text}"], capsys)
+        doc = json.dumps({key: value}).replace("Infinity", "1e400")
+        assert run_main([*argv, "--config", config_file(tmp_path, doc)], capsys) == want
+
+    def test_a_choice_mismatch_names_the_key(self, tmp_path, capsys):
+        cfg = config_file(tmp_path, {"regime": 1})
+        code, _, err = run_main(["optimize", "--portfolio", FUND, "--config", cfg], capsys)
+        assert code == EXIT_CONFIG
+        assert json.loads(err) == {"error": "config", "detail": (
+            "config key 'regime': 1 is not one of ['sqrt', 'sqrt_linear']")}
+
+
+class TestErrorKinds:
+    """A flag value is a ``validation`` error naming the flag; a document that
+    is no JSON, or an input file that is not UTF-8, is a ``config`` error;
+    any other ValueError or KeyError is a fault of lst (exit 3)."""
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["rcr", "--portfolio", FUND, "--shock", "abc"],
+         "--shock must be a rate such as 0.2, 20bp or 20%, got 'abc'"),
+        (["rst", "--portfolio", FUND, "--floor", "0.5,,0.9"],
+         "--floor must be a comma list of rates, got '0.5,,0.9'"),
+        (["rst", "--portfolio", FUND, "--tau", "1..x"],
+         "--tau must be a day list such as 5, 1..5 or 1,3,5, got '1..x'"),
+        (["hqla", "--buckets", BUCKETS, "--weights", "0.6;0.4"],
+         "--weights must be a comma list of numbers, got '0.6;0.4'"),
+        (["swing", "--nav", "1e3x"], "--nav must be a number, got '1e3x'"),
+        (["buffer", "--curve-points", "9" * 5000], None),
+        (["rcr", "--portfolio", "fund\0.csv"],
+         "--portfolio must be a file name without a NUL byte, got 'fund\\x00.csv'"),
+    ])
+    def test_a_bad_flag_value_names_the_flag(self, argv, detail, capsys):
+        code, out, err = run_main(argv, capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        report = json.loads(err)
+        assert report["error"] == "validation"
+        if detail is not None:
+            assert report["detail"] == detail
+
+    def test_a_long_zero_padded_count_is_read(self, tmp_path, capsys):
+        out_dir = tmp_path / "curves"
+        argv = ["buffer", "--curve-points", "0" * 5000 + "3", "--out-dir", str(out_dir)]
+        assert run_main(argv, capsys)[0] == EXIT_OK
+        assert len(read_rows(out_dir / "nbc_curve.csv")) == 4
+
+    def test_a_nul_in_a_config_path_names_the_flag(self, tmp_path, capsys):
+        cfg = config_file(tmp_path, {"portfolio": "a\0b"})
+        code, _, err = run_main(["rcr", "--config", cfg], capsys)
+        assert code == EXIT_CONFIG
+        assert json.loads(err) == {"error": "validation", "detail": (
+            "--portfolio must be a file name without a NUL byte, got 'a\\x00b'")}
+
+    @pytest.mark.parametrize("text, detail", [
+        ("{", "Expecting property name enclosed in double quotes"),
+        ('{"horizon": ' + "1" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["syntax", "huge-integer", "deep"])
+    def test_a_config_that_is_no_json(self, text, detail, tmp_path, capsys):
+        cfg = config_file(tmp_path, text)
+        code, _, err = run_main(["rcr", "--portfolio", FUND, "--config", cfg], capsys)
+        report = json.loads(err)
+        assert code == EXIT_CONFIG and report["error"] == "config"
+        assert report["detail"].startswith(f"config file {cfg}: {detail}")
+
+    def test_a_bucket_file_with_a_huge_integer(self, tmp_path, capsys):
+        path = tmp_path / "buckets.json"
+        path.write_text('[{"name": "x", "lambda": ' + "1" * 5000 + "}]")
+        code, _, err = run_main(["hqla", "--buckets", str(path), "--weights", "1"], capsys)
+        report = json.loads(err)
+        assert code == EXIT_CONFIG and report["error"] == "config"
+        assert report["detail"].startswith(f"bucket file {path}: Exceeds the limit")
+
+    def test_a_binary_portfolio_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "fund.csv"
+        path.write_bytes(b"id,shares\n\xff\xfe\x00\x81\n")
+        code, out, err = run_main(["rcr", "--portfolio", str(path)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert json.loads(err)["error"] == "config" and "can't decode" in json.loads(err)["detail"]
+
+    @pytest.mark.parametrize("exc", [ValueError("bad queue"), KeyError("day")])
+    def test_any_other_value_or_key_error_is_internal(self, exc, monkeypatch, capsys):
+        import lst.swing
+
+        def broken(requests, policy):
+            raise exc
+
+        monkeypatch.setattr(lst.swing, "gate_schedule", broken)
+        code, out, err = run_main(["gate", "--requests", GATES], capsys)
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert json.loads(err) == {"error": "internal",
+                                   "detail": f"{type(exc).__name__}: {exc}"}
+
+
+class TestFlagOnlyChecks:
+    """A condition on the flags alone is checked before any file is read or
+    any table is computed."""
+
+    def test_write_without_an_out_dir_computes_nothing(self, monkeypatch, capsys):
+        def never():
+            raise AssertionError("golden tables computed")
+
+        monkeypatch.setattr("lst.cli.golden_tables", never)
+        code, out, err = run_main(["goldens", "--write"], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert json.loads(err) == {"error": "validation", "detail": (
+            "--write needs an --out-dir to put the refreshed tables in")}
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--tau"])
+    def test_an_empty_day_count_is_a_validation_error(self, flag, tmp_path, capsys):
+        want = {"error": "validation",
+                "detail": f"{flag} must be a whole number from 1 to {MAX_DAYS}, got ''"}
+        code, out, err = run_main(["rcr", "--portfolio", FUND, flag, ""], capsys)
+        assert (code, out, json.loads(err)) == (EXIT_CONFIG, "", want)
+        cfg = config_file(tmp_path, {flag[2:]: ""})
+        code, out, err = run_main(["rcr", "--portfolio", FUND, "--config", cfg], capsys)
+        assert (code, out, json.loads(err)) == (EXIT_CONFIG, "", want)
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["hqla", "--buckets", "/nonexistent/b.json", "--weights", "1", "--tna-star", "1e9"],
+         "--tna-star and --h-star go together: give both or neither"),
+        (["rst", "--portfolio", "/nonexistent/fund.csv", "--mode", "liability"],
+         "a --alpha file is required"),
+        (["rcr", "--portfolio", ""], "a --portfolio file is required"),
+        (["hqla", "--buckets", BUCKETS, "--weights", ""], "a --weights value is required"),
+    ])
+    def test_checked_before_any_file_is_read(self, argv, detail, capsys):
+        code, out, err = run_main(argv, capsys)
+        assert (code, out, json.loads(err)) == (
+            EXIT_CONFIG, "", {"error": "validation", "detail": detail})
+
+
+class TestTypedValues:
+    def test_each_command_reads_parsed_values(self, monkeypatch, capsys):
+        seen = {}
+        monkeypatch.setattr("lst.cli.cmd_rcr", lambda args: seen.update(vars(args)) or EXIT_OK)
+        assert main(["rcr", "--portfolio", FUND, "--shock", "20bp", "--tau", "7"]) == EXIT_OK
+        assert {k: seen[k] for k in ("shock", "tau", "horizon", "raw", "policy", "out", "corr")} == {
+            "shock": 0.002, "tau": 7, "horizon": None, "raw": False, "policy": "prorata",
+            "out": None, "corr": None}
+        assert type(seen["shock"]) is float and type(seen["tau"]) is int
+
+
+class TestExtremeFlagValues:
+    """Values the contract fuzz found to overflow, warn or run without
+    bound; a RuntimeWarning raised from lst fails these tests."""
+
+    @pytest.mark.parametrize("argv, code, report", [
+        (["buffer", "--sigma-asset", "1e308"], EXIT_CONFIG, {
+            "error": "validation",
+            "detail": "net buffer cost is not finite on the weight grid at eta = 1.0"}),
+        (["buffer", "--xplus", "1e-320"], EXIT_CONFIG, {
+            "error": "validation", "detail": "trading limit must be at least 0.0001, got 1e-320"}),
+        (["gate", "--requests", GATES, "--cap", "1e-320"], EXIT_CONFIG, {
+            "error": "validation", "detail": "gate cap must lie in [0.0001, 1], got 1e-320"}),
+        (["optimize", "--portfolio", FUND, "--corr", CORR, "--impact", "1e308"], EXIT_INFEASIBLE,
+         {"error": "infeasible-policy", "binding": "tracking-risk",
+          "detail": "no evaluated portfolio satisfied both the tracking and shortfall caps"}),
+    ], ids=["sigma-asset", "xplus", "gate-cap", "impact"])
+    def test_one_json_line_and_no_warning(self, argv, code, report, capsys):
+        got, out, err = run_main(argv, capsys)
+        assert (got, out, json.loads(err)) == (code, "", report)
+
+    def test_a_subnormal_shock_raises_no_overflow(self, capsys):
+        # the finite-difference quotient of the budget constraint overflows to inf
+        argv = ["optimize", "--portfolio", FUND, "--corr", CORR, "--shock", "1e-320"]
+        assert run_main(argv, capsys)[::2] == (EXIT_OK, "")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -271,6 +272,28 @@ class TestSeriesAgainstMpmath:
         # y^s with a rounded s = eta + 3/2 - k would lose ln(y) ulps (2e-14 at y = 1e12)
         for z in (-1e6, -1e9, -1e12):
             assert hyp2f1_family(eta, z) == pytest.approx(hyp2f1_mpmath(eta, z), rel=2e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([0.5, 1.0, 3.0, 12.0]),
+           st.floats(math.log10(2.0**60), 308.0) | st.sampled_from([math.log10(2.0**60), 308.0]))
+    def test_past_two_to_the_sixty(self, eta, log_y):
+        # y^eta, y^(3/2 - j) and y^(-5/2) apart overflow or underflow there:
+        # (0.5, -1e200) was NaN, (0.5, -1e150) 0.0, (3, -1e100) inf, (12, -1e30) NaN
+        z = max(-(10.0**log_y), -1e308)
+        with mpmath.workdps(40):
+            exact = mpmath.hyp2f1(1 - mpmath.mpf(eta), 2.5, 3.5, mpmath.mpf(z))
+        value = hyp2f1_family(eta, z)  # a RuntimeWarning from lst fails the test
+        if exact > sys.float_info.max:
+            assert value == math.inf
+        else:
+            assert value == pytest.approx(float(exact), rel=3e-13, abs=0)
+
+    @pytest.mark.parametrize("eta, z, expected", [
+        (0.5, -1e200, 1.25e-100), (0.5, -1e150, 1.25e-75), (3.0, -1e100, 5.555555555555556e199),
+        (12.0, -1e30, math.inf), (12.0, -1e308, math.inf)])
+    def test_reported_far_values(self, eta, z, expected):
+        assert hyp2f1_family(eta, z) == pytest.approx(expected, rel=3e-13)
+        assert hyp2f1_family(eta, np.array([z, -1.0]))[0] == hyp2f1_family(eta, z)
 
     def test_exponent_must_be_finite(self):
         with pytest.raises(DomainError):
