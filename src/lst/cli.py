@@ -114,21 +114,15 @@ def _error(report: dict, code: int) -> int:
     return code
 
 
-def _load_portfolio_arg(args) -> Portfolio:
-    from .core import load_portfolio
-
-    return load_portfolio(args.portfolio, correlation_path=args.corr)
-
-
 # =============================================================================
 # SUBCOMMANDS
 # =============================================================================
 
 def cmd_rcr(args) -> int:
-    from .core import RedemptionShock
+    from .core import RedemptionShock, load_portfolio
     from .rcr import optimal_pro_rata, pro_rata_portfolio, rcr_report, waterfall_portfolio
 
-    portfolio = _load_portfolio_arg(args)
+    portfolio = load_portfolio(args.portfolio, correlation_path=args.corr)
     shock = RedemptionShock.from_rate(portfolio, args.shock)
     if args.policy == "prorata":
         redemption = pro_rata_portfolio(portfolio, args.shock)
@@ -136,8 +130,7 @@ def cmd_rcr(args) -> int:
         _, redemption = optimal_pro_rata(portfolio, args.tau)
     else:
         redemption = waterfall_portfolio(portfolio)
-    horizon = args.horizon or max(args.tau, 6)
-    report = rcr_report(portfolio, shock, redemption, horizon=horizon)
+    report = rcr_report(portfolio, shock, redemption, horizon=args.horizon or max(args.tau, 6))
     header = ["h", "lr_pct", "amount", "rcr_pct", "ls_pct"]
     rows = [
         [h, _pct(report.lr[h - 1], args.raw), _fmt(report.amount[h - 1]),
@@ -231,11 +224,12 @@ def _load_alpha(path, ids) -> np.ndarray:
 
 
 def cmd_rst(args) -> int:
+    from .core import load_portfolio
     from .reverse import AssetRstNoSolution, asset_rst, liability_rst
 
     if args.mode == "liability" and args.alpha is None:
         raise DomainError("a --alpha file is required")
-    portfolio = _load_portfolio_arg(args)
+    portfolio = load_portfolio(args.portfolio, correlation_path=args.corr)
     if args.mode == "liability":
         alpha = _load_alpha(args.alpha, portfolio.ids)
         header = ["tau", "floor_pct", "amount", "rate_pct", "feasible"]
@@ -262,18 +256,21 @@ def cmd_rst(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .core import RedemptionShock
+    from .core import RedemptionShock, load_portfolio
     from .optimizer import CostModel, InfeasiblePolicy, optimize_policy
 
-    portfolio = _load_portfolio_arg(args)
+    portfolio = load_portfolio(args.portfolio, correlation_path=args.corr)
     shock = RedemptionShock.from_rate(portfolio, args.shock)
     cost_model = CostModel(beta_impact=args.impact, knee=args.knee,
                            participation_cap=args.cap, regime=args.regime)
     result = optimize_policy(portfolio, cost_model, shock,
                              tr_max=args.tr_max, ls_max=args.ls_max, horizon=args.h)
     if isinstance(result, InfeasiblePolicy):
-        return _error({"error": "infeasible-policy", "binding": result.binding_constraint,
-                       "detail": result.message}, EXIT_INFEASIBLE)
+        return _error(
+            {"error": "infeasible-policy", "binding": result.binding_constraint,
+             "detail": result.message},
+            EXIT_INFEASIBLE,
+        )
     ev = result.evaluation
     header = ["field", "value"]
     rows = [[sid, _fmt(qty)] for sid, qty in zip(portfolio.ids, result.redemption.quantities)]
@@ -331,8 +328,7 @@ def cmd_swing(args) -> int:
     subscribed = 0.0 if args.sub is None else args.sub
     redeemed = 0.0 if args.red is None else args.red
     if args.flow is not None:
-        net = args.flow
-        subscribed, redeemed = (net, 0.0) if net >= 0 else (0.0, -net)
+        subscribed, redeemed = (args.flow, 0.0) if args.flow >= 0 else (0.0, -args.flow)
     event = FlowEvent(subscribed=subscribed, redeemed=redeemed,
                       asset_return=args.asset_return, tc=args.tc)
     config = SwingConfig(mode=SwingMode(args.mode), threshold=args.threshold,
@@ -552,6 +548,10 @@ def golden_tables() -> dict:
     return tables
 
 
+def _golden_dir():
+    return resources.files("lst") / "goldens"
+
+
 def cmd_goldens(args) -> int:
     if args.write and not args.out_dir:
         raise DomainError("--write needs an --out-dir to put the refreshed tables in")
@@ -566,7 +566,7 @@ def cmd_goldens(args) -> int:
             (out_dir / f"{name}.csv").write_text(text)
         if args.write:
             continue
-        expected_file = resources.files("lst") / "goldens" / f"{name}.csv"
+        expected_file = _golden_dir() / f"{name}.csv"
         if not expected_file.is_file():
             failures.append((name, "missing expected file"))
             print(f"{name}: MISSING")
