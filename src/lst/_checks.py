@@ -1,8 +1,9 @@
 """
 Input validation that needs no numpy: the package's error types, the finite
 and sign checks on scalar fields, the JSON reader and the CSV helpers that
-name the file and line of a bad row. The scalar tools (HQLA, swing pricing, gates) and the
-command line import this module without loading the array stack.
+name the file and line of a bad row. The scalar tools (HQLA, swing pricing,
+gates) and the command line import this module without loading the array
+stack.
 """
 
 from __future__ import annotations

@@ -89,7 +89,7 @@ def _forward_difference(fun, x0, f0, lb, ub) -> np.ndarray:
     for i in range(x0.size):
         x1 = x0.copy()
         x1[i] = x0[i] + h[i]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # inf: a slope past the float range
             grad[i] = (fun(x1) - f0) / ((x0[i] + h[i]) - x0[i])
     return grad
 

@@ -25,8 +25,8 @@ from .specialfuncs import _check_eta, integral_i_ab, integral_i_w
 _GRID_STEP = 1e-3  # coarse scan resolution of the buffer optimizer
 _ERROR_BLOCK = 1 << 15  # (w, u) points per block of the approximation-error scan
 # The smallest trading limit: a full redemption sells out within 10,000 days.
-# The exact gain sums one term per limit segment, about 4 ms each in
-# ``optimal_cash_buffer``, so a smaller limit would run without bound.
+# The exact gain sums one term per limit segment, so its cost grows as
+# 1/x_plus, and a smaller limit would run without bound.
 X_PLUS_MIN = 1e-4
 
 
@@ -66,11 +66,13 @@ class BufferMarketParams:
 
     @property
     def te_variance_unit(self) -> float:
-        """Tracking-error variance per unit of squared buffer weight (inf or
-        NaN, not an OverflowError, where huge volatilities overflow)."""
-        sigma_cash, sigma_asset = self.sigma_cash, self.sigma_asset
-        return (sigma_cash * sigma_cash + sigma_asset * sigma_asset
-                - 2.0 * self.rho * sigma_cash * sigma_asset)
+        """Tracking-error variance per unit of squared buffer weight; inf or
+        NaN where a huge volatility overflows (a float ``**`` would raise)."""
+        return (
+            self.sigma_cash * self.sigma_cash
+            + self.sigma_asset * self.sigma_asset
+            - 2.0 * self.rho * self.sigma_cash * self.sigma_asset
+        )
 
 
 @dataclass(frozen=True)

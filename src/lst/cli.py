@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -170,12 +171,8 @@ def cmd_hqla(args) -> int:
         if bucket.ccf_static is not None:
             ccf = bucket.ccf_static
         else:
-            ccf = ccf_parametric(
-                bucket, sf, args.tau,
-                fund_tna=0.0 if args.tna is None else args.tna,
-                fund_herfindahl=0.0 if args.herfindahl is None else args.herfindahl,
-                conservative=args.conservative,
-            )
+            ccf = ccf_parametric(bucket, sf, args.tau, fund_tna=args.tna,
+                                 fund_herfindahl=args.herfindahl, conservative=args.conservative)
         pairs.append((weight, ccf))
         rows.append([bucket.name, _fmt(weight), _fmt(ccf)])
     rcr, ls = rcr_hqla(pairs, args.shock)
@@ -325,8 +322,7 @@ def cmd_swing(args) -> int:
     from .swing import AdlRule, FlowEvent, FundState, SwingConfig, adl_fees, swing_nav
 
     state = FundState(nav=args.nav, units=args.units)
-    subscribed = 0.0 if args.sub is None else args.sub
-    redeemed = 0.0 if args.red is None else args.red
+    subscribed, redeemed = args.sub, args.red
     if args.flow is not None:
         subscribed, redeemed = (args.flow, 0.0) if args.flow >= 0 else (0.0, -args.flow)
     event = FlowEvent(subscribed=subscribed, redeemed=redeemed,
@@ -592,7 +588,7 @@ class Flag(NamedTuple):
 
     name: str
     kind: str
-    default: Optional[str] = None
+    default: Optional[str] = None  # text; a switch's is False
     help: Optional[str] = None
     required: bool = False
     choices: Sequence[str] = ()  # of a "choice"
@@ -616,7 +612,7 @@ def _scalar(parse, what: str):
     return run
 
 
-def _count(flag: Flag, text: str) -> int:
+def _whole_number(flag: Flag, text: str) -> int:
     """A whole number from 1 to the flag's cap; int() reads at most 4300 digits."""
     digits = text.lstrip("0")
     if not (text.isascii() and text.isdigit() and len(digits) <= len(str(flag.cap))
@@ -626,10 +622,14 @@ def _count(flag: Flag, text: str) -> int:
 
 
 def _path(flag: Flag, text: str) -> Optional[str]:
-    """A file name; an empty one is no file."""
-    if "\0" in text:
-        raise DomainError(f"{flag.name} must be a file name without a NUL byte, got {text!r}")
-    return text or None
+    """A file name the system can take; an empty one is no file."""
+    try:
+        if b"\0" not in os.fsencode(text):
+            return text or None
+    except UnicodeEncodeError:  # a lone surrogate, which a JSON string can hold
+        pass
+    raise DomainError(f"{flag.name} must be a file name with no NUL byte and no lone "
+                      f"surrogate, got {text!r}")
 
 
 #: Flag kind -> parser of the flag's text: ``(flag, text) -> value``. A
@@ -640,7 +640,7 @@ PARSERS = {
     "rates": _scalar(lambda text: list(map(parse_rate, text.split(","))), "a comma list of rates"),
     "numbers": _scalar(lambda text: list(map(float, text.split(","))), "a comma list of numbers"),
     "days": _scalar(parse_days, "a day list such as 5, 1..5 or 1,3,5"),
-    "count": _count,
+    "count": _whole_number,
     "path": _path,
     "choice": lambda flag, text: text,
     "switch": lambda flag, given: given,
@@ -670,8 +670,9 @@ FLAGS = {
              required=True),
         Flag("--shock", "rate", "0.20"),
         Flag("--tau", "number", "10"),
-        Flag("--tna", "number", None, "fund size for the specific-risk factor"),
-        Flag("--herfindahl", "number"), Flag("--tna-star", "number"), Flag("--h-star", "number"),
+        Flag("--tna", "number", "0.0", "fund size for the specific-risk factor"),
+        Flag("--herfindahl", "number", "0.0"), Flag("--tna-star", "number"),
+        Flag("--h-star", "number"),
         Flag("--xi-size", "number", "0.0"), Flag("--xi-conc", "number", "0.0"),
         Flag("--sf-cap", "number", "1.0"),
         Flag("--conservative", "switch", False),
@@ -711,8 +712,8 @@ FLAGS = {
     "swing": ("swing pricing for one dealing day", [
         Flag("--nav", "number", "100"), Flag("--units", "number", "10"),
         Flag("--flow", "number", None, "net unit flow (sign carries direction)"),
-        Flag("--sub", "number", None, "subscribed units (dual pricing)"),
-        Flag("--red", "number", None, "redeemed units (dual pricing)"),
+        Flag("--sub", "number", "0.0", "subscribed units (dual pricing)"),
+        Flag("--red", "number", "0.0", "redeemed units (dual pricing)"),
         Flag("--return", "number", "0.0", rename="asset_return"),
         Flag("--tc", "number", "0.0"),
         Flag("--mode", "choice", "full", choices=[m.value for m in SwingMode]),

@@ -133,7 +133,8 @@ def transaction_cost(
         notional = day * portfolio.prices
         spread_cost += float((notional * portfolio.spreads)[active].sum())
         with np.errstate(over="ignore"):  # inf: a cost past the float range
-            impact_cost += float((notional * (impact_scale * cost_model.impact_shape(x)))[active].sum())
+            impact = notional * (impact_scale * cost_model.impact_shape(x))
+        impact_cost += float(impact[active].sum())
     return TransactionCost(
         total=(spread_cost + impact_cost) / value,
         spread_part=spread_cost / value,

@@ -1026,7 +1026,8 @@ class TestErrorKinds:
         (["swing", "--nav", "1e3x"], "--nav must be a number, got '1e3x'"),
         (["buffer", "--curve-points", "9" * 5000], None),
         (["rcr", "--portfolio", "fund\0.csv"],
-         "--portfolio must be a file name without a NUL byte, got 'fund\\x00.csv'"),
+         "--portfolio must be a file name with no NUL byte and no lone surrogate, "
+         "got 'fund\\x00.csv'"),
     ])
     def test_a_bad_flag_value_names_the_flag(self, argv, detail, capsys):
         code, out, err = run_main(argv, capsys)
@@ -1042,12 +1043,15 @@ class TestErrorKinds:
         assert run_main(argv, capsys)[0] == EXIT_OK
         assert len(read_rows(out_dir / "nbc_curve.csv")) == 4
 
-    def test_a_nul_in_a_config_path_names_the_flag(self, tmp_path, capsys):
-        cfg = config_file(tmp_path, {"portfolio": "a\0b"})
+    @pytest.mark.parametrize("name, shown", [("a\0b", "a\\x00b"), ("\ud800", "\\ud800")])
+    def test_a_config_path_the_system_cannot_take_names_the_flag(self, name, shown, tmp_path,
+                                                                 capsys):
+        cfg = config_file(tmp_path, {"portfolio": name})
         code, _, err = run_main(["rcr", "--config", cfg], capsys)
         assert code == EXIT_CONFIG
         assert json.loads(err) == {"error": "validation", "detail": (
-            "--portfolio must be a file name without a NUL byte, got 'a\\x00b'")}
+            "--portfolio must be a file name with no NUL byte and no lone surrogate, "
+            f"got '{shown}'")}
 
     @pytest.mark.parametrize("text, detail", [
         ("{", "Expecting property name enclosed in double quotes"),
@@ -1133,9 +1137,9 @@ class TestTypedValues:
         seen = {}
         monkeypatch.setattr("lst.cli.cmd_rcr", lambda args: seen.update(vars(args)) or EXIT_OK)
         assert main(["rcr", "--portfolio", FUND, "--shock", "20bp", "--tau", "7"]) == EXIT_OK
-        assert {k: seen[k] for k in ("shock", "tau", "horizon", "raw", "policy", "out", "corr")} == {
-            "shock": 0.002, "tau": 7, "horizon": None, "raw": False, "policy": "prorata",
-            "out": None, "corr": None}
+        want = {"shock": 0.002, "tau": 7, "horizon": None, "raw": False, "policy": "prorata",
+                "out": None, "corr": None}
+        assert {k: seen[k] for k in want} == want
         assert type(seen["shock"]) is float and type(seen["tau"]) is int
 
 
