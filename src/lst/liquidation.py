@@ -17,7 +17,6 @@ starts its sort.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
@@ -47,10 +46,6 @@ class Unreachable:
 
 #: Singleton returned instead of a day count when a threshold is never met.
 UNREACHABLE = Unreachable()
-
-
-#: Unsold shares (summed over securities) at which a schedule counts as done.
-DONE_TOL = 1e-9
 
 
 def _sort_live(sellable: np.ndarray, cap: np.ndarray,
@@ -160,10 +155,14 @@ class LiquidationSchedule:
     Selling min(remaining, cap_i) of security i every day leaves
     ``min(h * cap_i, sellable_i)`` sold after h days, so the schedule is the
     triple ``(sellable, cap, horizon)``: O(n) memory whatever the horizon.
-    ``sellable`` is the target with stuck positions zeroed. The schedule stops
-    at full liquidation (at most ``DONE_TOL`` shares unsold) or at
-    ``max_days``, whichever comes first. ``stuck`` flags securities that can
-    never finish (zero daily limit with a positive target).
+    ``sellable`` is the target with stuck positions zeroed. The schedule ends
+    on its first sold-out day, the first h with ``h * cap >= sellable`` for
+    every name in floating point, or at ``max_days``, whichever comes first;
+    ``exhausted`` is that test at the horizon, with no name stuck. So an
+    exhausted schedule has ``cumulative(horizon) == sellable`` and
+    ``amount(h)`` is ``_raised(min(h, horizon), cap, sellable, prices)``, bit
+    for bit. ``stuck`` flags securities that can never finish (zero daily
+    limit with a positive target).
 
     ``sold`` (shares sold per day and security) is rebuilt on every access
     and never stored; read it once when iterating over days. The sorted
@@ -263,19 +262,17 @@ def build_schedule(
     """Greedy liquidation: each day sell min(remaining, daily limit) of each security.
 
     Evaluated in closed form, with no day loop: cumulative sales after h days
-    are min(h * cap, target). The horizon is the first day h with
-    unsold(h) = sum_i max(target_i - h * cap_i, 0) <= ``DONE_TOL``, capped
-    at ``max_days``. Each float term of that sum is non-increasing in h, and
-    so is their float sum, so the test is monotone. The horizon is read off
-    the last finishing day: h0 = ceil(max_i target_i / cap_i) over the live
-    names (cap_i > 0), at most ``max_days`` (a name that never finishes
-    gives ``max_days``). h0 is the horizon when the test holds at h0 and
-    fails at h0 - 1, or, for h0 = ``max_days``, when it fails at
-    ``max_days - 1``: two O(n) passes. Only when rounding leaves a residue
-    (a target that ends within ``DONE_TOL`` of a whole day, or one so large
-    that an ulp exceeds ``DONE_TOL``) does the horizon come from bisection
-    over days, in O(n log max_days). The schedule stores no
-    day-by-security matrix; ``sold`` is built on demand.
+    are min(h * cap, target). The horizon is the first day h in 0..max_days
+    on which every name is sold out in floating point, h * cap >= sellable
+    elementwise, capped at ``max_days``; the schedule is exhausted when that
+    test holds at the horizon and no name is stuck. fl(h * cap) never falls
+    as h grows, so the test is monotone, and fl(s_i / cap_i) puts each live
+    name's first sold-out day within one day of its ceiling (for finishing
+    days below 2^51). So the horizon is h0 = ceil(max_i s_i / cap_i) over
+    the live names (cap_i > 0), at most ``max_days`` (a name that never
+    finishes gives ``max_days``), or one day either side of it: at most
+    three O(n) passes. The schedule stores no day-by-security matrix;
+    ``sold`` is built on demand.
 
     Args:
         portfolio: Fund holdings with daily limits.
@@ -294,21 +291,21 @@ def build_schedule(
     sellable = np.where(live, q, 0.0)
     sellable.flags.writeable = cap.flags.writeable = False
 
-    def unsold(h: int) -> float:
-        return float(np.maximum(sellable - h * cap, 0.0).sum())
+    def sold_out(h: int) -> bool:
+        return bool((h * cap >= sellable).all())
 
-    with np.errstate(over="ignore"):  # inf: a name that never finishes
+    # inf: a name that never finishes, or a day's sale past the float range
+    with np.errstate(over="ignore"):
         last = float((sellable[live] / cap[live]).max()) if live.any() else 0.0
-    horizon = math.ceil(min(last, max_days))
-    left = unsold(horizon)
-    # a residue at the last finishing day, or none the day before: rounding
-    # moved the horizon, so bisect for the first h in 0..max_days with
-    # unsold(h) <= DONE_TOL (max_days + 1 if none)
-    if (left > DONE_TOL and horizon < max_days) or (horizon > 0 and unsold(horizon - 1) <= DONE_TOL):
-        horizon = min(bisect_left(range(max_days + 1), True, key=lambda h: unsold(h) <= DONE_TOL),
-                      max_days)
-        left = unsold(horizon)
-    exhausted = left <= DONE_TOL and not stuck
+        horizon = math.ceil(min(last, max_days))
+        if horizon > 0 and sold_out(horizon - 1):
+            horizon, done = horizon - 1, True
+        else:
+            done = sold_out(horizon)
+            if not done and horizon < max_days:
+                horizon += 1
+                done = sold_out(horizon)
+    exhausted = done and not stuck
     return LiquidationSchedule(
         portfolio=portfolio, target=redemption, sellable=sellable, cap=cap,
         horizon=horizon, max_days=max_days, exhausted=exhausted, stuck=stuck,
@@ -367,7 +364,7 @@ def daily_liquidation_profile(portfolio: Portfolio, max_days: int = MAX_DAYS_DEF
 
 def illiquid_assets(portfolio: Portfolio, w_star: float,
                     max_days: int = 10_000) -> Tuple[int, float]:
-    """Illiquid amount: weight still unsold when daily liquidation drops below w_star.
+    """Illiquid amount: weight not yet sold when daily liquidation drops below w_star.
 
     Returns (h_star, illiquid_fraction) where h_star is the first day of the
     daily profile with a weight <= w_star and the fraction is

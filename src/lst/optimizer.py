@@ -122,8 +122,8 @@ def transaction_cost(
         if bad:
             raise DomainError(f"participation above the one-day cap for {bad}")
     if not schedule.exhausted:
-        unsold = schedule.target.quantities - schedule.cumulative()
-        bad = [portfolio.ids[i] for i in np.flatnonzero(unsold > 0)]
+        left = schedule.target.quantities - schedule.cumulative()
+        bad = [portfolio.ids[i] for i in np.flatnonzero(left > 0)]
         raise DomainError(f"securities {bad} do not sell out within {schedule.max_days} days")
     impact_scale = cost_model.beta_impact * daily_volatility(portfolio.volatilities)
     spread_cost = impact_cost = 0.0

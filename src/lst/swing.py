@@ -261,7 +261,8 @@ class GatePolicy:
 
 @dataclass(frozen=True)
 class GateRequest:
-    """A redemption request: arrival day and size as a fraction of net assets."""
+    """A redemption request: arrival day and size as a fraction of net assets,
+    at most 1, since a request cannot exceed the fund."""
 
     day: int
     investor: str
@@ -271,8 +272,8 @@ class GateRequest:
         # any integer day, 0 and negative ones included
         if as_integer(self.day) is None:
             raise DomainError(f"request day must be an integer, got {self.day!r}")
-        if not (self.rate >= 0 and math.isfinite(self.rate)):
-            raise DomainError(f"redemption rate must be finite and non-negative, got {self.rate!r}")
+        if not 0 <= self.rate <= 1:
+            raise DomainError(f"redemption rate must lie in [0, 1], got {self.rate!r}")
 
 
 @dataclass(frozen=True)

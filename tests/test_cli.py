@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -454,6 +455,42 @@ class TestOptimizeStdoutPinned:
             assert hashlib.sha256(want["stdout"].encode()).hexdigest() == entry["stdout"]
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestBenchmarkCatalogue:
+    """Every cli-daily entry of the benchmark's catalogue but the four
+    ``optimize`` runs (``TestOptimizeStdoutPinned`` runs those), in-process,
+    against ``perfbench/expected_cli.json``: exit code, stdout and the files
+    written to ``--out-dir``."""
+
+    def test_outputs_are_the_benchmark_reference(self, tmp_path, capsysbinary, monkeypatch):
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read perfbench/, write nothing
+        spec = importlib.util.spec_from_file_location("perfbench_gen", bench / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        expected = json.loads((bench / "expected_cli.json").read_text())
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        catalogue = gen.cli_catalogue(inputs, Path(FUND).parent)
+        assert {f.name: sha256(f.read_bytes()) for f in sorted(inputs.iterdir())} == \
+            expected["inputs"]
+        ran = []
+        for i, entry in enumerate(catalogue):
+            if entry["kind"] == "optimize":
+                continue
+            out_dir = tmp_path / f"out_{i}" if entry["out_dir"] else None
+            code = main(entry["argv"] + (["--out-dir", str(out_dir)] if out_dir else []))
+            files = {f.name: sha256(f.read_bytes()) for f in sorted(out_dir.iterdir())} \
+                if out_dir and out_dir.is_dir() else {}
+            got = dict(code=code, stdout=sha256(capsysbinary.readouterr().out), files=files)
+            assert got == expected["outputs"][entry["key"]], entry["key"]
+            ran.append(entry["key"])
+        assert len(ran) == len(expected["outputs"]) - len(OPTIMIZE_RUNS) == 40
+
+
 class TestBufferCommand:
     def test_prints_optimum_and_writes_curves(self, tmp_path, capsys):
         out_dir = tmp_path / "curves"
@@ -571,6 +608,15 @@ class TestGateCommand:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "validation"
         assert report["detail"] == f"requests file {path}, {detail}"
+
+    def test_a_rate_above_the_fund_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "requests.csv"
+        path.write_text("day,investor,rate\n0,A,0.05\n1,B,1e300\n")
+        assert main(["gate", "--requests", str(path), "--cap", "1e-4"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "validation", "detail": "redemption rate must lie in [0, 1], got 1e+300"}
 
     def test_missing_column_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "requests.csv"
@@ -1162,6 +1208,17 @@ class TestExtremeFlagValues:
     def test_one_json_line_and_no_warning(self, argv, code, report, capsys):
         got, out, err = run_main(argv, capsys)
         assert (got, out, json.loads(err)) == (code, "", report)
+
+    def test_a_tiny_shock_keeps_its_shortfall_cap(self, capsys):
+        # a redemption of 1e-15 of net assets sells out on day 1: its policy
+        # pays the spread and meets the 10% cap, as the optimizer's sum says
+        argv = ["optimize", "--portfolio", FUND, "--corr", CORR, "--shock", "1e-15",
+                "--ls-max", "0.10"]
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        fields = dict(line.split(",") for line in out.splitlines()[1:])
+        assert (fields["tc_bp"], fields["tc_spread_bp"], fields["shortfall_pct"]) == \
+            ("5.0", "5.0", "0.00")
 
     def test_a_subnormal_shock_raises_no_overflow(self, capsys):
         # the finite-difference quotient of the budget constraint overflows to inf

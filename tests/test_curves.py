@@ -7,7 +7,6 @@ with the same formula on a curve sorted afresh, bit for bit."""
 
 import math
 import warnings
-from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -38,8 +37,8 @@ from lst import (
     weights,
 )
 from lst import liquidation
-from lst.liquidation import DONE_TOL, _curve, _raised, _waterfall, cumulative_value
-from conftest import random_portfolio, tied_columns
+from lst.liquidation import _curve, _raised, _waterfall, cumulative_value
+from conftest import tied_columns
 
 ALPHA = np.array([0.20, 0.30, 0.0, 0.15, 0.0, 0.0, 0.0])
 EPS = np.finfo(float).eps
@@ -292,22 +291,19 @@ class TestAmountWithoutSchedule:
         want = _raised(tau, cap, q, prices)
         assert res.amount == want / floor
         assert res.rate == want / floor / tna(portfolio)
-        old = build_schedule(portfolio, RedemptionPortfolio(quantities=q), max_days=tau).amount(tau)
-        # the schedule stops DONE_TOL shares short; both sums round within n ulps each
-        assert abs(want - old) <= DONE_TOL * prices.max() + 2 * n * EPS * float(q @ prices)
+        # a schedule ends on its first sold-out day, so it reads the same sum
+        assert build_schedule(portfolio, RedemptionPortfolio(quantities=q),
+                              max_days=tau).amount(tau) == want
 
     @settings(max_examples=120, deadline=None)
     @given(funds(), st.integers(1, 40))
     def test_waterfall_admissible_shock_is_the_raised_sum(self, columns, tau):
         portfolio = from_columns(columns)
         shares, cap, prices = portfolio.shares, portfolio.daily_limits, portfolio.prices
-        got = max_admissible_shock(portfolio, tau, "waterfall")
-        assert got == _raised(tau, cap, shares, prices) / tna(portfolio)
-        old = build_schedule(portfolio, RedemptionPortfolio(quantities=shares),
-                             max_days=tau).amount(tau)
-        # as above, plus one rounding of the division by net assets
-        assert abs(got * tna(portfolio) - old) <= \
-            DONE_TOL * prices.max() + (2 * portfolio.n + 2) * EPS * tna(portfolio)
+        want = _raised(tau, cap, shares, prices)
+        assert max_admissible_shock(portfolio, tau, "waterfall") == want / tna(portfolio)
+        assert build_schedule(portfolio, RedemptionPortfolio(quantities=shares),
+                              max_days=tau).amount(tau) == want
 
     @settings(max_examples=50, deadline=None)
     @given(funds().map(lambda c: dict(c, daily_limit=[x or 1.0 for x in c["daily_limit"]])))
@@ -316,9 +312,9 @@ class TestAmountWithoutSchedule:
         tau = int(np.ceil((portfolio.shares / portfolio.daily_limits).max())) + 1
         assert max_admissible_shock(portfolio, tau, "waterfall") == 1.0
 
-    def test_a_schedule_stopped_within_done_tol_sold_less(self):
-        # each position finishes a hair past a whole day: the schedule stops
-        # DONE_TOL shares short and reads 0.9999999999999997, the sum reads 1
+    def test_a_hair_past_a_whole_day_sells_out_the_next_day(self):
+        # each position finishes a hair past a whole day, so the schedule is
+        # sold out on day 20, and it reads all net assets, as the sum does
         columns = dict(shares=[473189.0, 511822.0, 755167.0],
                        price=[82.94255678822374, 41.51071450054697, 55.40977507963289],
                        daily_limit=[24904.68421052629, 511821.9999999998, 251722.33333333323],
@@ -326,9 +322,10 @@ class TestAmountWithoutSchedule:
         portfolio = from_columns(columns)
         schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=portfolio.shares),
                                   max_days=20)
-        assert schedule.horizon < 20
-        assert schedule.amount(20) / tna(portfolio) == 0.9999999999999997
-        assert max_admissible_shock(portfolio, 20, "waterfall") == 1.0
+        assert (schedule.horizon, schedule.exhausted) == (20, True)
+        assert bits(schedule.cumulative(20)) == bits(portfolio.shares)
+        assert schedule.amount(20) / tna(portfolio) == 1.0 == \
+            max_admissible_shock(portfolio, 20, "waterfall")
         assert liability_rst(portfolio, np.ones(3), 1.0, 20).rate == 1.0
 
     def test_liability_rst_on_the_demo_fund(self, fund):
@@ -472,23 +469,20 @@ class TestDayCountsAndTolerance:
 
 
 def reference_horizon(sellable, cap, max_days):
-    """``(horizon, done)`` by bisection over days: the first h in
-    0..max_days with unsold(h) <= DONE_TOL, at most ``max_days``, and
-    whether unsold(horizon) <= DONE_TOL."""
-    def unsold(h):
-        return float(np.maximum(sellable - h * cap, 0.0).sum())
-
-    horizon = min(bisect_left(range(max_days + 1), True, key=lambda h: unsold(h) <= DONE_TOL),
-                  max_days)
-    return horizon, unsold(horizon) <= DONE_TOL
+    """``(horizon, done)`` by a linear scan over days: the first h in
+    0..max_days on which every name is sold out, h * cap >= sellable, at
+    most ``max_days``, and whether every name is sold out then."""
+    sold_out = (np.arange(max_days + 1.0)[:, None] * cap >= sellable).all(axis=1)
+    horizon = int(np.argmax(sold_out)) if sold_out.any() else max_days
+    return horizon, bool(sold_out[horizon])
 
 
 @st.composite
 def horizon_cases(draw):
     """Positions and limits over many magnitudes: shares from 1e-12 to 1e15
-    (an ulp of 1e15 exceeds DONE_TOL), limits down to 1e-12 and zero, names
-    that never finish (inf), and positions a few ulps of DONE_TOL past a
-    whole number of days."""
+    (an ulp of 1e15 exceeds 1e-9), limits down to 1e-12 and zero, names that
+    never finish (inf), and positions a few ulps of 1e-9 shares past a whole
+    number of days."""
     n = draw(st.integers(1, 8))
     shares, caps = [], []
     for _ in range(n):
@@ -499,11 +493,11 @@ def horizon_cases(draw):
         elif kind == "whole":  # k full days, or a hair over or under
             k = draw(st.integers(0, 12_000))
             q = k * cap * (1 + draw(st.sampled_from([0.0, EPS, -EPS, 1e-12])))
-        elif kind == "residue":  # DONE_TOL, give or take a few ulps, after k days
+        elif kind == "residue":  # 1e-9 shares, give or take a few ulps, after k days
             cap = draw(st.sampled_from([1.0, 0.5, 2.0, 0.25]))  # k * cap is exact
             k = draw(st.integers(0, 12_000))
             ulps = draw(st.integers(-4, 4))
-            q = k * cap + DONE_TOL * (1 + ulps * EPS) / n
+            q = k * cap + 1e-9 * (1 + ulps * EPS) / n
         elif kind == "never":
             q, cap = NEVER
         else:
@@ -519,12 +513,12 @@ def horizon_cases(draw):
 
 
 class TestHorizonRule:
-    """The horizon is read off the last finishing day, with the bisection
-    kept in ``reference_horizon`` as the reference it must equal."""
+    """The horizon is read off the last finishing day, one day either side
+    at most, and must equal the linear scan ``reference_horizon``."""
 
     @settings(max_examples=400, deadline=None)
     @given(horizon_cases())
-    def test_horizon_and_exhausted_equal_the_bisection(self, case):
+    def test_horizon_and_exhausted_equal_the_linear_scan(self, case):
         portfolio, rate, max_days = case
         q = RedemptionPortfolio(quantities=rate * portfolio.shares)
         with warnings.catch_warnings():
@@ -533,12 +527,14 @@ class TestHorizonRule:
         horizon, done = reference_horizon(schedule.sellable, schedule.cap, max_days)
         assert schedule.horizon == horizon
         assert schedule.exhausted == (done and not schedule.stuck)
+        if schedule.exhausted:
+            assert bits(schedule.cumulative(horizon)) == bits(schedule.sellable)
 
     def test_residues_at_done_tol(self):
-        # after 3 days the residue is DONE_TOL give or take an ulp: the rule
-        # answers as the bisection does on every side of the edge
+        # 1e-9 shares, give or take an ulp, are left after 3 days: day 4
+        # sells them, unless max_days cuts the schedule first
         cap = np.array([1.0])
-        for residue in (np.nextafter(DONE_TOL, 0.0), DONE_TOL, np.nextafter(DONE_TOL, 1.0)):
+        for residue in (np.nextafter(1e-9, 0.0), 1e-9, np.nextafter(1e-9, 1.0)):
             columns = dict(shares=[3.0 + residue], price=[1.0], daily_limit=cap,
                            daily_volume=[0.0], volatility=[0.0], spread=[0.0])
             portfolio = from_columns(columns)
@@ -546,44 +542,24 @@ class TestHorizonRule:
                 schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=portfolio.shares),
                                           max_days=max_days)
                 assert (schedule.horizon, schedule.exhausted) == \
-                    reference_horizon(schedule.sellable, cap, max_days)
-
-    @pytest.fixture
-    def bisections(self, monkeypatch):
-        """The horizon bisections ``build_schedule`` runs, one entry each."""
-        calls = []
-        monkeypatch.setattr(liquidation, "bisect_left",
-                            lambda *a, **k: calls.append(a) or bisect_left(*a, **k))
-        return calls
-
-    def test_typical_schedules_do_not_bisect(self, bisections):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            portfolio = random_portfolio(rng)
-            for q in (0.2 * portfolio.shares, portfolio.shares):
-                for max_days in (1, 5, 260):
-                    schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=q),
-                                              max_days=max_days)
-                    assert (schedule.horizon, schedule.exhausted) == \
-                        reference_horizon(schedule.sellable, schedule.cap, max_days)
-        assert bisections == []
+                    reference_horizon(schedule.sellable, cap, max_days) == \
+                    (min(4, max_days), max_days >= 4)
 
     @pytest.mark.parametrize("shares, cap, horizon", [
-        # finishes 1e-10 shares past day 3: within DONE_TOL, so day 3 ends it
-        (3.0 + 1e-10, 1.0, 3),
+        # finishes 1e-10 shares past day 3: day 4 sells the rest
+        (3.0 + 1e-10, 1.0, 4),
         # shares/cap rounds to 6.0, yet six days leave an ulp of the
         # position (0.5 shares) unsold: day 7 ends it
         (4039593111535853.5, 673265518589308.9, 7),
-    ])
-    def test_a_residue_at_the_last_day_falls_back_to_bisection(self, bisections,
-                                                               shares, cap, horizon):
+    ], ids=["1e-10-past-day-3", "an-ulp-past-day-6"])
+    def test_a_residue_takes_one_more_day(self, shares, cap, horizon):
         columns = dict(shares=[shares], price=[1.0], daily_limit=[cap],
                        daily_volume=[0.0], volatility=[0.0], spread=[0.0])
         portfolio = from_columns(columns)
         schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=portfolio.shares))
         assert (schedule.horizon, schedule.exhausted) == (horizon, True) == \
             reference_horizon(schedule.sellable, schedule.cap, 260)
-        assert len(bisections) == 1
+        assert bits(schedule.cumulative(horizon)) == bits(portfolio.shares)
 
 
 class TestKeptNetAssets:

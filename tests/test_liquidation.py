@@ -225,16 +225,17 @@ class TestValidation:
 def loop_schedule(q, cap, max_days):
     """Reference greedy day loop: sell min(remaining, cap) of each security per day.
 
-    Returns (sold, exhausted) with sold of shape (days, n).
+    Returns (sold, exhausted) with sold of shape (days, n). The loop stops
+    once nothing is left, which integer data reach exactly.
     """
     remaining = np.where(cap > 0, q, 0.0)
     rows = []
-    while remaining.sum() > 1e-9 and len(rows) < max_days:
+    while remaining.any() and len(rows) < max_days:
         today = np.minimum(remaining, cap)
         rows.append(today)
         remaining = remaining - today
     sold = np.array(rows).reshape(-1, len(q))
-    exhausted = bool(remaining.sum() <= 1e-9) and not np.any((q > 0) & (cap == 0))
+    exhausted = not remaining.any() and not np.any((q > 0) & (cap == 0))
     return sold, exhausted
 
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lst import (
@@ -28,6 +28,7 @@ from lst import (
     transaction_cost,
 )
 from lst import _slsqp
+from lst.liquidation import MAX_DAYS_DEFAULT, _raised
 from lst.core import daily_volatility
 from lst._slsqp import SlsqpResult
 from conftest import CORRELATION, FUND_ROWS, MIXING_POLICIES, make_fund, random_portfolio
@@ -593,6 +594,21 @@ class TestShortfallVerdictIsTheClosedForm:
                     assert least - 1e-9 <= res.evaluation.shortfall <= ls_max + 1e-9, case
                     assert res.redemption.value(portfolio) == pytest.approx(shock.amount,
                                                                             rel=1e-6), case
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 1e-15, 1e-300, 5e-324]) | st.floats(0.0, 1.0),
+                    min_size=7, max_size=7),
+           st.integers(1, 12))
+    def test_evaluated_shortfall_is_the_constraint_sum(self, fund, cost_model, fractions, h):
+        # any part of what the fund sells out within the schedule's days,
+        # tiny ones included: the evaluation reads the optimizer's A(h)
+        q = np.array(fractions) * np.minimum(fund.shares, MAX_DAYS_DEFAULT * fund.daily_limits)
+        redemption = RedemptionPortfolio(quantities=q)
+        value = redemption.value(fund)
+        assume(value > 0)
+        ev = evaluate_policy(fund, cost_model, redemption, h)
+        assert ev.shortfall == max(1.0 - _raised(h, fund.daily_limits, q, fund.prices) / value, 0.0)
 
 
 class TestUnsoldPartIsNotPriced:

@@ -291,6 +291,18 @@ class TestGate:
         with pytest.raises(DomainError):
             GateRequest(day=0, investor="A", rate=rate)
 
+    @pytest.mark.parametrize("rate", [-1e-300, 1.0000000000000002, 2.0, 1e300])
+    def test_rate_outside_the_fund_rejected(self, rate):
+        # a request cannot exceed the fund; a rate of 1e300 once never ended
+        with pytest.raises(DomainError, match=r"redemption rate must lie in \[0, 1\]"):
+            GateRequest(day=0, investor="A", rate=rate)
+
+    def test_whole_fund_request_drains_at_the_cap(self):
+        fills = gate_schedule([GateRequest(day=0, investor="A", rate=1.0)],
+                              GatePolicy(daily_cap=0.5))
+        assert [(f.day, f.rate, f.fraction_of_request) for f in fills] == \
+            [(0, 0.5, 0.5), (1, 0.5, 0.5)]
+
     @pytest.mark.parametrize("day", [math.nan, 0.5, 1.0, np.float64(2.0), True, "1", None])
     def test_day_that_is_not_an_integer_rejected(self, day):
         # a NaN day once looped for ever, and 0.5 filled on days 0.5, 1.5, 2.5
