@@ -595,7 +595,6 @@ class TestShortfallVerdictIsTheClosedForm:
                     assert res.redemption.value(portfolio) == pytest.approx(shock.amount,
                                                                             rel=1e-6), case
 
-
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 1.0, 1e-15, 1e-300, 5e-324]) | st.floats(0.0, 1.0),
                     min_size=7, max_size=7),
