@@ -188,8 +188,9 @@ def _load_alpha(path, ids) -> np.ndarray:
     per line, or an id,value CSV.
 
     The value is the last field of each non-blank row; only the first row may
-    be a header. Every value is parsed before the ids are matched, so a
-    non-number is reported first. Rows that carry an id (two or more
+    be a header. Every value is parsed, and checked to lie in [0, 1], before
+    the ids are matched, so a non-number or a value out of range is reported
+    first, by its line. Rows that carry an id (two or more
     fields) are matched to the securities by that id, which must name each
     security exactly once; a values-only file is matched by position.
     """
@@ -203,7 +204,13 @@ def _load_alpha(path, ids) -> np.ndarray:
         except ValueError:
             start = 1  # a header line
     rows = rows[start:]
-    values = [parse_cell(path, "alpha", line, "value", row[-1]) for line, row in zip(lines[start:], rows)]
+    values = []
+    for line, row in zip(lines[start:], rows):
+        value = parse_cell(path, "alpha", line, "value", row[-1])
+        if not 0 <= value <= 1:
+            raise DomainError(f"alpha file {path}, line {line}: "
+                              f"alpha proportions must lie in [0, 1], got {value!r}")
+        values.append(value)
     if all(len(row) == 1 for row in rows):
         return np.array(values, dtype=float)
     by_id = {}
@@ -350,7 +357,8 @@ _REQUEST_FIELDS = ("day", "investor", "rate")
 def _load_requests(path) -> list:
     """Gate requests from a CSV with day, investor and rate columns in any
     order; blank lines are skipped and every row has as many fields as the
-    header."""
+    header. A cell that is not a number, or a request ``GateRequest``
+    rejects, is a DomainError naming the file and line."""
     from .swing import GateRequest
 
     rows, lines = read_rows(path, "requests")
@@ -360,10 +368,16 @@ def _load_requests(path) -> list:
         raise DomainError(f"requests file {path}: missing columns {missing}")
     check_widths(path, "requests", rows, lines, "header")
     day, investor, rate = (header.index(f) for f in _REQUEST_FIELDS)
-    return [GateRequest(day=parse_cell(path, "requests", line, "day", row[day], int),
-                        investor=row[investor],
-                        rate=parse_cell(path, "requests", line, "rate", row[rate]))
-            for line, row in zip(lines[1:], rows[1:])]
+    requests = []
+    for line, row in zip(lines[1:], rows[1:]):
+        cells = dict(day=parse_cell(path, "requests", line, "day", row[day], int),
+                     investor=row[investor],
+                     rate=parse_cell(path, "requests", line, "rate", row[rate]))
+        try:
+            requests.append(GateRequest(**cells))
+        except DomainError as exc:
+            raise DomainError(f"requests file {path}, line {line}: {exc}") from None
+    return requests
 
 
 def cmd_gate(args) -> int:

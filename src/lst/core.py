@@ -14,13 +14,17 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-import stat
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+try:  # numpy's chunked text kernel, the one np.loadtxt runs on a file
+    from numpy._core._multiarray_umath import _load_from_filelike
+except ImportError as exc:
+    raise ImportError("the file loader needs numpy>=2.0 "
+                      "(numpy._core._multiarray_umath._load_from_filelike not found)") from exc
 
 # the errors and scalar checks live in a numpy-free module, so that the
 # scalar tools can load without numpy; core re-exports them
@@ -351,49 +355,6 @@ def _long_text_cell(table) -> bool:
                if table.dtype[name] == object for cell in table[name].tolist())
 
 
-#: Suffixes of the files numpy's opener decompresses when it gets a path.
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-
-
-def _reopenable(path, text: str, read: os.stat_result) -> Optional[str]:
-    """``path`` as a str when numpy, reopening it, reads ``text`` again, or None.
-
-    ``read`` is ``os.fstat`` of the handle ``text`` came from. The path must
-    be a ``str`` or ``os.PathLike`` (numpy cannot reopen an int fd) naming a
-    regular file (a pipe reads empty the second time), neither a URL nor a
-    compressed suffix (numpy's opener would fetch or decompress it), and
-    ``text`` must hold no ``"\\r"``: numpy's opener translates line ends,
-    ``csv.reader`` keeps a quoted ``"\\r\\n"``.
-    """
-    if not isinstance(path, (str, os.PathLike)):
-        return None
-    name = os.fspath(path)
-    if (not isinstance(name, str) or not stat.S_ISREG(read.st_mode) or "://" in name
-            or name.endswith(_COMPRESSED) or "\r" in text):
-        return None
-    return name
-
-
-def _same_file(read: os.stat_result, name: str) -> bool:
-    """Whether the file at ``name`` is still the one ``read`` (``os.fstat`` of
-    the handle it was read through) describes."""
-    try:
-        now = os.stat(name)
-    except OSError:
-        return False
-    fields = ("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
-    return all(getattr(now, f) == getattr(read, f) for f in fields)
-
-
-def _loadtxt(source, **options):
-    """``np.loadtxt(source, **options)``, or None where it raises ValueError,
-    or OSError when ``source`` is a path that is gone."""
-    try:
-        return np.loadtxt(source, **options)
-    except (ValueError, OSError):
-        return None
-
-
 def _c_table(path, kind: str, header_dtype=None):
     """Parse a CSV file with one call of numpy's C text reader.
 
@@ -401,45 +362,38 @@ def _c_table(path, kind: str, header_dtype=None):
     row as ``csv.reader`` reads it. With ``header_dtype``, ``first`` is a header and
     ``table`` holds the rows below it in the structured dtype
     ``header_dtype(first)``; without, ``table`` is every row as a 2-d float
-    array. ``table`` is None when the C reader raises ``ValueError``, when no
-    row is there to parse, when the text holds a character the two parsers
+    array. ``table`` is None when the C reader raises ``ValueError``, when the
+    file has no first row, when the text holds a character the two parsers
     read differently, or when a cell may be longer than
     ``csv.field_size_limit()``, which only ``csv.reader`` enforces. The
     caller's csv path then parses ``text``, the text read here (None when
     ``table`` is not), so that path alone defines the accepted syntax and
-    the error messages. A field over the limit in the first two
-    rows is a DomainError naming the file (a ``kind`` file) and the line.
+    the error messages. A field over the limit in the first row is a
+    DomainError naming the file (a ``kind`` file) and the line.
 
-    numpy reads the file from its path, in chunks, when ``_reopenable``
-    allows and the file is unchanged after the parse; otherwise it parses
-    the text that was read, one line at a time, so that the table is always
-    that of the one text the checks saw.
+    The file is opened once, and numpy parses the text that was read, in
+    chunks, with the kernel ``np.loadtxt`` runs on a file.
     """
     with open(path, newline="") as fh:
         text = fh.read()
-        read = os.fstat(fh.fileno())
-        encoding = fh.encoding
     lines = io.StringIO(text, newline="")
     reader = csv.reader(lines)
-    rows = filter(None, reader)
     try:
-        first = next(rows, [])
-        skip = reader.line_num if header_dtype else 0
-        empty = not first or (header_dtype and next(rows, None) is None)
+        first = next(filter(None, reader), [])
     except csv.Error as exc:
         raise csv_error(path, kind, reader, exc) from None
-    if empty or any(c in text for c in _C_ONLY_SPACES) or not _short_lines(text):
+    if not first or any(c in text for c in _C_ONLY_SPACES) or not _short_lines(text):
         return first, None, text
-    options = dict(dtype=header_dtype(first) if header_dtype else float, delimiter=",",
-                   quotechar='"', comments=None, skiprows=skip, ndmin=1 if header_dtype else 2)
-    name = _reopenable(path, text, read)
-    if name is not None:
-        table = _loadtxt(name, encoding=encoding, **options)
-    if name is None or not _same_file(read, name):
-        lines.seek(0)
-        table = _loadtxt(lines, **options)
+    lines.seek(0)
+    try:
+        table = _load_from_filelike(
+            lines, delimiter=",", comment=None, quote='"',
+            skiplines=reader.line_num if header_dtype else 0,
+            dtype=header_dtype(first) if header_dtype else np.dtype(float), filelike=True)
+    except ValueError:
+        return first, None, text
     # a quoted cell may span lines, each shorter than the limit
-    if table is None or header_dtype and '"' in text and _long_text_cell(table):
+    if header_dtype and '"' in text and _long_text_cell(table):
         return first, None, text
     return first, table, None
 

@@ -159,10 +159,11 @@ class LiquidationSchedule:
     on its first sold-out day, the first h with ``h * cap >= sellable`` for
     every name in floating point, or at ``max_days``, whichever comes first;
     ``exhausted`` is that test at the horizon, with no name stuck. So an
-    exhausted schedule has ``cumulative(horizon) == sellable`` and
-    ``amount(h)`` is ``_raised(min(h, horizon), cap, sellable, prices)``, bit
-    for bit. ``stuck`` flags securities that can never finish (zero daily
-    limit with a positive target).
+    exhausted schedule has ``cumulative(horizon) == sellable``, and
+    ``amount(h)`` is ``_raised(min(h, horizon), cap, sellable, prices)``, the
+    one sum the report and the reverse stress tests read. ``stuck`` flags
+    securities that can never finish (zero daily limit with a positive
+    target).
 
     ``sold`` (shares sold per day and security) is rebuilt on every access
     and never stored; read it once when iterating over days. The sorted
@@ -198,8 +199,9 @@ class LiquidationSchedule:
         return np.minimum(max(h, 0) * self.cap, self.sellable)
 
     def amount(self, h: int) -> float:
-        """Cash raised after h trading days (prices frozen)."""
-        return float(self.cumulative(h) @ self.portfolio.prices)
+        """Cash raised after h trading days (prices frozen): ``_raised`` at
+        day min(h, horizon), the dot product of ``cumulative(h)``."""
+        return _raised(max(min(h, self.horizon), 0), self.cap, self.sellable, self.portfolio.prices)
 
     def amounts(self, days: int) -> np.ndarray:
         """Cash raised after each of days 1..days; flat once the schedule ends."""

@@ -284,6 +284,17 @@ class TestRstCommand:
         assert code == EXIT_CONFIG and report["error"] == "validation"
         assert report["detail"] == f"alpha file {alpha}, line 3: value 'abc' is not a number"
 
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("with_ids", [False, True])
+    def test_alpha_out_of_range_names_the_line(self, tmp_path, capsys, value, with_ids):
+        values = ["0.2", "0.3", value, "0.15", "0", "0", "0"]
+        alpha = tmp_path / "alpha.csv"
+        alpha.write_text("".join((f"A{k + 1}," if with_ids else "") + v + "\n" for k, v in enumerate(values)))
+        code = main(["rst", "--portfolio", FUND, "--mode", "liability", "--alpha", str(alpha)])
+        report = json.loads(capsys.readouterr().err)
+        assert code == EXIT_CONFIG and report["error"] == "validation"
+        assert report["detail"] == f"alpha file {alpha}, line 3: alpha proportions must lie in [0, 1], got {value}"
+
     def test_alpha_rows_with_ids_are_matched_by_id(self, tmp_path, capsys):
         values = {"A1": "0.20", "A2": "0.30", "A3": "0", "A4": "0.15", "A5": "0", "A6": "0", "A7": "0"}
         order = ["A4", "A7", "A1", "A6", "A2", "A5", "A3"]
@@ -616,7 +627,17 @@ class TestGateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {
-            "error": "validation", "detail": "redemption rate must lie in [0, 1], got 1e+300"}
+            "error": "validation",
+            "detail": f"requests file {path}, line 3: redemption rate must lie in [0, 1], got 1e+300"}
+
+    @pytest.mark.parametrize("rate", ["nan", "-0.5"])
+    def test_a_rate_out_of_range_names_its_line(self, tmp_path, capsys, rate):
+        path = tmp_path / "requests.csv"
+        path.write_text(f"day,investor,rate\n0,A,0.05\n\n1,B,{rate}\n")
+        assert main(["gate", "--requests", str(path)]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation",
+            "detail": f"requests file {path}, line 4: redemption rate must lie in [0, 1], got {rate}"}
 
     def test_missing_column_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "requests.csv"
@@ -841,6 +862,11 @@ class TestPerSubcommandImports:
     def test_rcr_loads_numpy(self):
         # shows the check above can see a loaded module
         assert run_and_list_modules(SCIPY_FREE["rcr"], "numpy") == "0 True"
+
+    def test_rcr_loads_no_gzip(self):
+        # numpy parses the text already read; its file opener, which imports
+        # gzip on first use, never runs
+        assert run_and_list_modules(SCIPY_FREE["rcr"], "gzip") == "0 False"
 
     @pytest.mark.parametrize("module", ["lst.optimizer", "lst.buffer", "lst.specialfuncs",
                                         "lst._slsqp"])

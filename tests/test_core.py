@@ -1,7 +1,8 @@
 import csv
-import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from fractions import Fraction
@@ -550,37 +551,20 @@ def by_name_pipe_and_fd(outcome, path):
     return results
 
 
-def c_table_outcome(path):
-    """What ``core._c_table`` makes of a portfolio file: the header and the
-    table's ids and column bytes, the header and None where the csv path
-    decides, or the DomainError text."""
-    try:
-        first, table, _ = core._c_table(path, "portfolio", core._portfolio_dtype)
-    except DomainError as err:
-        return str(err)
-    if table is None:
-        return first, None
-    return first, [table[f].tolist() if table.dtype[f] == object else table[f].tobytes()
-                   for f in table.dtype.names]
+def c_reader_refuses():
+    """A patch under which numpy's C reader raises ``ValueError`` on every
+    file, so that the csv path decides."""
+    return mock.patch.object(core, "_load_from_filelike", side_effect=ValueError)
 
 
-def in_memory(function, *args):
-    """``function(*args)`` with numpy fed the text that was read, never the path."""
-    with mock.patch.object(core, "_reopenable", return_value=None):
+def csv_only(function, *args):
+    """``function(*args)`` with the csv path parsing every file."""
+    with c_reader_refuses():
         return function(*args)
 
 
-class LoadtxtSpy:
-    """Stands in for ``np.loadtxt`` and records the type of each source."""
-
-    def __init__(self, before=None):
-        self.sources, self.before, self.real = [], before, np.loadtxt
-
-    def __call__(self, source, *args, **kwargs):
-        self.sources.append(type(source))
-        if self.before:
-            self.before(source)
-        return self.real(source, *args, **kwargs)
+def fell_back(*args):
+    raise AssertionError("fell back to the csv path")
 
 
 class TestCReader:
@@ -593,16 +577,8 @@ class TestCReader:
             path.write_text(text, newline="")
             if as_str:
                 path = str(path)
-            spy = LoadtxtSpy()
-            with mock.patch.object(np, "loadtxt", spy):
-                fed = c_table_outcome(path)
-            # numpy reads the path unless the text holds a "\r"
-            assert spy.sources in ([], [io.StringIO] if "\r" in text else [str])
-            assert fed == in_memory(c_table_outcome, path)
             ours = load_outcome(path)
-            with mock.patch.object(np, "loadtxt", side_effect=ValueError):
-                csv_only = load_outcome(path)
-            assert ours == csv_only
+            assert ours == csv_only(load_outcome, path)
             if well_formed and not any(c in text for c in "_\x1c"):
                 assert ours == reference_outcome(path)
 
@@ -610,7 +586,7 @@ class TestCReader:
     @settings(max_examples=150, deadline=None)
     @given(fund_files(), correlation_files())
     def test_a_path_a_pipe_and_a_file_descriptor_read_alike(self, fund, rho):
-        # the csv path parses the text that was read, never the file again
+        # both paths parse the text that was read, never the file again
         with tempfile.TemporaryDirectory() as tmp:
             for outcome, text in ((load_outcome, fund[0]), (correlation_outcome, rho)):
                 path = Path(tmp) / "input.csv"
@@ -618,7 +594,19 @@ class TestCReader:
                 by_name, by_pipe, by_fd = by_name_pipe_and_fd(outcome, path)
                 assert by_name == by_pipe == by_fd
 
-    def test_long_quoted_ids_across_numpy_reads(self, tmp_path):
+    def test_a_refused_file_is_parsed_by_the_csv_path(self, tmp_path):
+        fund, rho = tmp_path / "fund.csv", tmp_path / "rho.csv"
+        write_generated_fund(fund, 3, seed=5)
+        rho.write_text("1,0.5,0\n0.5,1,0\n0,0,1\n")
+        with c_reader_refuses(), \
+                mock.patch.object(core, "_csv_portfolio", wraps=core._csv_portfolio) as holdings, \
+                mock.patch.object(core, "_csv_correlation", wraps=core._csv_correlation) as matrix:
+            loaded = load_portfolio(fund, rho)
+        assert holdings.call_count == matrix.call_count == 1
+        assert_matches_reference(loaded, fund)
+        assert loaded.correlation.tolist() == [[1, 0.5, 0], [0.5, 1, 0], [0, 0, 1]]
+
+    def test_long_quoted_ids_across_numpy_reads(self, monkeypatch, tmp_path):
         # ids of varied length with quoted line breaks and commas, so that
         # numpy's chunk boundaries fall inside quoted cells
         rng = np.random.default_rng(11)
@@ -626,91 +614,65 @@ class TestCReader:
                 + f",{i},2.5,3,4,0.1,0.01\n" for i in range(2_000)]
         path = tmp_path / "ids.csv"
         path.write_text(HEADER + "".join(rows))
-        spy = LoadtxtSpy()
-        with mock.patch.object(np, "loadtxt", spy):
-            fed = load_outcome(path)
-        assert spy.sources == [str]
-        assert fed == in_memory(load_outcome, path) == reference_outcome(path)
+        want = csv_only(load_outcome, path)
+        assert want == reference_outcome(path)
+        monkeypatch.setattr(core, "_csv_portfolio", fell_back)
+        assert load_outcome(path) == want
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_keeps_the_text_that_was_read(self, tmp_path, suffix):
         # numpy's opener would decompress a file by its suffix
         path = tmp_path / f"fund.csv{suffix}"
         write_generated_fund(path, 50, seed=5)
-        spy = LoadtxtSpy()
-        with mock.patch.object(np, "loadtxt", spy):
-            loaded = load_portfolio(path)
-        assert spy.sources == [io.StringIO]
-        assert_matches_reference(loaded, path)
+        assert_matches_reference(load_portfolio(path), path)
 
     def test_url_like_path_keeps_the_text_that_was_read(self, tmp_path, monkeypatch):
         # "http://host/fund.csv" is a local file here; numpy's opener would fetch it
         (tmp_path / "http:" / "host").mkdir(parents=True)
         write_generated_fund(tmp_path / "http:" / "host" / "fund.csv", 20, seed=5)
         monkeypatch.chdir(tmp_path)
-        spy = LoadtxtSpy()
-        with mock.patch("urllib.request.urlopen", side_effect=AssertionError("fetched")), \
-                mock.patch.object(np, "loadtxt", spy):
+        with mock.patch("urllib.request.urlopen", side_effect=AssertionError("fetched")):
             fed = load_outcome("http://host/fund.csv")
-        assert spy.sources == [io.StringIO]
         assert fed == load_outcome(tmp_path / "http:" / "host" / "fund.csv")
 
     def test_a_pipe_and_a_file_descriptor_keep_the_text_that_was_read(self, tmp_path):
-        # a pipe reads empty the second time; numpy cannot reopen an int fd
+        # a pipe reads empty the second time; an int fd has no name to reopen
         path = tmp_path / "fund.csv"
         write_generated_fund(path, 20, seed=5)
         want = load_outcome(path)
-        spy = LoadtxtSpy()
-        with mock.patch.object(np, "loadtxt", spy):
-            assert load_outcome(os.open(path, os.O_RDONLY)) == want
-            if os.path.isdir("/dev/fd"):
-                read, write = os.pipe()
-                os.write(write, path.read_bytes())
-                os.close(write)
-                try:
-                    assert load_outcome(f"/dev/fd/{read}") == want
-                finally:
-                    os.close(read)
-        assert set(spy.sources) == {io.StringIO}
+        assert load_outcome(os.open(path, os.O_RDONLY)) == want
+        if os.path.isdir("/dev/fd"):
+            read, write = os.pipe()
+            os.write(write, path.read_bytes())
+            os.close(write)
+            try:
+                assert load_outcome(f"/dev/fd/{read}") == want
+            finally:
+                os.close(read)
 
-    def test_file_rewritten_before_numpy_reads_it(self, tmp_path):
-        path = tmp_path / "fund.csv"
-        write_generated_fund(path, 200, seed=5)
-        want = load_outcome(path)
-
-        def rewrite(source):
-            if isinstance(source, str):
-                write_generated_fund(path, 300, seed=6)
-
-        spy = LoadtxtSpy(before=rewrite)
-        with mock.patch.object(np, "loadtxt", spy):
-            assert load_outcome(path) == want
-        assert spy.sources == [str, io.StringIO]
-        assert load_outcome(path) != want
-
-    def test_file_removed_before_numpy_reads_it(self, tmp_path):
-        path = tmp_path / "fund.csv"
-        write_generated_fund(path, 200, seed=5)
-        want = load_outcome(path)
-        spy = LoadtxtSpy(before=lambda source: isinstance(source, str) and path.unlink())
-        with mock.patch.object(np, "loadtxt", spy):
-            assert load_outcome(path) == want
-        assert spy.sources == [str, io.StringIO]
+    def test_each_input_file_is_opened_once(self, tmp_path):
+        # numpy parses the text that was read, so a file rewritten or removed
+        # after the read cannot change the table; counted by the "open" audit
+        # event of a fresh interpreter, which every Python-level open raises
+        fund, rho = tmp_path / "fund.csv", tmp_path / "rho.csv"
+        write_generated_fund(fund, 200, seed=5)
+        rho.write_text("".join(",".join("1" if i == j else "0" for j in range(200)) + "\n"
+                                     for i in range(200)))
+        code = ("import sys; from lst import load_portfolio; opened = []; "
+                "sys.addaudithook(lambda event, args: event == 'open' and opened.append(args[0])); "
+                f"load_portfolio({str(fund)!r}, {str(rho)!r}); "
+                f"print(opened.count({str(fund)!r}), opened.count({str(rho)!r}))")
+        src = str(Path(core.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.split() == ["1", "1"]
 
     def test_large_plain_file_never_falls_back(self, monkeypatch, tmp_path):
         path = tmp_path / "big.csv"
         write_generated_fund(path, 2_000, seed=7)
-
-        def refuse(*args):
-            raise AssertionError("fell back to the csv path")
-
-        monkeypatch.setattr(core, "_csv_portfolio", refuse)
-        spy = LoadtxtSpy()
-        with mock.patch.object(np, "loadtxt", spy):
-            loaded = load_portfolio(path)
-        assert spy.sources == [str]  # numpy reads the file from its path
-        assert_matches_reference(loaded, path)
-        assert load_outcome(path) == in_memory(load_outcome, path)
+        monkeypatch.setattr(core, "_csv_portfolio", fell_back)
+        assert_matches_reference(load_portfolio(path), path)
 
     def test_header_only_file_is_empty_without_a_warning(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -835,7 +797,7 @@ class TestFieldLimit:
     def assert_both_paths_raise(self, path, match):
         with pytest.raises(DomainError, match=match) as fast:
             load_portfolio(path)
-        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        with c_reader_refuses():
             with pytest.raises(DomainError) as slow:
                 load_portfolio(path)
         assert str(fast.value) == str(slow.value)
@@ -868,7 +830,7 @@ class TestFieldLimit:
         path = tmp_path / "fund.csv"
         self.write(path, "X" * LIMIT + ",1,2,3,4,0.1,0.01", 2)
         ours = load_outcome(path)
-        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        with c_reader_refuses():
             assert load_outcome(path) == ours
         assert ours[0][2] == "X" * LIMIT
 
@@ -876,11 +838,7 @@ class TestFieldLimit:
         path = tmp_path / "fund.csv"
         path.write_text(HEADER + "".join(f"{quoted('x' * 4000 + str(i))},1,2,3,4,0.1,0.01\n"
                                          for i in range(100)))
-
-        def refuse(*args):
-            raise AssertionError("fell back to the csv path")
-
-        monkeypatch.setattr(core, "_csv_portfolio", refuse)
+        monkeypatch.setattr(core, "_csv_portfolio", fell_back)
         assert load_portfolio(path).n == 100
 
     def test_a_raised_limit_is_honoured(self, tmp_path):
@@ -889,7 +847,7 @@ class TestFieldLimit:
         csv.field_size_limit(400_000)
         try:
             ours = load_outcome(path)
-            with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+            with c_reader_refuses():
                 assert load_outcome(path) == ours
         finally:
             csv.field_size_limit(LIMIT)
