@@ -668,6 +668,40 @@ class TestCReader:
                              env=env, check=True).stdout
         assert out.split() == ["1", "1"]
 
+    def test_file_rewritten_before_numpy_reads_it(self, tmp_path):
+        path = tmp_path / "fund.csv"
+        write_generated_fund(path, 200, seed=5)
+        want = load_outcome(path)
+
+        real = core._load_from_filelike
+
+        def rewrite_then_parse(*args, **kwargs):
+            write_generated_fund(path, 300, seed=6)
+            return real(*args, **kwargs)
+
+        with mock.patch.object(core, "_load_from_filelike", side_effect=rewrite_then_parse) as kernel, \
+                mock.patch.object(core, "_csv_portfolio", fell_back):
+            assert load_outcome(path) == want
+        assert kernel.call_count == 1
+        assert load_outcome(path) != want
+
+    def test_file_removed_before_numpy_reads_it(self, tmp_path):
+        path = tmp_path / "fund.csv"
+        write_generated_fund(path, 200, seed=5)
+        want = load_outcome(path)
+
+        real = core._load_from_filelike
+
+        def remove_then_parse(*args, **kwargs):
+            path.unlink()
+            return real(*args, **kwargs)
+
+        with mock.patch.object(core, "_load_from_filelike", side_effect=remove_then_parse) as kernel, \
+                mock.patch.object(core, "_csv_portfolio", fell_back):
+            assert load_outcome(path) == want
+        assert kernel.call_count == 1
+        assert not path.exists()
+
     def test_large_plain_file_never_falls_back(self, monkeypatch, tmp_path):
         path = tmp_path / "big.csv"
         write_generated_fund(path, 2_000, seed=7)
