@@ -53,12 +53,12 @@ def as_integer(value) -> Optional[int]:
         return None
 
 
-def check_days(name: str, value) -> None:
-    """Reject, by name, a day count that is not an integer (``as_integer``)
-    of at least 1."""
-    days = as_integer(value)
-    if days is None or days < 1:
-        raise DomainError(f"{name} must be an integer of at least 1, got {value!r}")
+def check_days(name: str, value, least: int = 1) -> None:
+    """Reject, by name, a day or sample count that is not an integer
+    (``as_integer``) of at least ``least``."""
+    count = as_integer(value)
+    if count is None or count < least:
+        raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def load_json(path, kind: str):

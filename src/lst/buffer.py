@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ._checks import check_days
 from .core import DomainError, check_finite, daily_volatility
 from .specialfuncs import _check_eta, integral_i_ab, integral_i_w
 
@@ -38,6 +39,12 @@ def _check_weight(w) -> None:
     """Reject a cash weight (a float or an array) outside [0, 1], NaN included."""
     if not np.all((w >= 0.0) & (w <= 1.0)):
         raise DomainError("cash weight must lie in [0, 1]")
+
+
+def _check_sale(x) -> None:
+    """Reject a sale (a float or an array) that is NaN."""
+    if np.isnan(x).any():
+        raise DomainError("sale must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -137,10 +144,7 @@ class BufferCostParams:
     def expected_redemption(self) -> float:
         """Mean redemption rate, eta / (eta + 1) under the power law."""
         if self.cdf is not None:
-            from scipy import integrate
-
-            value, _ = integrate.quad(lambda x: 1.0 - self.cdf(x), 0.0, 1.0)
-            return value
+            return _integrate(lambda x: 1.0 - self.cdf(x), 0.0, 1.0)
         return self.eta / (self.eta + 1.0)
 
 
@@ -259,6 +263,7 @@ def tc_asset_sqrt(x, params: BufferCostParams):
     daily limit the sale splits into kappa full days at the limit plus a
     residual day, the spread part staying linear. x may be a float or an array.
     """
+    _check_sale(x)
     if np.any(x > 1.0 + 1e-12):
         raise DomainError("cannot liquidate more than the whole fund")
     return _sqrt_cost(params).cost(x)
@@ -266,11 +271,13 @@ def tc_asset_sqrt(x, params: BufferCostParams):
 
 def tc_asset_derivative(x, params: BufferCostParams):
     """Marginal cost d/dx of ``tc_asset_sqrt`` (right derivative at kinks)."""
+    _check_sale(x)
     return _sqrt_cost(params).slope(x)
 
 
 def tc_cash(x: float, params: BufferCostParams) -> float:
     """Cost of liquidating a fraction x of net assets held as cash."""
+    _check_sale(x)
     return max(x, 0.0) * params.cash_cost
 
 
@@ -278,29 +285,37 @@ def tc_cash(x: float, params: BufferCostParams) -> float:
 # EXPECTED LIQUIDATION GAIN
 # =============================================================================
 
+def _integrate(f, lo: float, hi: float, points=()) -> float:
+    """integral_lo^hi f by scipy's adaptive quadrature split at ``points``,
+    the package's one numerical integral (scipy is imported on first use)."""
+    from scipy import integrate
+
+    value, _ = integrate.quad(f, lo, hi, points=points or None,
+                              epsabs=1e-13, epsrel=1e-11, limit=400)
+    return value
+
+
 def _cost_breakpoints(params: BufferCostParams, lo: float, hi: float, shift: float = 0.0):
-    """Kink locations of tc_asset(x - shift) inside (lo, hi)."""
+    """Kink locations of tc_asset(x - shift) inside (lo, hi), ascending."""
     if params.unlimited:
         return []
-    pts = []
-    k = 1
-    while shift + k * params.x_plus < hi:
-        p = shift + k * params.x_plus
-        if lo < p < hi:
-            pts.append(p)
-        k += 1
-    return pts
+    pts = shift + params.x_plus * np.arange(1, int((hi - shift) / params.x_plus) + 2)
+    return pts[(lo < pts) & (pts < hi)].tolist()
 
 
-def expected_lg_quadrature(params: BufferCostParams, w: float) -> float:
+def expected_lg_quadrature(params: BufferCostParams, w):
     """Expected liquidation gain from its defining integral.
 
     E[LG(w)] = integral_0^w (TC_asset - TC_cash) dF
              + integral_w^1 (TC_asset(x) - TC_asset(x - w)) dF.
 
     This is the oracle the Monte-Carlo validator must agree with; it handles
-    any trading limit and any plugged-in redemption law.
+    any trading limit and any plugged-in redemption law. w may be a float or
+    an array, integrated one weight at a time.
     """
+    if np.ndim(w):  # one weight, or one row of weights, at a time
+        rows = np.asarray(w, dtype=float).tolist()
+        return np.array([expected_lg_quadrature(params, x) for x in rows])
     cash_part, asset_part = expected_lg_components_quadrature(params, w)
     return cash_part + asset_part
 
@@ -310,21 +325,17 @@ def expected_lg_components_quadrature(params: BufferCostParams, w: float) -> Tup
     _check_weight(w)
     if w == 0.0:
         return 0.0, 0.0
-    from scipy import integrate
-
     pdf = params.redemption_pdf
     tc = _sqrt_cost(params).cost
 
     def f_cash(x: float) -> float:
-        return (tc(x) - tc_cash(x, params)) * pdf(x)
+        return (tc(x) - x * params.cash_cost) * pdf(x)  # tc_cash, unchecked, at x > 0
 
     def f_asset(t: float) -> float:
         x = math.exp(t)
         return (tc(x) - tc(x - w)) * pdf(x) * x
 
-    pts1 = _cost_breakpoints(params, 0.0, w)
-    cash_part, _ = integrate.quad(f_cash, 0.0, w, points=pts1 or None,
-                                  epsabs=1e-13, epsrel=1e-11, limit=400)
+    cash_part = _integrate(f_cash, 0.0, w, _cost_breakpoints(params, 0.0, w))
     if w >= 1.0:
         return cash_part, 0.0
     # over t = ln x: on [w, 1] a density singular at 0, such as eta x^(eta-1)
@@ -332,9 +343,7 @@ def expected_lg_components_quadrature(params: BufferCostParams, w: float) -> Tup
     # the scale of w, and for a tiny w the extrapolation stops early at the
     # integral from 0 instead (off by s w^(eta+1), 1.1e-13 at w = 2^-24)
     pts2 = sorted(set(_cost_breakpoints(params, w, 1.0) + _cost_breakpoints(params, w, 1.0, shift=w)))
-    asset_part, _ = integrate.quad(f_asset, math.log(w), 0.0,
-                                   points=[math.log(p) for p in pts2] or None,
-                                   epsabs=1e-13, epsrel=1e-11, limit=400)
+    asset_part = _integrate(f_asset, math.log(w), 0.0, [math.log(p) for p in pts2])
     return cash_part, asset_part
 
 
@@ -431,8 +440,7 @@ def expected_lg_exact(params: BufferCostParams, w):
     x+ = 1: with spread 20bp, cash cost 1bp, impact 0.4, sigma 0.2, eta = 2
     and w = 0.1 it is 7.686e-4 at x+ = 0.999999 (quadrature of the
     defining integral agrees) and 9.306e-4 at x+ = 1. A custom redemption
-    law takes the adaptive quadrature of the defining integral (float w
-    only).
+    law takes the adaptive quadrature of the defining integral.
     """
     if params.cdf is not None:
         return expected_lg_quadrature(params, w)
@@ -456,11 +464,8 @@ def expected_lg_approx(params: BufferCostParams, w: float) -> float:
         return 0.0
     kernel = _sqrt_cost(params)
     if params.cdf is not None:
-        from scipy import integrate
-
-        pts = _cost_breakpoints(params, 0.0, w)
-        head, _ = integrate.quad(lambda x: kernel.cost(x) * params.redemption_pdf(x),
-                                 0.0, w, points=pts or None, epsabs=1e-13, limit=400)
+        head = _integrate(lambda x: kernel.cost(x) * params.redemption_pdf(x), 0.0, w,
+                          _cost_breakpoints(params, 0.0, w))
     else:
         head = float(_head(params, w)[0])
     return head + kernel.cost(w) * (1.0 - params.redemption_cdf(w))
@@ -474,6 +479,7 @@ def expected_lg_derivative(params: BufferCostParams, w: float, method: str = "au
     ``auto`` picks ``approx`` under a binding trading limit (where the
     shortcut is accurate) and ``fd`` otherwise.
     """
+    _check_weight(w)
     if method == "auto":
         method = "approx" if not params.unlimited else "fd"
     if method == "approx":
@@ -489,8 +495,9 @@ def simulate_lg(params: BufferCostParams, w: float, n: int = 1_000_000, seed: in
     """Monte-Carlo estimate of E[LG(w)] under the power law.
 
     Draws redemption rates by inverse transform and applies the pathwise gain.
-    Returns (mean, standard error).
+    Returns (mean, standard error). n must be an integer of at least 2.
     """
+    check_days("n", n, least=2)
     if params.cdf is not None:
         raise DomainError("the Monte-Carlo validator supports the power law only")
     rng = np.random.default_rng(seed)
@@ -510,7 +517,7 @@ def net_buffer_cost(market: BufferMarketParams, params: BufferCostParams, w):
     """Risk-premium drag plus tracking-error penalty minus expected gain.
 
     NBC(w) = w * premium + (lambda / 2) * w^2 * te_variance - E[LG(w)], for
-    a float or (under the power law) an array w.
+    a float or an array w.
     """
     _check_weight(w)
     premium = market.mu_asset - market.mu_cash
@@ -591,18 +598,15 @@ def _fminbound(func, lo: float, hi: float, xatol: float):
 def optimal_cash_buffer(market: BufferMarketParams, params: BufferCostParams) -> float:
     """Cash weight minimizing the net buffer cost over [0, 1].
 
-    Scans a 1e-3 grid (the exact gain can be bimodal near w = 1), in one
-    array call under the power law, and refines the best bracket by Brent's
-    bounded method; exact ties resolve to the smaller weight. A grid cost
-    that is not finite, such as one that overflows at huge costs, is a
-    DomainError naming eta.
+    Scans a 1e-3 grid (the exact gain can be bimodal near w = 1) in one
+    array call, and refines the best bracket by Brent's bounded method;
+    exact ties resolve to the smaller weight. A grid cost that is not
+    finite, such as one that overflows at huge costs, is a DomainError
+    naming eta.
     """
     grid = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
     with np.errstate(all="ignore"):
-        if params.cdf is None:
-            values = net_buffer_cost(market, params, grid)
-        else:  # a custom law is integrated one weight at a time
-            values = np.array([net_buffer_cost(market, params, w) for w in grid.tolist()])
+        values = net_buffer_cost(market, params, grid)
     if not np.isfinite(values).all():
         raise DomainError(f"net buffer cost is not finite on the weight grid at eta = {params.eta!r}")
     best = int(np.argmin(values))  # first index wins ties, i.e. smaller w
@@ -629,7 +633,6 @@ def break_even_premium(
     at all iff the actual premium is below rho(0), which is independent of the
     tracking-error aversion.
     """
-    _check_weight(w)
     gain_slope = expected_lg_derivative(params, w, method=method)
     return gain_slope - market.te_aversion * w * market.te_variance_unit
 
@@ -642,6 +645,7 @@ def _worst_additive_error(params: BufferCostParams, w: np.ndarray, n_grid: int) 
     """max |(TC(w + u) - TC(w)) - TC(u)| over the levels w and, for each, an
     n_grid-point grid of offsets u in [0, min(x_plus, 1 - w)], evaluated in
     blocks of levels so memory stays bounded."""
+    check_days("n_grid", n_grid, least=2)
     span = np.minimum(params.x_plus, 1.0 - w)
     keep = span > 0  # a zero span would change linspace's rounding for its block
     w, span = w[keep], span[keep]
@@ -669,4 +673,5 @@ def approximation_error(params: BufferCostParams, w: float, n_grid: int = 2001) 
 
 def max_approximation_error(params: BufferCostParams, n_w: int = 201, n_grid: int = 2001) -> float:
     """sup over buffer levels of the additive-cost error (periodic in w too)."""
+    check_days("n_w", n_w)
     return _worst_additive_error(params, np.linspace(0.0, min(params.x_plus, 1.0), n_w), n_grid)

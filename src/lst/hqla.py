@@ -127,11 +127,13 @@ def ccf_static_lookup(asset_class: AssetClass, rating: RatingBand) -> float:
 
 def liquidity_factor(bucket: HqlaBucket, tau_h: float) -> float:
     """Proportion of the bucket sellable in tau_h days: min(1, intensity * tau_h)."""
+    check_number("tau_h", tau_h, "non-negative")
     return min(1.0, bucket.selling_intensity * tau_h)
 
 
 def drawdown_factor(bucket: HqlaBucket, tau_h: float) -> float:
     """Worst-case loss over tau_h days: min(MDD, intensity * sqrt(tau_h))."""
+    check_number("tau_h", tau_h, "non-negative")
     return min(bucket.max_drawdown, bucket.loss_intensity * math.sqrt(tau_h))
 
 
@@ -149,7 +151,6 @@ def ccf_parametric(
     average loss over a sale spread across the window; ``conservative=True``
     evaluates it at the full horizon instead (a strictly lower CCF).
     """
-    check_number("tau_h", tau_h, "non-negative")
     lf = liquidity_factor(bucket, tau_h)
     df = drawdown_factor(bucket, tau_h if conservative else tau_h / 2.0)
     sf = specific_risk.factor(fund_tna, fund_herfindahl) if specific_risk else 0.0
@@ -163,8 +164,10 @@ def rcr_hqla(bucket_weights: Sequence[Tuple[float, float]], rate: float) -> Tupl
     shortfall as a fraction of net assets.
     """
     check_number("rate", rate, "positive")
-    for k, (weight, _) in enumerate(bucket_weights):
-        check_number(f"weight {k + 1}", weight, "non-negative")
+    for k, (weight, ccf) in enumerate(bucket_weights, start=1):
+        check_number(f"weight {k}", weight, "non-negative")
+        if not 0.0 <= ccf <= 1.0:  # NaN too
+            raise DomainError(f"CCF {k} must lie in [0, 1], got {ccf!r}")
     total_weight = sum(w for w, _ in bucket_weights)
     if abs(total_weight - 1.0) > 1e-9:
         raise DomainError(f"bucket weights sum to {total_weight}, expected 1")

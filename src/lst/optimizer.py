@@ -343,7 +343,8 @@ def optimize_policy(
     ``InfeasiblePolicy("tracking-risk")`` means that no start reached a
     point meeting both caps; it is not a proof that none exists, since a
     local solver from a few starts can miss a feasible region. The result
-    carries one ``SolverStart`` per start.
+    carries one ``SolverStart`` per start. A shock of the whole net assets
+    raises ``evaluate_policy``'s full-liquidation DomainError before any start.
     """
     check_days("horizon", horizon)
     for name, cap in (("tr_max", tr_max), ("ls_max", ls_max)):
@@ -358,6 +359,8 @@ def optimize_policy(
         return InfeasiblePolicy("budget", "shock exceeds total net assets" if budget > total else
                                 f"shock exceeds the value sellable within {MAX_DAYS_DEFAULT} "
                                 f"days at the daily limits")
+    if budget >= total:
+        raise DomainError("full liquidation leaves no portfolio to weight")
 
     # each clips its argument to the bounds: SLSQP's trial points may leave them
     def tr_of(q: np.ndarray) -> float:

@@ -74,6 +74,16 @@ def _check_floor(rcr_floor: float) -> None:
         raise DomainError("RCR floor must be positive and finite")
 
 
+def _check_alpha(portfolio: Portfolio, alpha) -> np.ndarray:
+    """``alpha`` as a float array of one proportion in [0, 1] per security."""
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (portfolio.n,):
+        raise DomainError("alpha must give one proportion per security")
+    if not np.all((alpha >= 0) & (alpha <= 1)):
+        raise DomainError("alpha proportions must lie in [0, 1]")
+    return alpha
+
+
 def liability_rst(
     portfolio: Portfolio,
     alpha: np.ndarray,
@@ -91,11 +101,7 @@ def liability_rst(
     """
     _check_floor(rcr_floor)
     check_days("tau_h", tau_h)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (portfolio.n,):
-        raise DomainError("alpha must give one proportion per security")
-    if not np.all((alpha >= 0) & (alpha <= 1)):
-        raise DomainError("alpha proportions must lie in [0, 1]")
+    alpha = _check_alpha(portfolio, alpha)
     amount = _raised(tau_h, portfolio.daily_limits, alpha * portfolio.shares,
                      portfolio.prices) / rcr_floor
     rate = amount / tna(portfolio)
@@ -111,7 +117,7 @@ def liability_rst_feasible(portfolio: Portfolio, alpha: np.ndarray, rcr_floor: f
     sum(alpha_i * w_i).
     """
     _check_floor(rcr_floor)
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _check_alpha(portfolio, alpha)
     return rcr_floor >= float(alpha @ weights(portfolio)) - 1e-12
 
 

@@ -182,32 +182,17 @@ def integral_i_w(w, eta: float):
     return value
 
 
-def _i_ab_quadrature(a: float, b: float, eta: float) -> float:
-    from scipy import integrate
-
-    def integrand(x: float) -> float:
-        return (x - a) ** 1.5 * x ** (eta - 1.0)
-
-    value, _ = integrate.quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return value
-
-
-def integral_i_ab(a, b, eta: float, method: str = "auto"):
+def integral_i_ab(a, b, eta: float):
     """integral_a^b (x - a)^(3/2) x^(eta-1) dx for 0 <= a < b, 0 < eta <= ETA_MAX.
 
-    ``auto`` evaluates the closed form
+    Evaluates the closed form
     0.4 (b - a)^(5/2) a^(eta-1) 2F1(1 - eta, 5/2; 7/2; (a - b)/a), which is
     b^(eta + 3/2) / (eta + 3/2) at a = 0 (and wherever a / b is below 2^-60);
-    a and b may be floats or arrays. ``quadrature`` integrates numerically
-    one float pair (the cross-check oracle).
+    a and b may be floats or arrays.
     """
     _check_eta(eta)
     if not np.all((a >= 0.0) & (a < b)):
         raise DomainError("bounds must satisfy 0 <= a < b")
-    if method == "quadrature":
-        return _i_ab_quadrature(a, b, eta)
-    if method != "auto":
-        raise DomainError(f"unknown method {method!r}")
     inner = a > b * _NEGLIGIBLE_LOWER
     if np.ndim(inner) == 0:
         return _i_ab_inner(a, b, eta) if inner else _i_ab_origin(b, eta)

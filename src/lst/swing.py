@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Deque, List, Optional, Sequence
 
-from ._checks import DomainError, as_integer, check_finite
+from ._checks import DomainError, as_integer, check_finite, check_number
 
 
 # =============================================================================
@@ -126,8 +126,7 @@ class SwingResult:
 
 def dynamic_threshold(config: SwingConfig, factor_today: float) -> float:
     """Swing threshold implied by today's swing factor: product / factor."""
-    if factor_today <= 0:
-        raise DomainError("swing factor must be positive")
+    check_number("swing factor", factor_today, "positive")
     return config.product / factor_today
 
 
@@ -174,8 +173,6 @@ def swing_nav(state: FundState, event: FlowEvent, config: SwingConfig) -> SwingR
             if factor <= 0:
                 # infer today's factor from the cost of the day's net flow
                 factor = event.tc / (gross * abs(net)) if event.tc > 0 else 0.0
-            if factor <= 0:
-                raise DomainError("dynamic swing needs a positive swing factor")
             threshold = dynamic_threshold(config, factor)
         flow_rate = abs(net) / min(state.units, units_after)
         if flow_rate < threshold:

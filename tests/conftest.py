@@ -38,6 +38,16 @@ MIXING_POLICIES = {
 }
 
 
+def i_ab_quadrature(a: float, b: float, eta: float) -> float:
+    """integral_a^b (x - a)^(3/2) x^(eta-1) dx by scipy's adaptive quadrature:
+    the independent oracle of the closed form ``lst.integral_i_ab``."""
+    from scipy import integrate
+
+    value, _ = integrate.quad(lambda x: (x - a) ** 1.5 * x ** (eta - 1.0), a, b,
+                              epsabs=1e-13, epsrel=1e-12, limit=200)
+    return value
+
+
 def make_fund(correlation=True, limit_overrides=None) -> Portfolio:
     overrides = limit_overrides or {}
     securities = tuple(

@@ -23,7 +23,7 @@ from lst import (
     SwingConfig,
     SwingMode,
 )
-from conftest import MIXING_POLICIES, make_fund
+from conftest import MIXING_POLICIES, i_ab_quadrature, make_fund
 from test_hqla import LARGE_CAP, RCR_GRID, SPECIFIC_RISK, STATIC_MATRIX
 from test_rcr import NAIVE_TABLE, OPTIMAL_TABLE, WATERFALL_TABLE, assert_table
 from test_reverse import ALPHA, LIABILITY_TABLE
@@ -246,7 +246,7 @@ def test_acceptance_08_special_functions():
             if b - a < 1e-4:
                 continue
             closed = lst.integral_i_ab(float(a), float(b), eta)
-            direct = lst.integral_i_ab(float(a), float(b), eta, method="quadrature")
+            direct = i_ab_quadrature(float(a), float(b), eta)
             assert closed == pytest.approx(direct, rel=1e-8, abs=1e-12)
     report(8, True, "2F1 polynomials (1e-12), endpoint/Gamma fixtures, "
                     "closed forms vs quadrature on 100 random intervals (1e-8)")

@@ -27,6 +27,7 @@ from lst import (
     simulate_lg,
     tc_asset_derivative,
     tc_asset_sqrt,
+    tc_cash,
 )
 from lst.buffer import _fminbound
 
@@ -276,7 +277,8 @@ class TestExpectedGain:
 
     def test_custom_law_optimum_matches_the_power_law(self):
         # with no trading limit the law x**2 is integrated one weight at a
-        # time; its expectation is the power law's at eta = 2 just below x+ = 1
+        # time, in the optimizer's one array call as in a float call; its
+        # expectation is the power law's at eta = 2 just below x+ = 1
         custom = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
                                   cdf=lambda x: x * x, pdf=lambda x: 2 * x)
         power2 = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
@@ -285,6 +287,9 @@ class TestExpectedGain:
         assert custom.expected_redemption == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert expected_lg_exact(custom, 0.5) == pytest.approx(
             expected_lg_exact(power2, 0.5), rel=1e-9)
+        grid = np.array([0.0, 0.15, 0.5, 0.85, 1.0])
+        assert expected_lg_exact(custom, grid).tolist() == [expected_lg_exact(custom, w)
+                                                            for w in grid.tolist()]
         w_star = optimal_cash_buffer(market, custom)
         assert round(w_star, 6) == 0.967218
         assert w_star == pytest.approx(optimal_cash_buffer(market, power2), abs=1e-7)
@@ -601,9 +606,35 @@ class TestRejectedInputs:
          "^unknown method 'exact'$"),
         (lambda: simulate_lg(CUSTOM_LAW, 0.5, n=10),
          "^the Monte-Carlo validator supports the power law only$"),
+        # a NaN weight read as a chord over [0, 1], and w = 2 as a negative slope
+        (lambda: expected_lg_derivative(BufferCostParams(spread=0.002), math.nan),
+         r"^cash weight must lie in \[0, 1\]$"),
+        (lambda: expected_lg_derivative(BufferCostParams(spread=0.002, x_plus=0.1), 2.0),
+         r"^cash weight must lie in \[0, 1\]$"),
+        (lambda: expected_lg_derivative(BufferCostParams(spread=0.002, x_plus=0.1), math.nan),
+         r"^cash weight must lie in \[0, 1\]$"),
+        (lambda: tc_asset_sqrt(math.nan, BASE), "^sale must not be NaN$"),
+        (lambda: tc_asset_sqrt(np.array([0.1, math.nan]), LIMITED), "^sale must not be NaN$"),
+        (lambda: tc_asset_derivative(math.nan, LIMITED), "^sale must not be NaN$"),
+        (lambda: tc_cash(math.nan, BASE), "^sale must not be NaN$"),
+        (lambda: simulate_lg(BASE, 0.5, n=1), "^n must be an integer of at least 2, got 1$"),
+        (lambda: simulate_lg(BASE, 0.5, n=0), "^n must be an integer of at least 2, got 0$"),
+        (lambda: approximation_error(LIMITED, 0.5, n_grid=0),
+         "^n_grid must be an integer of at least 2, got 0$"),
+        (lambda: approximation_error(LIMITED, 0.5, n_grid=1),
+         "^n_grid must be an integer of at least 2, got 1$"),
+        (lambda: max_approximation_error(LIMITED, n_grid=0),
+         "^n_grid must be an integer of at least 2, got 0$"),
+        (lambda: max_approximation_error(LIMITED, n_w=0), "^n_w must be an integer of at least 1, got 0$"),
+        (lambda: max_approximation_error(LIMITED, n_w=-1),
+         "^n_w must be an integer of at least 1, got -1$"),
     ], ids=["market-rho", "zero-limit", "cdf-without-pdf", "eta-above-bound", "sale-above-fund",
             "closed-form-limited", "closed-form-custom-law", "derivative-method",
-            "break-even-method", "simulate-custom-law"])
+            "break-even-method", "simulate-custom-law", "derivative-weight-nan",
+            "derivative-weight-above-one-limited", "derivative-weight-nan-limited", "sale-nan",
+            "sale-array-nan", "slope-sale-nan", "cash-sale-nan", "simulate-one-draw",
+            "simulate-no-draws", "error-no-offsets", "error-one-offset", "max-error-no-offsets",
+            "max-error-no-levels", "max-error-negative-levels"])
     def test_domain_error(self, call, message):
         with pytest.raises(DomainError, match=message):
             call()

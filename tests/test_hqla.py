@@ -12,6 +12,8 @@ from lst import (
     SpecificRiskParams,
     ccf_parametric,
     ccf_static_lookup,
+    drawdown_factor,
+    liquidity_factor,
     rcr_hqla,
 )
 
@@ -203,7 +205,16 @@ class TestRejectedInputs:
         (lambda: HqlaBucket("x", ccf_static=-0.1), r"^static CCF must lie in \[0, 1\]$"),
         (lambda: dataclasses.replace(SPECIFIC_RISK, cap=1.5),
          r"^specific-risk cap must lie in \[0, 1\]$"),
-    ], ids=["ccf-above-one", "ccf-negative", "cap-above-one"])
+        # a NaN CCF read as a zero shortfall, and a CCF of 5 as an RCR of 25
+        (lambda: rcr_hqla([(1.0, math.nan)], 0.2), r"^CCF 1 must lie in \[0, 1\], got nan$"),
+        (lambda: rcr_hqla([(0.8, 0.5), (0.2, 5.0)], 0.2), r"^CCF 2 must lie in \[0, 1\], got 5\.0$"),
+        (lambda: rcr_hqla([(1.0, -0.1)], 0.2), r"^CCF 1 must lie in \[0, 1\], got -0\.1$"),
+        (lambda: liquidity_factor(LARGE_CAP, math.nan),
+         "^tau_h must be finite and non-negative, got nan$"),
+        (lambda: drawdown_factor(LARGE_CAP, -1.0),
+         r"^tau_h must be finite and non-negative, got -1\.0$"),
+    ], ids=["ccf-above-one", "ccf-negative", "cap-above-one", "pair-ccf-nan", "pair-ccf-above-one",
+            "pair-ccf-negative", "liquidity-tau-nan", "drawdown-tau-negative"])
     def test_domain_error(self, call, message):
         with pytest.raises(DomainError, match=message):
             call()

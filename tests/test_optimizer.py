@@ -435,6 +435,20 @@ class TestOptimizePolicy:
             optimize_policy(fund, cost_model, RedemptionShock(rate=0.0, amount=0.0),
                             tr_max=1.0, ls_max=1.0)
 
+    @pytest.mark.parametrize("tr_max", [math.inf, 20e-4])
+    def test_full_liquidation_rejected_before_any_start(self, fund, cost_model, tr_max):
+        # the one policy sells the whole fund; a tracking cap once turned the
+        # error into a "tracking-risk" verdict, and no cap let it escape the scoring
+        shock = RedemptionShock.from_rate(fund, 1.0)
+        with pytest.raises(DomainError, match="^full liquidation leaves no portfolio to weight$"):
+            optimize_policy(fund, cost_model, shock, tr_max, 1.0, 3)
+
+    def test_all_but_a_sliver_of_the_fund_is_optimized(self, fund, cost_model):
+        shock = RedemptionShock.from_rate(fund, 0.999999)
+        res = optimize_policy(fund, cost_model, shock, math.inf, 1.0, 3)
+        assert isinstance(res, OptimalPolicy)
+        assert res.redemption.value(fund) == pytest.approx(shock.amount, rel=1e-6)
+
     @pytest.mark.parametrize("caps, name", [
         ((math.nan, 0.10), "tr_max"), ((-1e-4, 0.10), "tr_max"), ((-math.inf, 0.10), "tr_max"),
         ((20e-4, math.nan), "ls_max"), ((20e-4, -0.01), "ls_max")])

@@ -297,3 +297,13 @@ class TestRejectedInputs:
     def test_alpha_of_the_wrong_shape(self, fund, shape):
         with pytest.raises(DomainError, match="^alpha must give one proportion per security$"):
             liability_rst(fund, np.full(shape, 0.5), 0.5, 1)
+
+    @pytest.mark.parametrize("alpha, message", [
+        (np.ones(3), "^alpha must give one proportion per security$"),
+        (np.full(7, np.nan), r"^alpha proportions must lie in \[0, 1\]$"),
+        (np.full(7, 1.5), r"^alpha proportions must lie in \[0, 1\]$"),
+    ], ids=["short", "nan", "above-one"])
+    def test_feasibility_checks_alpha_as_the_scenario_does(self, fund, alpha, message):
+        # a NaN alpha read as infeasible, and a short one raised numpy's matmul error
+        with pytest.raises(DomainError, match=message):
+            liability_rst_feasible(fund, alpha, 0.5)

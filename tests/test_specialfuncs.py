@@ -10,6 +10,7 @@ from scipy import integrate, special
 
 from lst import DomainError, hyp2f1_family, integral_i_ab, integral_i_w
 from lst.specialfuncs import ETA_MAX
+from conftest import i_ab_quadrature
 
 Z_GRID = [-80.0, -20.0, -5.0, -1.0, -0.4, -0.01, 0.0]
 
@@ -129,7 +130,7 @@ class TestIntegralIAB:
                 if b - a < 1e-6:
                     continue
                 closed = integral_i_ab(a, b, eta)
-                direct = integral_i_ab(a, b, eta, method="quadrature")
+                direct = i_ab_quadrature(a, b, eta)
                 assert closed == pytest.approx(direct, rel=1e-8, abs=1e-14), (a, b, eta)
 
     @pytest.mark.parametrize("eta", [0.7, 1.7, 4.2])
@@ -142,7 +143,7 @@ class TestIntegralIAB:
             if b - a < 1e-6:
                 continue
             closed = integral_i_ab(a, b, eta)
-            direct = integral_i_ab(a, b, eta, method="quadrature")
+            direct = i_ab_quadrature(a, b, eta)
             assert closed == pytest.approx(direct, rel=1e-8, abs=1e-14), (a, b, eta)
 
     def test_reference_shapes(self):
@@ -172,7 +173,7 @@ class TestIntegralIAB:
 
     def test_generic_exponent_uses_quadrature(self):
         assert integral_i_ab(0.1, 0.9, 1.7) == pytest.approx(
-            integral_i_ab(0.1, 0.9, 1.7, method="quadrature"), rel=1e-12)
+            i_ab_quadrature(0.1, 0.9, 1.7), rel=1e-12)
 
     def test_consistency_with_tail_integral(self):
         # I(w, 1; eta) is the tail integral evaluated by the 2F1 closed form
@@ -315,7 +316,3 @@ class TestRejectedInputs:
     def test_eta_outside_the_tested_range(self, call):
         with pytest.raises(DomainError, match=r"^eta must lie in \(0, 12\], got "):
             call()
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError, match="^unknown method 'series'$"):
-            integral_i_ab(0.1, 1.0, 2.0, method="series")

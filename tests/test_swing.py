@@ -329,7 +329,12 @@ class TestRejectedInputs:
         (lambda: swing_nav(STATE, FlowEvent(redeemed=10.0), FULL), "^flows redeem the whole fund$"),
         (lambda: swing_nav(STATE, FlowEvent(subscribed=1.0, redeemed=12.0), FULL),
          "^flows redeem the whole fund$"),
-    ], ids=["penalty-below-one", "every-unit-redeemed", "more-than-every-unit"])
+        (lambda: dynamic_threshold(SwingConfig(mode=SwingMode.DYNAMIC, product=2e-4), math.nan),
+         "^swing factor must be finite and positive, got nan$"),
+        (lambda: dynamic_threshold(SwingConfig(mode=SwingMode.DYNAMIC, product=2e-4), math.inf),
+         "^swing factor must be finite and positive, got inf$"),
+    ], ids=["penalty-below-one", "every-unit-redeemed", "more-than-every-unit",
+            "dynamic-factor-nan", "dynamic-factor-inf"])
     def test_domain_error(self, call, message):
         with pytest.raises(DomainError, match=message):
             call()
