@@ -21,7 +21,7 @@ import numpy as np
 
 from ._checks import check_days
 from .core import DomainError, check_finite, daily_volatility
-from .specialfuncs import _check_eta, integral_i_ab, integral_i_w
+from .specialfuncs import _as_array, _as_given, _check_eta, integral_i_ab, integral_i_w
 
 _GRID_STEP = 1e-3  # coarse scan resolution of the buffer optimizer
 _ERROR_BLOCK = 1 << 15  # (w, u) points per block of the approximation-error scan
@@ -128,10 +128,11 @@ class BufferCostParams:
         """True when the trading limit never binds."""
         return self.x_plus >= 1.0
 
-    def redemption_cdf(self, x: float) -> float:
-        if self.cdf is not None:
-            return self.cdf(x)
-        return x**self.eta
+    def redemption_cdf(self, x):
+        """F(x) for a float or an array x; a custom cdf is called one element at a time."""
+        if self.cdf is None:
+            return x**self.eta
+        return np.vectorize(self.cdf, otypes=[float])(x) if np.ndim(x) else self.cdf(x)
 
     def redemption_pdf(self, x: float) -> float:
         if self.pdf is not None:
@@ -275,10 +276,10 @@ def tc_asset_derivative(x, params: BufferCostParams):
     return _sqrt_cost(params).slope(x)
 
 
-def tc_cash(x: float, params: BufferCostParams) -> float:
-    """Cost of liquidating a fraction x of net assets held as cash."""
+def tc_cash(x, params: BufferCostParams):
+    """Cost of liquidating a fraction x (a float or an array) of net assets held as cash."""
     _check_sale(x)
-    return max(x, 0.0) * params.cash_cost
+    return _as_given(np.maximum(_as_array(x), 0.0) * params.cash_cost, x)
 
 
 # =============================================================================
@@ -362,15 +363,16 @@ def expected_lg_components_closed(params: BufferCostParams, w) -> Tuple[float, f
     if params.cdf is not None:
         raise DomainError("closed form requires the power-law redemption model")
     _check_weight(w)
+    x = _as_array(w)
     eta = params.eta
     s, c = params.spread, params.cash_cost
     impact = params.beta_impact * params.sigma_daily
-    cash_part = (eta * (s - c) / (eta + 1.0)) * w ** (eta + 1.0) \
-        + (2.0 * eta * impact / (2.0 * eta + 3.0)) * w ** (eta + 1.5)
-    asset_part = eta * s * w * (1.0 - w) \
-        + (2.0 * eta * impact / (2.0 * eta + 3.0)) * (1.0 - w ** (eta + 1.5)) \
-        - eta * impact * integral_i_w(w, eta)
-    return cash_part, asset_part
+    cash_part = (eta * (s - c) / (eta + 1.0)) * x ** (eta + 1.0) \
+        + (2.0 * eta * impact / (2.0 * eta + 3.0)) * x ** (eta + 1.5)
+    asset_part = eta * s * x * (1.0 - x) \
+        + (2.0 * eta * impact / (2.0 * eta + 3.0)) * (1.0 - x ** (eta + 1.5)) \
+        - eta * impact * integral_i_w(x, eta)
+    return _as_given(cash_part, w), _as_given(asset_part, w)
 
 
 def _impact_integral(params: BufferCostParams, lo, hi):
@@ -404,7 +406,7 @@ def _impact_integral(params: BufferCostParams, lo, hi):
 
 
 def _head(params: BufferCostParams, y):
-    """H(y) = integral_0^y TC_asset dF under the power law (returns an array)."""
+    """H(y) = integral_0^y TC_asset dF under the power law, for an array y."""
     eta = params.eta
     return eta * params.spread * y ** (eta + 1.0) / (eta + 1.0) + _impact_integral(params, 0.0, y)
 
@@ -419,13 +421,13 @@ def _power_law_gain(params: BufferCostParams, w):
     a float or an array; the value is exactly 0 at w = 0, where the
     difference would leave a rounding residue.
     """
-    x = np.atleast_1d(np.asarray(w, dtype=float))
+    x = _as_array(w)
     eta, s, c = params.eta, params.spread, params.cash_cost
     mean = eta / (eta + 1.0)
     power = x ** (eta + 1.0)
     shifted = s * (mean * (1.0 - power) - x * (1.0 - x**eta)) + _impact_integral(params, x, 1.0)
-    gain = np.where(x > 0.0, _head(params, 1.0) - c * mean * power - shifted, 0.0)
-    return gain if np.ndim(w) else float(gain[0])
+    gain = np.where(x > 0.0, _head(params, np.ones(1)) - c * mean * power - shifted, 0.0)
+    return _as_given(gain, w)
 
 
 def expected_lg_exact(params: BufferCostParams, w):
@@ -451,28 +453,27 @@ def expected_lg_exact(params: BufferCostParams, w):
     return _power_law_gain(params, w)
 
 
-def expected_lg_approx(params: BufferCostParams, w: float) -> float:
+def expected_lg_approx(params: BufferCostParams, w):
     """Approximate expected liquidation gain (additive-cost shortcut).
 
     E[LG(w)] ~= integral_0^w TC_asset dF + TC_asset(w) * (1 - F(w)), dropping
     the cash liquidation cost. Monotone non-decreasing in w. Closed form under
     the power law (piecewise over trading-limit segments); quadrature for a
-    custom redemption law.
+    custom redemption law, one weight at a time. w may be a float or an array.
     """
     _check_weight(w)
-    if w == 0.0:
-        return 0.0
+    x = _as_array(w)
     kernel = _sqrt_cost(params)
-    if params.cdf is not None:
-        head = _integrate(lambda x: kernel.cost(x) * params.redemption_pdf(x), 0.0, w,
-                          _cost_breakpoints(params, 0.0, w))
+    if params.cdf is None:
+        head = _head(params, x)
     else:
-        head = float(_head(params, w)[0])
-    return head + kernel.cost(w) * (1.0 - params.redemption_cdf(w))
+        head = np.array([_integrate(lambda t: kernel.cost(t) * params.redemption_pdf(t), 0.0, v,
+                                    _cost_breakpoints(params, 0.0, v)) for v in x.tolist()])
+    return _as_given(head + kernel.cost(x) * (1.0 - params.redemption_cdf(x)), w)
 
 
-def expected_lg_derivative(params: BufferCostParams, w: float, method: str = "auto") -> float:
-    """d/dw of the expected liquidation gain.
+def expected_lg_derivative(params: BufferCostParams, w, method: str = "auto"):
+    """d/dw of the expected liquidation gain at a float or an array w.
 
     ``approx`` uses the analytic derivative of the additive shortcut,
     TC'_asset(w) * (1 - F(w)); ``fd`` central-differences the exact gain;
@@ -482,13 +483,16 @@ def expected_lg_derivative(params: BufferCostParams, w: float, method: str = "au
     _check_weight(w)
     if method == "auto":
         method = "approx" if not params.unlimited else "fd"
+    x = _as_array(w)
     if method == "approx":
-        return tc_asset_derivative(w, params) * (1.0 - params.redemption_cdf(w))
-    if method == "fd":
+        slope = tc_asset_derivative(x, params) * (1.0 - params.redemption_cdf(x))
+    elif method == "fd":
         h = 1e-6
-        lo, hi = max(0.0, w - h), min(1.0, w + h)
-        return (expected_lg_exact(params, hi) - expected_lg_exact(params, lo)) / (hi - lo)
-    raise DomainError(f"unknown method {method!r}")
+        lo, hi = np.maximum(0.0, x - h), np.minimum(1.0, x + h)
+        slope = (expected_lg_exact(params, hi) - expected_lg_exact(params, lo)) / (hi - lo)
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    return _as_given(slope, w)
 
 
 def simulate_lg(params: BufferCostParams, w: float, n: int = 1_000_000, seed: int = 20210901):
@@ -624,10 +628,11 @@ def optimal_cash_buffer(market: BufferMarketParams, params: BufferCostParams) ->
 def break_even_premium(
     market: BufferMarketParams,
     params: BufferCostParams,
-    w: float,
+    w,
     method: str = "auto",
-) -> float:
-    """Asset-cash return spread making the buffer level w exactly optimal.
+):
+    """Asset-cash return spread making the buffer level w (a float or an
+    array) exactly optimal.
 
     rho(w) = dE[LG]/dw - lambda * w * te_variance; a buffer is worth holding
     at all iff the actual premium is below rho(0), which is independent of the

@@ -314,14 +314,11 @@ def cmd_buffer(args) -> int:
     print(f"w_star,{_fmt(w_star)}")
     if args.out_dir:
         grid = np.linspace(0.0, 1.0, args.curve_points)
-        write_csv(
-            out / "nbc_curve.csv", ["w", "nbc"],
-            [[_fmt(w), _fmt(v)] for w, v in zip(grid, net_buffer_cost(market, params, grid))],
-        )
-        write_csv(
-            out / "break_even_curve.csv", ["w", "premium"],
-            [[_fmt(w), _fmt(break_even_premium(market, params, float(w)))] for w in grid],
-        )
+        for name, column, values in (
+            ("nbc_curve.csv", "nbc", net_buffer_cost(market, params, grid)),
+            ("break_even_curve.csv", "premium", break_even_premium(market, params, grid)),
+        ):
+            write_csv(out / name, ["w", column], [[_fmt(w), _fmt(v)] for w, v in zip(grid, values)])
     return EXIT_OK
 
 

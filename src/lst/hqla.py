@@ -102,7 +102,8 @@ class SpecificRiskParams:
 
     def __post_init__(self) -> None:
         check_finite(self, ("tna_threshold", "herfindahl_threshold"), "positive")
-        check_finite(self, ("size_coefficient", "concentration_coefficient", "cap"))
+        check_finite(self, ("size_coefficient", "concentration_coefficient"), "non-negative")
+        check_finite(self, ("cap",))
         if not 0.0 <= self.cap <= 1.0:
             raise DomainError("specific-risk cap must lie in [0, 1]")
 

@@ -167,19 +167,27 @@ def hyp2f1_family(eta: float, z):
     return value.reshape(np.shape(z)) if np.ndim(z) else float(value[0])
 
 
+def _as_array(x):
+    """x as a float array of at least one dimension (a float becomes one element)."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _as_given(value, x):
+    """value, computed on ``_as_array(x)``, back in the caller's form: a float for a float x."""
+    return value if np.ndim(x) else float(value[0])
+
+
 def integral_i_w(w, eta: float):
     """integral_w^1 (x - w)^(3/2) x^(eta-1) dx = I(w, 1; eta) for w in [0, 1],
     0 < eta <= ETA_MAX; 0 at w = 1."""
     _check_eta(eta)
     if not np.all((w >= 0.0) & (w <= 1.0)):
         raise DomainError("w must lie in [0, 1]")
-    if np.ndim(w) == 0:
-        return integral_i_ab(w, 1.0, eta) if w < 1.0 else 0.0
-    w = np.asarray(w, dtype=float)
-    value = np.zeros(w.shape)
-    inside = w < 1.0
-    value[inside] = integral_i_ab(w[inside], 1.0, eta)
-    return value
+    x = _as_array(w)
+    value = np.zeros(x.shape)
+    inside = x < 1.0
+    value[inside] = integral_i_ab(x[inside], 1.0, eta)
+    return _as_given(value, w)
 
 
 def integral_i_ab(a, b, eta: float):
@@ -193,16 +201,10 @@ def integral_i_ab(a, b, eta: float):
     _check_eta(eta)
     if not np.all((a >= 0.0) & (a < b)):
         raise DomainError("bounds must satisfy 0 <= a < b")
-    inner = a > b * _NEGLIGIBLE_LOWER
-    if np.ndim(inner) == 0:
-        return _i_ab_inner(a, b, eta) if inner else _i_ab_origin(b, eta)
-    lower = np.where(inner, a, b)  # a positive stand-in where a is negligible
-    return np.where(inner, _i_ab_inner(lower, b, eta), _i_ab_origin(b, eta))
-
-
-def _i_ab_inner(a, b, eta: float):
-    return 0.4 * (b - a) ** 2.5 * a ** (eta - 1.0) * hyp2f1_family(eta, (a - b) / a)
-
-
-def _i_ab_origin(b, eta: float):
-    return b ** (eta + 1.5) / (eta + 1.5)
+    lower, upper = _as_array(a), _as_array(b)
+    inner = lower > upper * _NEGLIGIBLE_LOWER
+    lower = np.where(inner, lower, upper)  # a positive stand-in where a is negligible
+    value = np.where(inner, 0.4 * (upper - lower) ** 2.5 * lower ** (eta - 1.0)
+                     * hyp2f1_family(eta, (lower - upper) / lower),
+                     upper ** (eta + 1.5) / (eta + 1.5))
+    return value if np.ndim(a) or np.ndim(b) else float(value[0])

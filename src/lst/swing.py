@@ -6,10 +6,9 @@ anti-dilution levies and the redemption-gate queue.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ._checks import DomainError, as_integer, check_finite, check_number
 
@@ -45,7 +44,8 @@ class FlowEvent:
 
     def __post_init__(self) -> None:
         check_finite(self, ("subscribed", "redeemed", "tc"), "non-negative")
-        check_finite(self, ("asset_return",))
+        if not -1.0 < self.asset_return < math.inf:  # a return of -1 leaves a gross NAV of 0
+            raise DomainError(f"asset_return must be finite and above -1, got {self.asset_return!r}")
 
     @property
     def net_units(self) -> float:
@@ -239,9 +239,9 @@ def adl_fees(subscribed: float, redeemed: float, tc: float, rule: AdlRule) -> Ad
 # REDEMPTION GATE
 # =============================================================================
 
-#: The smallest gate cap: a request for all net assets clears within 10,000
-#: days. ``gate_schedule`` steps one day at a time, and below 1e-15 a day
-#: executes nothing, so a smaller cap would run without bound.
+#: The smallest gate cap. ``gate_schedule`` makes one fill per day a request
+#: spans, about rate/cap fills, so the bound keeps a request for all net
+#: assets to about 10,000 fills.
 GATE_CAP_MIN = 1e-4
 
 
@@ -286,35 +286,29 @@ class GateFill:
 def gate_schedule(requests: Sequence[GateRequest], policy: GatePolicy) -> List[GateFill]:
     """FIFO gate: each day executes up to the cap, earlier requests first.
 
-    Requests arriving the same day keep their listing order. Unexecuted
-    remainders carry to the next day ahead of later arrivals. Fills are exact
-    fractions (no rounding).
+    Requests arriving the same day keep their listing order. One pass fills
+    each request in turn, from its arrival day or, if later, the day the one
+    before it finished, so unexecuted remainders carry to the next day ahead
+    of later arrivals. Fills are exact fractions (no rounding).
     """
-    queue: Deque[List] = deque()  # [investor, remaining, original]
     fills: List[GateFill] = []
-    pending = sorted(requests, key=lambda r: r.day)  # stable: listing order within a day
-    idx = 0
-    day = min((r.day for r in requests), default=0)
-    while idx < len(pending) or queue:
-        while idx < len(pending) and pending[idx].day <= day:
-            req = pending[idx]
-            if req.rate > 0:
-                queue.append([req.investor, req.rate, req.rate])
-            idx += 1
-        capacity = policy.daily_cap
-        while queue and capacity > 1e-15:
-            entry = queue[0]
-            executed = min(entry[1], capacity)
-            fills.append(
-                GateFill(day=day, investor=entry[0], rate=executed,
-                         fraction_of_request=executed / entry[2])
-            )
-            entry[1] -= executed
+    day, capacity = None, 0.0  # the day being filled and the capacity left on it
+    for req in sorted(requests, key=lambda r: r.day):  # stable: listing order within a day
+        if req.rate <= 0:
+            continue
+        if day is None or req.day > day:  # the queue ran dry before this arrival
+            day, capacity = req.day, policy.daily_cap
+        remaining = req.rate
+        while True:
+            if capacity <= 1e-15:
+                day, capacity = day + 1, policy.daily_cap
+            executed = min(remaining, capacity)
+            fills.append(GateFill(day=day, investor=req.investor, rate=executed,
+                                  fraction_of_request=executed / req.rate))
+            remaining -= executed
             capacity -= executed
-            if entry[1] <= 1e-15:
-                queue.popleft()
-        # an empty queue waits for the next arrival, not through idle days
-        day = pending[idx].day if not queue and idx < len(pending) else day + 1
+            if remaining <= 1e-15:
+                break
     return fills
 
 

@@ -493,6 +493,58 @@ class TestBreakEvenPremium:
             assert abs(w_star - w0) < 1e-3
 
 
+@st.composite
+def one_path_cases(draw):
+    x_plus = draw(st.sampled_from([1.0, 1.5]) | st.floats(0.02, 0.99))
+    params = BufferCostParams(spread=draw(st.floats(0.0, 0.01)), cash_cost=draw(st.floats(0.0, 1e-3)),
+                              beta_impact=draw(st.floats(0.0, 1.0)), sigma=draw(st.floats(0.0, 1.0)),
+                              x_plus=x_plus, eta=draw(st.floats(0.1, 12.0)))
+    market = BufferMarketParams(mu_asset=draw(st.floats(-0.01, 0.01)), sigma_asset=0.2,
+                                sigma_cash=0.01, te_aversion=draw(st.floats(0.0, 5.0)))
+    weights = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1e-6, 1.0 - 1e-6, 1.0, 5e-324])
+    return market, params, draw(st.lists(weights, min_size=1, max_size=12))
+
+
+class TestOnePath:
+    """A float takes the array path: an array call equals its float calls bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(one_path_cases())
+    def test_array_call_equals_float_calls(self, case):
+        market, params, weights = case
+        calls = {
+            "exact": lambda w: expected_lg_exact(params, w),
+            "approx": lambda w: expected_lg_approx(params, w),
+            "slope-approx": lambda w: expected_lg_derivative(params, w, method="approx"),
+            "slope-fd": lambda w: expected_lg_derivative(params, w, method="fd"),
+            "break-even": lambda w: break_even_premium(market, params, w),
+            "net-cost": lambda w: net_buffer_cost(market, params, w),
+            "cash-cost": lambda w: tc_cash(w, params),
+        }
+        if params.unlimited:
+            calls["closed-cash"] = lambda w: expected_lg_components_closed(params, w)[0]
+            calls["closed-asset"] = lambda w: expected_lg_components_closed(params, w)[1]
+        for name, call in calls.items():
+            floats = [call(w) for w in weights]
+            assert all(type(v) is float for v in floats), name
+            assert call(np.array(weights)).tolist() == floats, name
+
+    def test_custom_cdf_sees_one_float_at_a_time(self):
+        seen = []
+
+        def cdf(x):
+            seen.append(type(x))
+            return x * x if x < 1.0 else 1.0  # a scalar-only law
+
+        custom = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
+                                  x_plus=0.3, cdf=cdf, pdf=lambda x: 2 * x)
+        grid = np.array([0.0, 0.15, 0.5, 1.0])
+        for call in (lambda w: expected_lg_approx(custom, w),
+                     lambda w: expected_lg_derivative(custom, w, method="approx")):
+            assert call(grid).tolist() == [call(w) for w in grid.tolist()]
+        assert set(seen) == {float}
+
+
 class TestApproximationError:
     def test_max_error_below_one_bp_up_to_sixteen_percent(self):
         for x_plus in (0.05, 0.10, 0.14, 0.16):

@@ -233,6 +233,16 @@ class TestHqlaCommand:
         assert report["error"] == "validation"
         assert report["detail"].startswith(field + " ")
 
+    @pytest.mark.parametrize("flag, field", [("--xi-size", "size_coefficient"),
+                                             ("--xi-conc", "concentration_coefficient")])
+    def test_negative_penalty_is_named(self, flag, field, capsys):
+        # a negative penalty once lifted the CCF to 1.29 and was reported as "CCF 1"
+        assert main(["hqla", "--buckets", BUCKETS, "--weights", "0.6,0.3,0.1", "--tna-star", "1e9",
+                     "--h-star", "0.01", flag, "-0.5", "--tna", "5e9",
+                     "--herfindahl", "0.02"]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "validation", "detail": f"{field} must be finite and non-negative, got -0.5"}
+
 
 class TestRstCommand:
     def test_liability_table(self, tmp_path):
@@ -516,7 +526,24 @@ class TestBufferCommand:
         assert (out_dir / "nbc_curve.csv").exists()
         assert (out_dir / "break_even_curve.csv").exists()
 
-    @pytest.mark.parametrize("count", ["0", "-5", "1.5", "x", "", str(MAX_CURVE_POINTS + 1)])
+    @pytest.mark.parametrize("xplus", ["1.0", "0.3"])
+    def test_break_even_curve_is_one_call(self, xplus, tmp_path, monkeypatch, capsys):
+        import lst.buffer
+
+        calls = []
+        original = lst.buffer.break_even_premium
+
+        def spy(market, params, w, *args, **kwargs):
+            calls.append(getattr(w, "shape", "float"))
+            return original(market, params, w, *args, **kwargs)
+
+        monkeypatch.setattr(lst.buffer, "break_even_premium", spy)
+        out_dir = tmp_path / "curves"
+        assert main(["buffer", "--xplus", xplus, "--curve-points", "7", "--out-dir", str(out_dir)]) == EXIT_OK
+        assert calls == [(7,)]
+        assert len(read_rows(out_dir / "break_even_curve.csv")) == 8
+
+    @pytest.mark.parametrize("count",["0", "-5", "1.5", "x", "", str(MAX_CURVE_POINTS + 1)])
     def test_curve_points_out_of_range_is_exit_2_before_any_output(self, count, tmp_path, capsys):
         out_dir = tmp_path / "curves"
         assert main(["buffer", "--curve-points", count, "--out-dir", str(out_dir)]) == EXIT_CONFIG
@@ -596,6 +623,17 @@ class TestSwingCommand:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "validation"
         assert report["detail"].startswith(field + " ")
+
+    @pytest.mark.parametrize("mode", [["--mode", "dynamic", "--product", "2e-4"], []])
+    @pytest.mark.parametrize("value", ["-1", "-3"])
+    def test_return_of_minus_one_or_below_is_a_validation_error(self, mode, value, capsys):
+        # -1 once exited 3 on a gross NAV of 0, and without --mode printed a negative NAV
+        assert main(["swing", "--flow", "-2", "--tc", "5", "--return", value, *mode]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "validation",
+            "detail": f"asset_return must be finite and above -1, got {float(value)!r}"}
 
 
 class TestGateCommand:

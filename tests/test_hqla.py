@@ -205,6 +205,11 @@ class TestRejectedInputs:
         (lambda: HqlaBucket("x", ccf_static=-0.1), r"^static CCF must lie in \[0, 1\]$"),
         (lambda: dataclasses.replace(SPECIFIC_RISK, cap=1.5),
          r"^specific-risk cap must lie in \[0, 1\]$"),
+        # a negative penalty once lifted a parametric CCF above 1
+        (lambda: dataclasses.replace(SPECIFIC_RISK, size_coefficient=-0.5),
+         r"^size_coefficient must be finite and non-negative, got -0\.5$"),
+        (lambda: dataclasses.replace(SPECIFIC_RISK, concentration_coefficient=-1e-9),
+         "^concentration_coefficient must be finite and non-negative, got -1e-09$"),
         # a NaN CCF read as a zero shortfall, and a CCF of 5 as an RCR of 25
         (lambda: rcr_hqla([(1.0, math.nan)], 0.2), r"^CCF 1 must lie in \[0, 1\], got nan$"),
         (lambda: rcr_hqla([(0.8, 0.5), (0.2, 5.0)], 0.2), r"^CCF 2 must lie in \[0, 1\], got 5\.0$"),
@@ -213,7 +218,8 @@ class TestRejectedInputs:
          "^tau_h must be finite and non-negative, got nan$"),
         (lambda: drawdown_factor(LARGE_CAP, -1.0),
          r"^tau_h must be finite and non-negative, got -1\.0$"),
-    ], ids=["ccf-above-one", "ccf-negative", "cap-above-one", "pair-ccf-nan", "pair-ccf-above-one",
+    ], ids=["ccf-above-one", "ccf-negative", "cap-above-one", "size-coefficient-negative",
+            "concentration-coefficient-negative", "pair-ccf-nan", "pair-ccf-above-one",
             "pair-ccf-negative", "liquidity-tau-nan", "drawdown-tau-negative"])
     def test_domain_error(self, call, message):
         with pytest.raises(DomainError, match=message):

@@ -184,15 +184,13 @@ class TestIntegralIAB:
 
     @pytest.mark.parametrize("eta", [0.3, 1.0, 1.7, 4.0])
     def test_array_call_equals_float_calls(self, eta):
-        # array powers may round a last bit differently from float powers
         rng = np.random.default_rng(75)
         a = np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 0.9, size=60)])
         b = a + rng.uniform(1e-3, 0.1, size=a.size)
         expected = [integral_i_ab(x, y, eta) for x, y in zip(a.tolist(), b.tolist())]
-        assert integral_i_ab(a, b, eta) == pytest.approx(expected, rel=1e-14)
+        assert integral_i_ab(a, b, eta).tolist() == expected
         w = np.concatenate([[0.0, 1.0], a])
-        assert integral_i_w(w, eta) == pytest.approx([integral_i_w(x, eta) for x in w.tolist()],
-                                                     rel=1e-14)
+        assert integral_i_w(w, eta).tolist() == [integral_i_w(x, eta) for x in w.tolist()]
         z = -rng.uniform(0.0, 50.0, size=40)
         assert hyp2f1_family(eta, z).tolist() == [hyp2f1_family(eta, x) for x in z.tolist()]
 

@@ -1,13 +1,17 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lst import (
     AdlRule,
     DomainError,
     FlowEvent,
     FundState,
+    GateFill,
     GatePolicy,
     GateRequest,
     SwingConfig,
@@ -207,7 +211,53 @@ class TestAdlFees:
             adl_fees(0, 0, 30, AdlRule.GROSS)
 
 
+def gate_schedule_by_days(requests, policy):
+    """Reference: the day-by-day queue, one day of the cap at a time."""
+    queue = deque()  # [investor, remaining, original]
+    fills = []
+    pending = sorted(requests, key=lambda r: r.day)
+    idx = 0
+    day = min((r.day for r in requests), default=0)
+    while idx < len(pending) or queue:
+        while idx < len(pending) and pending[idx].day <= day:
+            req = pending[idx]
+            if req.rate > 0:
+                queue.append([req.investor, req.rate, req.rate])
+            idx += 1
+        capacity = policy.daily_cap
+        while queue and capacity > 1e-15:
+            entry = queue[0]
+            executed = min(entry[1], capacity)
+            fills.append(GateFill(day=day, investor=entry[0], rate=executed,
+                                  fraction_of_request=executed / entry[2]))
+            entry[1] -= executed
+            capacity -= executed
+            if entry[1] <= 1e-15:
+                queue.popleft()
+        day = pending[idx].day if not queue and idx < len(pending) else day + 1
+    return fills
+
+
+@st.composite
+def gate_cases(draw):
+    cap = draw(st.sampled_from([0.01, 0.02, 0.05, 0.25, 1.0]) | st.floats(0.01, 1.0))
+    rates = (st.floats(0.0, 0.2) | st.sampled_from([0.0, 1e-16, 1e-15, 2e-15, cap, cap / 3, 1.0])
+             | st.floats(0.0, 1.0))
+    days = st.integers(-3, 6) | st.sampled_from([40, 10**6])
+    requests = draw(st.lists(st.tuples(days, rates), max_size=10))
+    if requests and draw(st.booleans()):  # rates that add up to the cap
+        requests.append((requests[-1][0], max(cap - sum(r for _, r in requests), 0.0)))
+    return [GateRequest(day=d, investor=f"I{i}", rate=r) for i, (d, r) in enumerate(requests)], cap
+
+
 class TestGate:
+    @settings(max_examples=300, deadline=None)
+    @given(gate_cases())
+    def test_one_pass_equals_the_day_by_day_queue(self, case):
+        requests, cap = case
+        policy = GatePolicy(daily_cap=cap)
+        assert gate_schedule(requests, policy) == gate_schedule_by_days(requests, policy)
+
     def test_published_queue(self):
         fills = gate_schedule(
             [GateRequest(day=0, investor="A", rate=0.05),
@@ -333,8 +383,13 @@ class TestRejectedInputs:
          "^swing factor must be finite and positive, got nan$"),
         (lambda: dynamic_threshold(SwingConfig(mode=SwingMode.DYNAMIC, product=2e-4), math.inf),
          "^swing factor must be finite and positive, got inf$"),
+        # a return of -1 once divided by a gross NAV of 0, and below -1 gave a negative NAV
+        (lambda: FlowEvent(redeemed=2.0, tc=5.0, asset_return=-1.0),
+         r"^asset_return must be finite and above -1, got -1\.0$"),
+        (lambda: FlowEvent(redeemed=2.0, tc=5.0, asset_return=-1.5),
+         r"^asset_return must be finite and above -1, got -1\.5$"),
     ], ids=["penalty-below-one", "every-unit-redeemed", "more-than-every-unit",
-            "dynamic-factor-nan", "dynamic-factor-inf"])
+            "dynamic-factor-nan", "dynamic-factor-inf", "total-loss-return", "return-below-minus-one"])
     def test_domain_error(self, call, message):
         with pytest.raises(DomainError, match=message):
             call()
