@@ -145,6 +145,8 @@ def swing_nav(state: FundState, event: FlowEvent, config: SwingConfig) -> SwingR
     Returns a non-activated result when there is no net flow (nothing to
     swing) or, in partial/dynamic mode, when |net flow| is below the
     (possibly dynamic) threshold. Activation uses an inclusive comparison.
+    A redeeming NAV below 0 (the swung NAV of a net redemption, or the dual
+    bid) is a DomainError: the costs exceed what the redeemed units are worth.
     """
     gross = (1.0 + event.asset_return) * state.nav
     net = event.net_units
@@ -161,6 +163,7 @@ def swing_nav(state: FundState, event: FlowEvent, config: SwingConfig) -> SwingR
         alpha = event.subscribed / (event.subscribed + config.penalty * event.redeemed)
         ask = gross + (alpha * event.tc / event.subscribed if event.subscribed > 0 else 0.0)
         bid = gross - ((1.0 - alpha) * event.tc / event.redeemed if event.redeemed > 0 else 0.0)
+        _check_swung(bid, (1.0 - alpha) * event.tc, event.tc, gross, event.redeemed)
         return SwingResult(nav_gross=gross, activated=True, nav_ask=ask, nav_bid=bid)
 
     if net == 0:
@@ -179,7 +182,17 @@ def swing_nav(state: FundState, event: FlowEvent, config: SwingConfig) -> SwingR
             return SwingResult(nav_gross=gross, activated=False)
 
     swung = gross + event.tc / net
+    _check_swung(swung, event.tc, event.tc, gross, -net)
     return SwingResult(nav_gross=gross, activated=True, nav_swing=swung)
+
+
+def _check_swung(nav: float, cost: float, tc: float, gross: float, redeemed: float) -> None:
+    """Reject a redeeming NAV below 0: the redeemers' ``cost`` exceeds the
+    gross value of the units they redeem."""
+    if nav < 0:
+        raise DomainError(f"the redeemers' part {cost:.6g} of the transaction cost {tc:.6g} "
+                          f"exceeds the gross value {gross * redeemed:.6g} of the {redeemed:.6g} "
+                          f"redeemed units (NAV {nav:.6g})")
 
 
 # =============================================================================

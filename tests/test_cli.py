@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import lst
-from lst.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, MAX_CURVE_POINTS,
-                     MAX_DAYS, main, parse_days, parse_rate)
+from lst.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, FLAGS,
+                     MAX_CURVE_POINTS, MAX_DAYS, build_parser, main, parse_days, parse_rate)
 
 DATA = resources.files("lst") / "data"
 FUND = str(DATA / "example_fund.csv")
@@ -635,6 +635,17 @@ class TestSwingCommand:
             "error": "validation",
             "detail": f"asset_return must be finite and above -1, got {float(value)!r}"}
 
+    @pytest.mark.parametrize("mode", ["full", "dual"])
+    def test_a_negative_redeeming_nav_is_a_validation_error(self, mode, capsys):
+        # once printed nav_swing,-150 (nav_bid,-150 in dual mode) and exited 0
+        assert main(["swing", "--flow", "-2", "--tc", "500", "--mode", mode]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "validation",
+            "detail": "the redeemers' part 500 of the transaction cost 500 exceeds the gross "
+                      "value 200 of the 2 redeemed units (NAV -150)"}
+
 
 class TestGateCommand:
     def test_published_schedule(self, capsys):
@@ -892,6 +903,12 @@ class TestScipyFreeSubcommands:
         assert run_and_list_modules(argv, "scipy.optimize._slsqplib") == "0 True"
 
 
+SWING_FREE = dict(
+    SCIPY_FREE,
+    optimize=["optimize", "--portfolio", FUND, "--corr", CORR, "--shock", "0.1"],
+)
+
+
 class TestPerSubcommandImports:
     @pytest.mark.parametrize("name", ["gate", "hqla", "swing"])
     def test_scalar_tools_load_no_numpy(self, name):
@@ -916,6 +933,109 @@ class TestPerSubcommandImports:
         out = run_fresh("import sys, lst; print(sorted(m for m in sys.modules "
                         "if m == 'numpy' or m.startswith('lst.')))")
         assert out == "[]"
+
+    @pytest.mark.parametrize("name", ["rcr", "rst", "hqla", "buffer", "optimize"])
+    def test_non_swing_commands_load_no_swing_module(self, name, tmp_path):
+        argv = SWING_FREE[name] + ([str(tmp_path)] if SWING_FREE[name][-1] == "--out-dir" else [])
+        assert run_and_list_modules(argv, "lst.swing") == "0 False"
+
+    def test_swing_loads_the_swing_module(self):
+        # shows the check above can see lst.swing
+        assert run_and_list_modules(SCIPY_FREE["swing"], "lst.swing") == "0 True"
+
+    def test_swing_mode_choices_are_the_swing_modes(self):
+        from lst.swing import SwingMode
+
+        mode = next(flag for flag in FLAGS["swing"][1] if flag.name == "--mode")
+        assert list(mode.choices) == [m.value for m in SwingMode]
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_a_one_command_parser_formats_the_same_help(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        helps = []
+        for parser in (build_parser(command), build_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert f"usage: lst {command} [-h] [--config CONFIG]" in helps[0]
+
+
+def run_script(argv, stdout=subprocess.PIPE, **env):
+    """``python -m lst.cli argv`` in a fresh interpreter: the exit code, stdout and stderr."""
+    proc = subprocess.run([sys.executable, "-m", "lst.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=dict(fresh_env(), **env), timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestScriptExit:
+    """The script entry, ``lst.cli.run``, exits with ``os._exit``: what
+    ``main`` wrote reaches its reader and the exit code is ``main``'s."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["rcr", "--portfolio", FUND, "--policy", "waterfall"], EXIT_OK),
+        (["rst", "--portfolio", FUND, "--mode", "asset", "--rate-star", "0.10",
+          "--floor", "0.5,0.9", "--tau", "1..5"], EXIT_INFEASIBLE),
+        (["rcr", "--portfolio", FUND, "--shock", "lots"], EXIT_CONFIG),
+        (["optimize", "--portfolio", FUND, "--shock", "0.2", "--ls-max", "0.01"], EXIT_INFEASIBLE),
+    ], ids=["ok", "no-solution", "bad-flag-value", "infeasible-policy"])
+    def test_exit_code_and_output_are_mains(self, argv, code, capsysbinary):
+        assert main(argv) == code
+        captured = capsysbinary.readouterr()
+        assert run_script(argv) == (code, captured.out, captured.err)
+        if code == EXIT_CONFIG:
+            assert json.loads(captured.err)["error"] == "validation"
+
+    @pytest.mark.parametrize("command", ["", "rcr", "swing"])
+    def test_help_is_the_pinned_text(self, command):
+        with open(PINNED / "cli_help.json") as fh:
+            want = json.load(fh)[f"lst {command}".strip()]
+        assert run_script([*command.split(), "--help"], COLUMNS="80") == (
+            EXIT_OK, want.encode(), b"")
+
+    @pytest.mark.parametrize("argv", [[], ["rcr", "--bogus"], ["nope"], ["--bogus", "rcr"]])
+    def test_a_usage_error_exits_2(self, argv):
+        code, out, err = run_script(argv)
+        assert (code, out) == (EXIT_CONFIG, b"")
+        assert err.startswith(b"usage: lst") and b"Traceback" not in err
+
+    def test_a_long_table_reaches_the_pipe_whole(self):
+        code, out, err = run_script(["rcr", "--portfolio", FUND, "--shock", "0.01",
+                                     "--horizon", str(MAX_DAYS)])
+        lines = out.decode().splitlines()
+        assert (code, err, len(lines)) == (EXIT_OK, b"", MAX_DAYS + 1)
+        assert lines[-1].startswith(f"{MAX_DAYS},")
+
+    def test_out_dir_files_are_mains(self, tmp_path, capsys):
+        argv = ["buffer", "--mu-asset", "0", "--eta", "2", "--curve-points", "11", "--out-dir"]
+        assert main([*argv, str(tmp_path / "in")]) == EXIT_OK
+        assert run_script([*argv, str(tmp_path / "script")])[0] == EXIT_OK
+        written = [{f.name: f.read_bytes() for f in (tmp_path / side).iterdir()}
+                   for side in ("in", "script")]
+        assert sorted(written[0]) == ["break_even_curve.csv", "nbc_curve.csv"]
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("horizon", ["6", str(MAX_DAYS)])
+    def test_a_closed_reader_is_a_file_error(self, horizon, unbuffered):
+        # whether the failed write is main's or the final flush's, one JSON line
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            code, _, err = run_script(["rcr", "--portfolio", FUND, "--horizon", horizon],
+                                      stdout=write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert code == EXIT_CONFIG
+        assert err.count(b"\n") == 1 and b"Traceback" not in err
+        assert json.loads(err) == {"error": "file", "detail": "[Errno 32] Broken pipe"}
+
+    def test_the_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["lst"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is lst.cli.run
 
 
 SUBMODULES = ("core", "liquidation", "rcr", "hqla", "reverse", "optimizer", "specialfuncs",

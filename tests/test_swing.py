@@ -83,6 +83,11 @@ class TestSwingNav:
             event = FlowEvent(subscribed=subscribed, redeemed=redeemed,
                               asset_return=float(rng.uniform(-0.1, 0.1)),
                               tc=float(rng.uniform(0, 50)))
+            gross = (1.0 + event.asset_return) * state.nav
+            if event.tc > gross * -event.net_units > 0:  # the swung NAV would be negative
+                with pytest.raises(DomainError, match="exceeds the gross value"):
+                    swing_nav(state, event, FULL)
+                continue
             res = swing_nav(state, event, FULL)
             if not res.activated:
                 continue
@@ -126,6 +131,27 @@ class TestSwingNav:
             charged = (subscribed * (res.nav_ask - res.nav_gross)
                        - redeemed * (res.nav_bid - res.nav_gross))
             assert charged == pytest.approx(tc, abs=1e-9)
+
+    @pytest.mark.parametrize("config, event, part, nav", [
+        (FULL, FlowEvent(redeemed=2, tc=500), "500", "-150"),
+        (SwingConfig(mode=SwingMode.PARTIAL, threshold=0.1), FlowEvent(redeemed=2, tc=500),
+         "500", "-150"),
+        (SwingConfig(mode=SwingMode.DUAL), FlowEvent(redeemed=2, tc=500), "500", "-150"),
+        # gamma 2 gives the redeemers 2 * 2 / (3 + 2 * 2) of the cost
+        (SwingConfig(mode=SwingMode.DUAL, penalty=2.0), FlowEvent(subscribed=3, redeemed=2, tc=500),
+         "285.714", "-42.8571"),
+    ], ids=["full", "partial", "dual-redemption-only", "dual-net-subscription"])
+    def test_a_negative_redeeming_nav_is_rejected(self, config, event, part, nav):
+        # the redeemers' cost is more than their units are worth at the gross NAV
+        message = (f"^the redeemers' part {part} of the transaction cost 500 exceeds the "
+                   f"gross value 200 of the 2 redeemed units \\(NAV {nav}\\)$")
+        with pytest.raises(DomainError, match=message):
+            swing_nav(STATE, event, config)
+
+    @pytest.mark.parametrize("mode", [SwingMode.FULL, SwingMode.DUAL])
+    def test_a_redeeming_nav_of_zero_is_kept(self, mode):
+        res = swing_nav(STATE, FlowEvent(redeemed=2, tc=200), SwingConfig(mode=mode))
+        assert (res.nav_swing if mode == SwingMode.FULL else res.nav_bid) == 0.0
 
     def test_dynamic_threshold_values(self):
         config = SwingConfig(mode=SwingMode.DYNAMIC, product=2e-4)
