@@ -1,9 +1,13 @@
 """
-Input validation that needs no numpy: the package's error types, the finite
-and sign checks on scalar fields, the JSON reader and the CSV helpers that
-name the file and line of a bad row. The scalar tools (HQLA, swing pricing,
-gates) and the command line import this module without loading the array
-stack.
+Input validation that needs no numpy: the package's error types, the one
+rule for a bounded number, the JSON reader and the CSV helpers that name the
+file and line of a bad row. The scalar tools (HQLA, swing pricing, gates)
+and the command line import this module without loading the array stack.
+
+The rule: every bounded input, a number or an array, is checked by
+``check_number(name, value, bound)``, and only there. Each bound is an
+interval that holds no NaN and no infinity, and a DomainError names the
+input, the bound and the first value outside it.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import operator
 from typing import Optional
 
@@ -25,15 +28,43 @@ class ConfigError(ValueError):
     key or value that no flag takes."""
 
 
-BOUNDS = {"": lambda v: True, "non-negative": lambda v: v >= 0, "positive": lambda v: v > 0}
+def _interval(text: str):
+    """The test of the interval ``text``, such as "[0, 1]" or "(0, inf)": true
+    for a number inside it, elementwise for an array, and false for NaN."""
+    if text[:1] not in ("[", "(") or text[-1:] not in ("]", ")"):
+        raise KeyError(text)
+    lo, hi = (float(end) for end in text[1:-1].split(","))
+    above = operator.ge if text[0] == "[" else operator.gt
+    below = operator.le if text[-1] == "]" else operator.lt
+    return lambda v: above(v, lo) & below(v, hi)
+
+
+#: Bound name -> its ``_interval`` test. The word bounds name the intervals
+#: their messages read as; any other name, such as "[0, 1]", is an interval.
+BOUNDS = {"": _interval("(-inf, inf)"), "non-negative": _interval("[0, inf)"),
+          "positive": _interval("(0, inf)"), "above -1": _interval("(-1, inf)")}
 
 
 def check_number(name: str, value, bound: str = "") -> None:
-    """Reject, by name, a value that is NaN or infinite, or that breaks
-    ``bound`` ("non-negative" or "positive")."""
-    if not (math.isfinite(value) and BOUNDS[bound](value)):
-        kind = f"finite and {bound}" if bound else "finite"
-        raise DomainError(f"{name} must be {kind}, got {value!r}")
+    """Reject, by name, a number, or an array with an element, outside the
+    ``bound`` of ``BOUNDS``: finite by default. An array (duck-typed, so no
+    numpy is loaded) is tested at its least and greatest element, which NaN
+    propagates to; every bound is an interval, so the two lie in it exactly
+    when every element does. The message names the first offender."""
+    within = BOUNDS[bound] if bound in BOUNDS else BOUNDS.setdefault(bound, _interval(bound))
+    if isinstance(value, (int, float)):
+        if within(value):
+            return
+    elif not value.size or (within(value.min()) and within(value.max())):
+        return
+    else:
+        flat = value.reshape(-1)
+        value = flat[within(flat).argmin()]
+    value = value.item() if hasattr(value, "item") else value  # a numpy scalar's repr
+    if bound[:1] in ("[", "("):
+        raise DomainError(f"{name} must lie in {bound}, got {value!r}")
+    kind = f"finite and {bound}" if bound else "finite"
+    raise DomainError(f"{name} must be {kind}, got {value!r}")
 
 
 def check_finite(obj, names, bound: str = "") -> None:

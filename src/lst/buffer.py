@@ -19,9 +19,9 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ._checks import check_days
+from ._checks import check_days, check_number
 from .core import DomainError, check_finite, daily_volatility
-from .specialfuncs import _as_array, _as_given, _check_eta, integral_i_ab, integral_i_w
+from .specialfuncs import ETA_RANGE, _as_array, _as_given, integral_i_ab, integral_i_w
 
 _GRID_STEP = 1e-3  # coarse scan resolution of the buffer optimizer
 _ERROR_BLOCK = 1 << 15  # (w, u) points per block of the approximation-error scan
@@ -34,18 +34,6 @@ X_PLUS_MIN = 1e-4
 # =============================================================================
 # PARAMETERS
 # =============================================================================
-
-def _check_weight(w) -> None:
-    """Reject a cash weight (a float or an array) outside [0, 1], NaN included."""
-    if not np.all((w >= 0.0) & (w <= 1.0)):
-        raise DomainError("cash weight must lie in [0, 1]")
-
-
-def _check_sale(x) -> None:
-    """Reject a sale (a float or an array) that is NaN."""
-    if np.isnan(x).any():
-        raise DomainError("sale must not be NaN")
-
 
 @dataclass(frozen=True)
 class BufferMarketParams:
@@ -68,8 +56,7 @@ class BufferMarketParams:
     def __post_init__(self) -> None:
         check_finite(self, ("mu_asset", "mu_cash"))
         check_finite(self, ("sigma_asset", "sigma_cash", "te_aversion"), "non-negative")
-        if not -1.0 <= self.rho <= 1.0:
-            raise DomainError("correlation must lie in [-1, 1]")
+        check_number("correlation", self.rho, "[-1, 1]")
 
     @property
     def te_variance_unit(self) -> float:
@@ -111,11 +98,12 @@ class BufferCostParams:
 
     def __post_init__(self) -> None:
         check_finite(self, ("spread", "cash_cost", "beta_impact", "sigma"), "non-negative")
+        # no interval: any x_plus >= 1, infinity included, means no limit
         if not self.x_plus > 0:
             raise DomainError("trading limit must be positive")
         if self.x_plus < X_PLUS_MIN:
             raise DomainError(f"trading limit must be at least {X_PLUS_MIN:g}, got {self.x_plus!r}")
-        _check_eta(self.eta)
+        check_number("eta", self.eta, ETA_RANGE)
         if (self.cdf is None) != (self.pdf is None):
             raise DomainError("custom redemption law needs both cdf and pdf")
 
@@ -174,7 +162,7 @@ class BufferAnalytics:
 def buffer_analytics(market: BufferMarketParams, w: float) -> BufferAnalytics:
     """Mean/variance, tracking-error, beta, Sharpe and information ratios
     of the blended fund at cash weight w (exact bilinear formulas)."""
-    _check_weight(w)
+    check_number("cash weight", w, "[0, 1]")
     m = market
     premium = m.mu_asset - m.mu_cash
     exp_ret = m.mu_asset - w * premium
@@ -264,7 +252,7 @@ def tc_asset_sqrt(x, params: BufferCostParams):
     daily limit the sale splits into kappa full days at the limit plus a
     residual day, the spread part staying linear. x may be a float or an array.
     """
-    _check_sale(x)
+    check_number("sale", x)
     if np.any(x > 1.0 + 1e-12):
         raise DomainError("cannot liquidate more than the whole fund")
     return _sqrt_cost(params).cost(x)
@@ -272,13 +260,13 @@ def tc_asset_sqrt(x, params: BufferCostParams):
 
 def tc_asset_derivative(x, params: BufferCostParams):
     """Marginal cost d/dx of ``tc_asset_sqrt`` (right derivative at kinks)."""
-    _check_sale(x)
+    check_number("sale", x)
     return _sqrt_cost(params).slope(x)
 
 
 def tc_cash(x, params: BufferCostParams):
     """Cost of liquidating a fraction x (a float or an array) of net assets held as cash."""
-    _check_sale(x)
+    check_number("sale", x)
     return _as_given(np.maximum(_as_array(x), 0.0) * params.cash_cost, x)
 
 
@@ -323,7 +311,7 @@ def expected_lg_quadrature(params: BufferCostParams, w):
 
 def expected_lg_components_quadrature(params: BufferCostParams, w: float) -> Tuple[float, float]:
     """(cash-substitution gain, reduced-asset-sale gain) by adaptive quadrature."""
-    _check_weight(w)
+    check_number("cash weight", w, "[0, 1]")
     if w == 0.0:
         return 0.0, 0.0
     pdf = params.redemption_pdf
@@ -362,7 +350,7 @@ def expected_lg_components_closed(params: BufferCostParams, w) -> Tuple[float, f
         raise DomainError("closed form requires x_plus >= 1")
     if params.cdf is not None:
         raise DomainError("closed form requires the power-law redemption model")
-    _check_weight(w)
+    check_number("cash weight", w, "[0, 1]")
     x = _as_array(w)
     eta = params.eta
     s, c = params.spread, params.cash_cost
@@ -446,7 +434,7 @@ def expected_lg_exact(params: BufferCostParams, w):
     """
     if params.cdf is not None:
         return expected_lg_quadrature(params, w)
-    _check_weight(w)
+    check_number("cash weight", w, "[0, 1]")
     if params.unlimited:
         cash_part, asset_part = expected_lg_components_closed(params, w)
         return cash_part + asset_part
@@ -461,7 +449,7 @@ def expected_lg_approx(params: BufferCostParams, w):
     the power law (piecewise over trading-limit segments); quadrature for a
     custom redemption law, one weight at a time. w may be a float or an array.
     """
-    _check_weight(w)
+    check_number("cash weight", w, "[0, 1]")
     x = _as_array(w)
     kernel = _sqrt_cost(params)
     if params.cdf is None:
@@ -480,7 +468,7 @@ def expected_lg_derivative(params: BufferCostParams, w, method: str = "auto"):
     ``auto`` picks ``approx`` under a binding trading limit (where the
     shortcut is accurate) and ``fd`` otherwise.
     """
-    _check_weight(w)
+    check_number("cash weight", w, "[0, 1]")
     if method == "auto":
         method = "approx" if not params.unlimited else "fd"
     x = _as_array(w)
@@ -502,6 +490,7 @@ def simulate_lg(params: BufferCostParams, w: float, n: int = 1_000_000, seed: in
     Returns (mean, standard error). n must be an integer of at least 2.
     """
     check_days("n", n, least=2)
+    check_number("cash weight", w, "[0, 1]")
     if params.cdf is not None:
         raise DomainError("the Monte-Carlo validator supports the power law only")
     rng = np.random.default_rng(seed)
@@ -523,7 +512,7 @@ def net_buffer_cost(market: BufferMarketParams, params: BufferCostParams, w):
     NBC(w) = w * premium + (lambda / 2) * w^2 * te_variance - E[LG(w)], for
     a float or an array w.
     """
-    _check_weight(w)
+    check_number("cash weight", w, "[0, 1]")
     premium = market.mu_asset - market.mu_cash
     penalty = 0.5 * market.te_aversion * w * w * market.te_variance_unit
     return w * premium + penalty - expected_lg_exact(params, w)
@@ -672,7 +661,7 @@ def approximation_error(params: BufferCostParams, w: float, n_grid: int = 2001) 
     impact leg is periodic in R - w with period x_plus, so the scan covers one
     period of the offset.
     """
-    _check_weight(w)
+    check_number("cash weight", w, "[0, 1]")
     return _worst_additive_error(params, np.array([float(w)]), n_grid)
 
 

@@ -29,7 +29,8 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence
 
-from ._checks import ConfigError, DomainError, check_widths, load_json, parse_cell, read_rows
+from ._checks import (ConfigError, DomainError, check_number, check_widths, load_json, parse_cell,
+                      read_rows)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -214,9 +215,10 @@ def _load_alpha(path, ids) -> np.ndarray:
     values = []
     for line, row in zip(lines[start:], rows):
         value = parse_cell(path, "alpha", line, "value", row[-1])
-        if not 0 <= value <= 1:
-            raise DomainError(f"alpha file {path}, line {line}: "
-                              f"alpha proportions must lie in [0, 1], got {value!r}")
+        try:
+            check_number("alpha proportions", value, "[0, 1]")
+        except DomainError as exc:
+            raise DomainError(f"alpha file {path}, line {line}: {exc}") from None
         values.append(value)
     if all(len(row) == 1 for row in rows):
         return np.array(values, dtype=float)

@@ -32,6 +32,7 @@ from ._checks import (
     BOUNDS,
     DomainError,
     check_finite,
+    check_number,
     check_widths,
     csv_error,
     csv_rows,
@@ -63,8 +64,7 @@ def _check_holdings(ids, columns) -> None:
     for a single holding. It works on both, so this is the one rule for a
     valid holding, whether it comes from a ``Security`` or from columns.
     """
-    ok = np.array([BOUNDS[bound](columns[name]) & (columns[name] < math.inf)
-                   for name, bound in _HOLDING_BOUNDS.items()])
+    ok = np.array([BOUNDS[bound](columns[name]) for name, bound in _HOLDING_BOUNDS.items()])
     if np.count_nonzero(ok) == ok.size:
         return
     ok = ok.reshape(len(_HOLDING_BOUNDS), -1)
@@ -217,7 +217,7 @@ def _checked_correlation(correlation, n: int) -> np.ndarray:
         raise DomainError("correlation matrix is not symmetric")
     if not np.allclose(np.diag(rho), 1.0, atol=1e-10):
         raise DomainError("correlation matrix diagonal must be 1")
-    if np.any(np.abs(rho) > 1 + 1e-12):
+    if np.any(np.abs(rho) > 1 + 1e-12):  # a tolerance for a computed matrix's rounding
         raise DomainError("correlation entries must lie in [-1, 1]")
     if np.linalg.eigvalsh(rho).min() < -1e-8:
         raise DomainError("correlation matrix is not positive semi-definite")
@@ -233,10 +233,8 @@ class RedemptionShock:
     amount: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise DomainError("redemption rate must lie in [0, 1]")
-        if not (self.amount >= 0 and math.isfinite(self.amount)):
-            raise DomainError("redemption amount must be non-negative and finite")
+        check_number("redemption rate", self.rate, "[0, 1]")
+        check_number("redemption amount", self.amount, "non-negative")
 
     @classmethod
     def from_rate(cls, portfolio: Portfolio, rate: float) -> "RedemptionShock":
@@ -250,11 +248,10 @@ class RedemptionPortfolio:
     quantities: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.quantities, dtype=float).copy()
+        q = np.array(self.quantities, dtype=float)
         if q.ndim != 1:
             raise DomainError("redemption quantities must be a 1-d vector")
-        if not np.all(q >= 0):
-            raise DomainError("redemption quantities must be non-negative")
+        check_number("redemption quantities", q, "non-negative")
         q.flags.writeable = False
         object.__setattr__(self, "quantities", q)
 

@@ -81,13 +81,9 @@ class HqlaBucket:
 
     def __post_init__(self) -> None:
         if self.ccf_static is not None:
-            check_finite(self, ("ccf_static",))
-            if not 0.0 <= self.ccf_static <= 1.0:
-                raise DomainError("static CCF must lie in [0, 1]")
+            check_finite(self, ("ccf_static",), "[0, 1]")
         check_finite(self, ("selling_intensity", "loss_intensity"), "non-negative")
-        check_finite(self, ("max_drawdown",))
-        if not 0.0 <= self.max_drawdown <= 1.0:
-            raise DomainError("max drawdown must lie in [0, 1]")
+        check_finite(self, ("max_drawdown",), "[0, 1]")
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,7 @@ class SpecificRiskParams:
     def __post_init__(self) -> None:
         check_finite(self, ("tna_threshold", "herfindahl_threshold"), "positive")
         check_finite(self, ("size_coefficient", "concentration_coefficient"), "non-negative")
-        check_finite(self, ("cap",))
-        if not 0.0 <= self.cap <= 1.0:
-            raise DomainError("specific-risk cap must lie in [0, 1]")
+        check_finite(self, ("cap",), "[0, 1]")
 
     def factor(self, fund_tna: float, fund_herfindahl: float) -> float:
         """Additive size + concentration penalty, capped."""
@@ -167,8 +161,7 @@ def rcr_hqla(bucket_weights: Sequence[Tuple[float, float]], rate: float) -> Tupl
     check_number("rate", rate, "positive")
     for k, (weight, ccf) in enumerate(bucket_weights, start=1):
         check_number(f"weight {k}", weight, "non-negative")
-        if not 0.0 <= ccf <= 1.0:  # NaN too
-            raise DomainError(f"CCF {k} must lie in [0, 1], got {ccf!r}")
+        check_number(f"CCF {k}", ccf, "[0, 1]")
     total_weight = sum(w for w, _ in bucket_weights)
     if abs(total_weight - 1.0) > 1e-9:
         raise DomainError(f"bucket weights sum to {total_weight}, expected 1")

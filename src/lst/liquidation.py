@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._checks import check_days
+from ._checks import check_days, check_number
 from .core import DomainError, Portfolio, RedemptionPortfolio, tna, weights
 
 #: Default scheduling horizon: one trading year.
@@ -204,9 +204,13 @@ class LiquidationSchedule:
         return _raised(max(min(h, self.horizon), 0), self.cap, self.sellable, self.portfolio.prices)
 
     def amounts(self, days: int) -> np.ndarray:
-        """Cash raised after each of days 1..days; flat once the schedule ends."""
-        h = np.minimum(np.arange(1, days + 1), self.horizon)
-        return _evaluate(self._value_curve, h)
+        """Cash raised after each of days 1..days: off the value curve before
+        the horizon, then flat at ``amount(horizon)``, the sum a sold-out
+        target's value is. The curve's prefix sums round differently, so an
+        earlier day is capped at that sum and the table never falls."""
+        last = self.amount(self.horizon)
+        head = _evaluate(self._value_curve, np.arange(1, min(days + 1, self.horizon)))
+        return np.concatenate((np.minimum(head, last), np.full(max(days - len(head), 0), last)))
 
     @cached_property
     def _value_curve(self) -> tuple:
@@ -250,8 +254,7 @@ def validated_limits(
     cap = np.array(limits, dtype=float)
     if cap.shape != q.shape:
         raise DomainError("limits must give one daily limit per security")
-    if not np.all(np.isfinite(cap) & (cap >= 0)):
-        raise DomainError("daily limits must be non-negative and finite")
+    check_number("daily limits", cap, "non-negative")
     return cap
 
 
@@ -331,8 +334,7 @@ def _first_day(series: np.ndarray, level: float):
 
 def liquidation_time(schedule: LiquidationSchedule, p: float):
     """Smallest h with liquidation ratio >= p, or UNREACHABLE within max_days."""
-    if not 0.0 < p <= 1.0:
-        raise DomainError("threshold p must lie in (0, 1]")
+    check_number("threshold p", p, "(0, 1]")
     total = schedule.target.value(schedule.portfolio)
     if total <= 0:
         raise DomainError("liquidation time undefined for a zero-value redemption")
@@ -376,8 +378,7 @@ def illiquid_assets(portfolio: Portfolio, w_star: float,
     profile is evaluated in closed form, so the horizon costs O(max_days)
     memory, not O(max_days * n). ``max_days`` is checked by the profile.
     """
-    if not 0.0 < w_star < 1.0:
-        raise DomainError("w_star must lie in (0, 1)")
+    check_number("w_star", w_star, "(0, 1)")
     profile, _ = daily_liquidation_profile(portfolio, max_days=max_days)
     below = np.flatnonzero(profile <= w_star + 1e-15)
     # beyond the computed profile the daily liquidation is 0 (or the residual

@@ -59,7 +59,7 @@ class CostModel:
     def __post_init__(self) -> None:
         check_finite(self, ("beta_impact",), "non-negative")
         check_finite(self, ("knee", "participation_cap"))
-        if not 0.0 < self.knee <= self.participation_cap <= 1.0:
+        if not 0.0 < self.knee <= self.participation_cap <= 1.0:  # a chain of three fields
             raise DomainError("need 0 < knee <= participation_cap <= 1")
         if self.regime not in ("sqrt", "sqrt_linear"):
             raise DomainError(f"unknown cost regime {self.regime!r}")
@@ -348,7 +348,7 @@ def optimize_policy(
     """
     check_days("horizon", horizon)
     for name, cap in (("tr_max", tr_max), ("ls_max", ls_max)):
-        if not cap >= 0:  # NaN too
+        if not cap >= 0:  # NaN too; inf is no interval's end: it means no cap
             raise DomainError(f"{name} must be non-negative, got {cap!r}")
     if shock.amount <= 0:
         raise DomainError("redemption shock must be positive")

@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ._checks import check_days
+from ._checks import check_days, check_number
 from .core import DomainError, Portfolio, RedemptionPortfolio, RedemptionShock, tna
 from .liquidation import (
     LiquidationSchedule,
@@ -43,6 +43,7 @@ class RcrReport:
         return len(self.lr)
 
     def row(self, h: int) -> dict:
+        # a day index, not a bounded number: its message names the horizon
         if not 1 <= h <= self.horizon:
             raise DomainError(f"day {h} outside report horizon 1..{self.horizon}")
         i = h - 1
@@ -77,8 +78,7 @@ def rcr_report(
 
 def pro_rata_portfolio(portfolio: Portfolio, rate: float) -> RedemptionPortfolio:
     """Vertical slicing: q = rate * holdings, preserving the asset structure."""
-    if not 0.0 <= rate <= 1.0:
-        raise DomainError("redemption rate must lie in [0, 1]")
+    check_number("redemption rate", rate, "[0, 1]")
     return RedemptionPortfolio(quantities=rate * portfolio.shares)
 
 
@@ -129,6 +129,5 @@ def time_to_liquidity(report: RcrReport, p: float):
     Once the schedule is exhausted the coverage ratio is flat, so a threshold
     above the terminal RCR is unreachable at any horizon.
     """
-    if not p > 0:
-        raise DomainError("threshold p must be positive")
+    check_number("threshold p", p, "positive")
     return _first_day(report.rcr, p)

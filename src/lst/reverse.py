@@ -5,14 +5,13 @@ multiplier below which, the redemption coverage ratio breaches its floor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 import numpy as np
 
-from ._checks import check_days
+from ._checks import check_days, check_number
 from .core import DomainError, Portfolio, RedemptionPortfolio, tna, weights
 from .liquidation import _raised, _waterfall, validated_limits
 
@@ -64,14 +63,11 @@ def stressed_rcr(
     Greedy selling raises sum_i P_i * min(tau_h * m * cap_i, q_i) by day
     tau_h; this is evaluated directly, with no schedule built.
     """
+    check_number("shock_amount", shock_amount, "positive")
+    check_number("volume_multiplier", volume_multiplier, "non-negative")
     limits = validated_limits(portfolio, redemption, tau_h,
                               volume_multiplier * portfolio.daily_limits)
     return _raised(tau_h, limits, redemption.quantities, portfolio.prices) / shock_amount
-
-
-def _check_floor(rcr_floor: float) -> None:
-    if not (rcr_floor > 0 and math.isfinite(rcr_floor)):
-        raise DomainError("RCR floor must be positive and finite")
 
 
 def _check_alpha(portfolio: Portfolio, alpha) -> np.ndarray:
@@ -79,8 +75,7 @@ def _check_alpha(portfolio: Portfolio, alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (portfolio.n,):
         raise DomainError("alpha must give one proportion per security")
-    if not np.all((alpha >= 0) & (alpha <= 1)):
-        raise DomainError("alpha proportions must lie in [0, 1]")
+    check_number("alpha proportions", alpha, "[0, 1]")
     return alpha
 
 
@@ -99,7 +94,7 @@ def liability_rst(
     floor is below the stressed saleable weight of the fund). A(tau_h) is
     the one sum ``_raised``, with no schedule built.
     """
-    _check_floor(rcr_floor)
+    check_number("RCR floor", rcr_floor, "positive")
     check_days("tau_h", tau_h)
     alpha = _check_alpha(portfolio, alpha)
     amount = _raised(tau_h, portfolio.daily_limits, alpha * portfolio.shares,
@@ -116,7 +111,7 @@ def liability_rst_feasible(portfolio: Portfolio, alpha: np.ndarray, rcr_floor: f
     Holds exactly when the floor is at least the stressed saleable weight
     sum(alpha_i * w_i).
     """
-    _check_floor(rcr_floor)
+    check_number("RCR floor", rcr_floor, "positive")
     alpha = _check_alpha(portfolio, alpha)
     return rcr_floor >= float(alpha @ weights(portfolio)) - 1e-12
 
@@ -180,12 +175,10 @@ def asset_rst(
         unstressed coverage is already at/below the floor, or when the floor
         cannot be reached by shrinking volumes.
     """
-    if not 0.0 < standard_rate <= 1.0:
-        raise DomainError("standard redemption rate must lie in (0, 1]")
-    _check_floor(rcr_floor)
+    check_number("standard redemption rate", standard_rate, "(0, 1]")
+    check_number("RCR floor", rcr_floor, "positive")
     check_days("tau_h", tau_h)
-    if not 0.0 < tol < 1.0:
-        raise DomainError(f"bisection tol must lie in (0, 1), got {tol!r}")
+    check_number("bisection tol", tol, "(0, 1)")
     shock_amount = standard_rate * tna(portfolio)
     shares, cap, prices = portfolio.shares, portfolio.daily_limits, portfolio.prices
     t, full, rest, _ = _waterfall(portfolio)

@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import DomainError
+from ._checks import DomainError, check_number
 
 # Below this ratio a / b, I(a, b) equals I(0, b) to double precision (the
 # relative gap is at most 4.5 a / b), while a^(eta-1) and z = (a - b)/a can
@@ -42,12 +42,7 @@ _QUARTER_ULP = np.finfo(float).eps / 4.0
 # mpmath to 1e-13. From eta = 16, y^eta overflows in the tail series at the
 # largest y = (b - a)/a that ``integral_i_ab`` passes, about 2^60.
 ETA_MAX = 12.0
-
-
-def _check_eta(eta: float) -> None:
-    """Reject, by name, an exponent outside (0, ETA_MAX], NaN included."""
-    if not 0.0 < eta <= ETA_MAX:
-        raise DomainError(f"eta must lie in (0, {ETA_MAX:g}], got {eta!r}")
+ETA_RANGE = f"(0, {ETA_MAX:g}]"  # eta's bound for ``check_number``
 
 
 def _sum_series(total, block):
@@ -153,14 +148,15 @@ def _split_euler(eta: float, z, log_space: bool = False):
 
 def hyp2f1_family(eta: float, z):
     """2F1(1 - eta, 5/2; 7/2; z) for 0 < eta <= ETA_MAX and z <= 0 (a float or an array)."""
-    _check_eta(eta)
-    if np.any(z > 1e-12):
+    check_number("eta", eta, ETA_RANGE)
+    check_number("argument z", z)
+    if np.any(z > 1e-12):  # relational: a z just above 0 is taken as 0
         raise DomainError("argument z must be non-positive for this family")
     z = np.minimum(z, 0.0)
     flat = np.reshape(z, -1)
     far, huge = flat < -2.0, flat < -_HUGE
     value = np.empty(flat.shape)
-    for part, series in ((~far, _pfaff), (far & ~huge, _split_euler),  # NaN: Pfaff keeps it
+    for part, series in ((~far, _pfaff), (far & ~huge, _split_euler),
                          (huge, partial(_split_euler, log_space=True))):
         if part.any():
             value[part] = series(eta, flat[part])
@@ -180,9 +176,8 @@ def _as_given(value, x):
 def integral_i_w(w, eta: float):
     """integral_w^1 (x - w)^(3/2) x^(eta-1) dx = I(w, 1; eta) for w in [0, 1],
     0 < eta <= ETA_MAX; 0 at w = 1."""
-    _check_eta(eta)
-    if not np.all((w >= 0.0) & (w <= 1.0)):
-        raise DomainError("w must lie in [0, 1]")
+    check_number("eta", eta, ETA_RANGE)
+    check_number("w", w, "[0, 1]")
     x = _as_array(w)
     value = np.zeros(x.shape)
     inside = x < 1.0
@@ -198,8 +193,9 @@ def integral_i_ab(a, b, eta: float):
     b^(eta + 3/2) / (eta + 3/2) at a = 0 (and wherever a / b is below 2^-60);
     a and b may be floats or arrays.
     """
-    _check_eta(eta)
-    if not np.all((a >= 0.0) & (a < b)):
+    check_number("eta", eta, ETA_RANGE)
+    check_number("b", b)
+    if not np.all((a >= 0.0) & (a < b)):  # a relational test between the two bounds
         raise DomainError("bounds must satisfy 0 <= a < b")
     lower, upper = _as_array(a), _as_array(b)
     inner = lower > upper * _NEGLIGIBLE_LOWER

@@ -5,7 +5,6 @@ anti-dilution levies and the redemption-gate queue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
@@ -44,8 +43,7 @@ class FlowEvent:
 
     def __post_init__(self) -> None:
         check_finite(self, ("subscribed", "redeemed", "tc"), "non-negative")
-        if not -1.0 < self.asset_return < math.inf:  # a return of -1 leaves a gross NAV of 0
-            raise DomainError(f"asset_return must be finite and above -1, got {self.asset_return!r}")
+        check_number("asset_return", self.asset_return, "above -1")  # -1 leaves a gross NAV of 0
 
     @property
     def net_units(self) -> float:
@@ -225,8 +223,8 @@ def adl_fees(subscribed: float, redeemed: float, tc: float, rule: AdlRule) -> Ad
     TC / N+ (or TC / N-) to the majority side; pro-rata charges
     TC / (N+ + N-) to both sides.
     """
-    if not all(v >= 0 and math.isfinite(v) for v in (subscribed, redeemed, tc)):
-        raise DomainError("flows and costs must be finite and non-negative")
+    for name, value in (("subscribed", subscribed), ("redeemed", redeemed), ("tc", tc)):
+        check_number(name, value, "non-negative")
     if subscribed + redeemed == 0:
         raise DomainError("no flows to levy")
     rule = AdlRule(rule)
@@ -256,6 +254,7 @@ def adl_fees(subscribed: float, redeemed: float, tc: float, rule: AdlRule) -> Ad
 #: spans, about rate/cap fills, so the bound keeps a request for all net
 #: assets to about 10,000 fills.
 GATE_CAP_MIN = 1e-4
+GATE_CAP_RANGE = f"[{GATE_CAP_MIN:g}, 1]"  # the cap's bound for ``check_number``
 
 
 @dataclass(frozen=True)
@@ -265,8 +264,7 @@ class GatePolicy:
     daily_cap: float
 
     def __post_init__(self) -> None:
-        if not GATE_CAP_MIN <= self.daily_cap <= 1.0:
-            raise DomainError(f"gate cap must lie in [{GATE_CAP_MIN:g}, 1], got {self.daily_cap!r}")
+        check_number("gate cap", self.daily_cap, GATE_CAP_RANGE)
 
 
 @dataclass(frozen=True)
@@ -282,8 +280,7 @@ class GateRequest:
         # any integer day, 0 and negative ones included
         if as_integer(self.day) is None:
             raise DomainError(f"request day must be an integer, got {self.day!r}")
-        if not 0 <= self.rate <= 1:
-            raise DomainError(f"redemption rate must lie in [0, 1], got {self.rate!r}")
+        check_number("redemption rate", self.rate, "[0, 1]")
 
 
 @dataclass(frozen=True)

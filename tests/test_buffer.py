@@ -644,7 +644,7 @@ CUSTOM_LAW = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sig
 
 class TestRejectedInputs:
     @pytest.mark.parametrize("call, message", [
-        (lambda: BufferMarketParams(mu_asset=0.01, rho=2.0), r"^correlation must lie in \[-1, 1\]$"),
+        (lambda: BufferMarketParams(mu_asset=0.01, rho=2.0), r"^correlation must lie in \[-1, 1\], got 2\.0$"),
         (lambda: BufferCostParams(spread=20e-4, x_plus=0.0), "^trading limit must be positive$"),
         (lambda: BufferCostParams(spread=20e-4, cdf=lambda x: x),
          "^custom redemption law needs both cdf and pdf$"),
@@ -660,15 +660,15 @@ class TestRejectedInputs:
          "^the Monte-Carlo validator supports the power law only$"),
         # a NaN weight read as a chord over [0, 1], and w = 2 as a negative slope
         (lambda: expected_lg_derivative(BufferCostParams(spread=0.002), math.nan),
-         r"^cash weight must lie in \[0, 1\]$"),
+         r"^cash weight must lie in \[0, 1\], got nan$"),
         (lambda: expected_lg_derivative(BufferCostParams(spread=0.002, x_plus=0.1), 2.0),
-         r"^cash weight must lie in \[0, 1\]$"),
+         r"^cash weight must lie in \[0, 1\], got 2\.0$"),
         (lambda: expected_lg_derivative(BufferCostParams(spread=0.002, x_plus=0.1), math.nan),
-         r"^cash weight must lie in \[0, 1\]$"),
-        (lambda: tc_asset_sqrt(math.nan, BASE), "^sale must not be NaN$"),
-        (lambda: tc_asset_sqrt(np.array([0.1, math.nan]), LIMITED), "^sale must not be NaN$"),
-        (lambda: tc_asset_derivative(math.nan, LIMITED), "^sale must not be NaN$"),
-        (lambda: tc_cash(math.nan, BASE), "^sale must not be NaN$"),
+         r"^cash weight must lie in \[0, 1\], got nan$"),
+        (lambda: tc_asset_sqrt(math.nan, BASE), "^sale must be finite, got nan$"),
+        (lambda: tc_asset_sqrt(np.array([0.1, math.nan]), LIMITED), "^sale must be finite, got nan$"),
+        (lambda: tc_asset_derivative(math.nan, LIMITED), "^sale must be finite, got nan$"),
+        (lambda: tc_cash(math.nan, BASE), "^sale must be finite, got nan$"),
         (lambda: simulate_lg(BASE, 0.5, n=1), "^n must be an integer of at least 2, got 1$"),
         (lambda: simulate_lg(BASE, 0.5, n=0), "^n must be an integer of at least 2, got 0$"),
         (lambda: approximation_error(LIMITED, 0.5, n_grid=0),
@@ -690,3 +690,27 @@ class TestRejectedInputs:
     def test_domain_error(self, call, message):
         with pytest.raises(DomainError, match=message):
             call()
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: simulate_lg(BASE, math.nan, n=10), r"^cash weight must lie in \[0, 1\], got nan$"),
+        (lambda: simulate_lg(BASE, math.inf, n=10), r"^cash weight must lie in \[0, 1\], got inf$"),
+        (lambda: tc_cash(math.inf, BASE), "^sale must be finite, got inf$"),
+        (lambda: tc_cash(-math.inf, BASE), "^sale must be finite, got -inf$"),
+        (lambda: tc_asset_sqrt(-math.inf, BASE), "^sale must be finite, got -inf$"),
+        (lambda: tc_asset_derivative(math.inf, LIMITED), "^sale must be finite, got inf$"),
+        (lambda: tc_asset_derivative(-math.inf, LIMITED), "^sale must be finite, got -inf$"),
+        (lambda: tc_cash(np.array([0.1, -math.inf]), BASE), "^sale must be finite, got -inf$"),
+        (lambda: BufferMarketParams(mu_asset=0.01, rho=math.nan),
+         r"^correlation must lie in \[-1, 1\], got nan$"),
+    ], ids=["simulate-nan", "simulate-inf", "cash-inf", "cash-minus-inf", "sqrt-minus-inf",
+            "slope-inf", "slope-minus-inf", "cash-array", "rho-nan"])
+    def test_rejected_by_name(self, call, message):
+        # each returned a number: nan, 0.0 or a Monte-Carlo mean
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    def test_a_negative_finite_sale_still_sells_nothing(self):
+        assert tc_cash(-0.5, BASE) == 0.0
+        assert tc_asset_sqrt(-0.5, BASE) == 0.0

@@ -910,7 +910,16 @@ class TestRejectedInputs:
          "^correlation matrix diagonal must be 1$"),
         (lambda f: Portfolio(securities=f.securities[:2], correlation=[[1.0, 1.5], [1.5, 1.0]]),
          r"^correlation entries must lie in \[-1, 1\]$"),
-    ], ids=["quantities-2d", "value-size-mismatch", "correlation-diagonal", "correlation-above-one"])
+        (lambda f: RedemptionPortfolio(quantities=[1.0, np.inf]),
+         "^redemption quantities must be finite and non-negative, got inf$"),
+        (lambda f: RedemptionPortfolio(quantities=[np.nan, -1.0]),
+         "^redemption quantities must be finite and non-negative, got nan$"),
+        (lambda f: RedemptionShock(rate=1.5, amount=1.0),
+         r"^redemption rate must lie in \[0, 1\], got 1\.5$"),
+        (lambda f: RedemptionShock(rate=0.5, amount=np.inf),
+         "^redemption amount must be finite and non-negative, got inf$"),
+    ], ids=["quantities-2d", "value-size-mismatch", "correlation-diagonal", "correlation-above-one",
+            "quantities-inf", "quantities-nan", "shock-rate-above-one", "shock-amount-inf"])
     def test_domain_error(self, fund, call, message):
         with pytest.raises(DomainError, match=message):
             call(fund)

@@ -245,9 +245,14 @@ class TestScheduleCurve:
         schedule = build_schedule(portfolio, q, max_days=max_days)
         prices = portfolio.prices
         for d in days + days:  # every length twice: the second read is off the kept curve
-            h = np.minimum(np.arange(1, d + 1), schedule.horizon)
-            assert bits(schedule.amounts(d)) == bits(
-                cumulative_value(schedule.sellable, schedule.cap, prices, h))
+            # days before the horizon off a fresh sort, capped at the one sum at the
+            # horizon, which the rest read
+            head = np.arange(1, min(d + 1, schedule.horizon))
+            last = schedule.amount(schedule.horizon)
+            amounts = schedule.amounts(d)
+            assert bits(amounts[:head.size]) == bits(
+                np.minimum(cumulative_value(schedule.sellable, schedule.cap, prices, head), last))
+            assert bits(amounts[head.size:]) == bits(np.full(d - head.size, last))
         if schedule.target.value(portfolio) > 0:
             for p in thresholds:
                 assert liquidation_time(schedule, p) == reference_liquidation_time(schedule, p)
@@ -274,6 +279,39 @@ class TestScheduleCurve:
         assert schedule.stuck == ("S0", "S1")
         assert bits(schedule.amounts(5)) == bits(np.zeros(5))
         assert liquidation_time(schedule, 0.5) is UNREACHABLE
+
+    @settings(max_examples=200, deadline=None)
+    @given(funds(), st.integers(0, 5))
+    def test_a_sold_out_waterfall_reads_full_coverage_exactly(self, columns, extra):
+        # every held name sells out by about day 50: from the horizon on, the table
+        # reads the sum the net assets are, so LR and RCR are 1.0 and LS is 0.0
+        columns["daily_limit"] = [max(c, s / 50) for s, c in zip(columns["shares"],
+                                                                   columns["daily_limit"])]
+        portfolio = from_columns(columns)
+        shock = RedemptionShock.from_rate(portfolio, 1.0)
+        schedule = build_schedule(portfolio, waterfall_portfolio(portfolio))
+        assert schedule.exhausted
+        report = rcr_report(portfolio, shock, waterfall_portfolio(portfolio),
+                            horizon=schedule.horizon + extra)
+        tail = slice(schedule.horizon - 1, None)
+        assert np.all(report.lr[tail] == 1.0) and np.all(report.rcr[tail] == 1.0)
+        assert np.all(report.ls[tail] == 0.0)
+        assert np.all(np.diff(report.amount) >= 0.0)
+
+    @pytest.mark.parametrize("rows", [
+        [(480.01, 0.55, 447.04), (958.56, 21.3, 378.26), (317.96, 31.76, 314.77),
+         (402.68, 46.78, 108.28)],
+        [(353.92, 43.43, 61.87), (592.0, 6.87, 536.56), (236.07, 23.62, 114.96),
+         (802.4, 14.22, 186.9)],
+    ], ids=["ended-one-ulp-below", "ended-one-ulp-above"])
+    def test_the_table_ends_where_the_sold_out_day_reads(self, rows):
+        # the curve's prefix sums ended these tables at 1 -/+ 2^-53 (LS 1.1e-16)
+        portfolio = Portfolio([Security(f"S{i}", s, p, daily_limit=c, daily_volume=c)
+                               for i, (s, p, c) in enumerate(rows)])
+        report = rcr_report(portfolio, RedemptionShock.from_rate(portfolio, 1.0),
+                            waterfall_portfolio(portfolio), horizon=12)
+        assert report.row(12) == {"h": 12, "lr": 1.0, "amount": tna(portfolio), "rcr": 1.0,
+                                  "ls": 0.0}
 
 
 class TestAmountWithoutSchedule:
@@ -645,9 +683,10 @@ class TestWaterfallScheduleSharesTheCurve:
         for bad in (-1.0, float("nan"), float("inf")):
             limits = fund.daily_limits.copy()
             limits[3] = bad
-            with pytest.raises(DomainError, match="daily limits must be non-negative and finite"):
+            message = rf"^daily limits must be finite and non-negative, got {bad!r}$"
+            with pytest.raises(DomainError, match=message):
                 build_schedule(fund, q, limits=limits)
-            with pytest.raises(DomainError, match="daily limits must be non-negative and finite"):
+            with pytest.raises(DomainError, match=message):
                 liquidation.validated_limits(fund, q, 5, limits)
 
     def test_a_tie_of_signed_zeros_keeps_each_keys_bits(self):

@@ -201,10 +201,10 @@ class TestNonFiniteInputs:
 
 class TestRejectedInputs:
     @pytest.mark.parametrize("call, message", [
-        (lambda: HqlaBucket("x", ccf_static=1.5), r"^static CCF must lie in \[0, 1\]$"),
-        (lambda: HqlaBucket("x", ccf_static=-0.1), r"^static CCF must lie in \[0, 1\]$"),
+        (lambda: HqlaBucket("x", ccf_static=1.5), r"^ccf_static must lie in \[0, 1\], got 1\.5$"),
+        (lambda: HqlaBucket("x", ccf_static=-0.1), r"^ccf_static must lie in \[0, 1\], got -0\.1$"),
         (lambda: dataclasses.replace(SPECIFIC_RISK, cap=1.5),
-         r"^specific-risk cap must lie in \[0, 1\]$"),
+         r"^cap must lie in \[0, 1\], got 1\.5$"),
         # a negative penalty once lifted a parametric CCF above 1
         (lambda: dataclasses.replace(SPECIFIC_RISK, size_coefficient=-0.5),
          r"^size_coefficient must be finite and non-negative, got -0\.5$"),

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lst import (
@@ -353,22 +355,39 @@ class TestClosedFormMatchesDayLoop:
 
 
 def exact_asset_root(fund, rate, floor, tau):
-    """Smallest m with sum_i P_i min(tau m cap_i, q_i) = floor * R, from the sorted breakpoints."""
-    q, cap, price = rate * fund.shares, fund.daily_limits, fund.prices
-    target = floor * rate * tna(fund)
-    live = (cap > 0) & (q > 0)
-    b = q[live] / (tau * cap[live])
-    order = np.argsort(b)
-    b, full, slope = b[order], (price * q)[live][order], (tau * price * cap)[live][order]
-    done = np.concatenate(([0.0], np.cumsum(full)))
-    rest = slope.sum() - np.concatenate(([0.0], np.cumsum(slope)))
-    k = int(np.searchsorted(done[1:] + b * rest[1:], target))
-    return (target - done[k]) / rest[k]
+    """Smallest m with sum_i P_i min(tau m cap_i, q_i) = floor * R, in exact
+    rational arithmetic on the float inputs q = rate * shares and
+    R = rate * TNA: the sum is linear between the sorted breakpoints
+    q_i / (tau cap_i), so the root interpolates the first one that reaches
+    the target (a float cumsum can end below a floor one ulp under 1)."""
+    prices, caps, q = ([Fraction(x) for x in a.tolist()]
+                       for a in (fund.prices, fund.daily_limits, rate * fund.shares))
+    target = Fraction(floor) * Fraction(rate * tna(fund))
+
+    def raised(m):
+        return sum(p * min(tau * m * c, s) for p, c, s in zip(prices, caps, q))
+
+    lo = Fraction(0)
+    for b in sorted(s / (tau * c) for c, s in zip(caps, q) if c > 0 and s > 0):
+        if raised(b) >= target:
+            return float(lo + (target - raised(lo)) * (b - lo) / (raised(b) - raised(lo)))
+        lo = b
+    raise AssertionError("the floor is above the coverage of a full sale")
+
+
+#: A floor one ulp below full coverage, where the float oracle's cumsum ended
+#: below the target and divided by zero; its root sits just before the last
+#: name finishes.
+ONE_ULP_BELOW_FULL = (
+    Portfolio(securities=(Security("S0", 260.0, 188.5091346802251, daily_limit=1000.0),
+                          Security("S1", 2668.0, 647.02060557091, daily_limit=1000.0))),
+    np.array([0.0, 2668.0]), 1)
 
 
 class TestAssetRstRoot:
     @PROPERTY
     @given(integral_cases(), st.floats(0.01, 1.0), st.floats(0.0, 1.0), st.integers(1, 5))
+    @example(ONE_ULP_BELOW_FULL, 0.6592197436396339, 1.0, 2)
     def test_within_tol_of_exact_root(self, case, rate, where, tau):
         # a floor strictly between the coverages at m = tol and m = 1 has a root
         fund = case[0]
@@ -394,7 +413,14 @@ class TestRejectedInputs:
         (lambda f: validated_limits(f, RedemptionPortfolio(quantities=np.zeros(f.n)), 5,
                                     limits=np.ones(f.n + 1)),
          "^limits must give one daily limit per security$"),
-    ], ids=["zero-value-liquidation-time", "redemption-length", "limits-length"])
+        (lambda f: liquidation_time(build_schedule(f, pro_rata_20(f)), np.inf),
+         r"^threshold p must lie in \(0, 1\], got inf$"),
+        (lambda f: liquidation_time(build_schedule(f, pro_rata_20(f)), 0.0),
+         r"^threshold p must lie in \(0, 1\], got 0\.0$"),
+        (lambda f: illiquid_assets(f, 1.0), r"^w_star must lie in \(0, 1\), got 1\.0$"),
+        (lambda f: illiquid_assets(f, np.nan), r"^w_star must lie in \(0, 1\), got nan$"),
+    ], ids=["zero-value-liquidation-time", "redemption-length", "limits-length", "p-inf",
+            "p-zero", "w-star-one", "w-star-nan"])
     def test_domain_error(self, fund, call, message):
         with pytest.raises(DomainError, match=message):
             call(fund)

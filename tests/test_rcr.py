@@ -239,11 +239,18 @@ class TestRejectedInputs:
         (lambda f: optimal_pro_rata(Portfolio(securities=(Security("X", 0, 10.0, daily_limit=5),)), 3),
          "^portfolio holds no shares$"),
         (lambda f: max_admissible_shock(f, 5, "vertical"), "^unknown policy 'vertical'$"),
-        (lambda f: time_to_liquidity(twenty_percent_report(f), 0.0), "^threshold p must be positive$"),
-        (lambda f: time_to_liquidity(twenty_percent_report(f), -0.5), "^threshold p must be positive$"),
-        (lambda f: time_to_liquidity(twenty_percent_report(f), np.nan), "^threshold p must be positive$"),
+        (lambda f: time_to_liquidity(twenty_percent_report(f), 0.0),
+         r"^threshold p must be finite and positive, got 0\.0$"),
+        (lambda f: time_to_liquidity(twenty_percent_report(f), -0.5),
+         r"^threshold p must be finite and positive, got -0\.5$"),
+        (lambda f: time_to_liquidity(twenty_percent_report(f), np.nan),
+         "^threshold p must be finite and positive, got nan$"),
+        # an infinite threshold read as unreachable
+        (lambda f: time_to_liquidity(twenty_percent_report(f), np.inf),
+         "^threshold p must be finite and positive, got inf$"),
+        (lambda f: pro_rata_portfolio(f, np.nan), r"^redemption rate must lie in \[0, 1\], got nan$"),
     ], ids=["row-past-horizon", "row-zero", "zero-value-redemption", "no-shares-held",
-            "unknown-policy", "p-zero", "p-negative", "p-nan"])
+            "unknown-policy", "p-zero", "p-negative", "p-nan", "p-inf", "pro-rata-rate-nan"])
     def test_domain_error(self, fund, call, message):
         with pytest.raises(DomainError, match=message):
             call(fund)

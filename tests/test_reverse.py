@@ -300,10 +300,41 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("alpha, message", [
         (np.ones(3), "^alpha must give one proportion per security$"),
-        (np.full(7, np.nan), r"^alpha proportions must lie in \[0, 1\]$"),
-        (np.full(7, 1.5), r"^alpha proportions must lie in \[0, 1\]$"),
+        (np.full(7, np.nan), r"^alpha proportions must lie in \[0, 1\], got nan$"),
+        (np.full(7, 1.5), r"^alpha proportions must lie in \[0, 1\], got 1\.5$"),
     ], ids=["short", "nan", "above-one"])
     def test_feasibility_checks_alpha_as_the_scenario_does(self, fund, alpha, message):
         # a NaN alpha read as infeasible, and a short one raised numpy's matmul error
         with pytest.raises(DomainError, match=message):
             liability_rst_feasible(fund, alpha, 0.5)
+
+    @pytest.mark.parametrize("shock_amount", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_stressed_rcr_rejects_a_shock_amount_outside_the_rule(self, fund, shock_amount):
+        # NaN read as nan, +inf as 0.0 and -inf as -0.0: coverage of no finite shock
+        q = pro_rata_portfolio(fund, 0.2)
+        with pytest.raises(DomainError, match=rf"^shock_amount must be finite and positive, "
+                                              rf"got {shock_amount!r}$"):
+            stressed_rcr(fund, q, shock_amount, 1)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda f: liability_rst(f, ALPHA, np.nan, 1), "^RCR floor must be finite and positive, got nan$"),
+        (lambda f: liability_rst(f, ALPHA, np.inf, 1), "^RCR floor must be finite and positive, got inf$"),
+        (lambda f: liability_rst_feasible(f, ALPHA, 0.0), r"^RCR floor must be finite and positive, got 0\.0$"),
+        (lambda f: asset_rst(f, 0.1, np.nan, 1), "^RCR floor must be finite and positive, got nan$"),
+        (lambda f: asset_rst(f, np.nan, 0.5, 1),
+         r"^standard redemption rate must lie in \(0, 1\], got nan$"),
+        (lambda f: asset_rst(f, 0.0, 0.5, 1),
+         r"^standard redemption rate must lie in \(0, 1\], got 0\.0$"),
+        (lambda f: asset_rst(f, 0.1, 0.5, 1, tol=1.0), r"^bisection tol must lie in \(0, 1\), got 1\.0$"),
+        (lambda f: liability_rst(f, np.where(ALPHA > 0.25, np.inf, ALPHA), 0.5, 1),
+         r"^alpha proportions must lie in \[0, 1\], got inf$"),
+        # read as the daily limits it scales, which the message named instead
+        (lambda f: stressed_rcr(f, pro_rata_portfolio(f, 0.2), 1e6, 1, np.nan),
+         "^volume_multiplier must be finite and non-negative, got nan$"),
+        (lambda f: stressed_rcr(f, pro_rata_portfolio(f, 0.2), 1e6, 1, -0.5),
+         r"^volume_multiplier must be finite and non-negative, got -0\.5$"),
+    ], ids=["floor-nan", "floor-inf", "feasible-floor-zero", "asset-floor-nan", "rate-nan",
+            "rate-zero", "tol-one", "alpha-inf", "multiplier-nan", "multiplier-negative"])
+    def test_bounds_are_the_rule(self, fund, call, message):
+        with pytest.raises(DomainError, match=message):
+            call(fund)

@@ -239,13 +239,13 @@ class TestSeriesAgainstMpmath:
 
     @pytest.mark.parametrize("eta", [0.05, 0.5, 1.0, 2.5, 3.0, 4.2, 7.5, 11.3, 100.0])
     def test_array_elements_do_not_depend_on_each_other(self, eta):
-        # both branches, the -2 seam, subnormal and huge |z| and NaN, in one array and
-        # in sub-arrays that need fewer series terms; eta = 100, where sums run past
+        # both branches, the -2 seam, subnormal and huge |z|, in one array and in
+        # sub-arrays that need fewer series terms; eta = 100, where sums run past
         # the float range (z = -170487.07), lies above ETA_MAX and is rejected whole
         # and element by element
         rng = np.random.default_rng(76)
         z = np.concatenate([-rng.uniform(0.0, 3.0, 40), -10.0 ** rng.uniform(-15.0, 15.0, 40),
-                            [-170487.07, 0.0, -5e-324, -2.0, np.nextafter(-2.0, -3.0), np.nan]])
+                            [-170487.07, 0.0, -5e-324, -2.0, np.nextafter(-2.0, -3.0)]])
         rng.shuffle(z)
         if eta > ETA_MAX:
             for part in (z, *z.tolist()):
@@ -254,7 +254,7 @@ class TestSeriesAgainstMpmath:
             return
         one_by_one = np.array([hyp2f1_family(eta, x) for x in z.tolist()])
         index = np.arange(z.size)
-        for part in (index, index[:5], index[::3], index.reshape(2, 43)):
+        for part in (index, index[:5], index[::3], index.reshape(5, 17)):
             np.testing.assert_array_equal(hyp2f1_family(eta, z[part]), one_by_one[part])
 
     def test_log_term_and_terminating_series(self):
@@ -313,4 +313,22 @@ class TestRejectedInputs:
     ], ids=["eta-17", "eta-20", "eta-40", "eta-60", "just-above-bound", "eta-zero", "eta-nan"])
     def test_eta_outside_the_tested_range(self, call):
         with pytest.raises(DomainError, match=r"^eta must lie in \(0, 12\], got "):
+            call()
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: hyp2f1_family(1.5, math.nan), "^argument z must be finite, got nan$"),
+        (lambda: hyp2f1_family(1.5, -math.inf), "^argument z must be finite, got -inf$"),
+        (lambda: hyp2f1_family(1.5, np.array([-1.0, math.nan, -math.inf])),
+         "^argument z must be finite, got nan$"),
+        (lambda: integral_i_ab(0.1, math.inf, 1.5), "^b must be finite, got inf$"),
+        (lambda: integral_i_ab(np.array([0.1, 0.2]), np.array([1.0, math.inf]), 1.5),
+         "^b must be finite, got inf$"),
+        (lambda: integral_i_w(math.nan, 1.5), r"^w must lie in \[0, 1\], got nan$"),
+        (lambda: integral_i_w(np.array([0.5, 1.5]), 1.5), r"^w must lie in \[0, 1\], got 1\.5$"),
+    ], ids=["z-nan", "z-minus-inf", "z-array", "b-inf", "b-array", "w-nan", "w-array"])
+    def test_rejected_by_name(self, call, message):
+        # each returned nan or inf, with RuntimeWarnings for -inf and b = inf
+        with pytest.raises(DomainError, match=message):
             call()

@@ -204,6 +204,13 @@ class TestNonFiniteInputs:
             with pytest.raises(DomainError):
                 adl_fees(*args, AdlRule.GROSS)
 
+    @pytest.mark.parametrize("k, name", [(0, "subscribed"), (1, "redeemed"), (2, "tc")])
+    def test_adl_fees_name_the_argument(self, k, name):
+        args = [10.0, 5.0, 30.0]
+        args[k] = -1.0
+        with pytest.raises(DomainError, match=rf"^{name} must be finite and non-negative, got -1\.0$"):
+            adl_fees(*args, AdlRule.GROSS)
+
 
 class TestAdlFees:
     def test_gross_rule_charges_majority_side(self):
