@@ -24,6 +24,8 @@ from .core import DomainError, check_finite, daily_volatility
 from .specialfuncs import ETA_RANGE, _as_array, _as_given, integral_i_ab, integral_i_w
 
 _GRID_STEP = 1e-3  # coarse scan resolution of the buffer optimizer
+_ZOOM = 10  # each refine grid is _ZOOM times finer than the last
+_W_TOL = 1e-9  # the refine stops once its grid spacing is at most this
 _ERROR_BLOCK = 1 << 15  # (w, u) points per block of the approximation-error scan
 # The smallest trading limit: a full redemption sells out within 10,000 days.
 # The exact gain sums one term per limit segment, so its cost grows as
@@ -518,100 +520,37 @@ def net_buffer_cost(market: BufferMarketParams, params: BufferCostParams, w):
     return w * premium + penalty - expected_lg_exact(params, w)
 
 
-def _fminbound(func, lo: float, hi: float, xatol: float):
-    """Minimize func over [lo, hi] by Brent's bounded method (fminbound).
-
-    Golden-section steps with parabolic interpolation, step for step the
-    ``bounded`` method of ``scipy.optimize.minimize_scalar`` (same iterates,
-    same result, same evaluation count), so the refine needs no scipy.
-    Returns (x, func(x), number of evaluations); it stops at scipy's 500
-    evaluations.
-    """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx, num
-
-
 def optimal_cash_buffer(market: BufferMarketParams, params: BufferCostParams) -> float:
     """Cash weight minimizing the net buffer cost over [0, 1].
 
     Scans a 1e-3 grid (the exact gain can be bimodal near w = 1) in one
-    array call, and refines the best bracket by Brent's bounded method;
-    exact ties resolve to the smaller weight. A grid cost that is not
-    finite, such as one that overflows at huge costs, is a DomainError
-    naming eta.
+    array call, then narrows the best bracket with finer grids of
+    ``2 * _ZOOM + 1`` points, one array call each, until their spacing is
+    at most ``_W_TOL``; a point replaces the best only when it is strictly
+    lower, and exact ties resolve to the smaller weight. A grid cost that
+    is not finite, such as one that overflows at huge costs, is a
+    DomainError naming eta.
     """
     grid = np.arange(0.0, 1.0 + _GRID_STEP / 2, _GRID_STEP)
     with np.errstate(all="ignore"):
         values = net_buffer_cost(market, params, grid)
-    if not np.isfinite(values).all():
-        raise DomainError(f"net buffer cost is not finite on the weight grid at eta = {params.eta!r}")
-    best = int(np.argmin(values))  # first index wins ties, i.e. smaller w
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    x, fx, _ = _fminbound(lambda w: net_buffer_cost(market, params, min(max(w, 0.0), 1.0)),
-                          float(lo), float(hi), xatol=1e-9)
-    candidates = [(values[best], float(grid[best])), (fx, x)]
-    for boundary in (0.0, 1.0):
-        candidates.append((net_buffer_cost(market, params, boundary), boundary))
+        if not np.isfinite(values).all():
+            raise DomainError(f"net buffer cost is not finite on the weight grid at eta = {params.eta!r}")
+        best = int(np.argmin(values))  # first index wins ties, i.e. smaller w
+        w, fw, scale = grid[best], values[best], 1
+        # each grid spans the best point +- the last spacing, _GRID_STEP / scale:
+        # one rounding, so a _W_TOL of _GRID_STEP / _ZOOM**k stops after k grids
+        while _GRID_STEP / scale > _W_TOL:
+            step = _GRID_STEP / scale
+            zoom = np.linspace(max(w - step, 0.0), min(w + step, 1.0), 2 * _ZOOM + 1)
+            costs = net_buffer_cost(market, params, zoom)
+            i = int(np.argmin(costs))
+            if costs[i] < fw:
+                w, fw = zoom[i], costs[i]
+            scale *= _ZOOM
+    candidates = [(values[best], grid[best]), (fw, w), (values[0], 0.0), (values[-1], 1.0)]
     best_value = min(v for v, _ in candidates)
-    return min(w for v, w in candidates if v <= best_value + 1e-15)
+    return float(min(x for v, x in candidates if v <= best_value + 1e-15))
 
 
 def break_even_premium(

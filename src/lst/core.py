@@ -67,10 +67,10 @@ def _check_holdings(ids, columns) -> None:
     ok = np.array([BOUNDS[bound](columns[name]) for name, bound in _HOLDING_BOUNDS.items()])
     if np.count_nonzero(ok) == ok.size:
         return
-    ok = ok.reshape(len(_HOLDING_BOUNDS), -1)
-    row = int(ok.all(axis=0).argmin())
-    name = list(_HOLDING_BOUNDS)[int(ok[:, row].argmin())]
-    raise DomainError(f"security {ids[row]!r}: {name} must be {_HOLDING_BOUNDS[name]} and finite")
+    row = int(ok.reshape(len(_HOLDING_BOUNDS), -1).all(axis=0).argmin())
+    for name, bound in _HOLDING_BOUNDS.items():
+        value = columns[name]
+        check_number(f"security {ids[row]!r}: {name}", value[row] if np.ndim(value) else value, bound)
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ def optimal_pro_rata(portfolio: Portfolio, tau_h: int) -> Tuple[float, Redemptio
 def waterfall_portfolio(portfolio: Portfolio) -> RedemptionPortfolio:
     """Horizontal slicing: the whole portfolio is up for sale, every asset
     selling at its daily limit until exhausted."""
-    return RedemptionPortfolio(quantities=portfolio.shares.copy())
+    return RedemptionPortfolio(quantities=portfolio.shares)  # the constructor copies
 
 
 def max_admissible_shock(portfolio: Portfolio, tau_h: int, policy: str = "optimal") -> float:

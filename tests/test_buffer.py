@@ -29,7 +29,6 @@ from lst import (
     tc_asset_sqrt,
     tc_cash,
 )
-from lst.buffer import _fminbound
 
 # Example cash-buffer cost set: 20bp spread, 1bp cash cost, 0.4 impact on a
 # 20% annual volatility, no binding trading limit, uniform redemption law.
@@ -571,45 +570,74 @@ class TestApproximationError:
                     k += 1
 
 
-def scipy_bounded(func, lo, hi):
-    from scipy import optimize
-
-    res = optimize.minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": 1e-9})
-    return float(res.x), float(res.fun), res.nfev
-
-
-SHAPES = {
-    "smooth": lambda c: lambda x: (x - c) ** 2 + math.sin(3.0 * x),
-    "flat": lambda c: lambda x: c,
-    "kinked": lambda c: lambda x: abs(x - c) + 0.1 * math.floor(8.0 * x),
-    "boundary": lambda c: lambda x: c * x,
-}
+@st.composite
+def optimum_cases(draw):
+    """A premium and power-law costs at the CLI's defaults, with or without a
+    trading limit and a tracking-error aversion."""
+    x_plus = draw(st.just(1.0) | st.floats(0.02, 0.99))
+    params = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
+                              x_plus=x_plus, eta=draw(st.floats(0.3, 4.0)))
+    market = BufferMarketParams(mu_asset=draw(st.floats(-1e-3, 3e-3)), sigma_asset=0.20,
+                                te_aversion=draw(st.sampled_from([0.0, 0.5, 2.0])))
+    return market, params
 
 
-class TestBoundedBrent:
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(sorted(SHAPES)), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
-           st.floats(1e-9, 2.0))
-    def test_reproduces_scipy_bounded(self, shape, c, lo, width):
-        func = SHAPES[shape](c)
-        assert _fminbound(func, lo, lo + width, xatol=1e-9) == scipy_bounded(func, lo, lo + width)
+class TestOptimumRefine:
+    @pytest.mark.parametrize("x_plus", [1.0, 0.3])
+    def test_costs_come_from_few_array_calls(self, x_plus, monkeypatch):
+        from lst import buffer
+
+        calls = []
+
+        def spy(market, params, w):
+            calls.append(w)
+            return net_buffer_cost(market, params, w)
+
+        monkeypatch.setattr(buffer, "net_buffer_cost", spy)
+        params = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
+                                  x_plus=x_plus, eta=2.0)
+        optimal_cash_buffer(BufferMarketParams(mu_asset=1e-4, sigma_asset=0.20), params)
+        assert all(isinstance(w, np.ndarray) for w in calls)
+        assert 1 < len(calls) <= 1 + 7  # the scan, then one call per finer grid
 
     @pytest.mark.parametrize("eta, mu, x_plus", [
         (eta, mu, 1.0) for eta in (0.5, 1.0, 2.0, 3.0) for mu in (0.0, 1e-4)] + [(2.0, 0.0, 0.9)])
-    def test_reproduces_scipy_on_the_net_buffer_cost(self, eta, mu, x_plus):
-        # the bracket optimal_cash_buffer refines for the CLI's buffer defaults
+    def test_no_worse_than_scipy_bounded(self, eta, mu, x_plus):
+        # scipy's bounded Brent method at xatol 1e-9 on the bracket the finer
+        # grids narrow, for the CLI's buffer defaults
+        from scipy import optimize
+
         market = BufferMarketParams(mu_asset=mu, sigma_asset=0.20)
         params = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
                                   x_plus=x_plus, eta=eta)
         grid = np.arange(0.0, 1.0005, 1e-3)
         best = int(np.argmin(net_buffer_cost(market, params, grid)))
-        lo, hi = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, 1000)])
-        assert lo < hi
 
         def nbc(w):
-            return net_buffer_cost(market, params, float(np.clip(w, 0.0, 1.0)))
+            return net_buffer_cost(market, params, np.array([min(max(w, 0.0), 1.0)]))[0]
 
-        assert _fminbound(nbc, lo, hi, xatol=1e-9) == scipy_bounded(nbc, lo, hi)
+        brent = optimize.minimize_scalar(nbc, bounds=(grid[best - 1], grid[best + 1]),
+                                         method="bounded", options={"xatol": 1e-9}).x
+        w = optimal_cash_buffer(market, params)
+        assert w == pytest.approx(brent, abs=1e-7)
+        assert nbc(w) <= nbc(brent)
+
+    @settings(max_examples=40, deadline=None)
+    @given(optimum_cases())
+    def test_no_worse_than_the_scan(self, case):
+        # 1e-15: the tie rule may pick a smaller weight within that of the lowest cost
+        market, params = case
+        w = optimal_cash_buffer(market, params)
+        assert 0.0 <= w <= 1.0
+        scan = net_buffer_cost(market, params, np.arange(0.0, 1.0005, 1e-3))
+        assert net_buffer_cost(market, params, np.array([w]))[0] <= scan.min() + 1e-15
+
+    def test_all_zero_costs_keep_no_cash(self):
+        params = BufferCostParams(spread=0.0)
+        assert optimal_cash_buffer(BufferMarketParams(mu_asset=0.0), params) == 0.0
+
+    def test_negative_premium_holds_only_cash(self):
+        assert optimal_cash_buffer(BufferMarketParams(mu_asset=-0.01), BASE) == 1.0
 
 
 @st.composite

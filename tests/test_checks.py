@@ -89,7 +89,7 @@ def messages(path: Path):
                                        for p in parts)
 
 
-RULE_PHRASES = ("must lie in", "must be finite")
+RULE_PHRASES = ("must lie in", "must be finite", "and finite")
 
 #: Messages that state a bound inline, by file, with the reason the rule does not apply.
 INLINE = {

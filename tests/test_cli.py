@@ -528,8 +528,9 @@ SOLVER_RUNS = [f"optimize-{run}" for run in OPTIMIZE_RUNS] + [
 class TestSolverTolerances:
     """The printed digits of each benchmark ``optimize`` and ``buffer`` run
     are those of the solver's converged answer: SLSQP at ``ftol`` 1e-12
-    instead of 1e-8, and the buffer refine at ``xatol`` 1e-12 instead of
-    1e-9, print the same stdout and write the same files in-process."""
+    instead of 1e-8, and the buffer refine down to a grid spacing
+    ``_W_TOL`` of 1e-12 instead of 1e-9, print the same stdout and write
+    the same files in-process."""
 
     @pytest.mark.parametrize("key", [
         pytest.param(key, marks=pytest.mark.xfail(
@@ -551,10 +552,9 @@ class TestSolverTolerances:
             return code, capsysbinary.readouterr().out, files
 
         default = run("default")
-        minimize, fminbound = _slsqp.minimize, buffer._fminbound
+        minimize = _slsqp.minimize
         monkeypatch.setattr(_slsqp, "minimize", lambda *a, **k: minimize(*a, **{**k, "ftol": 1e-12}))
-        monkeypatch.setattr(buffer, "_fminbound",
-                            lambda *a, **k: fminbound(*a, **{**k, "xatol": 1e-12}))
+        monkeypatch.setattr(buffer, "_W_TOL", 1e-12)
         assert run("tight") == default
 
 

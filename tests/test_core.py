@@ -262,10 +262,12 @@ def reference_rows(path):
         for row in csv.DictReader(fh):
             rec = {name: float(row[name]) for name in NUMERIC}
             if not (rec["price"] > 0 and math.isfinite(rec["price"])):
-                raise DomainError(f"security {row['id']!r}: price must be positive and finite")
+                raise DomainError(f"security {row['id']!r}: price must be finite and positive, "
+                                  f"got {rec['price']!r}")
             for name in ("shares", "daily_limit", "daily_volume", "volatility", "spread"):
                 if not (rec[name] >= 0 and math.isfinite(rec[name])):
-                    raise DomainError(f"security {row['id']!r}: {name} must be non-negative and finite")
+                    raise DomainError(f"security {row['id']!r}: {name} must be finite and "
+                                      f"non-negative, got {rec[name]!r}")
             out.append((row["id"], rec))
     return out
 
@@ -346,7 +348,7 @@ class TestColumnarLoading:
         with pytest.raises(DomainError) as theirs:
             reference_rows(path)
         assert str(ours.value) == str(theirs.value) == \
-            "security 'B': volatility must be non-negative and finite"
+            "security 'B': volatility must be finite and non-negative, got nan"
 
     def test_random_bad_cells_match_per_row_reference(self, tmp_path):
         rng = np.random.default_rng(17)
