@@ -467,8 +467,8 @@ def expected_lg_derivative(params: BufferCostParams, w, method: str = "auto"):
 
     ``approx`` uses the analytic derivative of the additive shortcut,
     TC'_asset(w) * (1 - F(w)); ``fd`` central-differences the exact gain;
-    ``auto`` picks ``approx`` under a binding trading limit (where the
-    shortcut is accurate) and ``fd`` otherwise.
+    ``auto`` picks ``approx`` when ``x_plus < 1`` (a trading limit that
+    binds) and ``fd`` when ``x_plus >= 1``.
     """
     check_number("cash weight", w, "[0, 1]")
     if method == "auto":

@@ -150,13 +150,11 @@ def cmd_rcr(args) -> int:
     if args.schedule_out:
         from .liquidation import build_schedule
 
-        sold = build_schedule(portfolio, redemption).sold  # full unwind, not report-truncated
-        cum_value = 0.0
-        sched_rows = []
-        for h, day in enumerate(sold, start=1):
-            cum_value += float(day @ portfolio.prices)
-            sched_rows.append([h] + [_fmt(v) for v in day] + [_fmt(cum_value)])
-        write_csv(args.schedule_out, ["h", *portfolio.ids, "cumulative_value"], sched_rows)
+        schedule = build_schedule(portfolio, redemption)  # full unwind, not report-truncated
+        cash = schedule.amounts(schedule.horizon)
+        write_csv(args.schedule_out, ["h", *portfolio.ids, "cumulative_value"],
+                  [[h, *map(_fmt, day), _fmt(value)]
+                   for h, (day, value) in enumerate(zip(schedule.sold, cash), start=1)])
     return EXIT_OK
 
 
@@ -176,11 +174,8 @@ def cmd_hqla(args) -> int:
     pairs = []
     rows = []
     for weight, bucket in zip(args.weights, buckets):
-        if bucket.ccf_static is not None:
-            ccf = bucket.ccf_static
-        else:
-            ccf = ccf_parametric(bucket, sf, args.tau, fund_tna=args.tna,
-                                 fund_herfindahl=args.herfindahl, conservative=args.conservative)
+        ccf = ccf_parametric(bucket, sf, args.tau, fund_tna=args.tna,
+                             fund_herfindahl=args.herfindahl, conservative=args.conservative)
         pairs.append((weight, ccf))
         rows.append([bucket.name, _fmt(weight), _fmt(ccf)])
     rcr, ls = rcr_hqla(pairs, args.shock)
@@ -243,6 +238,7 @@ def cmd_rst(args) -> int:
     if args.mode == "liability" and args.alpha is None:
         raise DomainError("a --alpha file is required")
     portfolio = load_portfolio(args.portfolio, correlation_path=args.corr)
+    no_solution = False
     if args.mode == "liability":
         alpha = _load_alpha(args.alpha, portfolio.ids)
         header = ["tau", "floor_pct", "amount", "rate_pct", "feasible"]
@@ -259,13 +255,12 @@ def cmd_rst(args) -> int:
             for floor in args.floor:
                 res = asset_rst(portfolio, args.rate_star, floor, tau)
                 if isinstance(res, AssetRstNoSolution):
+                    no_solution = True
                     rows.append([tau, _pct(floor, args.raw), f"no-solution:{res.reason.name}"])
                 else:
                     rows.append([tau, _pct(floor, args.raw), _fmt(res)])
     _emit(args, header, rows)
-    if args.mode == "asset" and any(str(r[-1]).startswith("no-solution") for r in rows):
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return EXIT_INFEASIBLE if no_solution else EXIT_OK
 
 
 def cmd_optimize(args) -> int:
@@ -339,7 +334,7 @@ def cmd_swing(args) -> int:
     if args.flow is not None:
         subscribed, redeemed = (args.flow, 0.0) if args.flow >= 0 else (0.0, -args.flow)
     event = FlowEvent(subscribed=subscribed, redeemed=redeemed,
-                      asset_return=args.asset_return, tc=args.tc)
+                      asset_return=getattr(args, "return"), tc=args.tc)
     config = SwingConfig(mode=SwingMode(args.mode), threshold=args.threshold,
                          factor=args.factor, product=args.product, penalty=args.gamma)
     result = swing_nav(state, event, config)
@@ -453,22 +448,15 @@ def golden_tables() -> dict:
     opt_rows = []
     for tau in range(1, 6):
         phi, q_star = optimal_pro_rata(portfolio, tau)
-        shock = RedemptionShock.from_rate(portfolio, 0.20)
-        report = rcr_report(portfolio, shock, q_star, horizon=tau)
-        for h in range(1, tau + 1):
-            opt_rows.append([tau, _pct(phi), h, _pct(report.lr[h - 1]),
-                             f"{report.amount[h - 1] / 1e6:.3f}",
-                             _pct(report.rcr[h - 1]), _pct(report.ls[h - 1])])
+        opt_rows += [[tau, _pct(phi), *row] for row in rcr_rows(q_star, 0.20, tau)[1]]
     tables["rcr_optimal"] = (["tau", "phi_pct", "h", "lr_pct", "amount_mn", "rcr_pct", "ls_pct"], opt_rows)
 
     wf_report, rows = rcr_rows(waterfall_portfolio(portfolio), 0.20, 6)
     tables["rcr_waterfall"] = (header, rows)
 
-    cum = 0.0
-    srows = []
-    for h, day in enumerate(wf_report.schedule.sold, start=1):
-        cum += float(day @ portfolio.prices)
-        srows.append([h] + [int(round(v)) for v in day] + [f"{cum / 1e6:.3f}"])
+    schedule = wf_report.schedule
+    srows = [[h, *(int(round(v)) for v in day), f"{value / 1e6:.3f}"] for h, (day, value)
+             in enumerate(zip(schedule.sold, schedule.amounts(schedule.horizon)), start=1)]
     tables["waterfall_schedule"] = (["h", *portfolio.ids, "cumulative_value_mn"], srows)
 
     def weight_rows(report, remaining: bool, horizon: int):
@@ -614,11 +602,10 @@ class Flag(NamedTuple):
     required: bool = False
     choices: Sequence[str] = ()  # of a "choice"
     cap: int = 0  # of a "count"
-    rename: str = ""  # the dest, where it is not the name's
 
     @property
     def dest(self) -> str:
-        return self.rename or self.name[2:].replace("-", "_")
+        return self.name[2:].replace("-", "_")
 
 
 def _scalar(parse, what: str):
@@ -735,7 +722,7 @@ FLAGS = {
         Flag("--flow", "number", None, "net unit flow (sign carries direction)"),
         Flag("--sub", "number", "0.0", "subscribed units (dual pricing)"),
         Flag("--red", "number", "0.0", "redeemed units (dual pricing)"),
-        Flag("--return", "number", "0.0", rename="asset_return"),
+        Flag("--return", "number", "0.0"),
         Flag("--tc", "number", "0.0"),
         Flag("--mode", "choice", "full", choices=("none", "full", "partial", "dual", "dynamic")),
         Flag("--threshold", "rate", "0.0"), Flag("--factor", "rate", "0.0"),

@@ -145,10 +145,15 @@ def ccf_parametric(
     The drawdown is evaluated at the half horizon, which approximates the
     average loss over a sale spread across the window; ``conservative=True``
     evaluates it at the full horizon instead (a strictly lower CCF).
+
+    A bucket's ``ccf_static`` overrides the formula: it is returned once the
+    inputs are checked as for any bucket.
     """
     lf = liquidity_factor(bucket, tau_h)
     df = drawdown_factor(bucket, tau_h if conservative else tau_h / 2.0)
     sf = specific_risk.factor(fund_tna, fund_herfindahl) if specific_risk else 0.0
+    if bucket.ccf_static is not None:
+        return bucket.ccf_static
     return lf * (1.0 - df) * (1.0 - sf)
 
 

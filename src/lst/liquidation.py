@@ -283,8 +283,8 @@ def build_schedule(
         portfolio: Fund holdings with daily limits.
         redemption: Target quantities, must not exceed the holdings.
         max_days: Truncation horizon, an integer of at least 1.
-        limits: Optional per-security daily limits overriding the portfolio's
-            (used by stressed-volume scenarios).
+        limits: Optional per-security daily limits overriding the portfolio's;
+            no ``lst`` caller passes them (``stressed_rcr`` reads ``_raised``).
 
     Raises:
         DomainError: as ``validated_limits``.

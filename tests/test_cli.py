@@ -211,6 +211,15 @@ class TestHqlaCommand:
         code = main(["hqla", "--buckets", BUCKETS, "--weights", "1.0"])
         assert code == EXIT_CONFIG
 
+    def test_static_buckets_print_their_ccf_and_check_the_horizon(self, tmp_path, capsys):
+        path = tmp_path / "buckets.json"
+        path.write_text(json.dumps([{"name": "x", "ccf_static": 0.85}, {"name": "c", "ccf_static": 1}]))
+        argv = ["hqla", "--buckets", str(path), "--weights", "0.5,0.5"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1:3] == ["x,0.5,0.85", "c,0.5,1"]
+        assert main([*argv, "--tau", "-1"]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["detail"].startswith("tau_h must be")
+
     @pytest.mark.parametrize("flag", [["--tna-star", "1e9"], ["--h-star", "0.01"]])
     def test_specific_risk_thresholds_come_as_a_pair(self, flag, capsys):
         code = main(["hqla", "--buckets", BUCKETS, "--weights", "0.6,0.3,0.1", "--tna", "5e9",
@@ -744,18 +753,20 @@ class TestGateCommand:
 
 class TestRequiredFlagsFromConfig:
     """``--requests`` (gate) and ``--buckets``/``--weights`` (hqla) may come
-    from a config file, like ``--portfolio``; missing from both is exit 2."""
+    from a config file, like ``--portfolio``; missing from both is exit 2.
+    Every key is its flag's name, ``lst swing --return`` included."""
 
     CASES = {
         "gate": (["gate", "--cap", "0.02"], {"requests": GATES}),
         "hqla": (["hqla", "--shock", "0.4"], {"buckets": BUCKETS, "weights": "0.6,0.3,0.1"}),
+        "swing": (["swing", "--flow", "-2", "--tc", "30"], {"return": 0.05}),
     }
 
     @staticmethod
     def flags(values):
-        return [arg for key, value in values.items() for arg in (f"--{key}", value)]
+        return [arg for key, value in values.items() for arg in (f"--{key}", str(value))]
 
-    @pytest.mark.parametrize("name", ["gate", "hqla"])
+    @pytest.mark.parametrize("name", ["gate", "hqla", "swing"])
     def test_config_gives_what_the_flags_give(self, name, tmp_path, capsys):
         argv, values = self.CASES[name]
         assert main([*argv, *self.flags(values)]) == EXIT_OK
@@ -764,6 +775,16 @@ class TestRequiredFlagsFromConfig:
         cfg.write_text(json.dumps(values))
         assert main([*argv, "--config", str(cfg)]) == EXIT_OK
         assert capsys.readouterr().out == want
+
+    def test_the_library_field_name_is_an_unknown_key(self, tmp_path, capsys):
+        argv, _ = self.CASES["swing"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"asset_return": 0.05}))
+        assert main([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "config", "detail": "unknown config key 'asset_return' for lst swing"}
 
     def test_flags_beat_config_values(self, tmp_path, capsys):
         other = tmp_path / "requests.csv"
@@ -862,6 +883,22 @@ class TestGoldens:
         golden_dir = resources.files("lst") / "goldens"
         for fresh in sorted((tmp_path / "fresh").glob("*.csv")):
             assert fresh.read_bytes() == (golden_dir / fresh.name).read_bytes()
+
+    def test_an_edited_and_a_missing_table_fail_the_run(self, tmp_path, monkeypatch, capsys):
+        expected = tmp_path / "goldens"
+        expected.mkdir()
+        for golden in (resources.files("lst") / "goldens").iterdir():
+            if golden.name.endswith(".csv"):
+                (expected / golden.name).write_bytes(golden.read_bytes())
+        edited = expected / "gate_schedule.csv"
+        edited.write_text(edited.read_text().replace("40.00", "41.00"))
+        (expected / "hqla_grid.csv").unlink()
+        monkeypatch.setattr("lst.cli._golden_dir", lambda: expected)
+        assert main(["goldens"]) == EXIT_INFEASIBLE
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 14
+        assert [line for line in lines if not line.endswith(": OK")] == [
+            "gate_schedule: DIFF", "hqla_grid: MISSING"]
 
 
 class TestPortfolioFileErrors:

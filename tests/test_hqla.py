@@ -138,6 +138,18 @@ class TestParametricCcf:
         with pytest.raises(DomainError):
             ccf_parametric(LARGE_CAP, None, -1)
 
+    def test_a_static_bucket_returns_its_ccf(self):
+        static = HqlaBucket("x", ccf_static=0.85)
+        assert ccf_parametric(static, None, 10) == 0.85
+        assert ccf_parametric(static, SPECIFIC_RISK, 10, fund_tna=5e9, fund_herfindahl=0.04,
+                              conservative=True) == 0.85
+
+    @pytest.mark.parametrize("args, name", [
+        ((None, -1), "tau_h"), ((SPECIFIC_RISK, 10, -1.0), "fund_tna")])
+    def test_a_static_bucket_still_checks_the_inputs(self, args, name):
+        with pytest.raises(DomainError, match=rf"^{name} must be"):
+            ccf_parametric(HqlaBucket("x", ccf_static=0.85), *args)
+
 
 class TestRcrHqla:
     def test_pure_equity_fund(self):

@@ -345,6 +345,14 @@ class TestTrackingRiskBond:
         with pytest.raises(DomainError, match=rf"^{field} of bond 2 must be finite, got {value!r}$"):
             BondRiskSpec(**fields)
 
+    @pytest.mark.parametrize("field", ["sectors", "buckets", "modified_duration", "dts"])
+    def test_fields_of_unequal_length_rejected(self, field):
+        fields = dict(sectors=("a", "a", "b"), buckets=(1, 2, 1),
+                      modified_duration=(2.0, 5.0, 3.0), dts=(0.1, 0.3, 0.2))
+        fields[field] = fields[field][:2]
+        with pytest.raises(DomainError, match="^bond risk spec fields must have equal length$"):
+            BondRiskSpec(**fields)
+
     @pytest.mark.parametrize("field", ["sectors", "buckets"])
     def test_missing_label_rejected_when_the_spec_is_built(self, field):
         fields = dict(sectors=("a", "a", "b"), buckets=(1, 2, 1),
@@ -521,6 +529,11 @@ class TestSlsqpMinimize:
         options = dict(maxiter=300, ftol=1e-8)
         assert outcome(_slsqp.minimize(*problem, **options)) == \
             outcome(scipy_slsqp(*problem, **options))
+
+    def test_bounds_that_fix_every_variable_are_refused(self):
+        bound = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="^every variable is fixed by its bounds$"):
+            _slsqp.minimize(lambda x: float(x @ x), bound, bound, bound.copy())
 
 
 def one_factor_fund(n=30, seed=30) -> Portfolio:

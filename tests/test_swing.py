@@ -119,6 +119,13 @@ class TestSwingNav:
         assert res.nav_ask == pytest.approx(106.5)
         assert res.nav_bid == pytest.approx(102.0)
 
+    def test_dual_pricing_without_flows_is_not_activated(self):
+        res = swing_nav(STATE, FlowEvent(asset_return=0.05, tc=30),
+                        SwingConfig(mode=SwingMode.DUAL))
+        assert not res.activated
+        assert res.nav_ask is None and res.nav_bid is None
+        assert res.nav_gross == pytest.approx(105.0)
+
     def test_dual_split_charges_exactly_the_cost(self):
         rng = np.random.default_rng(92)
         for _ in range(200):
@@ -238,6 +245,11 @@ class TestAdlFees:
         fees = adl_fees(5, 5, 30, AdlRule.NETTED)
         assert not fees.defined
         assert fees.entry is None and fees.exit is None
+
+    def test_gross_rule_charges_nothing_at_zero_net_flow(self):
+        fees = adl_fees(5, 5, 30, AdlRule.GROSS)
+        assert fees.defined
+        assert (fees.entry, fees.exit) == (0.0, 0.0)
 
     def test_no_flows_rejected(self):
         with pytest.raises(DomainError):
