@@ -136,7 +136,18 @@ def cmd_rcr(args) -> int:
     if args.policy == "prorata":
         redemption = pro_rata_portfolio(portfolio, args.shock)
     elif args.policy == "optimal":
-        _, redemption = optimal_pro_rata(portfolio, args.tau)
+        phi, redemption = optimal_pro_rata(portfolio, args.tau)
+        if phi == 0:
+            # the names whose term of phi is 0: a zero limit, or one that rounds to 0
+            stuck = [sid for sid, held, cap in
+                     zip(portfolio.ids, portfolio.shares, portfolio.daily_limits)
+                     if held > 0 and args.tau * cap / held == 0]
+            return _error(
+                {"error": "infeasible-policy", "binding": "daily-limit",
+                 "detail": f"the optimal pro-rata slice is empty: held securities {stuck} "
+                           f"sell nothing within {args.tau} days at their daily limits"},
+                EXIT_INFEASIBLE,
+            )
     else:
         redemption = waterfall_portfolio(portfolio)
     report = rcr_report(portfolio, shock, redemption, horizon=args.horizon or max(args.tau, 6))

@@ -10,8 +10,8 @@ sorted once (``_curve``, kept per schedule), one day by a single sum
 (``_raised``). A portfolio keeps one curve, its waterfall
 W(h) = sum_i P_i min(h cap_i, shares_i) (``_waterfall``): the daily profile,
 the illiquid-asset measure and a waterfall schedule read it, and its order
-of the live names is where every other curve at the portfolio's limits
-starts its sort.
+of the live names is where every other schedule's curve starts its sort:
+a schedule always sells at the portfolio's own limits.
 """
 
 from __future__ import annotations
@@ -60,15 +60,16 @@ def _sort_live(sellable: np.ndarray, cap: np.ndarray,
 
     Which sort runs changes only the cost. A fresh sort is numpy's
     quicksort (vectorized on x86; about 5x faster than the stable sort at
-    n = 10^4), which leaves each run of equal keys in no particular order. ``hint``, a portfolio's kept order of its live names by
-    shares/cap (``_waterfall``), must list exactly the live positions; a
-    slice c * shares at the portfolio's own limits has keys in nearly that
-    order, so the stable sort (timsort) of the hinted keys runs in about
-    O(n). That sort keeps the hint's order within a run of equal keys, and
-    two keys can round equal where shares/cap differ (c * s / cap against
-    s / cap). Either way, each run of equal keys is then put back into
-    index order, keys and indices together, so the result is exactly the
-    plain stable argsort.
+    n = 10^4), which leaves each run of equal keys in no particular order.
+    ``hint``, a portfolio's kept order of its live names by shares/cap
+    (``_waterfall``), must list exactly the live positions, which it does
+    by construction: every schedule sells at its portfolio's own limits. A
+    slice c * shares has keys in nearly that order, so the stable sort
+    (timsort) of the hinted keys runs in about O(n). That sort keeps the
+    hint's order within a run of equal keys, and two keys can round equal
+    where shares/cap differ (c * s / cap against s / cap). Either way, each
+    run of equal keys is then put back into index order, keys and indices
+    together, so the result is exactly the plain stable argsort.
     """
     if hint is None:
         idx, kind = np.flatnonzero(cap > 0), "quicksort"
@@ -129,18 +130,6 @@ def _evaluate(curve: tuple, days) -> np.ndarray:
     return full[k] + days * rest[k]
 
 
-def cumulative_value(sellable: np.ndarray, cap: np.ndarray, prices: np.ndarray,
-                     days) -> np.ndarray:
-    """Value raised by greedy selling, sum_i prices_i * min(h * cap_i, sellable_i), per h in ``days``.
-
-    With the finishing days sorted once (``_curve``), every h is read off
-    prefix and suffix sums (``_evaluate``). Cost O(n log n + len(days)); no
-    day-by-security array is formed. The limits here are arbitrary, so the
-    sort is a plain one, with no portfolio's order as a hint.
-    """
-    return _evaluate(_curve(sellable, cap, prices), days)
-
-
 def _raised(tau_h: int, limits: np.ndarray, q: np.ndarray, prices: np.ndarray) -> float:
     """Cash raised by day tau_h selling ``q`` greedily at the daily ``limits``:
     A(tau_h) = sum_i P_i * min(tau_h * limits_i, q_i), with no schedule built."""
@@ -166,11 +155,13 @@ class LiquidationSchedule:
     target).
 
     ``sold`` (shares sold per day and security) is rebuilt on every access
-    and never stored; read it once when iterating over days. The sorted
-    value curve behind ``amounts`` is built on first use and kept, so an RCR
-    table and the liquidation times read off one schedule sort it once; a
-    schedule of the whole holdings at the portfolio's own limits reads the
-    portfolio's waterfall curve instead.
+    and never stored; read it once when iterating over days. ``cap`` is the
+    portfolio's own ``daily_limits``, so the live names are those of the
+    portfolio's kept order by construction. The sorted value curve behind
+    ``amounts`` starts from that order, is built on first use and kept, so
+    an RCR table and the liquidation times read off one schedule sort it
+    once; a schedule of the whole holdings reads the portfolio's waterfall
+    curve itself.
     """
 
     portfolio: Portfolio
@@ -214,11 +205,7 @@ class LiquidationSchedule:
 
     @cached_property
     def _value_curve(self) -> tuple:
-        # at the portfolio's own limits the live names are those of its kept
-        # order; stressed limits may differ in which names are live
         portfolio = self.portfolio
-        if self.cap is not portfolio.daily_limits:
-            return _curve(self.sellable, self.cap, portfolio.prices)
         waterfall = _waterfall(portfolio)
         live = waterfall[3]
         # the whole holdings (same bits on every live name): the kept curve itself
@@ -227,44 +214,26 @@ class LiquidationSchedule:
         return _curve(self.sellable, self.cap, portfolio.prices, live)
 
 
-def validated_limits(
-    portfolio: Portfolio,
-    redemption: RedemptionPortfolio,
-    max_days: int,
-    limits: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The daily limits a liquidation of ``redemption`` over ``max_days`` days sells at.
-
-    Without ``limits`` these are the portfolio's own, read-only and checked
-    when it was built, so they are returned as they are.
-
-    Raises:
-        DomainError: if the target exceeds the holdings, max_days is not an
-            integer of at least 1 (``check_days``), or a daily limit is
-            negative or not finite.
-    """
-    check_days("max_days", max_days)
+def _check_target(portfolio: Portfolio, redemption: RedemptionPortfolio) -> None:
+    """Reject a target that is not one quantity per security within the holdings."""
     q = redemption.quantities
     if len(q) != portfolio.n:
         raise DomainError("redemption portfolio does not match portfolio size")
     if np.any(q > portfolio.shares * (1 + 1e-12) + 1e-9):
         raise DomainError("cannot liquidate more shares than held")
-    if limits is None:
-        return portfolio.daily_limits
-    cap = np.array(limits, dtype=float)
-    if cap.shape != q.shape:
-        raise DomainError("limits must give one daily limit per security")
-    check_number("daily limits", cap, "non-negative")
-    return cap
 
 
 def build_schedule(
     portfolio: Portfolio,
     redemption: RedemptionPortfolio,
     max_days: int = MAX_DAYS_DEFAULT,
-    limits: Optional[np.ndarray] = None,
 ) -> LiquidationSchedule:
     """Greedy liquidation: each day sell min(remaining, daily limit) of each security.
+
+    Every schedule sells at the portfolio's own daily limits, so its live
+    names are those of the portfolio's kept order (``_waterfall``) by
+    construction. Stressed volumes enter only through ``stressed_rcr`` and
+    ``asset_rst``, which read one sum and build no schedule.
 
     Evaluated in closed form, with no day loop: cumulative sales after h days
     are min(h * cap, target). The horizon is the first day h in 0..max_days
@@ -283,18 +252,20 @@ def build_schedule(
         portfolio: Fund holdings with daily limits.
         redemption: Target quantities, must not exceed the holdings.
         max_days: Truncation horizon, an integer of at least 1.
-        limits: Optional per-security daily limits overriding the portfolio's;
-            no ``lst`` caller passes them (``stressed_rcr`` reads ``_raised``).
 
     Raises:
-        DomainError: as ``validated_limits``.
+        DomainError: if max_days is not an integer of at least 1
+            (``check_days``), or the target does not give one quantity per
+            security within the holdings.
     """
-    cap = validated_limits(portfolio, redemption, max_days, limits)
+    check_days("max_days", max_days)
+    _check_target(portfolio, redemption)
+    cap = portfolio.daily_limits
     q = redemption.quantities
     live = cap > 0
     stuck = tuple(portfolio.ids[i] for i in np.flatnonzero((q > 0) & ~live))
     sellable = np.where(live, q, 0.0)
-    sellable.flags.writeable = cap.flags.writeable = False
+    sellable.flags.writeable = False
 
     def sold_out(h: int) -> bool:
         return bool((h * cap >= sellable).all())

@@ -63,6 +63,7 @@ def rcr_report(
     coincides with the liquidation ratio. The cash raised on every day comes
     from the closed-form schedule in O(n log n + horizon).
     """
+    check_days("horizon", horizon)
     if shock.amount <= 0:
         raise DomainError("redemption shock must be positive")
     schedule = build_schedule(portfolio, redemption, max_days=horizon)

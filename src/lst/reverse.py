@@ -13,7 +13,7 @@ import numpy as np
 
 from ._checks import check_days, check_number
 from .core import DomainError, Portfolio, RedemptionPortfolio, tna, weights
-from .liquidation import _raised, _waterfall, validated_limits
+from .liquidation import _check_target, _raised, _waterfall
 
 BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 200
@@ -61,13 +61,16 @@ def stressed_rcr(
     """RCR(tau_h) with every daily limit scaled by the volume multiplier.
 
     Greedy selling raises sum_i P_i * min(tau_h * m * cap_i, q_i) by day
-    tau_h; this is evaluated directly, with no schedule built.
+    tau_h; this is evaluated directly, with no schedule built. A scaled
+    limit past the float range is inf, which binds no name.
     """
     check_number("shock_amount", shock_amount, "positive")
     check_number("volume_multiplier", volume_multiplier, "non-negative")
-    limits = validated_limits(portfolio, redemption, tau_h,
-                              volume_multiplier * portfolio.daily_limits)
-    return _raised(tau_h, limits, redemption.quantities, portfolio.prices) / shock_amount
+    check_days("tau_h", tau_h)
+    _check_target(portfolio, redemption)
+    with np.errstate(over="ignore"):
+        limits = volume_multiplier * portfolio.daily_limits
+        return _raised(tau_h, limits, redemption.quantities, portfolio.prices) / shock_amount
 
 
 def _check_alpha(portfolio: Portfolio, alpha) -> np.ndarray:

@@ -74,6 +74,15 @@ def cost_model() -> CostModel:
     return CostModel()  # beta 0.4, knee 5%, cap 10%, sqrt-linear regime
 
 
+def with_limits(portfolio: Portfolio, limits) -> Portfolio:
+    """A copy of ``portfolio`` whose daily limits are ``limits``: a schedule
+    sells at its portfolio's own limits, so stressed limits make a new one."""
+    return Portfolio.from_columns(portfolio.ids, dict(
+        shares=portfolio.shares, price=portfolio.prices, daily_limit=limits,
+        daily_volume=portfolio.daily_volumes, volatility=portfolio.volatilities,
+        spread=portfolio.spreads))
+
+
 def random_portfolio(rng: np.random.Generator, n: int = None, with_corr: bool = False) -> Portfolio:
     n = n or int(rng.integers(2, 9))
     securities = tuple(

@@ -274,6 +274,12 @@ class TestExpectedGain:
             assert expected_lg_approx(custom, w) == pytest.approx(
                 expected_lg_approx(power2, w), rel=1e-7)
 
+    def test_power_law_pdf_is_zero_at_no_redemption(self):
+        # eta x^(eta - 1) has a pole at 0 for eta < 1; no redemption has density 0
+        for eta in (0.5, 1.0, 2.0):
+            assert with_eta(BASE, eta).redemption_pdf(0.0) == 0.0
+        assert with_eta(BASE, 2.0).redemption_pdf(0.25) == 0.5
+
     def test_custom_law_optimum_matches_the_power_law(self):
         # with no trading limit the law x**2 is integrated one weight at a
         # time, in the optimizer's one array call as in a float call; its

@@ -1,15 +1,33 @@
 """The one rule for a bounded number: ``_checks.check_number`` validates a
 float or an array against an interval of ``BOUNDS``, and no other module
-writes the rule out."""
+writes the rule out. Every public day count is checked by
+``_checks.check_days`` under its own name."""
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lst import DomainError
+from lst import (
+    CostModel,
+    DomainError,
+    RedemptionShock,
+    asset_rst,
+    build_schedule,
+    daily_liquidation_profile,
+    evaluate_policy,
+    illiquid_assets,
+    liability_rst,
+    max_admissible_shock,
+    optimal_pro_rata,
+    optimize_policy,
+    pro_rata_portfolio,
+    rcr_report,
+    stressed_rcr,
+)
 from lst._checks import check_number
 from lst.specialfuncs import ETA_MAX, ETA_RANGE
 from lst.swing import GATE_CAP_MIN, GATE_CAP_RANGE
@@ -112,3 +130,34 @@ class TestOneRule:
         # the rule's own messages, so a scan that reads nothing cannot pass
         texts = [text for _, text in messages(SRC / "_checks.py")]
         assert any("must lie in" in text for text in texts)
+
+
+#: (parameter name, call with that day count) of every public day count.
+DAY_COUNTS = {
+    "rcr_report": ("horizon", lambda f, d: rcr_report(
+        f, RedemptionShock.from_rate(f, 0.1), pro_rata_portfolio(f, 0.1), horizon=d)),
+    "build_schedule": ("max_days", lambda f, d: build_schedule(
+        f, pro_rata_portfolio(f, 0.1), max_days=d)),
+    "stressed_rcr": ("tau_h", lambda f, d: stressed_rcr(f, pro_rata_portfolio(f, 0.1), 1e6, d)),
+    "liability_rst": ("tau_h", lambda f, d: liability_rst(f, np.zeros(f.n), 0.5, d)),
+    "asset_rst": ("tau_h", lambda f, d: asset_rst(f, 0.1, 0.5, d)),
+    "optimal_pro_rata": ("tau_h", lambda f, d: optimal_pro_rata(f, d)),
+    "max_admissible_shock": ("tau_h", lambda f, d: max_admissible_shock(f, d)),
+    "evaluate_policy": ("horizon", lambda f, d: evaluate_policy(
+        f, CostModel(), pro_rata_portfolio(f, 0.1), horizon=d)),
+    "optimize_policy": ("horizon", lambda f, d: optimize_policy(
+        f, CostModel(), RedemptionShock.from_rate(f, 0.1), 0.002, 0.1, horizon=d)),
+    "daily_liquidation_profile": ("max_days", lambda f, d: daily_liquidation_profile(
+        f, max_days=d)),
+    "illiquid_assets": ("max_days", lambda f, d: illiquid_assets(f, 0.01, max_days=d)),
+}
+
+
+class TestDayCounts:
+    @pytest.mark.parametrize("days", [0, 2.0])
+    @pytest.mark.parametrize("function", sorted(DAY_COUNTS))
+    def test_a_day_count_is_rejected_under_its_own_name(self, fund, function, days):
+        name, call = DAY_COUNTS[function]
+        message = f"^{name} must be an integer of at least 1, got {re.escape(repr(days))}$"
+        with pytest.raises(DomainError, match=message):
+            call(fund, days)

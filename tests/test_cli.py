@@ -76,6 +76,30 @@ class TestRcrCommand:
         assert len(rows) == 23  # 22 trading days plus the header
         assert rows[1][1:8] == ["20000", "20000", "10000", "20000", "20000", "2000", "1000"]
 
+    @pytest.mark.parametrize("limits, stuck", [
+        ({"A7": "0"}, "['A7']"),
+        ({"A2": "0", "A7": "0"}, "['A2', 'A7']"),
+        ({"A5": "5e-324"}, "['A5']"),  # a limit whose slice rounds to 0
+    ], ids=["zero", "two-zeros", "subnormal"])
+    def test_an_empty_optimal_slice_is_a_verdict(self, tmp_path, capsys, limits, stuck):
+        # phi = 0 once raised "redemption portfolio has no value to liquidate"
+        # and exited 2 as a validation error
+        rows = read_rows(FUND)
+        col = rows[0].index("daily_limit")
+        for row in rows[1:]:
+            row[col] = limits.get(row[0], row[col])
+        fund = tmp_path / "fund.csv"
+        with open(fund, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = main(["rcr", "--portfolio", str(fund), "--policy", "optimal", "--tau", "3"])
+        assert code == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "infeasible-policy", "binding": "daily-limit",
+            "detail": f"the optimal pro-rata slice is empty: held securities {stuck} "
+                      "sell nothing within 3 days at their daily limits"}
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for target in (a, b):
@@ -654,6 +678,10 @@ class TestSwingCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "nav_swing,99" in out
+
+    def test_mode_none_prints_the_gross_nav_only(self, capsys):
+        assert main(["swing", "--mode", "none", "--flow", "-2", "--tc", "30"]) == EXIT_OK
+        assert capsys.readouterr().out == "field,value\nnav_gross,100\nactivated,false\n"
 
     def test_dual_with_adl(self, capsys):
         code = main(["swing", "--nav", "100", "--units", "10", "--sub", "10",

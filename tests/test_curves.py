@@ -36,9 +36,8 @@ from lst import (
     waterfall_portfolio,
     weights,
 )
-from lst import liquidation
-from lst.liquidation import _curve, _raised, _waterfall, cumulative_value
-from conftest import tied_columns
+from lst.liquidation import _curve, _evaluate, _raised, _waterfall
+from conftest import tied_columns, with_limits
 
 ALPHA = np.array([0.20, 0.30, 0.0, 0.15, 0.0, 0.0, 0.0])
 EPS = np.finfo(float).eps
@@ -75,7 +74,7 @@ def reference_liquidation_time(schedule, p):
     """``liquidation_time`` on a value curve sorted afresh."""
     total = schedule.target.value(schedule.portfolio)
     days = np.arange(1, schedule.horizon + 1)
-    cum = cumulative_value(schedule.sellable, schedule.cap, schedule.portfolio.prices, days)
+    cum = _evaluate(_curve(schedule.sellable, schedule.cap, schedule.portfolio.prices), days)
     hit = np.flatnonzero(cum >= p * total * (1 - 1e-12))
     return int(hit[0]) + 1 if hit.size else UNREACHABLE
 
@@ -88,7 +87,7 @@ def reference_profile(portfolio, max_days):
     live = cap > 0
     with np.errstate(over="ignore"):  # inf: a name that never finishes
         horizon = math.ceil(min((shares[live] / cap[live]).max(), max_days)) if live.any() else 0
-    profile = np.diff(cumulative_value(shares, cap, prices, np.arange(horizon + 1))) / tna(portfolio)
+    profile = np.diff(_evaluate(_curve(shares, cap, prices), np.arange(horizon + 1))) / tna(portfolio)
     return profile, float(weights(portfolio)[cap == 0].sum())
 
 
@@ -96,8 +95,8 @@ def reference_illiquid(portfolio, w_star, max_days):
     profile, _ = reference_profile(portfolio, max_days)
     below = np.flatnonzero(profile <= w_star + 1e-15)
     h_star = int(below[0]) + 1 if below.size else len(profile) + 1
-    sold = cumulative_value(portfolio.shares, portfolio.daily_limits, portfolio.prices,
-                            [h_star - 1])[0]
+    sold = _evaluate(_curve(portfolio.shares, portfolio.daily_limits, portfolio.prices),
+                     [h_star - 1])[0]
     return h_star, 1.0 - float(sold) / tna(portfolio)
 
 
@@ -179,13 +178,16 @@ class TestKeptOrder:
     @settings(max_examples=60, deadline=None)
     @given(tied_funds(max_n=400), SLICES, st.floats(0.1, 3.0), st.data())
     def test_stressed_limits_sort_afresh(self, portfolio, c, scale, data):
-        # other limits may make other names live, so no kept order applies
+        # other limits may make other names live: a copy at those limits
+        # sorts its own waterfall afresh, and its schedules start from it
         n = portfolio.n
         own = portfolio.daily_limits
         revived = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         limits = np.where(np.array(revived) & (own == 0), 50.0, scale * own)
+        stressed = with_limits(portfolio, limits)
         q = RedemptionPortfolio(quantities=c * portfolio.shares)
-        schedule = build_schedule(portfolio, q, limits=limits)
+        schedule = build_schedule(stressed, q)
+        assert schedule.cap is stressed.daily_limits
         assert same_curve(schedule._value_curve,
                           reference_curve(schedule.sellable, schedule.cap, portfolio.prices))
 
@@ -193,9 +195,8 @@ class TestKeptOrder:
         columns = dict(shares=[100.0, 50.0, 70.0], price=[10.0, 20.0, 5.0],
                        daily_limit=[10.0, 0.0, 7.0], daily_volume=[0, 0, 0],
                        volatility=[0, 0, 0], spread=[0, 0, 0])
-        portfolio = from_columns(columns)
-        schedule = build_schedule(portfolio, RedemptionPortfolio(quantities=portfolio.shares),
-                                  limits=[0.0, 25.0, 7.0])
+        stressed = with_limits(from_columns(columns), [0.0, 25.0, 7.0])
+        schedule = build_schedule(stressed, RedemptionPortfolio(quantities=stressed.shares))
         assert schedule._value_curve[3].tolist() == [1, 2]
         assert bits(schedule.amounts(3)) == bits([500.0 + 35.0, 1000.0 + 70.0, 1000.0 + 105.0])
 
@@ -226,10 +227,7 @@ class TestKeptOrder:
         assert _waterfall(portfolio) is curve
         for a in curve:
             assert not a.flags.writeable
-        twin = Portfolio.from_columns(portfolio.ids, dict(
-            shares=portfolio.shares, price=portfolio.prices, daily_limit=portfolio.daily_limits,
-            daily_volume=portfolio.daily_volumes, volatility=portfolio.volatilities,
-            spread=portfolio.spreads))
+        twin = with_limits(portfolio, portfolio.daily_limits)
         assert _waterfall(twin) is not curve and same_curve(_waterfall(twin), curve)
 
 
@@ -251,7 +249,7 @@ class TestScheduleCurve:
             last = schedule.amount(schedule.horizon)
             amounts = schedule.amounts(d)
             assert bits(amounts[:head.size]) == bits(
-                np.minimum(cumulative_value(schedule.sellable, schedule.cap, prices, head), last))
+                np.minimum(_evaluate(_curve(schedule.sellable, schedule.cap, prices), head), last))
             assert bits(amounts[head.size:]) == bits(np.full(d - head.size, last))
         if schedule.target.value(portfolio) > 0:
             for p in thresholds:
@@ -669,25 +667,24 @@ class TestWaterfallScheduleSharesTheCurve:
                 assert schedule._value_curve is not _waterfall(portfolio)
             assert same_curve(schedule._value_curve,
                               reference_curve(schedule.sellable, cap, prices))
-        # stressed limits, some names stuck: a fresh curve even for the whole holdings
-        stuck = np.where(np.arange(portfolio.n) % 2 == 0, 0.0, cap)
-        schedule = build_schedule(portfolio, waterfall_portfolio(portfolio), limits=stuck)
-        assert schedule._value_curve is not _waterfall(portfolio)
+        # stressed limits, some names stuck: a copy at those limits, whose
+        # whole holdings read the copy's own waterfall, not the portfolio's
+        stressed = with_limits(portfolio, np.where(np.arange(portfolio.n) % 2 == 0, 0.0, cap))
+        schedule = build_schedule(stressed, waterfall_portfolio(stressed))
+        assert schedule._value_curve is _waterfall(stressed) is not _waterfall(portfolio)
         assert same_curve(schedule._value_curve,
-                          reference_curve(schedule.sellable, stuck, prices))
+                          reference_curve(schedule.sellable, stressed.daily_limits, prices))
 
     def test_own_limits_are_read_as_they_are_and_stressed_ones_checked(self, fund):
         schedule = build_schedule(fund, waterfall_portfolio(fund))
         assert schedule.cap is fund.daily_limits
-        q = RedemptionPortfolio(quantities=0.2 * fund.shares)
+        # stressed limits are a copy's own, checked where the copy is built
         for bad in (-1.0, float("nan"), float("inf")):
             limits = fund.daily_limits.copy()
             limits[3] = bad
-            message = rf"^daily limits must be finite and non-negative, got {bad!r}$"
+            message = rf"^security 'A4': daily_limit must be finite and non-negative, got {bad!r}$"
             with pytest.raises(DomainError, match=message):
-                build_schedule(fund, q, limits=limits)
-            with pytest.raises(DomainError, match=message):
-                liquidation.validated_limits(fund, q, 5, limits)
+                with_limits(fund, limits)
 
     def test_a_tie_of_signed_zeros_keeps_each_keys_bits(self):
         # 0.0 and -0.0 are equal keys of other bits: the tie repair moves

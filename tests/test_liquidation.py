@@ -23,9 +23,8 @@ from lst import (
     time_to_liquidity,
     tna,
 )
-from lst.liquidation import validated_limits
 from lst.reverse import BISECTION_TOL
-from conftest import random_portfolio
+from conftest import random_portfolio, with_limits
 
 # Day-by-day share sales for the naive 20% pro-rata scenario on the demo fund.
 PRO_RATA_SCHEDULE = [
@@ -89,8 +88,8 @@ class TestBuildSchedule:
                 expected = np.minimum(q.quantities, h * p.daily_limits)
                 np.testing.assert_allclose(schedule.cumulative(h), expected, atol=1e-6)
 
-    def test_limit_override(self, fund):
-        schedule = build_schedule(fund, pro_rata_20(fund), limits=0.5 * fund.daily_limits)
+    def test_halved_limits(self, fund):
+        schedule = build_schedule(with_limits(fund, 0.5 * fund.daily_limits), pro_rata_20(fund))
         np.testing.assert_allclose(schedule.sold[0][:4], [10_000, 10_000, 5_000, 10_000])
 
     def test_stuck_assets_flagged(self):
@@ -210,14 +209,6 @@ class TestIlliquidAssets:
         for bad in (0.0, 1.0):
             with pytest.raises(DomainError):
                 illiquid_assets(fund, bad)
-
-
-class TestValidation:
-    def test_nan_limits_rejected(self, fund):
-        limits = fund.daily_limits.copy()
-        limits[2] = np.nan
-        with pytest.raises(DomainError):
-            build_schedule(fund, pro_rata_20(fund), limits=limits)
 
 
 # =============================================================================
@@ -408,18 +399,18 @@ class TestRejectedInputs:
         (lambda f: liquidation_time(build_schedule(f, RedemptionPortfolio(quantities=np.zeros(f.n))),
                                     0.5),
          "^liquidation time undefined for a zero-value redemption$"),
-        (lambda f: validated_limits(f, RedemptionPortfolio(quantities=np.zeros(f.n - 1)), 5),
+        (lambda f: build_schedule(f, RedemptionPortfolio(quantities=np.zeros(f.n - 1))),
          "^redemption portfolio does not match portfolio size$"),
-        (lambda f: validated_limits(f, RedemptionPortfolio(quantities=np.zeros(f.n)), 5,
-                                    limits=np.ones(f.n + 1)),
-         "^limits must give one daily limit per security$"),
+        (lambda f: build_schedule(f, RedemptionPortfolio(quantities=1.01 * f.shares)),
+         "^cannot liquidate more shares than held$"),
         (lambda f: liquidation_time(build_schedule(f, pro_rata_20(f)), np.inf),
          r"^threshold p must lie in \(0, 1\], got inf$"),
         (lambda f: liquidation_time(build_schedule(f, pro_rata_20(f)), 0.0),
          r"^threshold p must lie in \(0, 1\], got 0\.0$"),
         (lambda f: illiquid_assets(f, 1.0), r"^w_star must lie in \(0, 1\), got 1\.0$"),
         (lambda f: illiquid_assets(f, np.nan), r"^w_star must lie in \(0, 1\), got nan$"),
-    ], ids=["zero-value-liquidation-time", "redemption-length", "limits-length", "p-inf",
+    ], ids=["zero-value-liquidation-time", "redemption-length", "redemption-above-holdings",
+            "p-inf",
             "p-zero", "w-star-one", "w-star-nan"])
     def test_domain_error(self, fund, call, message):
         with pytest.raises(DomainError, match=message):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,7 @@ from lst import (
     AssetRstNoSolution,
     DomainError,
     Portfolio,
+    RedemptionPortfolio,
     RedemptionShock,
     asset_rst,
     liability_rst,
@@ -333,8 +336,22 @@ class TestRejectedInputs:
          "^volume_multiplier must be finite and non-negative, got nan$"),
         (lambda f: stressed_rcr(f, pro_rata_portfolio(f, 0.2), 1e6, 1, -0.5),
          r"^volume_multiplier must be finite and non-negative, got -0\.5$"),
+        (lambda f: stressed_rcr(f, RedemptionPortfolio(quantities=np.ones(f.n - 1)), 1e6, 1),
+         "^redemption portfolio does not match portfolio size$"),
+        (lambda f: stressed_rcr(f, RedemptionPortfolio(quantities=1.01 * f.shares), 1e6, 1),
+         "^cannot liquidate more shares than held$"),
     ], ids=["floor-nan", "floor-inf", "feasible-floor-zero", "asset-floor-nan", "rate-nan",
-            "rate-zero", "tol-one", "alpha-inf", "multiplier-nan", "multiplier-negative"])
+            "rate-zero", "tol-one", "alpha-inf", "multiplier-nan", "multiplier-negative",
+            "target-length", "target-above-holdings"])
     def test_bounds_are_the_rule(self, fund, call, message):
         with pytest.raises(DomainError, match=message):
             call(fund)
+
+    @pytest.mark.parametrize("multiplier", [1e308, np.finfo(float).max])
+    def test_a_multiplier_past_the_float_range_binds_no_limit(self, fund, multiplier):
+        # the scaled limits overflowed with a warning and were then rejected as
+        # daily limits, an input the caller never passed: now they bind no name
+        q = pro_rata_portfolio(fund, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stressed_rcr(fund, q, q.value(fund), 5, multiplier) == 1.0

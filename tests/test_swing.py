@@ -55,6 +55,9 @@ class TestNavStep:
         with pytest.raises(DomainError):
             nav_step(STATE, FlowEvent(redeemed=10))
 
+    def test_tna_is_nav_times_units(self):
+        assert STATE.tna == 1000.0
+
 
 class TestSwingNav:
     def test_subscription_swings_up(self):
@@ -65,6 +68,12 @@ class TestSwingNav:
     def test_redemption_swings_down(self):
         res = swing_nav(STATE, FlowEvent(redeemed=5, asset_return=0.05, tc=30), FULL)
         assert res.nav_swing == pytest.approx(99.0)
+
+    def test_mode_none_never_swings(self):
+        res = swing_nav(STATE, FlowEvent(redeemed=2, asset_return=0.05, tc=30),
+                        SwingConfig(mode=SwingMode.NONE))
+        assert (res.nav_gross, res.activated) == (pytest.approx(105.0), False)
+        assert res.nav_swing is res.nav_ask is res.nav_bid is None
 
     def test_no_net_flow_is_a_no_op(self):
         res = swing_nav(STATE, FlowEvent(subscribed=3, redeemed=3, tc=10), FULL)
