@@ -26,7 +26,6 @@ from .specialfuncs import ETA_RANGE, _as_array, _as_given, integral_i_ab, integr
 _GRID_STEP = 1e-3  # coarse scan resolution of the buffer optimizer
 _ZOOM = 10  # each refine grid is _ZOOM times finer than the last
 _W_TOL = 1e-9  # the refine stops once its grid spacing is at most this
-_ERROR_BLOCK = 1 << 15  # (w, u) points per block of the approximation-error scan
 # The smallest trading limit: a full redemption sells out within 10,000 days.
 # The exact gain sums one term per limit segment, so its cost grows as
 # 1/x_plus, and a smaller limit would run without bound.
@@ -220,8 +219,8 @@ def _sqrt_cost(params: BufferCostParams) -> _SqrtCost:
     ``cost(x)`` is the cost of selling x and ``slope(x)`` its right
     derivative; a negative x sells nothing. They use arithmetic operators
     only (``// 1.0`` is the floor), so the same expression serves a float in
-    a quad integrand and an array in the Monte-Carlo and error grids, with
-    bit-identical values.
+    a quad integrand and an array of Monte-Carlo draws, with bit-identical
+    values.
     """
     s, beta, sig, xp = params.spread, params.beta_impact, params.sigma_daily, params.x_plus
     full_day = xp**1.5
@@ -574,37 +573,26 @@ def break_even_premium(
 # APPROXIMATION-ERROR DIAGNOSTICS
 # =============================================================================
 
-def _worst_additive_error(params: BufferCostParams, w: np.ndarray, n_grid: int) -> float:
-    """max |(TC(w + u) - TC(w)) - TC(u)| over the levels w and, for each, an
-    n_grid-point grid of offsets u in [0, min(x_plus, 1 - w)], evaluated in
-    blocks of levels so memory stays bounded."""
-    check_days("n_grid", n_grid, least=2)
-    span = np.minimum(params.x_plus, 1.0 - w)
-    keep = span > 0  # a zero span would change linspace's rounding for its block
-    w, span = w[keep], span[keep]
-    tc = _sqrt_cost(params).cost
-    rows = max(1, _ERROR_BLOCK // n_grid)
-    worst = 0.0
-    for i in range(0, len(w), rows):
-        level = w[i:i + rows, None]
-        u = np.linspace(0.0, span[i:i + rows], n_grid, axis=1)
-        worst = max(worst, float(np.abs((tc(level + u) - tc(level)) - tc(u)).max()))
-    return worst
-
-
-def approximation_error(params: BufferCostParams, w: float, n_grid: int = 2001) -> float:
+def approximation_error(params: BufferCostParams, w: float) -> float:
     """Worst additive-cost error sup_{R in [w, 1]} |(TC(R) - TC(w)) - TC(R - w)|.
 
-    The sup runs over the shocks exceeding the buffer, the only region where
-    the additive shortcut is applied. The spread leg cancels exactly, and the
-    impact leg is periodic in R - w with period x_plus, so the scan covers one
-    period of the offset.
+    The spread leg cancels. With f(x) = x^1.5 the impact of a sale is
+    k f(x_plus) + f(r) for k full days and a residual r, so the error at an
+    offset u = R - w depends on w only through l = w mod x_plus, has period
+    x_plus in u, rises up to u = x_plus - l and falls back to 0 after it:
+    the sup is beta sigma_d (f(l + u*) - f(l) - f(u*)) at
+    u* = min(x_plus - l, 1 - w), with l = w when no limit binds.
     """
     check_number("cash weight", w, "[0, 1]")
-    return _worst_additive_error(params, np.array([float(w)]), n_grid)
+    level = w % params.x_plus
+    offset = min(params.x_plus - level, 1.0 - w)
+    top = level + offset
+    impact = params.beta_impact * params.sigma_daily
+    return impact * (top * math.sqrt(top) - level * math.sqrt(level) - offset * math.sqrt(offset))
 
 
-def max_approximation_error(params: BufferCostParams, n_w: int = 201, n_grid: int = 2001) -> float:
-    """sup over buffer levels of the additive-cost error (periodic in w too)."""
-    check_days("n_w", n_w)
-    return _worst_additive_error(params, np.linspace(0.0, min(params.x_plus, 1.0), n_w), n_grid)
+def max_approximation_error(params: BufferCostParams) -> float:
+    """sup over buffer levels of ``approximation_error``: at l = m / 2 with
+    m = min(x_plus, 1), beta sigma_d m^1.5 (1 - sqrt(1/2))."""
+    m = min(params.x_plus, 1.0)
+    return params.beta_impact * params.sigma_daily * m * math.sqrt(m) * (1.0 - math.sqrt(0.5))

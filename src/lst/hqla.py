@@ -184,9 +184,10 @@ _BUCKET_KEYS = {"lambda": "selling_intensity", "eta_dd": "loss_intensity",
 def load_buckets(path) -> list:
     """Read bucket definitions from JSON: [{name, lambda, eta_dd, mdd, ccf_static?}, ...].
 
-    A DomainError names the file and the entry (from 1): a missing name, a
-    value that is not a number (with its field), or a bucket ``HqlaBucket``
-    rejects (with its message). A file that is not JSON is a ConfigError.
+    A DomainError names the file and the entry (from 1): a missing or
+    non-string name, a value that is not a JSON number (with its field), or
+    a bucket ``HqlaBucket`` rejects (with its message). A file that is not
+    JSON is a ConfigError.
     """
     raw = load_json(path, "bucket")
     if not (isinstance(raw, list) and all(isinstance(rec, dict) for rec in raw)):
@@ -196,15 +197,16 @@ def load_buckets(path) -> list:
         where = f"bucket file {path}, entry {k}"
         if "name" not in rec:
             raise DomainError(f"{where}: name is required")
+        if not isinstance(rec["name"], str):
+            raise DomainError(f"{where}: name {rec['name']!r} is not a string")
         fields = {}
         for key, field in _BUCKET_KEYS.items():
             if key in rec:
-                try:
-                    fields[field] = float(rec[key])
-                except (TypeError, ValueError):
-                    raise DomainError(f"{where}: {key} {rec[key]!r} is not a number") from None
+                if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
+                    raise DomainError(f"{where}: {key} {rec[key]!r} is not a number")
+                fields[field] = float(rec[key])
         try:
-            buckets.append(HqlaBucket(name=str(rec["name"]), **fields))
+            buckets.append(HqlaBucket(name=rec["name"], **fields))
         except DomainError as exc:
             raise DomainError(f"{where}: {exc}") from None
     return buckets

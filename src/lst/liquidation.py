@@ -186,22 +186,25 @@ class LiquidationSchedule:
 
     def cumulative(self, h: Optional[int] = None) -> np.ndarray:
         """Total shares sold per security up to and including day h: min(h * cap, sellable)."""
-        h = self.horizon if h is None else min(h, self.horizon)
-        return np.minimum(max(h, 0) * self.cap, self.sellable)
+        h = self.horizon if h is None else h
+        check_days("h", h, least=0)
+        return np.minimum(min(h, self.horizon) * self.cap, self.sellable)
 
     def amount(self, h: int) -> float:
         """Cash raised after h trading days (prices frozen): ``_raised`` at
         day min(h, horizon), the dot product of ``cumulative(h)``."""
-        return _raised(max(min(h, self.horizon), 0), self.cap, self.sellable, self.portfolio.prices)
+        check_days("h", h, least=0)
+        return _raised(min(h, self.horizon), self.cap, self.sellable, self.portfolio.prices)
 
     def amounts(self, days: int) -> np.ndarray:
         """Cash raised after each of days 1..days: off the value curve before
         the horizon, then flat at ``amount(horizon)``, the sum a sold-out
         target's value is. The curve's prefix sums round differently, so an
         earlier day is capped at that sum and the table never falls."""
+        check_days("days", days, least=0)
         last = self.amount(self.horizon)
         head = _evaluate(self._value_curve, np.arange(1, min(days + 1, self.horizon)))
-        return np.concatenate((np.minimum(head, last), np.full(max(days - len(head), 0), last)))
+        return np.concatenate((np.minimum(head, last), np.full(days - len(head), last)))
 
     @cached_property
     def _value_curve(self) -> tuple:

@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ._checks import check_days, check_number
+from ._checks import as_integer, check_days, check_number
 from .core import DomainError, Portfolio, RedemptionPortfolio, RedemptionShock, tna
 from .liquidation import (
     LiquidationSchedule,
@@ -43,9 +43,10 @@ class RcrReport:
         return len(self.lr)
 
     def row(self, h: int) -> dict:
-        # a day index, not a bounded number: its message names the horizon
-        if not 1 <= h <= self.horizon:
+        # an integer day outside the table: its message names the horizon
+        if as_integer(h) is not None and not 1 <= h <= self.horizon:
             raise DomainError(f"day {h} outside report horizon 1..{self.horizon}")
+        check_days("day", h)
         i = h - 1
         return {"h": h, "lr": float(self.lr[i]), "amount": float(self.amount[i]),
                 "rcr": float(self.rcr[i]), "ls": float(self.ls[i])}

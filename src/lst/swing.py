@@ -142,7 +142,8 @@ def swing_nav(state: FundState, event: FlowEvent, config: SwingConfig) -> SwingR
 
     Returns a non-activated result when there is no net flow (nothing to
     swing) or, in partial/dynamic mode, when |net flow| is below the
-    (possibly dynamic) threshold. Activation uses an inclusive comparison.
+    (possibly dynamic) threshold, infinite on a day with no cost.
+    Activation uses an inclusive comparison.
     A redeeming NAV below 0 (the swung NAV of a net redemption, or the dual
     bid) is a DomainError: the costs exceed what the redeemed units are worth.
     """
@@ -174,6 +175,8 @@ def swing_nav(state: FundState, event: FlowEvent, config: SwingConfig) -> SwingR
             if factor <= 0:
                 # infer today's factor from the cost of the day's net flow
                 factor = event.tc / (gross * abs(net)) if event.tc > 0 else 0.0
+            if factor == 0:  # a day with no cost: the threshold is infinite
+                return SwingResult(nav_gross=gross, activated=False)
             threshold = dynamic_threshold(config, factor)
         flow_rate = abs(net) / min(state.units, units_after)
         if flow_rate < threshold:

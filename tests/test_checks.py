@@ -21,6 +21,7 @@ from lst import (
     evaluate_policy,
     illiquid_assets,
     liability_rst,
+    liquidation_ratio,
     max_admissible_shock,
     optimal_pro_rata,
     optimize_policy,
@@ -153,6 +154,19 @@ DAY_COUNTS = {
 }
 
 
+def twenty_percent_schedule(f):
+    return build_schedule(f, pro_rata_portfolio(f, 0.2))
+
+
+#: (parameter name, call with that day) of every public day index from 0.
+DAY_INDICES = {
+    "LiquidationSchedule.amount": ("h", lambda f, d: twenty_percent_schedule(f).amount(d)),
+    "LiquidationSchedule.amounts": ("days", lambda f, d: twenty_percent_schedule(f).amounts(d)),
+    "LiquidationSchedule.cumulative": ("h", lambda f, d: twenty_percent_schedule(f).cumulative(d)),
+    "liquidation_ratio": ("h", lambda f, d: liquidation_ratio(twenty_percent_schedule(f), d)),
+}
+
+
 class TestDayCounts:
     @pytest.mark.parametrize("days", [0, 2.0])
     @pytest.mark.parametrize("function", sorted(DAY_COUNTS))
@@ -161,3 +175,27 @@ class TestDayCounts:
         message = f"^{name} must be an integer of at least 1, got {re.escape(repr(days))}$"
         with pytest.raises(DomainError, match=message):
             call(fund, days)
+
+    # amount(1.5) once raised a day and a half of sales, and amount(-1) 0.0
+    @pytest.mark.parametrize("day", [-1, 1.5, 2.0, True])
+    @pytest.mark.parametrize("function", sorted(DAY_INDICES))
+    def test_a_day_index_is_rejected_under_its_own_name(self, fund, function, day):
+        name, call = DAY_INDICES[function]
+        message = f"^{name} must be an integer of at least 0, got {re.escape(repr(day))}$"
+        with pytest.raises(DomainError, match=message):
+            call(fund, day)
+
+    def test_day_zero_has_sold_nothing(self, fund):
+        schedule = twenty_percent_schedule(fund)
+        assert schedule.amount(0) == 0.0 == liquidation_ratio(schedule, 0)
+        assert schedule.amounts(0).size == 0 and not schedule.cumulative(0).any()
+        assert schedule.amount(np.int64(3)) == schedule.amount(3)
+
+    # row(2.0) once raised numpy's IndexError; an integer outside the table
+    # names the horizon (tests/test_rcr.py)
+    @pytest.mark.parametrize("day", [1.5, 2.0, True])
+    def test_a_report_row_is_an_integer_day(self, fund, day):
+        report = rcr_report(fund, RedemptionShock.from_rate(fund, 0.2), pro_rata_portfolio(fund, 0.2),
+                            horizon=6)
+        with pytest.raises(DomainError, match=f"^day must be an integer of at least 1, got {day!r}$"):
+            report.row(day)

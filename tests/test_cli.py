@@ -223,6 +223,11 @@ class TestHqlaCommand:
         ([{"name": "x", "lambda": [1]}], ", entry 1: lambda [1] is not a number"),
         ([{"lambda": 0.1}], ", entry 1: name is required"),
         ([{"name": "x"}, {"name": "y", "mdd": 2}], ", entry 2: max_drawdown must lie in [0, 1], got 2.0"),
+        # JSON true once read as 1.0, and a null or numeric name as the text None or 5
+        ([{"name": "a", "lambda": True}], ", entry 1: lambda True is not a number"),
+        ([{"name": "a", "mdd": "0.5"}], ", entry 1: mdd '0.5' is not a number"),
+        ([{"name": "a"}, {"name": None}], ", entry 2: name None is not a string"),
+        ([{"name": 5, "ccf_static": 1}], ", entry 1: name 5 is not a string"),
     ])
     def test_malformed_bucket_file_is_a_validation_error(self, doc, detail, tmp_path, capsys):
         path = tmp_path / "buckets.json"
@@ -681,6 +686,11 @@ class TestSwingCommand:
 
     def test_mode_none_prints_the_gross_nav_only(self, capsys):
         assert main(["swing", "--mode", "none", "--flow", "-2", "--tc", "30"]) == EXIT_OK
+        assert capsys.readouterr().out == "field,value\nnav_gross,100\nactivated,false\n"
+
+    def test_dynamic_mode_on_a_day_with_no_cost_does_not_swing(self, capsys):
+        # the inferred factor is 0: this once exited 2 on a factor the user never passed
+        assert main(["swing", "--mode", "dynamic", "--flow", "-2", "--tc", "0"]) == EXIT_OK
         assert capsys.readouterr().out == "field,value\nnav_gross,100\nactivated,false\n"
 
     def test_dual_with_adl(self, capsys):

@@ -54,6 +54,11 @@ class TestLiabilityRst:
                 assert res.amount / 1e6 == pytest.approx(amount_mn, abs=0.05), (tau, floor)
                 assert 100 * res.rate == pytest.approx(rate_pct, abs=0.05), (tau, floor)
 
+    def test_unpacks_to_amount_and_rate(self, fund):
+        res = liability_rst(fund, ALPHA, 0.25, 1)
+        amount, rate = res
+        assert (amount, rate) == (res.amount, res.rate)
+
     def test_nothing_saleable(self, fund):
         res = liability_rst(fund, np.zeros(fund.n), 0.25, 3)
         assert res.amount == 0.0

@@ -16,6 +16,7 @@ from lst import (
     GateRequest,
     SwingConfig,
     SwingMode,
+    SwingResult,
     adl_fees,
     dilution_per_unit,
     dynamic_threshold,
@@ -196,8 +197,14 @@ class TestSwingNav:
         res = swing_nav(state, event, dynamic)
         assert res.activated
         assert res.nav_swing == pytest.approx(100.0 - 24.0 / 4.0)
-        with pytest.raises(DomainError):
-            swing_nav(state, FlowEvent(redeemed=4.0, tc=0.0), dynamic)
+
+    def test_a_day_with_no_cost_infers_no_swing(self):
+        # the inferred factor is 0, so the threshold product / 0 is infinite;
+        # this once raised "swing factor must be finite and positive, got 0.0"
+        dynamic = SwingConfig(mode=SwingMode.DYNAMIC, product=2e-4)
+        for event in (FlowEvent(redeemed=4.0), FlowEvent(subscribed=4.0)):
+            res = swing_nav(FundState(nav=100.0, units=100.0), event, dynamic)
+            assert res == SwingResult(nav_gross=100.0, activated=False)
 
 
 class TestNonFiniteInputs:
