@@ -167,20 +167,18 @@ def buffer_analytics(market: BufferMarketParams, w: float) -> BufferAnalytics:
     m = market
     premium = m.mu_asset - m.mu_cash
     exp_ret = m.mu_asset - w * premium
-    var = (
-        w**2 * m.sigma_cash**2
-        + (1.0 - w) ** 2 * m.sigma_asset**2
-        + 2.0 * w * (1.0 - w) * m.rho * m.sigma_cash * m.sigma_asset
-    )
+    cash, asset = w * m.sigma_cash, (1.0 - w) * m.sigma_asset
+    var = cash * cash + asset * asset + 2.0 * m.rho * cash * asset
+    check_number("blended variance", var)
+    check_number("tracking-error variance", m.te_variance_unit)
     vol = math.sqrt(max(var, 0.0))
     te_vol = w * math.sqrt(max(m.te_variance_unit, 0.0))
-    cov = w * m.rho * m.sigma_cash * m.sigma_asset + (1.0 - w) * m.sigma_asset**2
     beta = None
     if m.sigma_asset > 0:
-        beta = 1.0 - (w / m.sigma_asset**2) * (
-            m.sigma_asset**2 - m.rho * m.sigma_cash * m.sigma_asset
-        )
-    corr = cov / (vol * m.sigma_asset) if vol > 0 and m.sigma_asset > 0 else None
+        beta = 1.0 - w + w * m.rho * m.sigma_cash / m.sigma_asset
+    corr = None
+    if vol > 0 and m.sigma_asset > 0:
+        corr = (w * m.rho * m.sigma_cash + (1.0 - w) * m.sigma_asset) / vol
     sharpe = (exp_ret - m.mu_cash) / vol if vol > 0 else None
     info = -premium / math.sqrt(m.te_variance_unit) if te_vol > 0 else None
     return BufferAnalytics(
@@ -547,7 +545,7 @@ def optimal_cash_buffer(market: BufferMarketParams, params: BufferCostParams) ->
             if costs[i] < fw:
                 w, fw = zoom[i], costs[i]
             scale *= _ZOOM
-    candidates = [(values[best], grid[best]), (fw, w), (values[0], 0.0), (values[-1], 1.0)]
+    candidates = [(values[best], grid[best]), (fw, w), (values[0], 0.0)]
     best_value = min(v for v, _ in candidates)
     return float(min(x for v, x in candidates if v <= best_value + 1e-15))
 

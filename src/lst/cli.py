@@ -47,7 +47,7 @@ _DESCRIPTION = __doc__ and __doc__.split("\nStartup and exit:")[0]  # None under
 
 #: Largest --curve-points of ``lst buffer``: a 1e-4 step on [0, 1].
 MAX_CURVE_POINTS = 10_001
-#: Largest day count the command line reads: ``illiquid_assets``' default ``max_days``.
+#: Largest day count the command line reads.
 MAX_DAYS = 10_000
 
 

@@ -185,9 +185,9 @@ def load_buckets(path) -> list:
     """Read bucket definitions from JSON: [{name, lambda, eta_dd, mdd, ccf_static?}, ...].
 
     A DomainError names the file and the entry (from 1): a missing or
-    non-string name, a value that is not a JSON number (with its field), or
-    a bucket ``HqlaBucket`` rejects (with its message). A file that is not
-    JSON is a ConfigError.
+    non-string name, a value that is not a JSON number or is an integer too
+    large for a float (with its field), or a bucket ``HqlaBucket`` rejects
+    (with its message). A file that is not JSON is a ConfigError.
     """
     raw = load_json(path, "bucket")
     if not (isinstance(raw, list) and all(isinstance(rec, dict) for rec in raw)):
@@ -204,7 +204,10 @@ def load_buckets(path) -> list:
             if key in rec:
                 if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
                     raise DomainError(f"{where}: {key} {rec[key]!r} is not a number")
-                fields[field] = float(rec[key])
+                try:
+                    fields[field] = float(rec[key])
+                except OverflowError:  # a JSON integer past the float range
+                    raise DomainError(f"{where}: {key} is an integer too large for a float") from None
         try:
             buckets.append(HqlaBucket(name=rec["name"], **fields))
         except DomainError as exc:

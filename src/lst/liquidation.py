@@ -340,22 +340,28 @@ def daily_liquidation_profile(portfolio: Portfolio, max_days: int = MAX_DAYS_DEF
     return np.diff(_evaluate(curve, np.arange(horizon + 1))) / tna(portfolio), residual
 
 
-def illiquid_assets(portfolio: Portfolio, w_star: float,
-                    max_days: int = 10_000) -> Tuple[int, float]:
+def illiquid_assets(portfolio: Portfolio, w_star: float) -> Tuple[int, float]:
     """Illiquid amount: weight not yet sold when daily liquidation drops below w_star.
 
-    Returns (h_star, illiquid_fraction) where h_star is the first day of the
-    daily profile with a weight <= w_star and the fraction is
-    1 - W(h_star - 1) / TNA, read off the waterfall curve W. The default
-    horizon is generous: the daily profile is non-increasing, so the
-    threshold day always exists once every unwind time is covered. The
-    profile is evaluated in closed form, so the horizon costs O(max_days)
-    memory, not O(max_days * n). ``max_days`` is checked by the profile.
+    Returns (h_star, illiquid_fraction): h_star is the first day of the
+    daily profile with a weight <= w_star, the fraction 1 - W(h_star - 1) /
+    TNA, both read off the waterfall curve W. With j the first sorted
+    position whose daily value ``rest[j]`` is at most w_star of net assets
+    (``rest[n] = 0``), every day before ceil(t[j-1]) sells at least
+    ``rest[j-1]`` and every day after it at most ``rest[j]``: h_star is
+    h = max(ceil(t[j-1]), 1), or h + 1 if day h still sells above w_star.
+    t[j-1] is finite, since a name that never finishes sells under 1e-308
+    of net assets a day.
     """
     check_number("w_star", w_star, "(0, 1)")
-    profile, _ = daily_liquidation_profile(portfolio, max_days=max_days)
-    below = np.flatnonzero(profile <= w_star + 1e-15)
-    # beyond the computed profile the daily liquidation is 0 (or the residual
-    # of stuck assets), so the threshold is met right after it
-    h_star = int(below[0]) + 1 if below.size else len(profile) + 1
-    return h_star, 1.0 - float(_evaluate(_waterfall(portfolio), h_star - 1)) / tna(portfolio)
+    curve = _waterfall(portfolio)
+    t, _, rest, _ = curve
+    total = tna(portfolio)
+    level = w_star + 1e-15
+    j = int(np.argmax(rest / total <= level))
+    h_star = 1
+    if j:
+        h = max(math.ceil(t[j - 1]), 1)
+        before, after = _evaluate(curve, [h - 1, h])
+        h_star = h + 1 if (after - before) / total > level else h
+    return h_star, 1.0 - float(_evaluate(curve, h_star - 1)) / total

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -45,16 +45,14 @@ class CostModel:
       shape that market-impact calibrations produce for stressed sizes;
     * ``sqrt``: the single-regime square-root form at every size.
 
-    A ``custom_impact`` callable (x -> impact multiplier, before beta and
-    sigma) overrides both. Participations above ``participation_cap`` are not
-    tradeable within one day.
+    Participations above ``participation_cap`` are not tradeable within one
+    day.
     """
 
     beta_impact: float = 0.4
     knee: float = 0.05
     participation_cap: float = 0.10
     regime: str = "sqrt_linear"
-    custom_impact: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         check_finite(self, ("beta_impact",), "non-negative")
@@ -67,8 +65,6 @@ class CostModel:
     def impact_shape(self, x: np.ndarray) -> np.ndarray:
         """Size-dependent impact multiplier before beta and volatility."""
         x = np.asarray(x, dtype=float)
-        if self.custom_impact is not None:
-            return np.vectorize(self.custom_impact, otypes=[float])(x)
         root = np.sqrt(np.maximum(x, 0.0))
         if self.regime == "sqrt":
             return root

@@ -16,7 +16,6 @@ from .core import DomainError, Portfolio, RedemptionPortfolio, tna, weights
 from .liquidation import _check_target, _raised, _waterfall
 
 BISECTION_TOL = 1e-6
-BISECTION_MAX_ITER = 200
 
 _U = 2.0**-53            # unit roundoff of a float64
 _TINY = 2.0**-1070       # 32 times the largest underflow error of one operation
@@ -124,7 +123,6 @@ def asset_rst(
     standard_rate: float,
     rcr_floor: float,
     tau_h: int,
-    tol: float = BISECTION_TOL,
 ) -> Union[float, AssetRstNoSolution]:
     """Volume multiplier below which RCR(tau_h) falls below the floor.
 
@@ -134,9 +132,10 @@ def asset_rst(
     bisection; daily limits stay real-valued (no share rounding).
 
     Coverage is piecewise linear in m, so its root could be solved exactly;
-    the bisection (its midpoints, its ``<=`` test and its stop at ``tol``)
-    is kept on purpose, because the published 6-digit multipliers are those
-    of this sequence and the exact root prints differently in some cells.
+    the bisection (its midpoints, its ``<=`` test and its stop at
+    ``BISECTION_TOL``, 20 halvings) is kept on purpose, because the
+    published 6-digit multipliers are those of this sequence and the exact
+    root prints differently in some cells.
     Every comparison with the floor, the two end points included, is that
     of the exact coverage c1(m) = A / R, where A is the closed form of
     ``stressed_rcr``, the sum ``_raised`` in O(n), and R = r * TNA.
@@ -181,7 +180,6 @@ def asset_rst(
     check_number("standard redemption rate", standard_rate, "(0, 1]")
     check_number("RCR floor", rcr_floor, "positive")
     check_days("tau_h", tau_h)
-    check_number("bisection tol", tol, "(0, 1)")
     shock_amount = standard_rate * tna(portfolio)
     shares, cap, prices = portfolio.shares, portfolio.daily_limits, portfolio.prices
     t, full, rest, _ = _waterfall(portfolio)
@@ -204,16 +202,14 @@ def asset_rst(
     if coverage(1.0) <= rcr_floor:
         return AssetRstNoSolution(tau_h=tau_h, rcr_floor=rcr_floor,
                                   reason=AssetRstFailure.ALREADY_BELOW_FLOOR)
-    if coverage(tol) >= rcr_floor:
+    if coverage(BISECTION_TOL) >= rcr_floor:
         return AssetRstNoSolution(tau_h=tau_h, rcr_floor=rcr_floor,
                                   reason=AssetRstFailure.FLOOR_UNREACHABLE)
     lo, hi = 0.0, 1.0
-    for _ in range(BISECTION_MAX_ITER):
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if coverage(mid) <= rcr_floor:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
-            break
     return 0.5 * (lo + hi)

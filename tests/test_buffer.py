@@ -86,6 +86,26 @@ class TestBufferAnalytics:
             buffer_analytics(self.MARKET, 1.2)
 
 
+class TestBufferAnalyticsAtExtremeVolatilities:
+    """Volatilities the market params accept give a result or a DomainError:
+    a float ``**`` once raised OverflowError, and a division by an
+    underflowed sigma_asset**2 ZeroDivisionError."""
+
+    @pytest.mark.parametrize("w, name", [(0.0, "blended"), (0.3, "blended"),
+                                         (1.0, "tracking-error")])
+    def test_a_variance_past_the_float_range_is_a_domain_error(self, w, name):
+        market = BufferMarketParams(mu_asset=0.06, sigma_asset=1e200)
+        with pytest.raises(DomainError, match=f"^{name} variance must be finite, got inf$"):
+            buffer_analytics(market, w)
+
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5])
+    def test_volatilities_whose_squares_underflow(self, rho):
+        market = BufferMarketParams(mu_asset=0.06, sigma_asset=1e-200, sigma_cash=1e-200, rho=rho)
+        for w in (0.0, 0.3, 1.0):
+            a = buffer_analytics(market, w)
+            assert a.beta == pytest.approx(1.0 - w * (1.0 - rho), rel=1e-15, abs=1e-15)
+            assert a.expected_return == pytest.approx(0.06 * (1.0 - w))
+
 @st.composite
 def cost_params(draw):
     x_plus = draw(st.sampled_from([0.05, 0.1, 0.16, 0.3, 1.0, 1.5]) | st.floats(0.01, 2.0))

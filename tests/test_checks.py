@@ -19,7 +19,6 @@ from lst import (
     build_schedule,
     daily_liquidation_profile,
     evaluate_policy,
-    illiquid_assets,
     liability_rst,
     liquidation_ratio,
     max_admissible_shock,
@@ -150,7 +149,6 @@ DAY_COUNTS = {
         f, CostModel(), RedemptionShock.from_rate(f, 0.1), 0.002, 0.1, horizon=d)),
     "daily_liquidation_profile": ("max_days", lambda f, d: daily_liquidation_profile(
         f, max_days=d)),
-    "illiquid_assets": ("max_days", lambda f, d: illiquid_assets(f, 0.01, max_days=d)),
 }
 
 

@@ -228,6 +228,8 @@ class TestHqlaCommand:
         ([{"name": "a", "mdd": "0.5"}], ", entry 1: mdd '0.5' is not a number"),
         ([{"name": "a"}, {"name": None}], ", entry 2: name None is not a string"),
         ([{"name": 5, "ccf_static": 1}], ", entry 1: name 5 is not a string"),
+        # once an internal OverflowError
+        ([{"name": "a", "lambda": 10**400}], ", entry 1: lambda is an integer too large for a float"),
     ])
     def test_malformed_bucket_file_is_a_validation_error(self, doc, detail, tmp_path, capsys):
         path = tmp_path / "buckets.json"

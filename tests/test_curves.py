@@ -91,13 +91,22 @@ def reference_profile(portfolio, max_days):
     return profile, float(weights(portfolio)[cap == 0].sum())
 
 
-def reference_illiquid(portfolio, w_star, max_days):
-    profile, _ = reference_profile(portfolio, max_days)
-    below = np.flatnonzero(profile <= w_star + 1e-15)
-    h_star = int(below[0]) + 1 if below.size else len(profile) + 1
-    sold = _evaluate(_curve(portfolio.shares, portfolio.daily_limits, portfolio.prices),
-                     [h_star - 1])[0]
-    return h_star, 1.0 - float(sold) / tna(portfolio)
+def reference_illiquid(portfolio, w_star):
+    """``illiquid_assets`` by scanning the daily profile of the whole unwind,
+    np.diff(W(0..H)) / TNA on a waterfall curve sorted afresh, 2^16 days at a
+    time: the first day with a weight <= w_star. The scan reaches the day
+    after the last name that finishes, which sells only names that never do."""
+    block = 2**16
+    curve = _curve(portfolio.shares, portfolio.daily_limits, portfolio.prices)
+    finite = curve[0][np.isfinite(curve[0])]
+    end = math.ceil(finite.max()) + 1 if finite.size else 1
+    for start in range(1, end + 1, block):
+        days = np.arange(start - 1, min(start + block, end + 1))
+        below = np.flatnonzero(np.diff(_evaluate(curve, days)) / tna(portfolio) <= w_star + 1e-15)
+        if below.size:
+            h_star = start + int(below[0])
+            return h_star, 1.0 - float(_evaluate(curve, [h_star - 1])[0]) / tna(portfolio)
+    raise AssertionError("the profile never falls to w_star")
 
 
 def reference_curve(sellable, cap, prices):
@@ -214,7 +223,7 @@ class TestKeptOrder:
             want, want_residual = reference_profile(portfolio, max_days)
             assert len(profile) == max_days and residual == want_residual == 0.0
             assert bits(profile) == bits(want)
-        assert illiquid_assets(portfolio, 1e-3) == reference_illiquid(portfolio, 1e-3, 10_000)
+        assert illiquid_assets(portfolio, 1e-3) == reference_illiquid(portfolio, 1e-3)
 
     @settings(max_examples=30, deadline=None)
     @given(tied_funds(max_n=50))
@@ -384,10 +393,9 @@ class TestUnwindCurve:
             profile, residual = daily_liquidation_profile(portfolio, max_days)
             want, want_residual = reference_profile(portfolio, max_days)
             assert bits(profile) == bits(want) and residual == want_residual
-            assert illiquid_assets(portfolio, w_star, max_days) == \
-                reference_illiquid(portfolio, w_star, max_days)
-        # the default horizons of the two measures, in the stress report's order
-        assert illiquid_assets(portfolio, w_star) == reference_illiquid(portfolio, w_star, 10_000)
+        # the illiquid day of the whole unwind, then the profile's default
+        # horizon, in the stress report's order
+        assert illiquid_assets(portfolio, w_star) == reference_illiquid(portfolio, w_star)
         profile, _ = daily_liquidation_profile(portfolio)
         assert bits(profile) == bits(reference_profile(portfolio, 260)[0])
 
@@ -402,7 +410,7 @@ class TestUnwindCurve:
         for p in (first, second, twin):
             profile, _ = daily_liquidation_profile(p)
             assert bits(profile) == bits(reference_profile(p, 260)[0])
-            assert illiquid_assets(p, 1e-3) == reference_illiquid(p, 1e-3, 10_000)
+            assert illiquid_assets(p, 1e-3) == reference_illiquid(p, 1e-3)
         assert first._waterfall is not second._waterfall and first._waterfall is not twin._waterfall
         assert first._waterfall[0] is not twin._waterfall[0]
         for a in first._waterfall:
@@ -410,8 +418,8 @@ class TestUnwindCurve:
 
     def test_a_name_that_never_finishes_runs_the_profile_to_max_days(self):
         # shares / cap of name 0 overflows to inf: it never finishes, so the
-        # profile runs to max_days, and the illiquid day is read off it, all
-        # without a numpy warning
+        # profile runs to max_days, and the illiquid day is read off the
+        # curve, all without a numpy warning
         columns = dict(shares=[1e300, 10.0], price=[1.0, 1.0], daily_limit=[1e-10, 5.0],
                        daily_volume=[0, 0], volatility=[0, 0], spread=[0, 0])
         portfolio = from_columns(columns)
@@ -424,8 +432,30 @@ class TestUnwindCurve:
                 assert len(profile) == max_days and bits(profile) == bits(want)
                 assert residual == want_residual == 0.0
             assert len(daily_liquidation_profile(portfolio)[0]) == 260
-            assert illiquid_assets(portfolio, 1e-3) == (1, 1.0)
-            assert illiquid_assets(portfolio, 1e-3, 50) == reference_illiquid(portfolio, 1e-3, 50)
+            assert illiquid_assets(portfolio, 1e-3) == (1, 1.0) == reference_illiquid(portfolio, 1e-3)
+
+    def test_a_million_day_unwind_is_read_to_its_end(self):
+        # name A sells 5e-7 of net assets a day, above w_star, until day 10^6:
+        # a profile cut at 10,000 days read (10001, 0.495)
+        portfolio = Portfolio([Security("A", 1e6, 1.0, daily_limit=1.0),
+                               Security("B", 1e6, 1.0, daily_limit=1e6)])
+        assert illiquid_assets(portfolio, 1e-7) == (1_000_001, 0.0) == \
+            reference_illiquid(portfolio, 1e-7)
+
+    @settings(max_examples=60, deadline=None)
+    @given(funds(), st.integers(10_001, 10**6), st.floats(1.0, 2000.0), st.floats(0.01, 0.99))
+    def test_an_unwind_past_ten_thousand_days_equals_the_whole_scan(self, columns, days, price,
+                                                                   share):
+        # one more name sells 10^6 shares over about ``days`` days, and w_star
+        # is ``share`` of its daily weight: no day before it finishes is at or
+        # below w_star
+        extra = dict(shares=1e6, price=price, daily_limit=1e6 / days, daily_volume=0.0,
+                     volatility=0.0, spread=0.0)
+        portfolio = from_columns({k: list(v) + [extra[k]] for k, v in columns.items()})
+        w_star = share * price * 1e6 / days / tna(portfolio)
+        h_star, fraction = illiquid_assets(portfolio, w_star)
+        assert h_star > 10_000
+        assert (h_star, fraction) == reference_illiquid(portfolio, w_star)
 
     def test_a_new_portfolio_starts_without_a_curve(self, fund):
         columns = dict(shares=fund.shares, price=fund.prices, daily_limit=fund.daily_limits,
@@ -458,11 +488,6 @@ class TestDayCountsAndTolerance:
             daily_liquidation_profile(fund, days)
 
     @pytest.mark.parametrize("days", BAD_DAYS, ids=repr)
-    def test_bad_illiquid_assets_max_days(self, fund, days):
-        with pytest.raises(DomainError, match="max_days must be an integer of at least 1"):
-            illiquid_assets(fund, 1e-3, max_days=days)
-
-    @pytest.mark.parametrize("days", BAD_DAYS, ids=repr)
     def test_bad_schedule_max_days(self, fund, days):
         with pytest.raises(DomainError, match="max_days must be an integer of at least 1"):
             build_schedule(fund, RedemptionPortfolio(quantities=fund.shares), max_days=days)
@@ -483,7 +508,6 @@ class TestDayCountsAndTolerance:
         for days in (np.int64(3), np.int32(3)):
             assert bits(daily_liquidation_profile(fund, days)[0]) == \
                 bits(daily_liquidation_profile(fund, 3)[0])
-            assert illiquid_assets(fund, 1e-3, days) == illiquid_assets(fund, 1e-3, 3)
             q = RedemptionPortfolio(quantities=0.1 * fund.shares)
             assert evaluate_policy(fund, CostModel(), q, days) == evaluate_policy(fund, CostModel(), q, 3)
         for tau in (np.int64(3), np.int32(3)):
@@ -492,16 +516,6 @@ class TestDayCountsAndTolerance:
             assert optimal_pro_rata(fund, tau)[0] == optimal_pro_rata(fund, 3)[0]
             assert max_admissible_shock(fund, tau, "waterfall") == \
                 max_admissible_shock(fund, 3, "waterfall")
-
-    @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, -1e-6, float("nan"), float("inf")])
-    def test_bisection_tol_must_lie_in_the_open_unit_interval(self, fund, tol):
-        with pytest.raises(DomainError, match="tol must lie in"):
-            asset_rst(fund, 0.1, 0.5, 2, tol=tol)
-
-    def test_a_coarse_tol_still_solves(self, fund):
-        fine = asset_rst(fund, 0.1, 0.5, 2)
-        assert isinstance(fine, float)
-        assert abs(asset_rst(fund, 0.1, 0.5, 2, tol=1e-3) - fine) <= 1e-3
 
 
 def reference_horizon(sellable, cap, max_days):

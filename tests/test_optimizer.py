@@ -72,10 +72,6 @@ class TestCostModel:
         x_low = np.array([0.01, 0.03, 0.05])
         np.testing.assert_allclose(two.impact_shape(x_low), one.impact_shape(x_low))
 
-    def test_custom_impact_hook(self):
-        cm = CostModel(custom_impact=lambda x: 2.0 * x)
-        np.testing.assert_allclose(cm.impact_shape(np.array([0.02, 0.08])), [0.04, 0.16])
-
 
 class TestTransactionCost:
     def test_zero_liquidation_costs_nothing(self, fund, cost_model):
@@ -185,7 +181,7 @@ class TestTransactionCostMatchesDayByDayChecks:
     decides both checks: the same costs, bit for bit, and the same errors."""
 
     MODELS = (CostModel(), CostModel(regime="sqrt"),
-              CostModel(knee=0.03, participation_cap=0.2, custom_impact=lambda x: x ** 0.6))
+              CostModel(knee=0.03, participation_cap=0.2))
 
     def test_random_funds(self):
         rng = np.random.default_rng(14)

@@ -333,7 +333,6 @@ class TestRejectedInputs:
          r"^standard redemption rate must lie in \(0, 1\], got nan$"),
         (lambda f: asset_rst(f, 0.0, 0.5, 1),
          r"^standard redemption rate must lie in \(0, 1\], got 0\.0$"),
-        (lambda f: asset_rst(f, 0.1, 0.5, 1, tol=1.0), r"^bisection tol must lie in \(0, 1\), got 1\.0$"),
         (lambda f: liability_rst(f, np.where(ALPHA > 0.25, np.inf, ALPHA), 0.5, 1),
          r"^alpha proportions must lie in \[0, 1\], got inf$"),
         # read as the daily limits it scales, which the message named instead
@@ -346,7 +345,7 @@ class TestRejectedInputs:
         (lambda f: stressed_rcr(f, RedemptionPortfolio(quantities=1.01 * f.shares), 1e6, 1),
          "^cannot liquidate more shares than held$"),
     ], ids=["floor-nan", "floor-inf", "feasible-floor-zero", "asset-floor-nan", "rate-nan",
-            "rate-zero", "tol-one", "alpha-inf", "multiplier-nan", "multiplier-negative",
+            "rate-zero", "alpha-inf", "multiplier-nan", "multiplier-negative",
             "target-length", "target-above-holdings"])
     def test_bounds_are_the_rule(self, fund, call, message):
         with pytest.raises(DomainError, match=message):
