@@ -6,6 +6,7 @@ waterfall admissible shock read A(tau) as one sum. Every value is compared
 with the same formula on a curve sorted afresh, bit for bit."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -434,6 +435,29 @@ class TestUnwindCurve:
             assert len(daily_liquidation_profile(portfolio)[0]) == 260
             assert illiquid_assets(portfolio, 1e-3) == (1, 1.0) == reference_illiquid(portfolio, 1e-3)
 
+    # (shares, price, daily limit) of each name, w_star, and the illiquid day
+    # and fraction by hand; the day is h = ceil(t[j-1]) or h + 1
+    @pytest.mark.parametrize("names, w_star, h_star, fraction", [
+        ([(100, 1, 10), (100, 1, 50)], 0.5, 1, 1.0),     # j = 0: day 1 is already below
+        ([(100, 1, 10), (100, 1, 50)], 0.1, 3, 0.4),     # whole days: day 3 sells 0.05
+        ([(100, 1, 10), (100, 1, 50)], 1e-12, 11, 0.0),  # the day after the last name finishes
+        ([(100, 1, 30), (100, 1, 100)], 0.2, 2, 0.35),   # h = 1 sells 0.65: h + 1
+        ([(100, 1, 30), (100, 1, 100)], 0.1, 4, 0.05),   # the residue day 4 sells 0.05
+        ([(100, 1, 30), (100, 1, 100)], 0.05, 4, 0.05),  # w_star equal to that residue
+        ([(100, 1, 30), (100, 1, 100)], 0.04, 5, 0.0),   # the residue is above: h + 1
+        ([(100, 1, 0), (100, 1, 25)], 0.1, 5, 0.5),      # a name with no limit never sells
+        ([(0, 1, 10), (100, 1, 20)], 0.1, 6, 0.0),       # a name with no shares
+        ([(100, 1, 10), (50, 2, 5)], 0.05, 11, 0.0),     # two names finish on day 10
+    ], ids=["above-every-day", "whole-days", "tiny-w-star", "first-day-above",
+            "residue-below", "residue-equal", "residue-above", "zero-limit", "zero-shares",
+            "tied-finish"])
+    def test_the_illiquid_day_by_hand(self, names, w_star, h_star, fraction):
+        portfolio = Portfolio([Security(f"S{i}", s, p, daily_limit=c)
+                               for i, (s, p, c) in enumerate(names)])
+        got = illiquid_assets(portfolio, w_star)
+        assert got == reference_illiquid(portfolio, w_star)
+        assert got[0] == h_star and got[1] == pytest.approx(fraction, abs=1e-15)
+
     def test_a_million_day_unwind_is_read_to_its_end(self):
         # name A sells 5e-7 of net assets a day, above w_star, until day 10^6:
         # a profile cut at 10,000 days read (10001, 0.495)
@@ -491,6 +515,23 @@ class TestDayCountsAndTolerance:
     def test_bad_schedule_max_days(self, fund, days):
         with pytest.raises(DomainError, match="max_days must be an integer of at least 1"):
             build_schedule(fund, RedemptionPortfolio(quantities=fund.shares), max_days=days)
+
+    @pytest.mark.parametrize("w_star", [0.0, -0.0, -1e-9, 1.5, float("inf"), float("-inf"),
+                                        np.float64(0.0), np.float64(1.0)], ids=repr)
+    def test_bad_illiquid_assets_w_star(self, fund, w_star):
+        message = rf"^w_star must lie in \(0, 1\), got {re.escape(repr(float(w_star)))}$"
+        with pytest.raises(DomainError, match=message):
+            illiquid_assets(fund, w_star)
+
+    # the published multipliers are those of 20 halvings of [0, 1] down to
+    # BISECTION_TOL: the result, the midpoint of the last bracket, is an odd
+    # multiple of 2^-21
+    @pytest.mark.parametrize("rate, floor, tau", [(0.1, 0.5, 2), (0.05, 0.9, 5), (0.1, 0.5, 1)])
+    def test_the_bisection_stops_after_twenty_halvings(self, fund, rate, floor, tau):
+        res = asset_rst(fund, rate, floor, tau)
+        assert isinstance(res, float)
+        k = res * 2**21
+        assert k == int(k) and int(k) % 2 == 1
 
     @pytest.mark.parametrize("days", BAD_DAYS, ids=repr)
     def test_bad_evaluation_horizon(self, fund, days):
