@@ -7,8 +7,8 @@ without a daily trading limit), the net buffer cost and its minimizer, the
 break-even risk premium, and the approximation-error diagnostics of the
 additive transaction-cost shortcut.
 
-Redemptions follow the power law F(x) = x^eta by default; a custom CDF with
-density can be plugged in for the quadrature paths.
+Redemptions follow the paper's power law F(x) = x^eta, priced in closed
+form; quadrature and Monte-Carlo are kept as the test oracles.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class BufferMarketParams:
 
 @dataclass(frozen=True)
 class BufferCostParams:
-    """Transaction-cost and redemption-law inputs of the buffer gain side.
+    """Transaction-cost and redemption-rate inputs of the buffer gain side.
 
     Attributes:
         spread: Bid-ask spread of the risky assets, as a fraction.
@@ -84,8 +84,6 @@ class BufferCostParams:
             ``X_PLUS_MIN``; >= 1 means the whole fund can be sold in one day.
         eta: Exponent of the redemption-rate law F(x) = x^eta, in
             (0, ``specialfuncs.ETA_MAX``].
-        cdf, pdf: Optional custom redemption law (distribution function and
-            density on [0, 1]); used by the quadrature paths only.
     """
 
     spread: float
@@ -94,8 +92,6 @@ class BufferCostParams:
     sigma: float = 0.0
     x_plus: float = 1.0
     eta: float = 1.0
-    cdf: Optional[Callable[[float], float]] = None
-    pdf: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
         check_finite(self, ("spread", "cash_cost", "beta_impact", "sigma"), "non-negative")
@@ -105,8 +101,6 @@ class BufferCostParams:
         if self.x_plus < X_PLUS_MIN:
             raise DomainError(f"trading limit must be at least {X_PLUS_MIN:g}, got {self.x_plus!r}")
         check_number("eta", self.eta, ETA_RANGE)
-        if (self.cdf is None) != (self.pdf is None):
-            raise DomainError("custom redemption law needs both cdf and pdf")
 
     @property
     def sigma_daily(self) -> float:
@@ -118,23 +112,16 @@ class BufferCostParams:
         return self.x_plus >= 1.0
 
     def redemption_cdf(self, x):
-        """F(x) for a float or an array x; a custom cdf is called one element at a time."""
-        if self.cdf is None:
-            return x**self.eta
-        return np.vectorize(self.cdf, otypes=[float])(x) if np.ndim(x) else self.cdf(x)
+        """F(x) = x^eta for a float or an array x."""
+        return x**self.eta
 
     def redemption_pdf(self, x: float) -> float:
-        if self.pdf is not None:
-            return self.pdf(x)
-        if x <= 0.0:
-            return 0.0
-        return self.eta * x ** (self.eta - 1.0)
+        """f(x) = eta x^(eta - 1), and 0 at x = 0 (no redemption), where eta < 1 has a pole."""
+        return self.eta * x ** (self.eta - 1.0) if x > 0.0 else 0.0
 
     @property
     def expected_redemption(self) -> float:
-        """Mean redemption rate, eta / (eta + 1) under the power law."""
-        if self.cdf is not None:
-            return _integrate(lambda x: 1.0 - self.cdf(x), 0.0, 1.0)
+        """Mean redemption rate, eta / (eta + 1)."""
         return self.eta / (self.eta + 1.0)
 
 
@@ -162,7 +149,9 @@ class BufferAnalytics:
 
 def buffer_analytics(market: BufferMarketParams, w: float) -> BufferAnalytics:
     """Mean/variance, tracking-error, beta, Sharpe and information ratios
-    of the blended fund at cash weight w (exact bilinear formulas)."""
+    of the blended fund at cash weight w (exact bilinear formulas). A
+    volatility is hypot(a + rho b, sqrt(1 - rho^2) b) = sqrt(a^2 + 2 rho a b
+    + b^2), so one whose square underflows keeps its digits."""
     check_number("cash weight", w, "[0, 1]")
     m = market
     premium = m.mu_asset - m.mu_cash
@@ -171,8 +160,10 @@ def buffer_analytics(market: BufferMarketParams, w: float) -> BufferAnalytics:
     var = cash * cash + asset * asset + 2.0 * m.rho * cash * asset
     check_number("blended variance", var)
     check_number("tracking-error variance", m.te_variance_unit)
-    vol = math.sqrt(max(var, 0.0))
-    te_vol = w * math.sqrt(max(m.te_variance_unit, 0.0))
+    perp = math.sqrt(1.0 - m.rho * m.rho)  # the asset share orthogonal to cash
+    vol = math.hypot(cash + m.rho * asset, perp * asset)
+    te_unit = math.hypot(m.sigma_cash - m.rho * m.sigma_asset, perp * m.sigma_asset)
+    te_vol = w * te_unit
     beta = None
     if m.sigma_asset > 0:
         beta = 1.0 - w + w * m.rho * m.sigma_cash / m.sigma_asset
@@ -180,7 +171,7 @@ def buffer_analytics(market: BufferMarketParams, w: float) -> BufferAnalytics:
     if vol > 0 and m.sigma_asset > 0:
         corr = (w * m.rho * m.sigma_cash + (1.0 - w) * m.sigma_asset) / vol
     sharpe = (exp_ret - m.mu_cash) / vol if vol > 0 else None
-    info = -premium / math.sqrt(m.te_variance_unit) if te_vol > 0 else None
+    info = -premium / te_unit if te_vol > 0 else None
     return BufferAnalytics(
         expected_return=exp_ret,
         volatility=vol,
@@ -275,7 +266,7 @@ def tc_cash(x, params: BufferCostParams):
 
 def _integrate(f, lo: float, hi: float, points=()) -> float:
     """integral_lo^hi f by scipy's adaptive quadrature split at ``points``,
-    the package's one numerical integral (scipy is imported on first use)."""
+    the package's one numerical integral, the oracle's (scipy is imported on first use)."""
     from scipy import integrate
 
     value, _ = integrate.quad(f, lo, hi, points=points or None,
@@ -297,9 +288,9 @@ def expected_lg_quadrature(params: BufferCostParams, w):
     E[LG(w)] = integral_0^w (TC_asset - TC_cash) dF
              + integral_w^1 (TC_asset(x) - TC_asset(x - w)) dF.
 
-    This is the oracle the Monte-Carlo validator must agree with; it handles
-    any trading limit and any plugged-in redemption law. w may be a float or
-    an array, integrated one weight at a time.
+    This is the oracle the closed forms and the Monte-Carlo validator must
+    agree with, at any trading limit. w may be a float or an array,
+    integrated one weight at a time.
     """
     if np.ndim(w):  # one weight, or one row of weights, at a time
         rows = np.asarray(w, dtype=float).tolist()
@@ -347,8 +338,6 @@ def expected_lg_components_closed(params: BufferCostParams, w) -> Tuple[float, f
     """
     if not params.unlimited:
         raise DomainError("closed form requires x_plus >= 1")
-    if params.cdf is not None:
-        raise DomainError("closed form requires the power-law redemption model")
     check_number("cash weight", w, "[0, 1]")
     x = _as_array(w)
     eta = params.eta
@@ -420,19 +409,16 @@ def _power_law_gain(params: BufferCostParams, w):
 def expected_lg_exact(params: BufferCostParams, w):
     """Exact expected liquidation gain at a cash weight w (a float or an array).
 
-    Under the power law: the sum over trading-limit segments when a limit
-    binds (x+ < 1), which is the expectation of the defining integral. With
+    The sum over trading-limit segments when a limit binds (x+ < 1), which
+    is the expectation of the defining integral. With
     no trading limit (x+ >= 1) it returns the paper's reference closed form
     ``expected_lg_components_closed``, whose asset leg is
     ``eta * s * w * (1 - w)``, as the goldens do. That form is the true
     expectation only at eta = 1, so at other eta the value jumps at
     x+ = 1: with spread 20bp, cash cost 1bp, impact 0.4, sigma 0.2, eta = 2
     and w = 0.1 it is 7.686e-4 at x+ = 0.999999 (quadrature of the
-    defining integral agrees) and 9.306e-4 at x+ = 1. A custom redemption
-    law takes the adaptive quadrature of the defining integral.
+    defining integral agrees) and 9.306e-4 at x+ = 1.
     """
-    if params.cdf is not None:
-        return expected_lg_quadrature(params, w)
     check_number("cash weight", w, "[0, 1]")
     if params.unlimited:
         cash_part, asset_part = expected_lg_components_closed(params, w)
@@ -444,19 +430,13 @@ def expected_lg_approx(params: BufferCostParams, w):
     """Approximate expected liquidation gain (additive-cost shortcut).
 
     E[LG(w)] ~= integral_0^w TC_asset dF + TC_asset(w) * (1 - F(w)), dropping
-    the cash liquidation cost. Monotone non-decreasing in w. Closed form under
-    the power law (piecewise over trading-limit segments); quadrature for a
-    custom redemption law, one weight at a time. w may be a float or an array.
+    the cash liquidation cost. Monotone non-decreasing in w. Closed form,
+    piecewise over trading-limit segments. w may be a float or an array.
     """
     check_number("cash weight", w, "[0, 1]")
     x = _as_array(w)
-    kernel = _sqrt_cost(params)
-    if params.cdf is None:
-        head = _head(params, x)
-    else:
-        head = np.array([_integrate(lambda t: kernel.cost(t) * params.redemption_pdf(t), 0.0, v,
-                                    _cost_breakpoints(params, 0.0, v)) for v in x.tolist()])
-    return _as_given(head + kernel.cost(x) * (1.0 - params.redemption_cdf(x)), w)
+    tail = _sqrt_cost(params).cost(x) * (1.0 - params.redemption_cdf(x))
+    return _as_given(_head(params, x) + tail, w)
 
 
 def expected_lg_derivative(params: BufferCostParams, w, method: str = "auto"):
@@ -490,8 +470,6 @@ def simulate_lg(params: BufferCostParams, w: float, n: int = 1_000_000, seed: in
     """
     check_days("n", n, least=2)
     check_number("cash weight", w, "[0, 1]")
-    if params.cdf is not None:
-        raise DomainError("the Monte-Carlo validator supports the power law only")
     rng = np.random.default_rng(seed)
     shocks = rng.random(n) ** (1.0 / params.eta)
     tc = _sqrt_cost(params).cost

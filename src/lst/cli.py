@@ -338,7 +338,7 @@ def cmd_buffer(args) -> int:
 
 
 def cmd_swing(args) -> int:
-    from .swing import AdlRule, FlowEvent, FundState, SwingConfig, SwingMode, adl_fees, swing_nav
+    from .swing import FlowEvent, FundState, SwingConfig, adl_fees, swing_nav
 
     state = FundState(nav=args.nav, units=args.units)
     subscribed, redeemed = args.sub, args.red
@@ -346,7 +346,7 @@ def cmd_swing(args) -> int:
         subscribed, redeemed = (args.flow, 0.0) if args.flow >= 0 else (0.0, -args.flow)
     event = FlowEvent(subscribed=subscribed, redeemed=redeemed,
                       asset_return=getattr(args, "return"), tc=args.tc)
-    config = SwingConfig(mode=SwingMode(args.mode), threshold=args.threshold,
+    config = SwingConfig(mode=args.mode, threshold=args.threshold,
                          factor=args.factor, product=args.product, penalty=args.gamma)
     result = swing_nav(state, event, config)
     rows = [["nav_gross", _fmt(result.nav_gross)], ["activated", str(result.activated).lower()]]
@@ -356,7 +356,7 @@ def cmd_swing(args) -> int:
         rows.append(["nav_ask", _fmt(result.nav_ask)])
         rows.append(["nav_bid", _fmt(result.nav_bid)])
     if args.adl:
-        fees = adl_fees(subscribed, redeemed, event.tc, AdlRule(args.adl))
+        fees = adl_fees(subscribed, redeemed, event.tc, args.adl)
         rows.append(["adl_entry", _fmt(fees.entry) if fees.entry is not None else "undefined"])
         rows.append(["adl_exit", _fmt(fees.exit) if fees.exit is not None else "undefined"])
     sys.stdout.write(_csv_text(["field", "value"], rows))

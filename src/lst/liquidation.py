@@ -59,7 +59,7 @@ def _sort_live(sellable: np.ndarray, cap: np.ndarray,
     finishes, is a key like any other.
 
     Which sort runs changes only the cost. A fresh sort is numpy's
-    quicksort (vectorized on x86; about 5x faster than the stable sort at
+    quicksort (SIMD on x86; about 5x faster than the stable sort at
     n = 10^4), which leaves each run of equal keys in no particular order.
     ``hint``, a portfolio's kept order of its live names by shares/cap
     (``_waterfall``), must list exactly the live positions, which it does
@@ -155,23 +155,27 @@ class LiquidationSchedule:
     target).
 
     ``sold`` (shares sold per day and security) is rebuilt on every access
-    and never stored; read it once when iterating over days. ``cap`` is the
-    portfolio's own ``daily_limits``, so the live names are those of the
-    portfolio's kept order by construction. The sorted value curve behind
-    ``amounts`` starts from that order, is built on first use and kept, so
-    an RCR table and the liquidation times read off one schedule sort it
-    once; a schedule of the whole holdings reads the portfolio's waterfall
-    curve itself.
+    and never stored; read it once when iterating over days. ``cap`` is no
+    field but the portfolio's own ``daily_limits``, read-only, so the live
+    names are those of the portfolio's kept order by construction. The
+    sorted value curve behind ``amounts`` starts from that order, is built
+    on first use and kept, so an RCR table and the liquidation times read
+    off one schedule sort it once; a schedule of the whole holdings reads
+    the portfolio's waterfall curve itself.
     """
 
     portfolio: Portfolio
     target: RedemptionPortfolio
     sellable: np.ndarray
-    cap: np.ndarray
     horizon: int
     max_days: int
     exhausted: bool
     stuck: tuple
+
+    @property
+    def cap(self) -> np.ndarray:
+        """The daily limits every schedule sells at: ``portfolio.daily_limits``."""
+        return self.portfolio.daily_limits
 
     @property
     def sold(self) -> np.ndarray:
@@ -286,7 +290,7 @@ def build_schedule(
                 done = sold_out(horizon)
     exhausted = done and not stuck
     return LiquidationSchedule(
-        portfolio=portfolio, target=redemption, sellable=sellable, cap=cap,
+        portfolio=portfolio, target=redemption, sellable=sellable,
         horizon=horizon, max_days=max_days, exhausted=exhausted, stuck=stuck,
     )
 

@@ -76,6 +76,16 @@ def dilution_per_unit(state: FundState, event: FlowEvent) -> float:
 # SWING PRICING
 # =============================================================================
 
+def _as_member(kind, value, name: str):
+    """``value``, a member of the Enum ``kind`` or its value such as "partial",
+    as the member; anything else is a DomainError naming the valid values."""
+    try:
+        return kind(value)
+    except ValueError:
+        valid = ", ".join(repr(member.value) for member in kind)
+        raise DomainError(f"{name} must be one of {valid}, got {value!r}") from None
+
+
 class SwingMode(Enum):
     NONE = "none"
     FULL = "full"
@@ -91,7 +101,7 @@ class SwingConfig:
     ``threshold`` applies in partial mode (net flow as a fraction of units);
     ``factor`` and ``product`` drive the dynamic threshold = product / factor;
     ``penalty`` is the gamma >= 1 weight on redemptions in the dual-pricing
-    cost split (1 = pro-rata).
+    cost split (1 = pro-rata). ``mode`` is a ``SwingMode`` or its value.
     """
 
     mode: SwingMode = SwingMode.FULL
@@ -101,6 +111,7 @@ class SwingConfig:
     penalty: float = 1.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", _as_member(SwingMode, self.mode, "swing mode"))
         check_finite(self, ("threshold", "factor", "product", "penalty"), "non-negative")
         if self.penalty < 1.0:
             raise DomainError("redemption penalty must be at least 1")
@@ -224,13 +235,13 @@ def adl_fees(subscribed: float, redeemed: float, tc: float, rule: AdlRule) -> Ad
 
     Netted charges TC / |net units| to the majority side; gross charges
     TC / N+ (or TC / N-) to the majority side; pro-rata charges
-    TC / (N+ + N-) to both sides.
+    TC / (N+ + N-) to both sides. ``rule`` is an ``AdlRule`` or its value.
     """
     for name, value in (("subscribed", subscribed), ("redeemed", redeemed), ("tc", tc)):
         check_number(name, value, "non-negative")
     if subscribed + redeemed == 0:
         raise DomainError("no flows to levy")
-    rule = AdlRule(rule)
+    rule = _as_member(AdlRule, rule, "anti-dilution rule")
     net = subscribed - redeemed
     if rule == AdlRule.PRO_RATA:
         fee = tc / (subscribed + redeemed)

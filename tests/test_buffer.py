@@ -106,6 +106,19 @@ class TestBufferAnalyticsAtExtremeVolatilities:
             assert a.beta == pytest.approx(1.0 - w * (1.0 - rho), rel=1e-15, abs=1e-15)
             assert a.expected_return == pytest.approx(0.06 * (1.0 - w))
 
+    @pytest.mark.parametrize("sigma", [1e-162, 1e-160, 1e-200, 0.2])
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5, 1.0])
+    def test_volatilities_keep_their_digits_when_their_squares_underflow(self, sigma, rho):
+        # the volatilities scale with sigma, so each keeps every digit of the
+        # sigma = 1 result, also where its square underflows (below about 1e-154)
+        market = BufferMarketParams(mu_asset=0.06, sigma_asset=sigma, sigma_cash=2 * sigma, rho=rho)
+        unit = buffer_analytics(BufferMarketParams(mu_asset=0.06, sigma_cash=2.0, sigma_asset=1.0, rho=rho), 0.3)
+        a = buffer_analytics(market, 0.3)
+        assert a.volatility == pytest.approx(sigma * unit.volatility, rel=4e-16)
+        assert a.tracking_error == pytest.approx(sigma * unit.tracking_error, rel=4e-16)
+        assert a.correlation == pytest.approx(unit.correlation, rel=4e-16)
+        assert a.sharpe == pytest.approx(unit.sharpe / sigma, rel=4e-16)
+
 @st.composite
 def cost_params(draw):
     x_plus = draw(st.sampled_from([0.05, 0.1, 0.16, 0.3, 1.0, 1.5]) | st.floats(0.01, 2.0))
@@ -308,41 +321,11 @@ class TestExpectedGain:
             target = expected_lg_quadrature(params, w)
             assert abs(mean - target) <= 3 * stderr
 
-    def test_custom_law_hook_matches_power_law(self):
-        power2 = with_eta(LIMITED, 2.0)
-        custom = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4,
-                                  sigma=0.20, x_plus=0.10, eta=1.0,
-                                  cdf=lambda x: x * x, pdf=lambda x: 2 * x)
-        for w in (0.15, 0.5, 0.85):
-            assert expected_lg_quadrature(custom, w) == pytest.approx(
-                expected_lg_quadrature(power2, w), rel=1e-9)
-            assert expected_lg_approx(custom, w) == pytest.approx(
-                expected_lg_approx(power2, w), rel=1e-7)
-
     def test_power_law_pdf_is_zero_at_no_redemption(self):
         # eta x^(eta - 1) has a pole at 0 for eta < 1; no redemption has density 0
         for eta in (0.5, 1.0, 2.0):
             assert with_eta(BASE, eta).redemption_pdf(0.0) == 0.0
         assert with_eta(BASE, 2.0).redemption_pdf(0.25) == 0.5
-
-    def test_custom_law_optimum_matches_the_power_law(self):
-        # with no trading limit the law x**2 is integrated one weight at a
-        # time, in the optimizer's one array call as in a float call; its
-        # expectation is the power law's at eta = 2 just below x+ = 1
-        custom = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
-                                  cdf=lambda x: x * x, pdf=lambda x: 2 * x)
-        power2 = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
-                                  x_plus=0.999999, eta=2.0)
-        market = BufferMarketParams(mu_asset=0.0)
-        assert custom.expected_redemption == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert expected_lg_exact(custom, 0.5) == pytest.approx(
-            expected_lg_exact(power2, 0.5), rel=1e-9)
-        grid = np.array([0.0, 0.15, 0.5, 0.85, 1.0])
-        assert expected_lg_exact(custom, grid).tolist() == [expected_lg_exact(custom, w)
-                                                            for w in grid.tolist()]
-        w_star = optimal_cash_buffer(market, custom)
-        assert round(w_star, 6) == 0.967218
-        assert w_star == pytest.approx(optimal_cash_buffer(market, power2), abs=1e-7)
 
 
 @st.composite
@@ -579,21 +562,6 @@ class TestOnePath:
             assert all(type(v) is float for v in floats), name
             assert call(np.array(weights)).tolist() == floats, name
 
-    def test_custom_cdf_sees_one_float_at_a_time(self):
-        seen = []
-
-        def cdf(x):
-            seen.append(type(x))
-            return x * x if x < 1.0 else 1.0  # a scalar-only law
-
-        custom = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
-                                  x_plus=0.3, cdf=cdf, pdf=lambda x: 2 * x)
-        grid = np.array([0.0, 0.15, 0.5, 1.0])
-        for call in (lambda w: expected_lg_approx(custom, w),
-                     lambda w: expected_lg_derivative(custom, w, method="approx")):
-            assert call(grid).tolist() == [call(w) for w in grid.tolist()]
-        assert set(seen) == {float}
-
 
 class TestApproximationError:
     def test_max_error_below_one_bp_up_to_sixteen_percent(self):
@@ -717,26 +685,16 @@ class TestMonteCarloProperty:
         assert abs(mean - expected_lg_exact(params, w)) <= 4 * stderr
 
 
-CUSTOM_LAW = BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, sigma=0.20,
-                              cdf=lambda x: x * x, pdf=lambda x: 2 * x)
-
-
 class TestRejectedInputs:
     @pytest.mark.parametrize("call, message", [
         (lambda: BufferMarketParams(mu_asset=0.01, rho=2.0), r"^correlation must lie in \[-1, 1\], got 2\.0$"),
         (lambda: BufferCostParams(spread=20e-4, x_plus=0.0), "^trading limit must be positive$"),
-        (lambda: BufferCostParams(spread=20e-4, cdf=lambda x: x),
-         "^custom redemption law needs both cdf and pdf$"),
         (lambda: BufferCostParams(spread=20e-4, eta=12.5), r"^eta must lie in \(0, 12\], got 12\.5$"),
         (lambda: tc_asset_sqrt(1.5, BASE), "^cannot liquidate more than the whole fund$"),
         (lambda: expected_lg_components_closed(LIMITED, 0.5), "^closed form requires x_plus >= 1$"),
-        (lambda: expected_lg_components_closed(CUSTOM_LAW, 0.5),
-         "^closed form requires the power-law redemption model$"),
         (lambda: expected_lg_derivative(BASE, 0.5, method="central"), "^unknown method 'central'$"),
         (lambda: break_even_premium(BufferMarketParams(mu_asset=0.01), LIMITED, 0.5, method="exact"),
          "^unknown method 'exact'$"),
-        (lambda: simulate_lg(CUSTOM_LAW, 0.5, n=10),
-         "^the Monte-Carlo validator supports the power law only$"),
         # a NaN weight read as a chord over [0, 1], and w = 2 as a negative slope
         (lambda: expected_lg_derivative(BufferCostParams(spread=0.002), math.nan),
          r"^cash weight must lie in \[0, 1\], got nan$"),
@@ -750,9 +708,9 @@ class TestRejectedInputs:
         (lambda: tc_cash(math.nan, BASE), "^sale must be finite, got nan$"),
         (lambda: simulate_lg(BASE, 0.5, n=1), "^n must be an integer of at least 2, got 1$"),
         (lambda: simulate_lg(BASE, 0.5, n=0), "^n must be an integer of at least 2, got 0$"),
-    ], ids=["market-rho", "zero-limit", "cdf-without-pdf", "eta-above-bound", "sale-above-fund",
-            "closed-form-limited", "closed-form-custom-law", "derivative-method",
-            "break-even-method", "simulate-custom-law", "derivative-weight-nan",
+    ], ids=["market-rho", "zero-limit", "eta-above-bound", "sale-above-fund",
+            "closed-form-limited", "derivative-method",
+            "break-even-method", "derivative-weight-nan",
             "derivative-weight-above-one-limited", "derivative-weight-nan-limited", "sale-nan",
             "sale-array-nan", "slope-sale-nan", "cash-sale-nan", "simulate-one-draw",
             "simulate-no-draws"])

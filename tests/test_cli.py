@@ -998,6 +998,19 @@ class TestImportCost:
                 "--out-dir", str(tmp_path)]
         assert run_and_list_modules(argv, "scipy.integrate") == "0 False"
 
+    @pytest.mark.parametrize("x_plus", [1.0, 0.3])
+    def test_power_law_library_paths_load_no_scipy(self, x_plus):
+        # the buffer prices one redemption law, in closed form at any limit;
+        # only the quadrature oracle, the control here, integrates
+        setup = ("import sys, lst; "
+                 "p = lst.BufferCostParams(spread=20e-4, cash_cost=1e-4, beta_impact=0.4, "
+                 f"sigma=0.2, x_plus={x_plus}, eta=0.5); "
+                 "m = lst.BufferMarketParams(mu_asset=2e-3, sigma_asset=0.2, te_aversion=1.0); ")
+        paths = ("lst.expected_lg_exact(p, 0.3); lst.expected_lg_approx(p, 0.3); "
+                 "p.expected_redemption; lst.optimal_cash_buffer(m, p); lst.simulate_lg(p, 0.3, n=1000); ")
+        assert run_fresh(setup + paths + "print('scipy' in sys.modules)") == "False"
+        assert run_fresh(setup + "lst.expected_lg_quadrature(p, 0.3); print('scipy' in sys.modules)") == "True"
+
 
 SCIPY_FREE = {
     "buffer": ["buffer", "--mu-asset", "0", "--eta", "0.5", "--xplus", "1.0", "--out-dir"],

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -116,6 +117,27 @@ class TestSwingNav:
         below = swing_nav(
             FundState(nav=100, units=10), FlowEvent(subscribed=4, tc=10), config)
         assert not below.activated  # 4 / 10 = 40% < 50%
+
+    @pytest.mark.parametrize("mode", list(SwingMode))
+    def test_a_mode_string_is_its_member(self, mode):
+        # kept as a string, the mode would match no member and swing fully
+        config = SwingConfig(mode=mode.value, threshold=0.5)
+        assert config.mode is mode
+        assert config == SwingConfig(mode=mode, threshold=0.5)
+        event = FlowEvent(redeemed=1, tc=30)
+        assert swing_nav(STATE, event, config) == swing_nav(STATE, event, SwingConfig(mode=mode, threshold=0.5))
+
+    def test_partial_string_below_its_threshold_does_not_swing(self):
+        result = swing_nav(FundState(nav=100.0, units=100.0), FlowEvent(redeemed=1, tc=30),
+                           SwingConfig(mode="partial", threshold=0.5))
+        assert not result.activated and result.nav_swing is None
+
+    @pytest.mark.parametrize("mode", ["bogus", "FULL", None, 1])
+    def test_an_unknown_mode_names_the_valid_ones(self, mode):
+        message = (r"^swing mode must be one of 'none', 'full', 'partial', 'dual', 'dynamic', "
+                   rf"got {re.escape(repr(mode))}$")
+        with pytest.raises(DomainError, match=message):
+            SwingConfig(mode=mode)
 
     def test_dual_pricing_pro_rata_split(self):
         config = SwingConfig(mode=SwingMode.DUAL, penalty=1.0)
@@ -270,6 +292,17 @@ class TestAdlFees:
     def test_no_flows_rejected(self):
         with pytest.raises(DomainError):
             adl_fees(0, 0, 30, AdlRule.GROSS)
+
+    @pytest.mark.parametrize("rule", list(AdlRule))
+    def test_a_rule_string_is_its_member(self, rule):
+        assert adl_fees(10, 5, 30, rule.value) == adl_fees(10, 5, 30, rule)
+
+    @pytest.mark.parametrize("rule", ["bogus", "pro_rata", None])
+    def test_an_unknown_rule_names_the_valid_ones(self, rule):
+        message = (r"^anti-dilution rule must be one of 'netted', 'gross', 'pro-rata', "
+                   rf"got {re.escape(repr(rule))}$")
+        with pytest.raises(DomainError, match=message):
+            adl_fees(10, 5, 30, rule)
 
 
 def gate_schedule_by_days(requests, policy):
